@@ -423,6 +423,29 @@ class TruncatedSeries:
     def set_coeff(self, idx, value):
         self.data[self._offset(idx)] = value
 
+    def product_coeff(self, other, idx):
+        """Coefficient at ``idx`` of ``self * other``, without the product.
+
+        Equal caps give equal strides, so the partner of the entry at flat
+        offset ``o`` sits at ``offset(idx) - o``.  Terms are added in flat
+        order over the box below ``idx``, skipping zero entries of ``self``.
+        """
+        if other.caps != self.caps:
+            raise ValueError("cap mismatch")
+        if any(i < 0 or i > c for i, c in zip(idx, self.caps)):
+            raise ValueError(f"index {tuple(idx)} outside caps {self.caps}")
+        box = [0]
+        for m, stride in zip(idx, self._strides):
+            box = [o + i * stride for o in box for i in range(m + 1)]
+        top = self._offset(idx)
+        a, b = self.data, other.data
+        total = self.zero
+        for off in box:
+            v = a[off]
+            if v != 0:
+                total = total + v * b[top - off]
+        return total
+
     def items(self):
         """Yield (index_tuple, coefficient) for nonzero coefficients."""
         for flat, v in enumerate(self.data):

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import Unsupported
 
@@ -26,6 +27,7 @@ EXACT = "exact"
 FLOAT = "float"
 
 DEFAULT_PRECISION_BITS = 128
+MIN_PRECISION_BITS = 8
 PRECISION_ENV_VAR = "GEFP_LAB_PRECISION"
 
 
@@ -34,9 +36,14 @@ def default_precision_bits():
     raw = os.environ.get(PRECISION_ENV_VAR)
     if raw is None:
         return DEFAULT_PRECISION_BITS
-    bits = int(raw)
-    if bits < 8:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be at least 8 bits, got {bits}")
+    try:
+        bits = int(raw)
+    except ValueError:
+        raise ValueError(f"{PRECISION_ENV_VAR} must be an integer number of bits, "
+                         f"got {raw!r}")
+    if bits < MIN_PRECISION_BITS:
+        raise ValueError(f"{PRECISION_ENV_VAR} must be at least {MIN_PRECISION_BITS} "
+                         f"bits, got {bits}")
     return bits
 
 
@@ -57,6 +64,14 @@ def parse_exact(text: str) -> Fraction:
 
 def parse_float(text: str):
     return mp.mpf(text.strip())
+
+
+def to_float(x):
+    """x as an mpf at the working precision; a rational is rounded once."""
+    if isinstance(x, Fraction):
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec,
+                                         round_nearest))
+    return mp.mpf(x)
 
 
 def format_exact(x: Fraction) -> str:

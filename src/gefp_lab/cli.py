@@ -19,8 +19,8 @@ import time
 from mpmath import mp
 
 from . import __version__
-from .backends import (EXACT, FLOAT, default_precision_bits, format_scalar,
-                       parse_exact, parse_float)
+from .backends import (EXACT, FLOAT, MIN_PRECISION_BITS, default_precision_bits,
+                       format_scalar, parse_exact, parse_float)
 from .errors import BadIndex, GefpLabError
 from .gefp import efp_special_case, gefp_determinant_jets, gefp_residue
 from .hfun import boundary_H_table_oracle, boundary_H_table_via_K, h_generating
@@ -53,6 +53,13 @@ def _parse_profile(text, N):
             f"1 <= r_1 <= r_2 <= ... <= r_s <= N")
 
 
+def _number(flag, text, parse):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"cannot parse {flag} {text!r} as a number")
+
+
 class ParamSpec:
     """Exactly one of (delta, t) or (lambda, eta[, rapidity lists]) per run."""
 
@@ -70,10 +77,9 @@ class ParamSpec:
         if rational_given:
             if args.delta is None or args.t is None:
                 raise UsageError("--delta and --t must be given together")
-            if self.backend == EXACT:
-                self.delta, self.t = parse_exact(args.delta), parse_exact(args.t)
-            else:
-                self.delta, self.t = parse_float(args.delta), parse_float(args.t)
+            parse = parse_exact if self.backend == EXACT else parse_float
+            self.delta = _number("--delta", args.delta, parse)
+            self.t = _number("--t", args.t, parse)
         else:
             if self.backend == EXACT:
                 raise UsageError("the exact backend takes rational --delta/--t, "
@@ -81,14 +87,15 @@ class ParamSpec:
             if lists_given:
                 if not (getattr(args, "lambdas", None) and args.nus and args.eta):
                     raise UsageError("--lambdas, --nus and --eta go together")
-                self.lambdas = [parse_float(x) for x in args.lambdas.split(",")]
-                self.nus = [parse_float(x) for x in args.nus.split(",")]
-                self.eta = parse_float(args.eta)
+                self.lambdas = [_number("--lambdas", x, parse_float)
+                                for x in args.lambdas.split(",")]
+                self.nus = [_number("--nus", x, parse_float) for x in args.nus.split(",")]
+                self.eta = _number("--eta", args.eta, parse_float)
             else:
                 if args.lam is None or args.eta is None:
                     raise UsageError("--lambda and --eta must be given together")
-                self.lam = parse_float(args.lam)
-                self.eta = parse_float(args.eta)
+                self.lam = _number("--lambda", args.lam, parse_float)
+                self.eta = _number("--eta", args.eta, parse_float)
 
     def weights(self, allow_nonphysical):
         if self.delta is not None:
@@ -422,7 +429,15 @@ def build_parser():
 
 
 def _apply_precision(args):
-    bits = args.precision if args.precision is not None else default_precision_bits()
+    bits = args.precision
+    if bits is None:
+        try:
+            bits = default_precision_bits()
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    elif bits < MIN_PRECISION_BITS:
+        raise UsageError(f"--precision must be at least {MIN_PRECISION_BITS} bits, "
+                         f"got {bits}")
     mp.prec = bits
 
 
@@ -441,8 +456,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = argv
-    _apply_precision(args)
     try:
+        _apply_precision(args)
+        if getattr(args, "workers", 1) < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
         if args.command == "verify":
             return cmd_verify(args)
         records = COMMANDS[args.command](args)

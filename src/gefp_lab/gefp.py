@@ -27,7 +27,7 @@ from itertools import permutations
 from mpmath import mp
 
 from .algebra import TruncatedSeries, geometric_inverse_coeffs, perm_sign
-from .backends import EXACT, FLOAT, format_scalar, is_exact_scalar
+from .backends import EXACT, FLOAT, format_scalar, is_exact_scalar, to_float
 from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
 from .hfun import OmegaRho, build_h_tables, h_polynomial
 from .ik import PhiJet, k_polynomial
@@ -53,13 +53,7 @@ class IntegrandSeries:
     backend: str
 
     def coefficient(self, profile: YoungProfile):
-        target = tuple(rj - 1 for rj in profile.r)
-        total = self.prefactor.zero
-        for idx, v in self.prefactor.items():
-            rem = tuple(t - x for t, x in zip(target, idx))
-            if all(x >= 0 for x in rem):
-                total = total + v * self.h.coeff(rem)
-        return total
+        return self.prefactor.product_coeff(self.h, [rj - 1 for rj in profile.r])
 
     def gefp(self, profile: YoungProfile):
         return (-1) ** self.s * self.coefficient(profile)
@@ -103,7 +97,7 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, lam=None, eta=None,
         key = (N, s, EXACT, delta, t)
         zero = Fraction(0)
     else:
-        delta, t = mp.mpf(delta), mp.mpf(t)
+        delta, t = to_float(delta), to_float(t)
         key = (N, s, FLOAT, str(delta), str(t), mp.prec)
         zero = mp.mpf(0)
     hit = _workspace_cache.get(key)
@@ -332,11 +326,7 @@ def pole_deformation_check(N, profile: YoungProfile, delta, t) -> PoleDeformatio
     # (i): coefficient extraction of the z_s = 1 residue vs the shorter profile
     h_at_one = ws.h.substitute_value(s - 1, Fraction(1))
     target = tuple(rj - 1 for rj in reduced.r)
-    c1 = Fraction(0)
-    for idx, v in ws_red.prefactor.items():
-        rem = tuple(x - y for x, y in zip(target, idx))
-        if all(x >= 0 for x in rem):
-            c1 += v * h_at_one.coeff(rem)
+    c1 = ws_red.prefactor.product_coeff(h_at_one, target)
     i_red = ws_red.coefficient(reduced)
     res_match = c1 == i_red
 

@@ -19,6 +19,7 @@ verbatim and reproduces the oracle, as do all downstream engines.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
 
 from mpmath import mp
 
@@ -183,14 +184,17 @@ def build_h_tables(N, s, *, delta=None, t=None, lam=None, eta=None,
     return tables
 
 
-def _entry_poly(tables, N, s, k):
-    """Column entry z^k (z-1)^(s-1-k) h_{N-k}(z) as a UniPoly (k is 0-based)."""
-    poly = UniPoly([tables[N - k].values[0] * 0 + 1])
+def _columns(tables, N, s):
+    """Column polynomials z^k (z-1)^(s-1-k) h_{N-k}(z) for k = 0..s-1."""
     zm1 = UniPoly([-1, 1])
-    for _ in range(s - 1 - k):
-        poly = poly * zm1
-    poly = poly * tables[N - k].polynomial()
-    return UniPoly([0] * k + poly.coeffs)
+    cols = []
+    for k in range(s):
+        poly = UniPoly([tables[N - k].values[0] * 0 + 1])
+        for _ in range(s - 1 - k):
+            poly = poly * zm1
+        poly = poly * tables[N - k].polynomial()
+        cols.append(UniPoly([0] * k + poly.coeffs))
+    return cols
 
 
 def _interp_nodes(s, j, count, exact):
@@ -222,12 +226,11 @@ def _newton_coeffs(xs, ys):
     return coeffs + [zero] * (n - len(coeffs))
 
 
-def _raw_h_value(tables, N, s, z):
-    """Direct evaluation of the determinant ratio at pairwise-distinct z."""
-    matrix = [[_entry_poly(tables, N, s, k)(z[j]) for k in range(s)] for j in range(s)]
+def _raw_h_value(matrix, z):
+    """det[f_k(z_j)] / prod_{j<k} (z_j - z_k) at pairwise-distinct z."""
     vdm = None
-    for j in range(s):
-        for k in range(j + 1, s):
+    for j in range(len(z)):
+        for k in range(j + 1, len(z)):
             f = z[j] - z[k]
             vdm = f if vdm is None else vdm * f
     d = det(matrix)
@@ -237,10 +240,13 @@ def _raw_h_value(tables, N, s, z):
 def h_polynomial(tables, N, s, method="interpolate") -> TruncatedSeries:
     """The s-variable h as an explicit polynomial (caps N-1 per variable).
 
-    ``interpolate`` reconstructs it from values on a collision-free tensor
-    grid and re-checks one off-grid point; ``divide`` expands the numerator
-    determinant and divides out the Vandermonde factors exactly, asserting
-    zero remainders.
+    ``interpolate`` builds the s column polynomials f_k once, evaluates each
+    at the N nodes of every variable (s*N evaluations per variable), takes
+    the N^s determinants det[f_k(z_j)] of size s x s on the collision-free
+    tensor grid, divides each by its Vandermonde product, interpolates the
+    values to monomial coefficients and re-checks one off-grid point.
+    ``divide`` expands the numerator determinant and divides out the
+    Vandermonde factors exactly, asserting zero remainders.
     """
     some = tables[N].values[0]
     exact = not isinstance(some, mp.mpf)
@@ -248,21 +254,19 @@ def h_polynomial(tables, N, s, method="interpolate") -> TruncatedSeries:
     caps = [N - 1] * s
     if s > N:
         raise BadIndex(f"s={s} exceeds N={N}")
+    cols = _columns(tables, N, s)
     if method == "divide":
-        return _h_poly_divide(tables, N, s, zero)
-    # tensor grid evaluation
+        return _h_poly_divide(cols, N, s, zero)
+    # tensor grid evaluation; row j of each matrix depends on z_j alone
     nodes = [_interp_nodes(s, j, N, exact) for j in range(s)]
+    rows = [[[col(x) for col in cols] for x in nodes[j]] for j in range(s)]
     size = N ** s
-    values = [zero] * size
-    idx = [0] * s
+    values = []
     grid_scale = zero + 1
-    for flat in range(size):
-        rem = flat
-        for j in range(s - 1, -1, -1):
-            idx[j] = rem % N
-            rem //= N
-        values[flat] = _raw_h_value(tables, N, s, [nodes[j][idx[j]] for j in range(s)])
-        grid_scale = max(grid_scale, abs(values[flat]))
+    for idx in product(range(N), repeat=s):
+        values.append(_raw_h_value([rows[j][i] for j, i in enumerate(idx)],
+                                   [nodes[j][i] for j, i in enumerate(idx)]))
+        grid_scale = max(grid_scale, abs(values[-1]))
     # axis-by-axis interpolation to monomial coefficients
     for axis in range(s):
         stride = N ** (s - 1 - axis)
@@ -277,7 +281,7 @@ def h_polynomial(tables, N, s, method="interpolate") -> TruncatedSeries:
     # off-grid consistency check of the reconstruction
     probe = [_interp_nodes(s, j, N + 1, exact)[N] + (Fraction(1, s + 2) if exact
              else mp.mpf(1) / (s + 2)) for j in range(s)]
-    direct = _raw_h_value(tables, N, s, probe)
+    direct = _raw_h_value([[col(x) for col in cols] for x in probe], probe)
     interp = _eval_series(out, probe)
     if exact:
         ok = direct == interp
@@ -302,11 +306,10 @@ def _eval_series(series: TruncatedSeries, z):
     return total
 
 
-def _h_poly_divide(tables, N, s, zero):
+def _h_poly_divide(cols, N, s, zero):
     bigcaps = [N + s - 2] * s
     acc = TruncatedSeries(bigcaps, zero)
-    cols = [_entry_poly(tables, N, s, k) for k in range(s)]
-    for p in _permutations(s):
+    for p in permutations(range(s)):
         sgn = perm_sign(p)
         term = TruncatedSeries.constant(bigcaps, zero + sgn, zero)
         for j in range(s):
@@ -323,11 +326,6 @@ def _h_poly_divide(tables, N, s, zero):
             raise NotDivisible(f"h has unexpected degree at {idx}")
         out.set_coeff(idx, v)
     return out
-
-
-def _permutations(s):
-    from itertools import permutations
-    return [list(p) for p in permutations(range(s))]
 
 
 def h_multivariate(tables, N, s, z, symbolic=False):
@@ -353,7 +351,7 @@ def h_multivariate(tables, N, s, z, symbolic=False):
             groups[-1][1] += 1
         else:
             groups.append([val, 1])
-    cols = [_entry_poly(tables, N, s, k) for k in range(s)]
+    cols = _columns(tables, N, s)
     rows = []
     sign = 1
     denom = None

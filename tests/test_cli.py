@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from mpmath import mp
 
 from gefp_lab.cli import main
@@ -217,3 +218,40 @@ def test_verify_quick_subset(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert all(c["passed"] for c in payload["checks"])
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--t", ["--delta", "1/2", "--t", "1/0"]),
+    ("--delta", ["--delta", "abc", "--t", "1"]),
+    ("--delta", ["--delta", "abc", "--t", "1", "--backend", "float"]),
+])
+def test_malformed_number_exits_2(capsys, flag, argv):
+    code, out, err = run_cli(capsys, "gefp", "--N", "3", "--r", "2,3", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize("env, argv, flag", [
+    ("abc", [], "GEFP_LAB_PRECISION"),
+    (None, ["--precision", "0"], "--precision"),
+    (None, ["--precision", "7"], "--precision"),
+])
+def test_bad_precision_exits_2(capsys, monkeypatch, env, argv, flag):
+    if env is not None:
+        monkeypatch.setenv("GEFP_LAB_PRECISION", env)
+    code, out, err = run_cli(capsys, "gefp", "--N", "3", "--r", "2,3", "--delta", "1/2",
+                             "--t", "1", "--backend", "float", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--N", "3", "--delta", "1/2", "--t", "1", "--workers", "0"],
+    ["table", "--N", "3", "--delta", "1/2", "--t", "1", "--workers", "-3"],
+    ["verify", "--level", "quick", "--criteria", "8", "--workers", "0"],
+    ["verify", "--level", "quick", "--criteria", "8", "--workers", "-3"],
+])
+def test_workers_below_one_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--workers" in err

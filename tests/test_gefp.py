@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from gefp_lab.backends import to_float
 from gefp_lab.errors import BadIndex, TooLarge, Unsupported
 from gefp_lab.gefp import (efp_special_case, gefp_determinant_jets, gefp_residue,
                            pole_deformation_check, residue_workspace)
@@ -70,6 +71,30 @@ def test_residue_float_backend_matches_exact():
         vf = gefp_residue(3, prof, delta, t, "float").value
         ve = gefp_residue(3, prof, D0, T0).value
         assert abs(vf - mp.mpf(ve.numerator) / ve.denominator) < mp.mpf("1e-30")
+
+
+def test_float_residue_accepts_exact_scalars():
+    # N <= 3: the float engine loses about 25 bits at N = 4 (ROADMAP item 2)
+    with mp.workprec(128):
+        tol = mp.mpf(2) ** (16 - mp.prec)
+        for n in range(1, 4):
+            for prof in all_profiles(n):
+                vf = gefp_residue(n, prof, Fraction(1, 3), Fraction(3, 4), "float").value
+                ve = gefp_residue(n, prof, Fraction(1, 3), Fraction(3, 4)).value
+                assert abs(vf - to_float(ve)) <= tol * abs(to_float(ve))
+
+
+def test_coefficient_equals_brute_force_convolution():
+    for s in range(1, 5):
+        ws = residue_workspace(4, s, Fraction(1, 3), Fraction(3, 4))
+        for prof in all_profiles(4, s):
+            target = tuple(rj - 1 for rj in prof.r)
+            brute = Fraction(0)
+            for idx, v in ws.prefactor.items():
+                rem = tuple(a - b for a, b in zip(target, idx))
+                if all(x >= 0 for x in rem):
+                    brute += v * ws.h.coeff(rem)
+            assert ws.coefficient(prof) == brute
 
 
 def test_jets_matches_oracle():

@@ -144,7 +144,7 @@ def test_h_multivariate_confluent_matches_polynomial():
 
 
 def test_h_polynomial_divide_equals_interpolate():
-    for (n, s) in ((2, 2), (3, 2), (3, 3), (4, 2)):
+    for (n, s) in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 4), (5, 3)):
         tabs = build_h_tables(n, s, delta=Fraction(2, 5), t=Fraction(5, 6))
         hd = h_polynomial(tabs, n, s, method="divide")
         hi = h_polynomial(tabs, n, s, method="interpolate")
