@@ -8,7 +8,7 @@ operator determinant, and iterated-residue extraction from the multiple
 integral representation.
 """
 
-from .algebra import Jet, TruncatedSeries, UniPoly, det, poly_div_exact, series_invert
+from .algebra import Jet, TruncatedSeries, UniPoly, det
 from .backends import EXACT, FLOAT, default_precision_bits
 from .errors import (BadIndex, BranchPole, DivisionByZero, DuplicateRapidity,
                      GefpLabError, NonphysicalWeights, NotDivisible,
@@ -17,9 +17,9 @@ from .gefp import (IntegrandSeries, PoleDeformationReport, efp_special_case,
                    gefp_determinant_jets, gefp_residue, pole_deformation_check,
                    residue_workspace)
 from .hfun import (HTable, OmegaRho, boundary_H_table_oracle,
-                   boundary_H_table_via_K, boundary_H_via_K, build_h_tables,
-                   h_generating, h_multivariate, h_polynomial,
-                   h_via_inhomogeneous_Z, kfint_check, reflect_substitute)
+                   boundary_H_table_via_K, build_h_tables, h_multivariate,
+                   h_polynomial, h_via_inhomogeneous_Z, kfint_check,
+                   reflect_substitute)
 from .ik import (PhiJet, gefp_homogeneous_nxn, gefp_inhom_determinant,
                  gefp_inhom_recurrence, homogeneous_partition_jets,
                  ik_partition, k_polynomial, partially_inhomogeneous_partition)

@@ -132,11 +132,6 @@ class Jet:
         return cls([value], order)
 
     @classmethod
-    def variable(cls, zero, one, order):
-        """The jet of the expansion variable itself."""
-        return cls([zero, one], order)
-
-    @classmethod
     def sin_offset(cls, theta, order):
         """Jet of x -> sin(x + theta) around 0, in the float backend."""
         s, c = mp.sin(theta), mp.cos(theta)
@@ -220,29 +215,6 @@ class Jet:
             p >>= 1
         return out
 
-    def sin_cos(self):
-        """Jets of sin(f) and cos(f), composed through the derivative recurrence
-        s' = f' c, c' = -f' s (float backend)."""
-        n = self.order
-        s = [mp.sin(self.coeffs[0])] + [mp.mpf(0)] * n
-        c = [mp.cos(self.coeffs[0])] + [mp.mpf(0)] * n
-        for m in range(n):
-            acc_s = mp.mpf(0)
-            acc_c = mp.mpf(0)
-            for i in range(m + 1):
-                fp = (i + 1) * self.coeffs[i + 1]
-                acc_s += fp * c[m - i]
-                acc_c -= fp * s[m - i]
-            s[m + 1] = acc_s / (m + 1)
-            c[m + 1] = acc_c / (m + 1)
-        return Jet(s, n), Jet(c, n)
-
-    def sin(self):
-        return self.sin_cos()[0]
-
-    def cos(self):
-        return self.sin_cos()[1]
-
     def __repr__(self):
         return f"Jet({self.coeffs!r})"
 
@@ -266,9 +238,6 @@ class UniPoly:
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
 
     def __call__(self, x):
         out = self.coeffs[-1]
@@ -328,34 +297,8 @@ class UniPoly:
                     power = power * x0
         return Jet(out, order)
 
-    def divmod(self, other):
-        """Polynomial long division; requires the divisor leading coeff invertible."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly([0]), UniPoly(rem)
-        lead = other.coeffs[-1]
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] / lead
-            quot[k] = c
-            if c != 0:
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] -= c * b
-        return UniPoly(quot), UniPoly(rem)
-
     def __repr__(self):
         return f"UniPoly({self.coeffs!r})"
-
-
-def poly_div_exact(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Quotient p/q, asserting that the remainder is identically zero."""
-    quot, rem = p.divmod(q)
-    if not rem.is_zero():
-        raise NotDivisible(f"nonzero remainder of degree {rem.degree}")
-    return quot
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +477,6 @@ class TruncatedSeries:
             out.data[out._offset(idx)] = -acc * inv0
         return out
 
-    def pow_int(self, p):
-        out = TruncatedSeries.constant(self.caps, self.zero + 1, self.zero)
-        for _ in range(p):
-            out = out * self
-        return out
-
     def embed(self, caps, var_map):
         """Re-embed into a larger variable space; var_map[i] is the new axis
         of this series' axis i."""
@@ -577,12 +514,8 @@ class TruncatedSeries:
                 best = idx[var]
         return best
 
-    def divide_linear(self, j, k, atol=None):
-        """Exact division by (z_j - z_k); raises NotDivisible on a remainder.
-
-        With ``atol`` set, remainder entries smaller than atol are treated as
-        zero (float backend).
-        """
+    def divide_linear(self, j, k):
+        """Exact division by (z_j - z_k); raises NotDivisible on a remainder."""
         d_top = self.caps[j]
         layers = [dict() for _ in range(d_top + 1)]
         for idx, v in self.items():
@@ -599,12 +532,12 @@ class TruncatedSeries:
                 nxt[idx2] = nxt.get(idx2, self.zero) + v
             cur = nxt
         for idx, v in cur.items():
-            if v != 0 and (atol is None or abs(v) > atol):
+            if v != 0:
                 raise NotDivisible(f"nonzero remainder at {idx}: {v}")
         out = TruncatedSeries(self.caps, self.zero)
         for d in range(d_top):
             for idx, v in quot_layers[d].items():
-                if v == 0 or (atol is not None and abs(v) <= atol):
+                if v == 0:
                     continue
                 if any(x > c for x, c in zip(idx, self.caps)) or d > self.caps[j]:
                     raise NotDivisible(f"quotient coefficient outside caps at {idx}")
@@ -615,11 +548,6 @@ class TruncatedSeries:
     def __repr__(self):
         nz = sum(1 for v in self.data if v != 0)
         return f"TruncatedSeries(caps={self.caps}, nonzero={nz})"
-
-
-def series_invert(f: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse of a truncated series (or jet)."""
-    return f.invert()
 
 
 def geometric_inverse_coeffs(p, cap, one):

@@ -15,15 +15,16 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from mpmath import mp
 
 from . import __version__
 from .backends import (EXACT, FLOAT, MIN_PRECISION_BITS, default_precision_bits,
                        format_scalar, parse_exact, parse_float)
-from .errors import BadIndex, GefpLabError
+from .errors import BadIndex, GefpLabError, Unsupported
 from .gefp import efp_special_case, gefp_determinant_jets, gefp_residue
-from .hfun import boundary_H_table_oracle, boundary_H_table_via_K, h_generating
+from .hfun import boundary_H_table_oracle, boundary_H_table_via_K
 from .ik import homogeneous_partition_jets, ik_partition
 from .oracle import (WeightGrid, YoungProfile, all_profiles, gefp_oracle,
                      modified_domain_partition, partition_function_oracle)
@@ -58,6 +59,8 @@ def _number(flag, text, parse):
         return parse(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse {flag} {text!r} as a number")
+    except Unsupported as exc:
+        raise UsageError(f"{flag}: {exc}")
 
 
 class ParamSpec:
@@ -180,8 +183,7 @@ def cmd_partition(args):
     elif args.engine == "ik-hom":
         if spec.lam is None:
             raise UsageError("--engine ik-hom needs --lambda/--eta")
-        value = homogeneous_partition_jets(args.N, spec.lam, spec.eta,
-                                           order=args.jet_order)
+        value = homogeneous_partition_jets(args.N, spec.lam, spec.eta)
         backend = FLOAT
     else:
         raise UsageError(f"unknown partition engine {args.engine!r}")
@@ -230,7 +232,8 @@ def cmd_efp(args):
     res = efp_special_case(args.N, args.s, args.r, args.engine,
                            delta=spec.delta, t=spec.t, lam=spec.lam, eta=spec.eta,
                            backend=spec.backend,
-                           allow_nonphysical=args.allow_nonphysical)
+                           allow_nonphysical=args.allow_nonphysical,
+                           cap=args.oracle_cap)
     ms = (time.perf_counter() - t0) * 1e3
     _log(f"command=efp engine={res.engine} wall_time_ms={ms:.3f}")
     inputs = {"N": args.N, "r": args.r, "s": args.s, **spec.echo()}
@@ -241,7 +244,8 @@ def cmd_hfun(args):
     spec = ParamSpec(args)
     t0 = time.perf_counter()
     if args.engine == "oracle":
-        table = boundary_H_table_oracle(args.N, spec.weights(args.allow_nonphysical))
+        table = boundary_H_table_oracle(args.N, spec.weights(args.allow_nonphysical),
+                                        cap=args.oracle_cap)
     elif args.engine == "kpoly":
         if spec.lam is None:
             raise UsageError("--engine kpoly needs --lambda/--eta")
@@ -253,7 +257,7 @@ def cmd_hfun(args):
     inputs = {"N": args.N, **spec.echo()}
     value = {
         "H": [format_scalar(x) for x in table.values],
-        "h_poly_coeffs": [format_scalar(c) for c in h_generating(table).coeffs],
+        "h_poly_coeffs": [format_scalar(c) for c in table.polynomial().coeffs],
     }
     rec = _record("hfun", args.engine, table.backend, inputs, value, args, ms)
     return [rec]
@@ -324,8 +328,7 @@ def cmd_verify(args):
         ok = all(r["passed"] for r in records)
     else:
         recs, ok = run_acceptance(args.level, numbers)
-        records = [{"criterion": r.criterion, "name": r.name, "passed": r.passed,
-                    "detail": r.detail} for r in recs]
+        records = [asdict(r) for r in recs]
     ms = (time.perf_counter() - t0) * 1e3
     _log(f"command=verify level={args.level} wall_time_ms={ms:.3f}")
     if args.format == "json":
@@ -345,8 +348,7 @@ def cmd_verify(args):
 def _verify_job(payload):
     level, number = payload
     from .verify import run_criterion
-    return [{"criterion": r.criterion, "name": r.name, "passed": r.passed,
-             "detail": r.detail} for r in run_criterion(number, level)]
+    return [asdict(r) for r in run_criterion(number, level)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +373,10 @@ def _add_common(p, profile_flag=True, engines=None, default_engine=None):
     p.add_argument("--allow-nonphysical", action="store_true",
                    dest="allow_nonphysical",
                    help="accept weights outside the physical cone")
-    p.add_argument("--jet-order", type=int, default=None, dest="jet_order",
-                   help="override the automatic jet truncation order")
     p.add_argument("--oracle-cap", type=int, default=None, dest="oracle_cap",
-                   help="override the enumeration size cap (default 8)")
+                   help="override the enumeration size cap (default 8) of the "
+                        "oracle engines; the H tables of the exact residue "
+                        "engine keep the default")
     p.add_argument("--timing", action="store_true",
                    help="include wall time in the stdout record "
                         "(off by default so output is byte-reproducible)")
@@ -423,13 +425,11 @@ def build_parser():
                    help="comma-separated criterion numbers (default: all)")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--timing", action="store_true")
     return parser
 
 
 def _apply_precision(args):
-    bits = args.precision
+    bits = getattr(args, "precision", None)
     if bits is None:
         try:
             bits = default_precision_bits()

@@ -26,7 +26,7 @@ from itertools import permutations
 
 from mpmath import mp
 
-from .algebra import TruncatedSeries, geometric_inverse_coeffs, perm_sign
+from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs, perm_sign
 from .backends import EXACT, FLOAT, format_scalar, is_exact_scalar, to_float
 from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
 from .hfun import OmegaRho, build_h_tables, h_polynomial
@@ -212,12 +212,12 @@ def gefp_determinant_jets(N, profile: YoungProfile, lam, eta) -> CorrelationResu
 
 def efp_special_case(N, s, r, engine="residue", *, delta=None, t=None,
                      lam=None, eta=None, backend=EXACT,
-                     allow_nonphysical=True) -> CorrelationResult:
+                     allow_nonphysical=True, cap=None) -> CorrelationResult:
     """The equal-position special case: the profile (r, r, ..., r), s times.
 
     In the integral representation this replaces the mixed monomial
     z_1^(r_1) ... z_s^(r_s) by (z_1 ... z_s)^r; any engine accepts it as an
-    ordinary profile.
+    ordinary profile.  ``cap`` bounds the oracle engine's lattice size.
     """
     if not 1 <= r <= N:
         raise BadIndex(f"r={r} outside 1..{N}")
@@ -233,7 +233,7 @@ def efp_special_case(N, s, r, engine="residue", *, delta=None, t=None,
         else:
             from .params import weights_from_trig
             w = weights_from_trig(lam, 0, eta, allow_nonphysical)
-        out = gefp_oracle(WeightGrid.from_weights(N, w), profile)
+        out = gefp_oracle(WeightGrid.from_weights(N, w), profile, cap)
     else:
         raise Unsupported(f"unknown engine {engine!r}")
     out.engine = f"efp/{out.engine}"
@@ -258,39 +258,6 @@ class PoleDeformationReport:
     def ok(self):
         return (self.balanced and self.residue_at_one_matches
                 and all(self.pole_contributions_zero))
-
-
-def _laurent_mul(a, b, cap):
-    out = [a[0] * 0] * (cap + 1)
-    for i, x in enumerate(a):
-        if x == 0 or i > cap:
-            continue
-        for j, y in enumerate(b):
-            if i + j > cap:
-                break
-            if y != 0:
-                out[i + j] += x * y
-    return out
-
-
-def _laurent_inv(a, cap):
-    if a[0] == 0:
-        raise NotInvertible("series constant term vanished in pole check")
-    inv0 = 1 / a[0]
-    out = [inv0] + [a[0] * 0] * cap
-    for m in range(1, cap + 1):
-        acc = a[0] * 0
-        for i in range(1, min(m, len(a) - 1) + 1):
-            acc += a[i] * out[m - i]
-        out[m] = -acc * inv0
-    return out
-
-
-def _laurent_pow(a, p, cap):
-    out = [a[0] * 0 + 1]
-    for _ in range(p):
-        out = _laurent_mul(out, a, cap)
-    return out
 
 
 def pole_deformation_check(N, profile: YoungProfile, delta, t) -> PoleDeformationReport:
@@ -360,35 +327,29 @@ def _pole_contribution_is_zero(ws: IntegrandSeries, profile: YoungProfile, j,
         except (NotInvertible, ZeroDivisionError):
             continue
         # term = z_j^(-shift) * series; orders below r_s are entries < shift + r_s
-        return all(series[m] == 0 for m in range(min(shift + rs, len(series))))
+        return all(c == 0 for c in series.coeffs[:shift + rs])
     raise NotInvertible("could not find generic spectator values for the pole check")
 
 
 def _pole_term_series(ws, N, s, r, j, spect, delta, t, lin):
-    """Laurent expansion (as shift + coefficient list) of the pole-j term."""
+    """Laurent expansion (as shift + Jet in z_j) of the pole-j term."""
     two_dt = 2 * delta * t
     t2 = t * t
     cap = (r[j] - 1) + (N + s + 2)
     one = Fraction(1)
-    series = [one] + [Fraction(0)] * cap
+
+    def jet(coeffs):
+        return Jet(coeffs, cap)
+
+    series = Jet.constant(one, cap)
     shift = 0
     const = Fraction(1)
-
-    def mul_poly(coeffs):
-        nonlocal series
-        series = _laurent_mul(series, coeffs, cap)
-
-    def mul_inv(coeffs):
-        nonlocal series
-        series = _laurent_mul(series, _laurent_inv(coeffs, cap), cap)
-
     # ordinary per-variable factors
     for jp in range(s - 1):
         e1, e2 = s - 1 - jp, s - jp          # exponents of lin-factor and (z-1)^-1
         if jp == j:
-            for _ in range(e1):
-                mul_poly([one, lin])
-            mul_poly(geometric_inverse_coeffs(e2, cap, one))
+            series = series * jet([one, lin]) ** e1
+            series = series * jet(geometric_inverse_coeffs(e2, cap, one))
         else:
             v = spect[jp]
             const *= (lin * v + 1) ** e1
@@ -398,12 +359,10 @@ def _pole_term_series(ws, N, s, r, j, spect, delta, t, lin):
         for b in range(a + 1, s - 1):
             if a == j:
                 vb = spect[b]
-                mul_poly([-vb, one])
-                mul_inv([one, t2 * vb - two_dt])
+                series = series * jet([-vb, one]) / jet([one, t2 * vb - two_dt])
             elif b == j:
                 va = spect[a]
-                mul_poly([va, -one])
-                mul_inv([one - two_dt * va, t2 * va])
+                series = series * jet([va, -one]) / jet([one - two_dt * va, t2 * va])
             else:
                 va, vb = spect[a], spect[b]
                 const *= va - vb
@@ -411,26 +370,26 @@ def _pole_term_series(ws, N, s, r, j, spect, delta, t, lin):
     # the z_s parts at the pole z_s = (2 Delta t z_j - 1) / (t^2 z_j)
     shift += 1                                   # residue prefactor 1/(t^2 z_j)
     const /= t2
-    mul_poly(_laurent_pow([one, -two_dt, t2], 1, cap))   # (z_j - pole) * t^2 z_j
+    series = series * jet([one, -two_dt, t2])    # (z_j - pole) * t^2 z_j
     shift += 1
     const /= t2
     # 1/z_s^(r_s): (t^2 z_j)^(r_s) / (2 Delta t z_j - 1)^(r_s)
     shift -= r[-1]
     const *= t2 ** r[-1]
-    mul_inv(_laurent_pow([-one, two_dt], r[-1], cap))
+    series = series / jet([-one, two_dt]) ** r[-1]
     # 1/(z_s - 1): t^2 z_j / ((2 Delta t - t^2) z_j - 1)
     shift -= 1
     const *= t2
-    mul_inv([-one, two_dt - t2])
+    series = series / jet([-one, two_dt - t2])
     # pairs (j', s): numerator (z_j' - pole), denominator -> (z_j - z_j')/z_j
     for jp in range(s - 1):
         if jp == j:
             continue
         v = spect[jp]
-        mul_poly([one, t2 * v - two_dt])
+        series = series * jet([one, t2 * v - two_dt])
         shift += 1
         const /= t2
-        mul_inv([-v, one])
+        series = series / jet([-v, one])
         shift -= 1
     # h with the last variable at the pole, spectators substituted
     hsub = ws.h
@@ -448,8 +407,7 @@ def _pole_term_series(ws, N, s, r, j, spect, delta, t, lin):
             if deg <= cap:
                 hl[deg] += base * math.comb(d, q) * two_dt ** q * (-one) ** (d - q)
     shift += nm1
-    series = _laurent_mul(series, hl, cap)
-    series = [x * const for x in series]
+    series = series * jet(hl) * const
     # with r_s = N the clearings cancel exactly
     assert shift == N - r[-1]
     return series, shift

@@ -105,28 +105,15 @@ def _cumulative_contractions(N, lam, eta):
     return out
 
 
-def boundary_H_via_K(N, r, lam, eta):
-    """H_N^(r) from the K-polynomial contraction (float backend)."""
-    if not 1 <= r <= N:
-        raise BadIndex(f"r={r} outside 1..{N}")
-    F = _cumulative_contractions(N, lam, eta)
-    return F[N - r + 1] - F[N - r]
-
-
 def boundary_H_table_via_K(N, lam, eta) -> HTable:
     F = _cumulative_contractions(N, lam, eta)
     vals = tuple(F[N - r + 1] - F[N - r] for r in range(1, N + 1))
     return HTable(N, vals, FLOAT)
 
 
-def boundary_H_table_oracle(N, weights: VertexWeights) -> HTable:
+def boundary_H_table_oracle(N, weights: VertexWeights, cap=None) -> HTable:
     grid = WeightGrid.from_weights(N, weights)
-    return HTable(N, tuple(boundary_distribution_oracle(grid)), weights.backend)
-
-
-def h_generating(table: HTable) -> UniPoly:
-    """h_N(z) = sum_r H_N^(r) z^(r-1); normalized so h_N(1) = 1."""
-    return table.polynomial()
+    return HTable(N, tuple(boundary_distribution_oracle(grid, cap)), weights.backend)
 
 
 def kfint_check(N, f: UniPoly, lam, eta):
@@ -328,18 +315,15 @@ def _h_poly_divide(cols, N, s, zero):
     return out
 
 
-def h_multivariate(tables, N, s, z, symbolic=False):
-    """h_{N,s} evaluated at z (confluent-safe) or returned as a polynomial.
+def h_multivariate(tables, N, s, z):
+    """h_{N,s} evaluated at z, confluent-safe.
 
-    Numeric mode sorts the arguments (the function is symmetric), groups
-    equal values, and replaces repeated rows by Taylor rows, so coincident
-    arguments never divide by zero.  Symbolic mode goes through exact
-    determinant division.
+    Sorts the arguments (the function is symmetric), groups equal values,
+    and replaces repeated rows by Taylor rows, so coincident arguments never
+    divide by zero.
     """
     if s > N:
         raise BadIndex(f"s={s} exceeds N={N}")
-    if symbolic:
-        return h_polynomial(tables, N, s, method="divide")
     if len(z) != s:
         raise BadIndex(f"expected {s} arguments, got {len(z)}")
     if s == 0:
@@ -394,7 +378,7 @@ def h_via_inhomogeneous_Z(z, lam, eta):
         if abs(back - w) > mp.mpf(2) ** (24 - mp.prec) * (1 + abs(w)):
             raise BranchPole(f"rapidity inversion failed to round-trip at z={x}")
         lams.append(lj)
-    z_inhom = partially_inhomogeneous_partition(lams, eta, order=n - 1)
+    z_inhom = partially_inhomogeneous_partition(lams, eta)
     z_hom = homogeneous_partition_jets(n, lam, eta)
     ratio = z_inhom / z_hom
     for lj in lams:

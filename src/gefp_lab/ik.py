@@ -97,7 +97,7 @@ def ik_partition(spec: SpectralData):
     return num / den * det(matrix)
 
 
-def partially_inhomogeneous_partition(lambdas, eta, order=None):
+def partially_inhomogeneous_partition(lambdas, eta):
     """Partition function with all nu = 0 but distinct lambdas.
 
     Determinant entries are lambda-derivatives of phi of increasing order,
@@ -112,8 +112,7 @@ def partially_inhomogeneous_partition(lambdas, eta, order=None):
             if lambdas[i] == lambdas[j]:
                 raise DuplicateRapidity(f"coincident lambdas at {i + 1}, {j + 1}")
     eta = mp.mpf(eta)
-    order = n - 1 if order is None else order
-    jets = [PhiJet(x, eta, order) for x in lambdas]
+    jets = [PhiJet(x, eta, n - 1) for x in lambdas]
     num = mp.mpf(1)
     for k, x in enumerate(lambdas):
         num *= (a_fn(x, 0, eta) * b_fn(x, 0, eta)) ** n
@@ -127,13 +126,12 @@ def partially_inhomogeneous_partition(lambdas, eta, order=None):
     return num / den * det(matrix)
 
 
-def homogeneous_partition_jets(N, lam, eta, order=None):
+def homogeneous_partition_jets(N, lam, eta):
     """Homogeneous-limit partition function from the phi-derivative Hankel matrix."""
     if N == 0:
         return mp.mpf(1)
     lam, eta = mp.mpf(lam), mp.mpf(eta)
-    order = 2 * N - 2 if order is None else order
-    phi = PhiJet(lam, eta, order)
+    phi = PhiJet(lam, eta, 2 * N - 2)
     pd = phi.derivatives(2 * N - 2)
     matrix = [[pd[j + k] for k in range(N)] for j in range(N)]
     ab = a_fn(lam, 0, eta) * b_fn(lam, 0, eta)
@@ -203,8 +201,7 @@ def gefp_inhom_recurrence(spec: SpectralData, profile: YoungProfile):
     return _gefp_tilde_recurrence(spec, list(profile.r)) / ik_partition(spec)
 
 
-def gefp_inhom_determinant(spec: SpectralData, profile: YoungProfile,
-                           shift=0, cap=None):
+def gefp_inhom_determinant(spec: SpectralData, profile: YoungProfile, cap=None):
     """GEFP as an N x N determinant with shift operators in the first s columns.
 
     The shift operators substitute eps_k -> eps_k + lambda_j; expanding over
@@ -212,8 +209,7 @@ def gefp_inhom_determinant(spec: SpectralData, profile: YoungProfile,
     of the trailing trigonometric function at eps_k = lambda_(row).  The
     expansion is organized as a Laplace expansion over the last N - s
     columns, whose minors are ordinary determinants computed once per row
-    subset.  ``shift`` exercises the invariance under moving all eps by a
-    constant; the value must not depend on it.
+    subset.
     """
     cap = DEFAULT_PERMUTATION_CAP if cap is None else cap
     n = spec.n
@@ -225,7 +221,6 @@ def gefp_inhom_determinant(spec: SpectralData, profile: YoungProfile,
     r = list(profile.r)
     s = len(r)
     lam, nu, eta = spec.lambdas, spec.nus, spec.eta
-    shift = mp.mpf(shift)
 
     phim = [[phi_fn(lam[j], nu[k], eta) for k in range(n)] for j in range(n)]
     denom = det(phim)
@@ -272,21 +267,19 @@ def gefp_inhom_determinant(spec: SpectralData, profile: YoungProfile,
         sign_rows = (-1) ** sum(rows)
         sub = mp.mpf(0)
         for p in permutations(range(s)):
-            eps = [(lam[rows[p[k]]] - shift) + shift for k in range(s)]
+            eps = [lam[rows[p[k]]] for k in range(s)]
             sub += perm_sign(list(p)) * trailing(eps)
         total += sign_rows * col_sign * minor * sub
     return pre * total
 
 
-def gefp_homogeneous_nxn(N, profile: YoungProfile, lam, eta, row_prefactor=True):
+def gefp_homogeneous_nxn(N, profile: YoungProfile, lam, eta):
     """Homogeneous GEFP from the N x N mixed determinant of derivative columns.
 
     The first s columns carry derivative operators in eps_k acting on a
     trailing trig function, the rest phi-derivatives.  The overall weight
-    normalization uses one factor a^{r_j} b^{N - r_j} per marked row
-    (``row_prefactor=True``, the reading confirmed against the enumeration
-    oracle); ``row_prefactor=False`` applies a^{r_1 s} b^{(N - r_1) s}
-    instead, which only agrees for constant profiles.
+    normalization uses one factor a^{r_j} b^{N - r_j} per marked row, the
+    reading confirmed against the enumeration oracle.
     """
     from .algebra import TruncatedSeries
 
@@ -304,11 +297,8 @@ def gefp_homogeneous_nxn(N, profile: YoungProfile, lam, eta, row_prefactor=True)
     pre = mp.mpf((-1) ** (s * n))
     for j in range(1, s + 1):
         pre *= math.factorial(n - j)
-    if row_prefactor:
-        for rj in r:
-            pre /= a ** rj * b ** (n - rj)
-    else:
-        pre /= a ** (r[0] * s) * b ** ((n - r[0]) * s)
+    for rj in r:
+        pre /= a ** rj * b ** (n - rj)
     pre /= den
 
     caps = [n - 1] * s

@@ -92,9 +92,6 @@ class CorrelationResult:
     inputs: dict = field(default_factory=dict)
     precision_bits: object = None
 
-    def value_str(self):
-        return format_scalar(self.value)
-
 
 class WeightGrid:
     """Per-site weights (a_jk, b_jk) plus the global c (through c^2).
@@ -295,15 +292,9 @@ def modified_domain_partition(grid: WeightGrid, profile: YoungProfile, cap=None)
     meaningful when all a-weights agree.  Satisfies
     Z_mod * a^{|mu|} = GEFP * Z_N.
     """
-    _check_cap(grid.N, cap)
-    if not grid.homogeneous:
-        raise Unsupported("the cut-corner domain is defined for homogeneous weights")
-    if profile.N != grid.N:
-        raise BadIndex(f"profile N={profile.N} does not match grid N={grid.N}")
     if grid.c is None:
         raise Unsupported("Z on the cut domain needs a concrete c")
-    widths = list(profile.r) + [grid.N] * (grid.N - profile.s)
-    return grid.c ** grid.N * _transfer(grid, widths=widths)
+    return grid.c ** grid.N * reduced_modified_domain_partition(grid, profile, cap)
 
 
 def reduced_modified_domain_partition(grid: WeightGrid, profile: YoungProfile, cap=None):
@@ -311,6 +302,8 @@ def reduced_modified_domain_partition(grid: WeightGrid, profile: YoungProfile, c
     _check_cap(grid.N, cap)
     if not grid.homogeneous:
         raise Unsupported("the cut-corner domain is defined for homogeneous weights")
+    if profile.N != grid.N:
+        raise BadIndex(f"profile N={profile.N} does not match grid N={grid.N}")
     widths = list(profile.r) + [grid.N] * (grid.N - profile.s)
     return _transfer(grid, widths=widths)
 

@@ -5,9 +5,8 @@ import pytest
 from mpmath import mp
 
 from gefp_lab.algebra import (Jet, TruncatedSeries, UniPoly, det, det_cofactor,
-                              geometric_inverse_coeffs, poly_div_exact,
-                              series_invert)
-from gefp_lab.errors import NotDivisible, NotInvertible
+                              geometric_inverse_coeffs)
+from gefp_lab.errors import NotInvertible
 
 
 def test_det_small_examples():
@@ -104,35 +103,16 @@ def test_jet_invert_rejects_zero_constant():
         j.invert()
 
 
-def test_jet_sin_cos_composition():
-    with mp.workprec(128):
-        theta = mp.mpf("0.8")
-        var = Jet.variable(mp.mpf(0), mp.mpf(1), 6) + theta
-        s, c = var.sin_cos()
-        ref = Jet.sin_offset(theta, 6)
-        for x, y in zip(s.coeffs, ref.coeffs):
-            assert abs(x - y) < mp.mpf("1e-35")
-        # pythagorean identity as jets
-        one = s * s + c * c
-        assert abs(one.coeffs[0] - 1) < mp.mpf("1e-35")
-        assert all(abs(x) < mp.mpf("1e-33") for x in one.coeffs[1:])
-        # nonlinear inner jet: sin(sin(x + theta))
-        s2 = s.sin()
-        assert abs(s2.coeffs[0] - mp.sin(mp.sin(theta))) < mp.mpf("1e-35")
-        assert abs(s2.coeffs[1] - mp.cos(mp.sin(theta)) * mp.cos(theta)) \
-            < mp.mpf("1e-35")
-
-
 def test_series_invert_geometric():
     one = Fraction(1)
     f = TruncatedSeries.from_univariate([one, -one], 0, (3,), Fraction(0))
-    inv = series_invert(f)
+    inv = f.invert()
     assert [inv.coeff((m,)) for m in range(4)] == [1, 1, 1, 1]
 
 
 def test_series_invert_constant():
     f = TruncatedSeries.constant((2,), Fraction(2), Fraction(0))
-    assert series_invert(f).coeff((0,)) == Fraction(1, 2)
+    assert f.invert().coeff((0,)) == Fraction(1, 2)
 
 
 def test_series_invert_multiply_back_bivariate():
@@ -143,7 +123,7 @@ def test_series_invert_multiply_back_bivariate():
     f.set_coeff((0, 0), Fraction(1))
     f.set_coeff((1, 0), -2 * delta * t)
     f.set_coeff((1, 1), t * t)
-    prod = f * series_invert(f)
+    prod = f * f.invert()
     assert prod.coeff((0, 0)) == 1
     assert all(v == 0 for idx, v in prod.items() if any(idx))
 
@@ -156,7 +136,7 @@ def test_series_invert_involution_on_random_series():
         f.set_coeff((0, 0, 0), Fraction(rng.randint(1, 5)))
         for idx in [(1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 0, 1)]:
             f.set_coeff(idx, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        again = series_invert(series_invert(f))
+        again = f.invert().invert()
         assert all(again.coeff(idx) == v for idx, v in f.items())
         assert all(f.coeff(idx) == v for idx, v in again.items())
 
@@ -165,7 +145,7 @@ def test_series_invert_rejects_zero_constant():
     f = TruncatedSeries((2,), Fraction(0))
     f.set_coeff((1,), Fraction(1))
     with pytest.raises(NotInvertible):
-        series_invert(f)
+        f.invert()
 
 
 def test_series_substitute_and_embed():
@@ -184,20 +164,6 @@ def test_geometric_inverse_coeffs():
     # (z-1)^(-2) = 1 + 2z + 3z^2 + ...
     assert geometric_inverse_coeffs(2, 3, Fraction(1)) == [1, 2, 3, 4]
     assert geometric_inverse_coeffs(1, 2, Fraction(1)) == [-1, -1, -1]
-
-
-def test_poly_div_exact_examples():
-    z2m1 = UniPoly([Fraction(-1), Fraction(0), Fraction(1)])
-    zm1 = UniPoly([Fraction(-1), Fraction(1)])
-    assert poly_div_exact(z2m1, zm1).coeffs == [1, 1]
-    p = UniPoly([Fraction(2), Fraction(0), Fraction(5)])
-    assert poly_div_exact(p, UniPoly([Fraction(1)])) == p
-
-
-def test_poly_div_exact_rejects_remainder():
-    with pytest.raises(NotDivisible):
-        poly_div_exact(UniPoly([Fraction(1), Fraction(1)]),
-                       UniPoly([Fraction(-1), Fraction(1)]))
 
 
 def test_unipoly_taylor_jet():

@@ -220,10 +220,51 @@ def test_verify_quick_subset(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_verify_worker_pool_matches_serial(capsys):
+    argv = ["verify", "--level", "quick", "--format", "json"]
+    code, serial, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, parallel, _ = run_cli(capsys, *argv, "--workers", "2")
+    assert code == 0 and serial == parallel
+
+
+@pytest.mark.parametrize("argv", [
+    ["hfun", "--N", "3", "--delta", "1/2", "--t", "1", "--engine", "oracle"],
+    ["efp", "--N", "3", "--s", "2", "--r", "2", "--delta", "1/2", "--t", "1",
+     "--engine", "oracle"],
+])
+def test_oracle_cap_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--oracle-cap", "2")
+    assert code == 3 and out == ""
+    assert "TooLarge" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--N", "1", "--lambda", "1.1", "--eta", "0.35",
+     "--engine", "ik-hom", "--backend", "float", "--jet-order", "1"],
+    ["verify", "--level", "quick", "--criteria", "8", "--precision", "64"],
+    ["verify", "--level", "quick", "--criteria", "8", "--timing"],
+])
+def test_removed_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_validates_precision_env(capsys, monkeypatch):
+    monkeypatch.setenv("GEFP_LAB_PRECISION", "abc")
+    code, out, err = run_cli(capsys, "verify", "--level", "quick", "--criteria", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "GEFP_LAB_PRECISION" in err
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--t", ["--delta", "1/2", "--t", "1/0"]),
     ("--delta", ["--delta", "abc", "--t", "1"]),
     ("--delta", ["--delta", "abc", "--t", "1", "--backend", "float"]),
+    ("--delta", ["--delta", "0.5", "--t", "1"]),
+    ("--t", ["--delta", "1/2", "--t", "0.75"]),
 ])
 def test_malformed_number_exits_2(capsys, flag, argv):
     code, out, err = run_cli(capsys, "gefp", "--N", "3", "--r", "2,3", *argv)

@@ -7,10 +7,9 @@ from mpmath import mp
 from gefp_lab.algebra import UniPoly
 from gefp_lab.errors import BadIndex, BranchPole, DuplicateRapidity
 from gefp_lab.hfun import (HTable, OmegaRho, boundary_H_table_oracle,
-                           boundary_H_table_via_K, boundary_H_via_K,
-                           build_h_tables, h_generating, h_multivariate,
-                           h_polynomial, h_via_inhomogeneous_Z, kfint_check,
-                           reflect_substitute)
+                           boundary_H_table_via_K, build_h_tables,
+                           h_multivariate, h_polynomial, h_via_inhomogeneous_Z,
+                           kfint_check, reflect_substitute)
 from gefp_lab.params import VertexWeights
 
 LAM, ETA = "1.1", "0.35"
@@ -18,17 +17,17 @@ LAM, ETA = "1.1", "0.35"
 
 def test_boundary_H_via_K_forced_case():
     with mp.workprec(128):
-        assert abs(boundary_H_via_K(1, 1, mp.mpf("0.9"), mp.mpf("0.3")) - 1) \
-            < mp.mpf("1e-30")
+        table = boundary_H_table_via_K(1, mp.mpf("0.9"), mp.mpf("0.3"))
+        assert abs(table.values[0] - 1) < mp.mpf("1e-30")
 
 
 def test_boundary_H_via_K_ice_point():
     with mp.workprec(128):
         lam, eta = mp.pi / 2, mp.pi / 6
         expect = [mp.mpf(2) / 7, mp.mpf(3) / 7, mp.mpf(2) / 7]
+        table = boundary_H_table_via_K(3, lam, eta)
         for r in (1, 2, 3):
-            assert abs(boundary_H_via_K(3, r, lam, eta) - expect[r - 1]) \
-                < mp.mpf("1e-20")
+            assert abs(table.values[r - 1] - expect[r - 1]) < mp.mpf("1e-20")
 
 
 def test_boundary_H_table_sums_to_one():
@@ -75,13 +74,13 @@ def test_omega_rho_identities():
 
 def test_h_generating_examples():
     table = HTable(1, (Fraction(1),), "exact")
-    assert h_generating(table).coeffs == [1]
+    assert table.polynomial().coeffs == [1]
     ice = VertexWeights.from_abc(Fraction(1), Fraction(1), Fraction(1))
     table2 = boundary_H_table_oracle(2, ice)
-    assert h_generating(table2).coeffs == [Fraction(1, 2), Fraction(1, 2)]
+    assert table2.polynomial().coeffs == [Fraction(1, 2), Fraction(1, 2)]
     for n in (2, 3, 4):
         t = boundary_H_table_oracle(n, ice)
-        assert h_generating(t)(Fraction(1)) == 1
+        assert t.polynomial()(Fraction(1)) == 1
 
 
 def test_htable_length_validation():

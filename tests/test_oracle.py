@@ -194,6 +194,13 @@ def test_modified_domain_rejects_inhomogeneous():
             modified_domain_partition(grid, YoungProfile(2, (1,)))
 
 
+def test_modified_domain_rejects_profile_of_other_size():
+    grid = WeightGrid.from_weights(3, ICE)
+    for fn in (modified_domain_partition, reduced_modified_domain_partition):
+        with pytest.raises(BadIndex):
+            fn(grid, YoungProfile(2, (1,)))
+
+
 def test_partition_requires_concrete_c():
     w = VertexWeights.from_delta_t(Fraction(0), Fraction(1))
     grid = WeightGrid.from_weights(2, w)

@@ -1,0 +1,86 @@
+"""Property tests over random rational (Delta, t) points and profiles, N <= 4.
+
+Examples are derandomized, so every run draws the same points and tier-1
+output stays deterministic.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gefp_lab.backends import EXACT
+from gefp_lab.gefp import gefp_residue
+from gefp_lab.oracle import (WeightGrid, YoungProfile, gefp_oracle,
+                             reduced_partition_oracle)
+from gefp_lab.params import VertexWeights
+
+N_MAX = 4
+
+property_settings = settings(derandomize=True, database=None, deadline=None,
+                             max_examples=40)
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def profiles(draw):
+    n = draw(st.integers(1, N_MAX))
+    r = draw(st.lists(st.integers(1, n), min_size=1, max_size=n))
+    return YoungProfile(n, sorted(r))
+
+
+def _grid(delta, t, n):
+    """Weights at (delta, t); skips points where t, c^2 or some Z_m vanishes."""
+    assume(t != 0 and 1 + t * t - 2 * t * delta != 0)
+    w = VertexWeights.from_delta_t(delta, t, allow_nonphysical=True)
+    assume(all(reduced_partition_oracle(WeightGrid.from_weights(m, w)) != 0
+               for m in range(1, n + 1)))
+    return WeightGrid.from_weights(n, w)
+
+
+def _is_physical(delta, t):
+    return t > 0 and 1 + t * t - 2 * t * delta > 0
+
+
+def _blocked(profile):
+    return any(rj < j for j, rj in enumerate(profile.r, start=1))
+
+
+@property_settings
+@given(rationals, rationals, profiles())
+def test_residue_equals_oracle(delta, t, profile):
+    grid = _grid(delta, t, profile.N)
+    value = gefp_residue(profile.N, profile, delta, t, EXACT).value
+    assert value == gefp_oracle(grid, profile).value
+
+
+@property_settings
+@given(rationals, rationals, profiles())
+def test_vanishing_iff_blocked(delta, t, profile):
+    _grid(delta, t, profile.N)
+    value = gefp_residue(profile.N, profile, delta, t, EXACT).value
+    if _blocked(profile):
+        assert value == 0
+    elif _is_physical(delta, t):
+        assert value != 0
+
+
+@property_settings
+@given(rationals, rationals, profiles())
+def test_boundary_row_reduction(delta, t, profile):
+    n = profile.N
+    _grid(delta, t, n)
+    full = YoungProfile(n, profile.r[:-1] + (n,))
+    assert (gefp_residue(n, full, delta, t, EXACT).value
+            == gefp_residue(n, full.reduced(), delta, t, EXACT).value)
+
+
+@property_settings
+@given(rationals, st.fractions(min_value=Fraction(1, 6), max_value=3,
+                               max_denominator=6), profiles())
+def test_probability_bounds_at_physical_points(delta, t, profile):
+    assume(_is_physical(delta, t))
+    _grid(delta, t, profile.N)
+    value = gefp_residue(profile.N, profile, delta, t, EXACT).value
+    assert 0 <= value <= 1
