@@ -453,6 +453,46 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
+    def mul_pair(self, j, k, block):
+        """``self`` times a 2-variable series whose axes 0, 1 are axes j, k here."""
+        return self._mul_factor((j, k), block.items())
+
+    def mul_axis(self, var, coeffs):
+        """``self`` times a univariate coefficient list (or Jet) in variable ``var``."""
+        if isinstance(coeffs, Jet):
+            coeffs = coeffs.coeffs
+        return self._mul_factor((var,), (((m,), v) for m, v in enumerate(coeffs)))
+
+    def _mul_factor(self, axes, factor):
+        """Product with a factor in the variables ``axes``, by flat offset.
+
+        ``factor`` yields (exponents, coefficient) pairs.  The result equals
+        ``self`` times the factor embedded in this cap box, with every
+        coefficient summed in the order ``__mul__`` uses: over the operand
+        with fewer nonzeros, in flat order.  The partners of one target run
+        in opposite flat orders, so walking this series' nonzeros backwards
+        gives the factor's order.
+        """
+        caps = [self.caps[a] for a in axes]
+        strides = [self._strides[a] for a in axes]
+        terms = [(sum(e * st for e, st in zip(exps, strides)), exps, v)
+                 for exps, v in factor
+                 if v != 0 and all(e <= c for e, c in zip(exps, caps))]
+        # the factor terms that fit beside an entry, keyed by its coordinates on axes
+        partners = {coords: [(shift, v) for shift, exps, v in terms
+                             if all(x + e <= c for x, e, c in zip(coords, exps, caps))]
+                    for coords in product(*[range(c + 1) for c in caps])}
+        items = [(o, x) for o, x in enumerate(self.data) if x != 0]
+        if len(terms) < len(items):
+            items.reverse()
+        out = TruncatedSeries(self.caps, self.zero)
+        data = out.data
+        for o, x in items:
+            coords = tuple(o // st % (c + 1) for st, c in zip(strides, caps))
+            for shift, v in partners[coords]:
+                data[o + shift] = data[o + shift] + x * v
+        return out
+
     def invert(self):
         """Multiplicative inverse; requires nonzero constant coefficient."""
         c0 = self.data[0]
@@ -475,22 +515,6 @@ class TruncatedSeries:
                     if g != 0:
                         acc = acc + v1 * g
             out.data[out._offset(idx)] = -acc * inv0
-        return out
-
-    def embed(self, caps, var_map):
-        """Re-embed into a larger variable space; var_map[i] is the new axis
-        of this series' axis i."""
-        out = TruncatedSeries(caps, self.zero)
-        for idx, v in self.items():
-            new = [0] * len(caps)
-            ok = True
-            for i, m in enumerate(idx):
-                new[var_map[i]] = m
-                if m > caps[var_map[i]]:
-                    ok = False
-                    break
-            if ok:
-                out.data[out._offset(new)] = v
         return out
 
     def substitute_value(self, var, value):

@@ -29,7 +29,7 @@ from .ik import homogeneous_partition_jets, ik_partition
 from .oracle import (WeightGrid, YoungProfile, all_profiles, gefp_oracle,
                      modified_domain_partition, partition_function_oracle)
 from .params import SpectralData, VertexWeights, weights_from_trig
-from .verify import run_acceptance
+from .verify import CRITERIA, run_acceptance
 
 SCHEMA = "gefp-lab/1"
 
@@ -193,14 +193,18 @@ def cmd_partition(args):
     return [_record("partition", args.engine, backend, inputs, value, args, ms)]
 
 
+def _require_float_for_jets(spec):
+    if spec.backend == EXACT:
+        raise UsageError("--engine jets runs in the float backend")
+
+
 def _run_gefp_engine(args, spec, profile):
     if args.engine == "residue":
         res = gefp_residue(args.N, profile, spec.delta, spec.t, spec.backend,
                            lam=spec.lam, eta=spec.eta,
                            allow_nonphysical=args.allow_nonphysical)
     elif args.engine == "jets":
-        if spec.backend == EXACT:
-            raise UsageError("--engine jets runs in the float backend")
+        _require_float_for_jets(spec)
         if spec.lam is None:
             from .params import lambda_eta_from_delta_t
             lam, eta = lambda_eta_from_delta_t(spec.delta, spec.t)
@@ -228,6 +232,8 @@ def cmd_gefp(args):
 
 def cmd_efp(args):
     spec = ParamSpec(args)
+    if args.engine == "jets":
+        _require_float_for_jets(spec)
     t0 = time.perf_counter()
     res = efp_special_case(args.N, args.s, args.r, args.engine,
                            delta=spec.delta, t=spec.t, lam=spec.lam, eta=spec.eta,
@@ -316,14 +322,28 @@ def _table_parallel(args, jobs):
     return records  # jobs were sorted by input key already
 
 
+def _criteria(text):
+    """Criterion numbers of --criteria in run order; all of them when not given."""
+    if not text:
+        return sorted(CRITERIA)
+    try:
+        numbers = sorted(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"cannot parse --criteria {text!r}; expected e.g. 1,3")
+    for n in numbers:
+        if n not in CRITERIA:
+            raise UsageError(f"--criteria: no criterion {n}; they run from "
+                             f"{min(CRITERIA)} to {max(CRITERIA)}")
+    return numbers
+
+
 def cmd_verify(args):
     t0 = time.perf_counter()
-    numbers = [int(x) for x in args.criteria.split(",")] if args.criteria else None
-    if args.workers > 1 and not numbers:
+    numbers = _criteria(args.criteria)
+    if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            chunks = list(pool.map(_verify_job,
-                                   [(args.level, n) for n in range(1, 9)]))
+            chunks = list(pool.map(_verify_job, [(args.level, n) for n in numbers]))
         records = [rec for chunk in chunks for rec in chunk]
         ok = all(r["passed"] for r in records)
     else:

@@ -17,16 +17,18 @@ costs one convolution.
 
 ``gefp_determinant_jets`` evaluates the s x s determinant of K-polynomial
 operators acting on the omega/rho product, by multivariate jet expansion.
+The pair product, the K rows and the omega/rho powers depend only on
+(N, s, lambda, eta), so they are cached as well, and each profile costs one
+fold of its univariate factors into the K rows and one contraction.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from mpmath import mp
 
-from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs, perm_sign
+from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs
 from .backends import EXACT, FLOAT, format_scalar, is_exact_scalar, to_float
 from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
 from .hfun import OmegaRho, build_h_tables, h_polynomial
@@ -68,25 +70,40 @@ def _prefactor_series(N, s, delta, t, zero):
     for j in range(s):
         power = s - 1 - j                      # 1-based exponent s - j
         for _ in range(power):
-            out = out * TruncatedSeries.from_univariate([one, lin], j, caps, zero)
-        geo = geometric_inverse_coeffs(s - j, caps[j], one)
-        out = out * TruncatedSeries.from_univariate(geo, j, caps, zero)
+            out = out.mul_axis(j, [one, lin])
+        out = out.mul_axis(j, geometric_inverse_coeffs(s - j, caps[j], one))
+    # every pair factor lives on the same (N-1, N-1) box
+    box = (N - 1, N - 1)
+    zj = TruncatedSeries.from_univariate([zero, one], 0, box, zero)
+    zk = TruncatedSeries.from_univariate([zero, one], 1, box, zero)
+    vdm = zj - zk
+    den_inverse = (zj * zk * (t * t) + zj * (-2 * delta * t) + one).invert()
     for j in range(s):
         for k in range(j + 1, s):
-            vdm = TruncatedSeries(caps, zero)
-            vdm.set_coeff(tuple(1 if i == j else 0 for i in range(s)), one)
-            vdm.set_coeff(tuple(1 if i == k else 0 for i in range(s)), -one)
-            out = out * vdm
-            pair = TruncatedSeries((caps[j], caps[k]), zero)
-            pair.set_coeff((0, 0), one)
-            pair.set_coeff((1, 0), -2 * delta * t)
-            pair.set_coeff((1, 1), t * t)
-            out = out * pair.invert().embed(caps, [j, k])
+            out = out.mul_pair(j, k, vdm)
+            out = out.mul_pair(j, k, den_inverse)
     return out
 
 
 _workspace_cache = {}
+_jets_cache = {}
 _WORKSPACE_CACHE_MAX = 64
+
+
+def _float_key(*values):
+    """Cache key part of float parameters: their round-trip ``repr`` and mp.prec."""
+    return tuple(repr(v) for v in values) + (mp.prec,)
+
+
+def _cached(cache, key, build):
+    """Bounded per-process memo of both workspaces; the oldest entry goes first."""
+    hit = cache.get(key)
+    if hit is None:
+        hit = build()
+        if len(cache) >= _WORKSPACE_CACHE_MAX:
+            cache.pop(next(iter(cache)))
+        cache[key] = hit
+    return hit
 
 
 def residue_workspace(N, s, delta, t, backend=EXACT, *, lam=None, eta=None,
@@ -95,28 +112,25 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, lam=None, eta=None,
     if backend == EXACT:
         delta, t = Fraction(delta), Fraction(t)
         key = (N, s, EXACT, delta, t)
-        zero = Fraction(0)
     else:
         delta, t = to_float(delta), to_float(t)
-        key = (N, s, FLOAT, str(delta), str(t), mp.prec)
-        zero = mp.mpf(0)
-    hit = _workspace_cache.get(key)
-    if hit is not None:
-        return hit
+        key = (N, s, FLOAT) + _float_key(delta, t)
+    return _cached(_workspace_cache, key, lambda: _build_integrand_series(
+        N, s, delta, t, backend, lam, eta, allow_nonphysical))
+
+
+def _build_integrand_series(N, s, delta, t, backend, lam, eta, allow_nonphysical):
     if backend == EXACT:
         tables = build_h_tables(N, s, delta=delta, t=t, backend=EXACT,
                                 allow_nonphysical=allow_nonphysical)
+        zero = Fraction(0)
     else:
         if lam is None or eta is None:
             lam, eta = lambda_eta_from_delta_t(delta, t)
         tables = build_h_tables(N, s, lam=lam, eta=eta, backend=FLOAT)
+        zero = mp.mpf(0)
     h = h_polynomial(tables, N, s)
-    pre = _prefactor_series(N, s, delta, t, zero)
-    ws = IntegrandSeries(N, s, pre, h, backend)
-    if len(_workspace_cache) >= _WORKSPACE_CACHE_MAX:
-        _workspace_cache.pop(next(iter(_workspace_cache)))
-    _workspace_cache[key] = ws
-    return ws
+    return IntegrandSeries(N, s, _prefactor_series(N, s, delta, t, zero), h, backend)
 
 
 def gefp_residue(N, profile: YoungProfile, delta=None, t=None, backend=EXACT, *,
@@ -147,12 +161,97 @@ def gefp_residue(N, profile: YoungProfile, delta=None, t=None, backend=EXACT, *,
         None if backend == EXACT else mp.prec)
 
 
+@dataclass
+class JetsWorkspace:
+    """Profile-independent parts of the operator determinant at (N, s, lambda, eta).
+
+    ``pair`` is P = prod_{j<k} block_jk^-1 on the (N-1)^s box; ``weights[j][m]``
+    is K_{N-s+j}[m] m! (zero past the degree); ``powers[e]`` holds the Taylor
+    coefficients of rho^N omega^e for e = 0..N-1.
+    """
+
+    N: int
+    s: int
+    pair: TruncatedSeries
+    weights: list
+    powers: list
+
+    def contraction(self, r):
+        """sum_p sgn(p) sum_i P[i] prod_k v[k][p(k)][i_k] for the profile r.
+
+        v[k][j][m] = sum_d u_k[d] W_j[m + d] folds the univariate factor
+        u_k = rho^N omega^(N - r_k) of axis k into the K row j.  Axes are
+        contracted from the last one, contiguous in the flat layout, into one
+        partial tensor per set of used K rows; the permutation sign gains a
+        factor -1 for each used row below the new one.  Every dot product is
+        one ``mp.fdot``, rounded once.
+        """
+        N, s = self.N, self.s
+        v = [[[mp.fdot(u[:N - m], w[m:]) for m in range(N)] for w in self.weights]
+             for u in (self.powers[N - rk] for rk in r)]
+        states = {0: self.pair.data}
+        for k in reversed(range(s)):
+            nxt = {}
+            for used in range(1 << s):
+                if bin(used).count("1") != s - k:
+                    continue
+                rows, tensors = [], []
+                for j in range(s):
+                    if used >> j & 1:
+                        prev = used ^ (1 << j)
+                        odd = bin(prev & ((1 << j) - 1)).count("1") % 2
+                        rows += [-x for x in v[k][j]] if odd else v[k][j]
+                        tensors.append(states[prev])
+                nxt[used] = [mp.fdot(rows, [x for tensor in tensors
+                                            for x in tensor[o:o + N]])
+                             for o in range(0, len(tensors[0]), N)]
+            states = nxt
+        return states[(1 << s) - 1][0]
+
+
+def jets_workspace(N, s, lam, eta) -> JetsWorkspace:
+    """Cached profile-independent parts of ``gefp_determinant_jets``."""
+    lam, eta = mp.mpf(lam), mp.mpf(eta)
+    return _cached(_jets_cache, (N, s) + _float_key(lam, eta),
+                   lambda: _build_jets_workspace(N, s, lam, eta))
+
+
+def _build_jets_workspace(N, s, lam, eta):
+    fns = OmegaRho(lam, eta)
+    n = N - 1
+    zero = mp.mpf(0)
+    # every pair block lives on the same (n, n) box, so one inverse serves all
+    box = (n, n)
+    rt = TruncatedSeries.from_univariate(fns.rho_tilde(n), 0, box, zero)
+    rr = TruncatedSeries.from_univariate(fns.rho(n), 1, box, zero)
+    wt = TruncatedSeries.from_univariate(fns.omega_tilde(n), 0, box, zero)
+    ww = TruncatedSeries.from_univariate(fns.omega(n), 1, box, zero)
+    inverse = (rt * rr * (wt * ww - 1)).invert()
+    pair = TruncatedSeries.constant([n] * s, mp.mpf(1), zero)
+    for j in range(s):
+        for k in range(j + 1, s):
+            pair = pair.mul_pair(j, k, inverse)
+
+    phi = PhiJet(lam, eta, 2 * n)
+    weights = []
+    for j in range(s):
+        kc = k_polynomial(N - s + j, lam, eta, phi).coeffs
+        weights.append([kc[m] * math.factorial(m) if m < len(kc) else zero
+                        for m in range(N)])
+    om = fns.omega(n)
+    powers = [fns.rho(n) ** N]
+    for _ in range(n):
+        powers.append(powers[-1] * om)
+    return JetsWorkspace(N, s, pair, weights, [p.coeffs for p in powers])
+
+
 def gefp_determinant_jets(N, profile: YoungProfile, lam, eta) -> CorrelationResult:
     """GEFP from the s x s determinant of K-polynomial derivative operators.
 
     Operators acting on distinct eps variables commute, so the determinant
-    expands into s! substitution patterns contracted against one shared
-    multivariate jet of the trailing omega/rho product.
+    is a signed sum over the s! assignments of K rows to eps variables,
+    contracted against one shared multivariate jet of the trailing
+    omega/rho product (see ``JetsWorkspace.contraction``).
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
@@ -163,48 +262,7 @@ def gefp_determinant_jets(N, profile: YoungProfile, lam, eta) -> CorrelationResu
         raise TooLarge(f"s={s} exceeds the operator-determinant cap {JETS_S_CAP}")
     lam, eta = mp.mpf(lam), mp.mpf(eta)
     r = list(profile.r)
-    fns = OmegaRho(lam, eta)
-    caps = [N - 1] * s
-    zero = mp.mpf(0)
-    F = TruncatedSeries.constant(caps, mp.mpf(1), zero)
-    for j in range(s):
-        for k in range(j + 1, s):
-            pair_caps = (caps[j], caps[k])
-            rt = TruncatedSeries.from_univariate(fns.rho_tilde(caps[j]), 0, pair_caps, zero)
-            rr = TruncatedSeries.from_univariate(fns.rho(caps[k]), 1, pair_caps, zero)
-            wt = TruncatedSeries.from_univariate(fns.omega_tilde(caps[j]), 0, pair_caps, zero)
-            ww = TruncatedSeries.from_univariate(fns.omega(caps[k]), 1, pair_caps, zero)
-            block = rt * rr * (wt * ww - 1)
-            F = F * block.invert().embed(caps, [j, k])
-    for j in range(s):
-        om = fns.omega(caps[j])
-        rho = fns.rho(caps[j])
-        F = F * TruncatedSeries.from_univariate(
-            (om ** (N - r[j])) * (rho ** N), j, caps, zero)
-
-    phi = PhiJet(lam, eta, 2 * (N - 1))
-    kcs = [k_polynomial(N - s + j, lam, eta, phi).coeffs for j in range(s)]
-    items = []
-    for idx, v in F.items():
-        fact = mp.mpf(1)
-        for m in idx:
-            fact *= math.factorial(m)
-        items.append((idx, v * fact))
-    total = mp.mpf(0)
-    for p in permutations(range(s)):
-        sgn = perm_sign(list(p))
-        sub = mp.mpf(0)
-        for idx, tv in items:
-            w = tv
-            for k, m in enumerate(idx):
-                kc = kcs[p[k]]
-                if m >= len(kc):
-                    w = zero
-                    break
-                w = w * kc[m]
-            sub += w
-        total += sgn * sub
-    value = (-1) ** s * total
+    value = (-1) ** s * jets_workspace(N, s, lam, eta).contraction(r)
     return CorrelationResult(value, "jets", FLOAT,
                              {"N": N, "r": r, "lambda": format_scalar(lam),
                               "eta": format_scalar(eta)}, mp.prec)
@@ -226,6 +284,8 @@ def efp_special_case(N, s, r, engine="residue", *, delta=None, t=None,
         out = gefp_residue(N, profile, delta, t, backend, lam=lam, eta=eta,
                            allow_nonphysical=allow_nonphysical)
     elif engine == "jets":
+        if lam is None:
+            lam, eta = lambda_eta_from_delta_t(delta, t)
         out = gefp_determinant_jets(N, profile, lam, eta)
     elif engine == "oracle":
         if delta is not None:

@@ -300,8 +300,7 @@ def _h_poly_divide(cols, N, s, zero):
         sgn = perm_sign(p)
         term = TruncatedSeries.constant(bigcaps, zero + sgn, zero)
         for j in range(s):
-            term = term * TruncatedSeries.from_univariate(
-                cols[p[j]].coeffs, j, bigcaps, zero)
+            term = term.mul_axis(j, cols[p[j]].coeffs)
         acc = acc + term
     for j in range(s):
         for k in range(j + 1, s):

@@ -311,13 +311,13 @@ def gefp_homogeneous_nxn(N, profile: YoungProfile, lam, eta):
             f2 = _sin_series_2d(pair_caps, lam - eta, 0, 1, zero)
             f3 = _sin_series_2d(pair_caps, 2 * eta, 1, -1, zero)
             pair = (f1 * f2) * f3.invert()
-            F = F * pair.embed(caps, [j, k])
+            F = F.mul_pair(j, k, pair)
     for j in range(s):
         sj = Jet.sin_offset(mp.mpf(0), caps[j])
         s2 = Jet.sin_offset(-2 * eta, caps[j])
         s3 = Jet.sin_offset(lam - eta, caps[j])
         uni = (sj ** (n - r[j])) * (s2 ** r[j]) * (s3 ** n).invert()
-        F = F * TruncatedSeries.from_univariate(uni, j, caps, zero)
+        F = F.mul_axis(j, uni)
 
     total = mp.mpf(0)
     col_sign = (-1) ** (s * (s - 1) // 2)

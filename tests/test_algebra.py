@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from mpmath import mp
@@ -148,16 +149,59 @@ def test_series_invert_rejects_zero_constant():
         f.invert()
 
 
-def test_series_substitute_and_embed():
+def test_series_substitute_and_mul_pair():
     zero = Fraction(0)
     f = TruncatedSeries((2, 2), zero)
     f.set_coeff((1, 1), Fraction(3))
     f.set_coeff((2, 0), Fraction(1))
     g = f.substitute_value(1, Fraction(2))
     assert g.coeff((1,)) == 6 and g.coeff((2,)) == 1
-    big = f.embed((2, 3, 2), [0, 2])
+    big = TruncatedSeries.constant((2, 3, 2), Fraction(1), zero).mul_pair(0, 2, f)
     assert big.coeff((1, 0, 1)) == 3 and big.coeff((2, 0, 0)) == 1
     assert f.max_degree(0) == 2 and f.max_degree(1) == 1
+
+
+def _random_series(rng, caps, density):
+    f = TruncatedSeries(caps, Fraction(0))
+    for i in range(len(f.data)):
+        if rng.random() < density:
+            f.data[i] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return f
+
+
+def _brute_product(f, caps_factor, factor_coeff, axes):
+    """Coefficients of f times a factor on ``axes``, by direct convolution."""
+    out = {}
+    for idx, v in f.items():
+        for exps in product(*[range(c + 1) for c in caps_factor]):
+            new = list(idx)
+            for a, e in zip(axes, exps):
+                new[a] += e
+            if all(x <= c for x, c in zip(new, f.caps)):
+                out[tuple(new)] = out.get(tuple(new), 0) + v * factor_coeff(exps)
+    return out
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_mul_pair_and_mul_axis_equal_brute_force_convolution(ordered):
+    rng = random.Random(11 if ordered else 12)
+    for _ in range(30):
+        s = rng.randint(2, 4)
+        caps = tuple(rng.randint(1, 3) for _ in range(s))
+        f = _random_series(rng, caps, rng.choice([0.1, 0.6, 1.0]))
+        j, k = sorted(rng.sample(range(s), 2), reverse=not ordered)
+        block = _random_series(rng, (rng.randint(0, 4), rng.randint(0, 4)), 0.7)
+        want = _brute_product(f, block.caps, block.coeff, (j, k))
+        got = f.mul_pair(j, k, block)
+        assert all(got.coeff(idx) == want.get(idx, 0) for idx in product(
+            *[range(c + 1) for c in caps]))
+        var = rng.randrange(s)
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                  for _ in range(rng.randint(1, 5))]
+        want = _brute_product(f, (len(coeffs) - 1,), lambda e: coeffs[e[0]], (var,))
+        got = f.mul_axis(var, coeffs)
+        assert all(got.coeff(idx) == want.get(idx, 0) for idx in product(
+            *[range(c + 1) for c in caps]))
 
 
 def test_geometric_inverse_coeffs():

@@ -156,6 +156,25 @@ def test_efp_command(capsys):
     assert rec["value"] == json.loads(out2)["value"]
 
 
+def test_efp_jets_converts_delta_t(capsys):
+    code, out, _ = run_cli(capsys, "efp", "--N", "3", "--s", "2", "--r", "2",
+                           "--delta", "1/2", "--t", "1", "--engine", "jets",
+                           "--backend", "float")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["engine"] == "efp/jets"
+    _, out2, _ = run_cli(capsys, "gefp", "--N", "3", "--r", "2,2", "--delta", "1/2",
+                         "--t", "1", "--engine", "jets", "--backend", "float")
+    assert rec["value"] == json.loads(out2)["value"]
+
+
+def test_efp_jets_on_exact_backend_exits_2(capsys):
+    code, out, err = run_cli(capsys, "efp", "--N", "3", "--s", "2", "--r", "2",
+                             "--delta", "1/2", "--t", "1", "--engine", "jets")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "float backend" in err
+
+
 def test_cutdomain_command(capsys):
     code, out, _ = run_cli(capsys, "cutdomain", "--N", "2", "--r", "1",
                            "--delta", "1/2", "--t", "1")
@@ -221,11 +240,21 @@ def test_verify_quick_subset(capsys):
 
 
 def test_verify_worker_pool_matches_serial(capsys):
-    argv = ["verify", "--level", "quick", "--format", "json"]
-    code, serial, _ = run_cli(capsys, *argv)
-    assert code == 0
-    code, parallel, _ = run_cli(capsys, *argv, "--workers", "2")
-    assert code == 0 and serial == parallel
+    for criteria in ([], ["--criteria", "1,3"]):
+        argv = ["verify", "--level", "quick", "--format", "json", *criteria]
+        code, serial, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, parallel, _ = run_cli(capsys, *argv, "--workers", "2")
+        assert code == 0 and serial == parallel
+    checks = json.loads(serial)["checks"]
+    assert {c["criterion"] for c in checks} == {"criterion-1", "criterion-3"}
+
+
+@pytest.mark.parametrize("text", ["x", "1,", "9", "0,2"])
+def test_bad_criteria_exit_2(capsys, text):
+    code, out, err = run_cli(capsys, "verify", "--level", "quick", "--criteria", text)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--criteria" in err
 
 
 @pytest.mark.parametrize("argv", [

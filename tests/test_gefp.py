@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,9 @@ from mpmath import mp
 
 from gefp_lab.backends import to_float
 from gefp_lab.errors import BadIndex, TooLarge, Unsupported
+from gefp_lab import gefp
 from gefp_lab.gefp import (efp_special_case, gefp_determinant_jets, gefp_residue,
-                           pole_deformation_check, residue_workspace)
+                           jets_workspace, pole_deformation_check, residue_workspace)
 from gefp_lab.hfun import boundary_H_table_oracle
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles, gefp_oracle)
 from gefp_lab.params import VertexWeights, delta_t_from_trig
@@ -97,17 +99,67 @@ def test_coefficient_equals_brute_force_convolution():
             assert ws.coefficient(prof) == brute
 
 
+def _assert_jets_match_oracle(n, profiles):
+    """Relative error at most 2^(20 - prec); absolute where the value is 0."""
+    lam, eta = mp.mpf("1.1"), mp.mpf("0.35")
+    w = VertexWeights.from_abc(mp.sin(lam + eta), mp.sin(lam - eta), mp.sin(2 * eta))
+    grid = WeightGrid.from_weights(n, w)
+    bound = mp.mpf(2) ** (20 - mp.prec)
+    for prof in profiles:
+        jv = gefp_determinant_jets(n, prof, lam, eta).value
+        ov = gefp_oracle(grid, prof).value
+        assert abs(jv - ov) <= bound * (abs(ov) if ov else 1), prof.r
+
+
 def test_jets_matches_oracle():
     with mp.workprec(128):
-        lam, eta = mp.mpf("1.1"), mp.mpf("0.35")
-        w = VertexWeights.from_abc(mp.sin(lam + eta), mp.sin(lam - eta),
-                                   mp.sin(2 * eta))
         for n in (1, 2, 3, 4):
-            grid = WeightGrid.from_weights(n, w)
-            for prof in all_profiles(n):
-                jv = gefp_determinant_jets(n, prof, lam, eta).value
-                ov = gefp_oracle(grid, prof).value
-                assert abs(jv - ov) <= mp.mpf("1e-16") * max(1, abs(ov))
+            _assert_jets_match_oracle(n, all_profiles(n))
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+def test_jets_accuracy_gate_at_n5(prec):
+    with mp.workprec(prec):
+        profiles = [p for p in all_profiles(5) if p.s <= 4]
+        _assert_jets_match_oracle(5, profiles + [YoungProfile(5, (1, 2, 3, 4, 5))])
+
+
+def test_jets_warm_cache_equals_cold():
+    with mp.workprec(128):
+        lam, eta = mp.mpf("1.45"), mp.mpf("0.62")
+        profiles = [p for n in (3, 4) for p in all_profiles(n)]
+        random.Random(3).shuffle(profiles)
+        warm = [gefp_determinant_jets(p.N, p, lam, eta).value for p in profiles]
+        for p, value in zip(profiles, warm):
+            gefp._jets_cache.clear()
+            assert gefp_determinant_jets(p.N, p, lam, eta).value == value
+
+
+def test_workspaces_keyed_by_precision_and_exact_value():
+    # dyadic parameters read the same at 64 and 128 bits, so only mp.prec
+    # in the key keeps the entries apart
+    lam, eta = mp.mpf("1.125"), mp.mpf("0.375")
+    delta, t = mp.mpf("0.375"), mp.mpf("0.75")
+    prof = YoungProfile(4, (2, 3, 4))
+    with mp.workprec(64):
+        cold = gefp_determinant_jets(4, prof, lam, eta).value
+        cold_residue = gefp_residue(4, prof, delta, t, "float").value
+    gefp._jets_cache.clear()
+    gefp._workspace_cache.clear()
+    with mp.workprec(128):
+        gefp_determinant_jets(4, prof, lam, eta)
+        gefp_residue(4, prof, delta, t, "float")
+        ws, rws = jets_workspace(4, 3, lam, eta), residue_workspace(4, 3, delta, t, "float")
+        # one ulp apart at 128 bits, but equal in their first 38 digits (str)
+        lam_next = lam * (1 + mp.mpf(2) ** -127)
+        assert str(lam_next) == str(lam)
+        assert jets_workspace(4, 3, lam_next, eta) is not ws
+        assert residue_workspace(4, 3, delta * (1 + mp.mpf(2) ** -127), t,
+                                 "float") is not rws
+    with mp.workprec(64):
+        assert jets_workspace(4, 3, lam, eta) is not ws
+        assert gefp_determinant_jets(4, prof, lam, eta).value == cold
+        assert gefp_residue(4, prof, delta, t, "float").value == cold_residue
 
 
 def test_jets_full_row_is_one():
