@@ -108,21 +108,26 @@ def _cached(cache, key, build):
 
 def residue_workspace(N, s, delta, t, backend=EXACT, *, lam=None, eta=None,
                       allow_nonphysical=True) -> IntegrandSeries:
-    """Cached integrand expansion for one (N, s, parameter) combination."""
+    """Cached integrand expansion for one (N, s, parameter) combination.
+
+    Physicality is checked before the cache lookup, so a strict call cannot
+    read an entry that a permissive call built at the same point.
+    """
     if backend == EXACT:
         delta, t = Fraction(delta), Fraction(t)
         key = (N, s, EXACT, delta, t)
     else:
         delta, t = to_float(delta), to_float(t)
         key = (N, s, FLOAT) + _float_key(delta, t)
+    if not allow_nonphysical:
+        VertexWeights.from_delta_t(delta, t)            # raises NonphysicalWeights
     return _cached(_workspace_cache, key, lambda: _build_integrand_series(
-        N, s, delta, t, backend, lam, eta, allow_nonphysical))
+        N, s, delta, t, backend, lam, eta))
 
 
-def _build_integrand_series(N, s, delta, t, backend, lam, eta, allow_nonphysical):
+def _build_integrand_series(N, s, delta, t, backend, lam, eta):
     if backend == EXACT:
-        tables = build_h_tables(N, s, delta=delta, t=t, backend=EXACT,
-                                allow_nonphysical=allow_nonphysical)
+        tables = build_h_tables(N, s, delta=delta, t=t, backend=EXACT)
         zero = Fraction(0)
     else:
         if lam is None or eta is None:

@@ -18,19 +18,24 @@ The six vertex types, as (h_left, h_right, v_top, v_bottom):
     5: (1,0,1,0) weight c      6: (0,1,0,1) weight c
 
 Every configuration satisfies n5 = n6 + N, so c^(n5+n6) = c^N * (c^2)^(n6).
-The transfer kernels therefore weight type 6 by c^2 and type 5 by 1, and the
+The transfer loop therefore weights type 6 by c^2 and type 5 by 1, and the
 partition function carries one overall factor c^N.  Probabilities are ratios
 of these reduced sums and never need c itself, which keeps the exact backend
 closed over the rationals even when c^2 has no rational square root.
 
-The transfer engine runs over the 2^N vertical-edge states row by row.  A
-deliberately naive ice-rule filter (N <= 3) double-checks it from scratch.
+The transfer engine crosses each row vertex by vertex on Python ints and
+divides out one power of a common denominator at the end.  A deliberately
+naive ice-rule filter (N <= 3) double-checks it from scratch.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from fractions import Fraction
+from functools import cached_property
+from itertools import chain, combinations_with_replacement, product, zip_longest
+from math import lcm
 
-from mpmath import mp
+from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from .backends import EXACT, FLOAT, format_scalar
 from .errors import BadIndex, TooLarge, Unsupported
@@ -109,8 +114,7 @@ class WeightGrid:
         self.homogeneous = homogeneous
         self.backend = backend
         self.N = len(self.a)
-        self._one = c2 / c2
-        self._kernel_cache = {}
+        self._one = Fraction(1) if backend == EXACT else c2 / c2
 
     @classmethod
     def from_weights(cls, N, w: VertexWeights):
@@ -135,82 +139,63 @@ class WeightGrid:
                     "c2": format_scalar(self.c2)}
         return {"inhomogeneous": True, "N": self.N}
 
-    # -- row kernels ----------------------------------------------------------
-    def _row_kernel(self, row, v_in, mark_col=None, c_at=None, frozen_from=None,
-                    width=None):
-        """Map of out-states reachable from v_in across one row, with weights.
+    @cached_property
+    def _transfer_weights(self):
+        """(aD, bD, c^2 D^2, D) with D the weights' least common denominator.
 
-        mark_col: require the horizontal edge left of that column to point
-        left.  c_at: require the row's type-5 vertex at that column.
-        frozen_from: require all vertices at columns > frozen_from to be of
-        type 2.  width: number of columns in this row (cut domains).
+        An mpf enters as the dyadic rational it holds, so the loop is exact
+        on both backends and a float result is rounded once at the end.
         """
-        n = self.N if width is None else width
-        key = (row if not self.homogeneous else -1, n, v_in, mark_col, c_at, frozen_from)
-        hit = self._kernel_cache.get(key)
-        if hit is not None:
-            return hit
-        aw, bw = self.a[row], self.b[row]
-        c2, one = self.c2, self._one
-        out = {}
-
-        def sweep(k, h, w, v_out):
-            if k == n:
-                if h == 1:
-                    out[v_out] = out.get(v_out, 0) + w
-                return
-            vt = (v_in >> k) & 1
-            for vb in (0, 1):
-                if vt == vb:
-                    h2 = h
-                    ww = aw[k] if h == vt else bw[k]
-                    typ = 2 if (h, vt) == (1, 1) else None
-                elif vt == 1:            # vt=1, vb=0: type 5, h flips 0 -> 1
-                    if h != 0:
-                        continue
-                    h2, ww, typ = 1, one, 5
-                else:                    # vt=0, vb=1: type 6, h flips 1 -> 0
-                    if h != 1:
-                        continue
-                    h2, ww, typ = 0, c2, 6
-                if c_at is not None and typ == 5 and k + 1 != c_at:
-                    continue
-                if frozen_from is not None and k + 1 > frozen_from and typ != 2:
-                    continue
-                nh = h2
-                if mark_col is not None and k + 1 == mark_col and nh != 1:
-                    continue
-                sweep(k + 1, nh, w * ww, v_out | (vb << k))
-
-        sweep(0, 0, self._one, 0)
-        self._kernel_cache[key] = out
-        return out
+        exact = {x: Fraction(*to_rational(x._mpf_)) if isinstance(x, mpf) else Fraction(x)
+                 for x in (self.c2, *chain(*self.a, *self.b))}
+        den = lcm(*(x.denominator for x in exact.values()))
+        return ([[int(exact[x] * den) for x in row] for row in self.a],
+                [[int(exact[x] * den) for x in row] for row in self.b],
+                int(exact[self.c2] * den * den), den)
 
 
-def _transfer(grid: WeightGrid, marks=None, c_at_row1=None, frozen=None, widths=None):
-    """Reduced partition sum (without the overall c^N) under constraints."""
-    n = grid.N
-    if widths is None:
-        states = {(1 << n) - 1: grid._one}
-    else:
-        states = {(1 << widths[0]) - 1: grid._one}
-    for row in range(n):
-        width = None if widths is None else widths[row]
-        mark = marks[row] if marks is not None and row < len(marks) else None
-        c_at = c_at_row1 if row == 0 else None
-        froz = frozen[row] if frozen is not None and row < len(frozen) else None
-        new = {}
-        for st, w in states.items():
-            for st2, w2 in grid._row_kernel(row, st, mark, c_at, froz, width).items():
-                acc = new.get(st2)
-                new[st2] = w * w2 if acc is None else acc + w * w2
-        if widths is not None and row + 1 < n and widths[row + 1] > widths[row]:
-            # vertical edges entering wider rows from outside point down
-            grow = widths[row + 1] - widths[row]
-            add = ((1 << grow) - 1) << widths[row]
-            new = {st | add: w for st, w in new.items()}
-        states = new
-    return states.get(0, grid._one * 0)
+def _row(a, b, c2, states, width, mark=None, frozen=None):
+    """Carry {v_in: weight} across one row, vertex by vertex from the right.
+
+    Before column k a key is v << 1 | h: v has the bottom states of the
+    columns crossed and the top states of the rest, h is the edge right of
+    column k.  mark: the edge left of that column points left.  frozen: the
+    vertices at columns > frozen are of type 2.
+    """
+    cur = {v << 1: w for v, w in states.items()}
+    for k in range(width):
+        bit, ak, bk = 2 << k, a[k], b[k]
+        if frozen is not None and k >= frozen:
+            cur = {key: w for key, w in cur.items() if key & 1 and key & bit}
+        nxt = {}
+        get = nxt.get
+        for key, w in cur.items():
+            if (key >> k + 1 ^ key) & 1:    # v_top != h: type 3 or 4, or turn as 5 or 6
+                turned = key ^ bit ^ 1
+                nxt[key] = get(key, 0) + w * bk
+                nxt[turned] = get(turned, 0) + (w * c2 if key & 1 else w)
+            else:                           # type 1 or 2
+                nxt[key] = get(key, 0) + w * ak
+        if mark == k + 1:
+            nxt = {key: w for key, w in nxt.items() if key & 1}
+        cur = nxt
+    return {key >> 1: w for key, w in cur.items() if key & 1}
+
+
+def _transfer(grid: WeightGrid, marks=(), frozen=(), widths=None):
+    """Reduced partition sum (without the overall c^N) under constraints.
+
+    Every row has n5 - n6 = 1, so a row of width n weighs an integer over
+    D^(n-1) and the sum is one integer over a power of D.
+    """
+    a, b, c2, den = grid._transfer_weights
+    widths = widths or [grid.N] * grid.N
+    states, prev = {0: 1}, 0
+    for a_row, b_row, width, mark, froz in zip_longest(a, b, widths, marks, frozen):
+        # the top boundary and the edges entering a wider row from outside point down
+        states = {v | (1 << width) - (1 << prev): w for v, w in states.items()}
+        states, prev = _row(a_row, b_row, c2, states, width, mark, froz), width
+    return grid._one * states.get(0, 0) / (grid._one * den) ** (sum(widths) - grid.N)
 
 
 def _check_cap(n, cap):
@@ -249,8 +234,8 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
     if profile.N != grid.N:
         raise BadIndex(f"profile N={profile.N} does not match grid N={grid.N}")
     z = _transfer(grid)
-    marked = _transfer(grid, marks=list(profile.r))
-    frozen = _transfer(grid, frozen=list(profile.r))
+    marked = _transfer(grid, marks=profile.r)
+    frozen = _transfer(grid, frozen=profile.r)
     value = marked / z
     other = frozen / z
     if grid.backend == EXACT:
@@ -270,17 +255,32 @@ def boundary_H_oracle(grid: WeightGrid, r: int, cap=None) -> CorrelationResult:
     _check_cap(grid.N, cap)
     if not 1 <= r <= grid.N:
         raise BadIndex(f"r={r} outside 1..{grid.N}")
-    value = _transfer(grid, c_at_row1=r) / _transfer(grid)
+    value = boundary_distribution_oracle(grid)[r - 1]
     return CorrelationResult(value, "oracle", grid.backend,
                              {"N": grid.N, "r": r, **grid.describe()},
                              None if grid.backend == EXACT else mp.prec)
 
 
 def boundary_distribution_oracle(grid: WeightGrid, cap=None):
-    """The full boundary distribution (H^(1), ..., H^(N)) in one sweep."""
+    """The full boundary distribution (H^(1), ..., H^(N)) in one sweep.
+
+    A 180-degree turn keeps domain-wall boundaries and every vertex weight
+    (types 5 and 6 map to themselves, 1 to 2, 3 to 4) and moves row 1's
+    c-vertex at column r to row N, column N + 1 - r, right below row N's
+    single incoming down arrow.  So the turned grid's first N - 1 rows are
+    swept once, and row N once from each single-arrow state.
+    """
     _check_cap(grid.N, cap)
-    z = _transfer(grid)
-    return [_transfer(grid, c_at_row1=r) / z for r in range(1, grid.N + 1)]
+    n = grid.N
+    a, b, c2, _ = grid._transfer_weights
+    a, b = ([row[::-1] for row in reversed(x)] for x in (a, b))
+    states = {(1 << n) - 1: 1}
+    for row in range(n - 1):
+        states = _row(a[row], b[row], c2, states, n)
+    last = [_row(a[-1], b[-1], c2, {1 << k: states.get(1 << k, 0)}, n).get(0, 0)
+            for k in reversed(range(n))]
+    z = sum(last)
+    return [grid._one * x / z for x in last]
 
 
 def modified_domain_partition(grid: WeightGrid, profile: YoungProfile, cap=None):
@@ -399,7 +399,6 @@ def enumerate_naive(grid: WeightGrid, marks=None) -> NaiveEnumeration:
 
 def all_profiles(N, s=None):
     """All weakly increasing profiles for the given N (and s if fixed)."""
-    from itertools import combinations_with_replacement
     sizes = range(1, N + 1) if s is None else [s]
     out = []
     for ss in sizes:

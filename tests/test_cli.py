@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+from gefp_lab import oracle
 from gefp_lab.cli import main
 
 
@@ -143,6 +145,21 @@ def test_hfun_command(capsys):
     rec = json.loads(out)
     assert rec["value"]["H"] == ["2/7", "3/7", "2/7"]
     assert rec["value"]["h_poly_coeffs"] == ["2/7", "3/7", "2/7"]
+
+
+def test_hfun_oracle_reaches_n10_and_refuses_n11_before_compute(capsys, monkeypatch):
+    argv = ["hfun", "--engine", "oracle", "--oracle-cap", "10", "--delta", "1/3", "--t", "3/4"]
+    code, out, _ = run_cli(capsys, *argv, "--N", "10")
+    assert code == 0
+    assert sum(Fraction(h) for h in json.loads(out)["value"]["H"]) == 1
+
+    def no_transfer(*args):
+        raise AssertionError("the transfer ran")
+
+    monkeypatch.setattr(oracle, "_row", no_transfer)
+    code, out, err = run_cli(capsys, *argv, "--N", "11")
+    assert code == 3 and out == ""
+    assert "TooLarge" in err
 
 
 def test_efp_command(capsys):

@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp
 
 from gefp_lab.backends import to_float
-from gefp_lab.errors import BadIndex, TooLarge, Unsupported
+from gefp_lab.errors import BadIndex, NonphysicalWeights, TooLarge, Unsupported
 from gefp_lab import gefp
 from gefp_lab.gefp import (efp_special_case, gefp_determinant_jets, gefp_residue,
                            jets_workspace, pole_deformation_check, residue_workspace)
@@ -64,6 +64,18 @@ def test_residue_nonphysical_point_still_rational():
         3, VertexWeights.from_delta_t(Fraction(3, 2), Fraction(1, 2),
                                       allow_nonphysical=True))
     assert val == gefp_oracle(grid, YoungProfile(3, (2, 3))).value
+
+
+def test_strict_call_does_not_read_a_permissive_workspace():
+    prof, delta, t = YoungProfile(3, (2, 3)), Fraction(3, 2), Fraction(1, 2)
+    gefp._workspace_cache.clear()
+    with pytest.raises(NonphysicalWeights):
+        gefp_residue(3, prof, delta, t, allow_nonphysical=False)
+    assert gefp_residue(3, prof, delta, t).value == Fraction(96, 101)
+    with pytest.raises(NonphysicalWeights):
+        gefp_residue(3, prof, delta, t, allow_nonphysical=False)
+    with mp.workprec(64), pytest.raises(NonphysicalWeights):
+        gefp_residue(3, prof, Fraction(1, 2), Fraction(-1, 2), "float", allow_nonphysical=False)
 
 
 def test_residue_float_backend_matches_exact():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 from mpmath import mp
@@ -56,6 +57,15 @@ def test_partition_counts_at_ice_point():
     for n, count in expected.items():
         grid = WeightGrid.from_weights(n, ICE)
         assert partition_function_oracle(grid) == count
+
+
+def test_integer_weights_give_fractions():
+    grid = WeightGrid.from_weights(3, VertexWeights.from_abc(1, 1, 1))
+    values = [reduced_partition_oracle(grid), enumerate_naive(grid).reduced_sum,
+              gefp_oracle(grid, YoungProfile(3, (2,))).value,
+              *boundary_distribution_oracle(grid)]
+    assert values == [7, 7, Fraction(5, 7), Fraction(2, 7), Fraction(3, 7), Fraction(2, 7)]
+    assert all(isinstance(v, Fraction) for v in values)
 
 
 def test_naive_filter_agrees_with_transfer():
@@ -166,6 +176,58 @@ def test_boundary_H_position_convention():
     grid = WeightGrid.from_weights(2, w)
     dist = boundary_distribution_oracle(grid)
     assert dist[0] > dist[1]
+
+
+def refined_asm(n, k):
+    """Zeilberger's refined count A(n, k) of n x n alternating sign matrices."""
+    return (comb(n + k - 2, k - 1) * Fraction(factorial(2 * n - k - 1), factorial(n - k))
+            * prod(Fraction(factorial(3 * j + 1), factorial(n + j)) for j in range(n - 1)))
+
+
+def asm(n):
+    return prod(Fraction(factorial(3 * j + 1), factorial(n + j)) for j in range(n))
+
+
+def test_boundary_distribution_closed_forms():
+    free_fermion = VertexWeights.from_delta_t(Fraction(0), Fraction(1))
+    for n in range(1, 11):
+        dist = boundary_distribution_oracle(WeightGrid.from_weights(n, ICE), cap=10)
+        assert dist == [refined_asm(n, r) / asm(n) for r in range(1, n + 1)]
+        dist = boundary_distribution_oracle(WeightGrid.from_weights(n, free_fermion), cap=10)
+        assert dist == [Fraction(comb(n - 1, r - 1), 2 ** (n - 1)) for r in range(1, n + 1)]
+
+
+def first_row_increments(grid):
+    """G((r)) - G((r - 1)) from the unturned marked transfer, G((0)) = 0."""
+    g = [0] + [gefp_oracle(grid, YoungProfile(grid.N, (r,))).value
+               for r in range(1, grid.N + 1)]
+    return [g[r] - g[r - 1] for r in range(1, grid.N + 1)]
+
+
+def test_turned_sweep_matches_marked_transfer_on_inhomogeneous_grids():
+    rng = random.Random(11)
+    for n in range(1, 6):
+        for _ in range(3):
+            a, b = ([[Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(n)]
+                     for _ in range(n)] for _ in range(2))
+            grid = WeightGrid(a, b, Fraction(rng.randint(1, 6), rng.randint(1, 4)))
+            dist = boundary_distribution_oracle(grid)
+            assert dist == first_row_increments(grid)
+            assert [boundary_H_oracle(grid, r).value for r in range(1, n + 1)] == dist
+
+
+def test_turned_sweep_matches_marked_transfer_on_spectral_grids():
+    rng = random.Random(12)
+    with mp.workprec(128):
+        tol = mp.mpf(2) ** (8 - mp.prec)
+        for n in range(1, 5):
+            spec = SpectralData([rng.uniform(0.6, 1.4) for _ in range(n)],
+                                [rng.uniform(-0.2, 0.2) for _ in range(n)], 0.4)
+            grid = WeightGrid.from_spectral(spec)
+            dist = boundary_distribution_oracle(grid)
+            for h, g in zip(dist, first_row_increments(grid), strict=True):
+                assert abs(h - g) <= tol
+            assert abs(sum(dist) - 1) <= tol
 
 
 def test_modified_domain_identities():
