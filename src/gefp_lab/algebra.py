@@ -91,21 +91,6 @@ def perm_sign(p) -> int:
     return sign
 
 
-def det_cofactor(rows):
-    """Reference determinant by first-row cofactor expansion (test oracle)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    out = None
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = (-1) ** j * rows[0][j] * det_cofactor(minor)
-        out = term if out is None else out + term
-    return out
-
-
 # ---------------------------------------------------------------------------
 # univariate jets (truncated Taylor expansions around a base point)
 

@@ -210,7 +210,8 @@ def _run_gefp_engine(args, spec, profile):
             lam, eta = lambda_eta_from_delta_t(spec.delta, spec.t)
         else:
             lam, eta = spec.lam, spec.eta
-        res = gefp_determinant_jets(args.N, profile, lam, eta)
+        res = gefp_determinant_jets(args.N, profile, lam, eta,
+                                    allow_nonphysical=args.allow_nonphysical)
     elif args.engine == "oracle":
         grid = WeightGrid.from_weights(args.N, spec.weights(args.allow_nonphysical))
         res = gefp_oracle(grid, profile, cap=args.oracle_cap)

@@ -18,12 +18,14 @@ costs one convolution.
 ``gefp_determinant_jets`` evaluates the s x s determinant of K-polynomial
 operators acting on the omega/rho product, by multivariate jet expansion.
 The pair product, the K rows and the omega/rho powers depend only on
-(N, s, lambda, eta), so they are cached as well, and each profile costs one
-fold of its univariate factors into the K rows and one contraction.
+(N, s, lambda, eta), so they are cached as well.  The contraction runs from
+the last axis, and what it builds after axis k depends only on the suffix
+(r_k, ..., r_s), so the workspace keeps each fold and partial tensor and a
+profile costs only the steps for the suffixes not yet met.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
@@ -34,9 +36,15 @@ from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
 from .hfun import OmegaRho, build_h_tables, h_polynomial
 from .ik import PhiJet, k_polynomial
 from .oracle import CorrelationResult, YoungProfile, WeightGrid, gefp_oracle
-from .params import VertexWeights, lambda_eta_from_delta_t
+from .params import (VertexWeights, delta_t_from_trig, lambda_eta_from_delta_t,
+                     weights_from_trig)
 
-JETS_S_CAP = 6
+# Largest pair box N^s the jets engine builds, checked before any work.  The
+# build grows with the box: at 128 bits, process time on one x86 core,
+# (8, 4) takes about 2 s, (7, 5) 10 s, and the largest boxes under the cap,
+# (6, 6) and (14, 4), about 33 s each.  6^6 keeps every s <= N <= 6, and since
+# s <= N it refuses every s >= 7.
+JETS_BOX_CAP = 6 ** 6
 
 
 @dataclass
@@ -151,7 +159,6 @@ def gefp_residue(N, profile: YoungProfile, delta=None, t=None, backend=EXACT, *,
     if backend == FLOAT and delta is None:
         if lam is None or eta is None:
             raise Unsupported("float residue engine needs (delta,t) or (lambda,eta)")
-        from .params import delta_t_from_trig
         delta, t = delta_t_from_trig(lam, eta)
     if profile.s == 0:
         one = Fraction(1) if backend == EXACT else mp.mpf(1)
@@ -173,6 +180,14 @@ class JetsWorkspace:
     ``pair`` is P = prod_{j<k} block_jk^-1 on the (N-1)^s box; ``weights[j][m]``
     is K_{N-s+j}[m] m! (zero past the degree); ``powers[e]`` holds the Taylor
     coefficients of rho^N omega^e for e = 0..N-1.
+
+    ``folds`` and ``partials`` memoize ``contraction``: the fold of one row
+    position r into the K rows, and the partial tensors of each profile
+    suffix (r_k, ..., r_s).  Both hold only what a cold contraction builds
+    anyway.  After every profile of (N, s) has run, ``partials`` holds
+    sum_{m=1..s} C(N+m-1, m) C(s, m) N^(s-m) coefficients: C(N+m-1, m)
+    suffixes of length m, each with C(s, m) sets of used rows on N^(s-m)
+    entries.
     """
 
     N: int
@@ -180,22 +195,35 @@ class JetsWorkspace:
     pair: TruncatedSeries
     weights: list
     powers: list
+    folds: dict = field(default_factory=dict)
+    partials: dict = field(default_factory=dict)
+
+    def fold(self, rk):
+        """v[j][m] = sum_d u[d] W_j[m + d], u = rho^N omega^(N - rk), one fdot each."""
+        v = self.folds.get(rk)
+        if v is None:
+            N, u = self.N, self.powers[self.N - rk]
+            v = self.folds[rk] = [[mp.fdot(u[:N - m], w[m:]) for m in range(N)]
+                                  for w in self.weights]
+        return v
 
     def contraction(self, r):
         """sum_p sgn(p) sum_i P[i] prod_k v[k][p(k)][i_k] for the profile r.
 
-        v[k][j][m] = sum_d u_k[d] W_j[m + d] folds the univariate factor
-        u_k = rho^N omega^(N - r_k) of axis k into the K row j.  Axes are
-        contracted from the last one, contiguous in the flat layout, into one
-        partial tensor per set of used K rows; the permutation sign gains a
-        factor -1 for each used row below the new one.  Every dot product is
-        one ``mp.fdot``, rounded once.
+        v[k] = ``fold(r_k)`` folds the univariate factor of axis k into the K
+        rows.  Axes are contracted from the last one, contiguous in the flat
+        layout, into one partial tensor per set of used K rows; the
+        permutation sign gains a factor -1 for each used row below the new
+        one.  The partial tensors after axis k depend only on r[k:], so the
+        call resumes from the longest suffix already in ``partials`` and
+        stores every level it adds.  Every dot product is one ``mp.fdot``,
+        rounded once, on the same inputs in the same order as a cold call.
         """
         N, s = self.N, self.s
-        v = [[[mp.fdot(u[:N - m], w[m:]) for m in range(N)] for w in self.weights]
-             for u in (self.powers[N - rk] for rk in r)]
-        states = {0: self.pair.data}
-        for k in reversed(range(s)):
+        start = next((k for k in range(s) if tuple(r[k:]) in self.partials), s)
+        states = self.partials[tuple(r[start:])] if start < s else {0: self.pair.data}
+        for k in reversed(range(start)):
+            v = self.fold(r[k])
             nxt = {}
             for used in range(1 << s):
                 if bin(used).count("1") != s - k:
@@ -205,12 +233,12 @@ class JetsWorkspace:
                     if used >> j & 1:
                         prev = used ^ (1 << j)
                         odd = bin(prev & ((1 << j) - 1)).count("1") % 2
-                        rows += [-x for x in v[k][j]] if odd else v[k][j]
+                        rows += [-x for x in v[j]] if odd else v[j]
                         tensors.append(states[prev])
                 nxt[used] = [mp.fdot(rows, [x for tensor in tensors
                                             for x in tensor[o:o + N]])
                              for o in range(0, len(tensors[0]), N)]
-            states = nxt
+            states = self.partials[tuple(r[k:])] = nxt
         return states[(1 << s) - 1][0]
 
 
@@ -250,22 +278,28 @@ def _build_jets_workspace(N, s, lam, eta):
     return JetsWorkspace(N, s, pair, weights, [p.coeffs for p in powers])
 
 
-def gefp_determinant_jets(N, profile: YoungProfile, lam, eta) -> CorrelationResult:
+def gefp_determinant_jets(N, profile: YoungProfile, lam, eta, *,
+                          allow_nonphysical=True) -> CorrelationResult:
     """GEFP from the s x s determinant of K-polynomial derivative operators.
 
     Operators acting on distinct eps variables commute, so the determinant
-    is a signed sum over the s! assignments of K rows to eps variables,
-    contracted against one shared multivariate jet of the trailing
-    omega/rho product (see ``JetsWorkspace.contraction``).
+    contracts the K rows, each folded with its univariate factor, against one
+    shared multivariate jet of the trailing omega/rho product, one axis at a
+    time (see ``JetsWorkspace.contraction``).  Boxes above ``JETS_BOX_CAP``
+    are refused before any work, and physicality is checked before the
+    workspace lookup.
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
     s = profile.s
     if s == 0:
         return CorrelationResult(mp.mpf(1), "jets", FLOAT, {"N": N, "r": []}, mp.prec)
-    if s > JETS_S_CAP:
-        raise TooLarge(f"s={s} exceeds the operator-determinant cap {JETS_S_CAP}")
+    if N ** s > JETS_BOX_CAP:
+        raise TooLarge(f"the pair box N^s = {N}^{s} exceeds the operator-determinant "
+                       f"cap {JETS_BOX_CAP}")
     lam, eta = mp.mpf(lam), mp.mpf(eta)
+    if not allow_nonphysical:
+        weights_from_trig(lam, 0, eta)                  # raises NonphysicalWeights
     r = list(profile.r)
     value = (-1) ** s * jets_workspace(N, s, lam, eta).contraction(r)
     return CorrelationResult(value, "jets", FLOAT,
@@ -291,12 +325,12 @@ def efp_special_case(N, s, r, engine="residue", *, delta=None, t=None,
     elif engine == "jets":
         if lam is None:
             lam, eta = lambda_eta_from_delta_t(delta, t)
-        out = gefp_determinant_jets(N, profile, lam, eta)
+        out = gefp_determinant_jets(N, profile, lam, eta,
+                                    allow_nonphysical=allow_nonphysical)
     elif engine == "oracle":
         if delta is not None:
             w = VertexWeights.from_delta_t(delta, t, allow_nonphysical)
         else:
-            from .params import weights_from_trig
             w = weights_from_trig(lam, 0, eta, allow_nonphysical)
         out = gefp_oracle(WeightGrid.from_weights(N, w), profile, cap)
     else:

@@ -112,10 +112,6 @@ class AnisotropyPoint:
                 raise NonphysicalWeights(
                     f"c^2/a^2 = 1 + t^2 - 2*t*Delta = {c2_ratio} must be positive")
 
-    @property
-    def c2_ratio(self):
-        return 1 + self.t * self.t - 2 * self.t * self.delta
-
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -183,9 +179,12 @@ def weights_from_trig(lam, nu, eta, allow_nonphysical=False) -> VertexWeights:
 
 
 def delta_t_from_trig(lam, eta):
-    """(Delta, t) of the homogeneous point (lambda, eta)."""
+    """(Delta, t) of the homogeneous point (lambda, eta); needs sin(lambda + eta) != 0."""
     lam, eta = mp.mpf(lam), mp.mpf(eta)
-    return mp.cos(2 * eta), mp.sin(lam - eta) / mp.sin(lam + eta)
+    a = mp.sin(lam + eta)
+    if a == 0:
+        raise DivisionByZero(f"a = sin(lambda + eta) vanishes at lambda={lam}, eta={eta}")
+    return mp.cos(2 * eta), mp.sin(lam - eta) / a
 
 
 def lambda_eta_from_delta_t(delta, t):

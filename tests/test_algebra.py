@@ -5,9 +5,23 @@ from itertools import product
 import pytest
 from mpmath import mp
 
-from gefp_lab.algebra import (Jet, TruncatedSeries, UniPoly, det, det_cofactor,
-                              geometric_inverse_coeffs)
+from gefp_lab.algebra import Jet, TruncatedSeries, UniPoly, det, geometric_inverse_coeffs
 from gefp_lab.errors import NotInvertible
+
+
+def det_cofactor(rows):
+    """Reference determinant by first-row cofactor expansion."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    out = None
+    for j in range(n):
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = (-1) ** j * rows[0][j] * det_cofactor(minor)
+        out = term if out is None else out + term
+    return out
 
 
 def test_det_small_examples():

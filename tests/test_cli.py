@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from gefp_lab import oracle
+from gefp_lab import gefp, oracle
 from gefp_lab.cli import main
 
 
@@ -85,13 +85,59 @@ def test_engine_backend_mismatch_exits_2(capsys):
     assert code == 2
 
 
-def test_computation_error_exits_3_with_class_name(capsys):
+DEGENERATE = ["--lambda", "0", "--eta", "0", "--backend", "float"]
+
+
+@pytest.mark.parametrize("argv, name", [
     # c^2 = 2 has no rational square root, so exact Z_N is unavailable
-    code, _, err = run_cli(capsys, "partition", "--N", "2",
-                           "--delta", "0", "--t", "1",
-                           "--engine", "oracle", "--backend", "exact")
-    assert code == 3
-    assert "Unsupported" in err
+    (["partition", "--N", "2", "--delta", "0", "--t", "1", "--engine", "oracle",
+      "--backend", "exact"], "Unsupported"),
+    # lambda = eta = 0: a = sin(lambda + eta) = 0
+    (["gefp", "--N", "3", "--r", "2,3", *DEGENERATE, "--engine", "jets"],
+     "DivisionByZero"),
+    (["gefp", "--N", "3", "--r", "2,3", *DEGENERATE, "--engine", "residue"],
+     "DivisionByZero"),
+    (["efp", "--N", "3", "--s", "2", "--r", "2", *DEGENERATE, "--engine", "jets"],
+     "DivisionByZero"),
+    # b = sin(lambda - eta) < 0
+    (["gefp", "--N", "3", "--r", "2,3", "--lambda", "0", "--eta", "0.3",
+      "--engine", "jets", "--backend", "float"], "NonphysicalWeights"),
+], ids=["exact-c", "jets-degenerate", "residue-degenerate", "efp-jets-degenerate",
+        "jets-nonphysical"])
+def test_computation_error_exits_3_with_class_name(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {name}:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["efp", "--N", "40", "--s", "6", "--r", "3"],
+    ["gefp", "--N", "30", "--r", "1,2,3,4,5"],
+    ["gefp", "--N", "15", "--r", "1,2,3,4"],
+])
+def test_jets_box_cap_exits_3_before_compute(capsys, monkeypatch, argv):
+    def no_build(*args):
+        raise AssertionError("the workspace was built")
+
+    monkeypatch.setattr(gefp, "_build_jets_workspace", no_build)
+    code, out, err = run_cli(capsys, *argv, "--delta", "1/3", "--t", "3/4",
+                             "--engine", "jets", "--backend", "float")
+    assert code == 3 and out == ""
+    assert err.startswith("error: TooLarge:")
+
+
+def test_nonphysical_jets_agrees_with_residue(capsys):
+    argv = ["gefp", "--N", "3", "--r", "2,3", "--lambda", "0", "--eta", "0.3",
+            "--backend", "float", "--allow-nonphysical"]
+    code, out, _ = run_cli(capsys, *argv, "--engine", "jets")
+    assert code == 0
+    code, out_residue, _ = run_cli(capsys, *argv, "--engine", "residue")
+    assert code == 0
+    jets, residue = json.loads(out), json.loads(out_residue)
+    prec = jets["precision_bits"]
+    with mp.workprec(prec):
+        jv, rv = mp.mpf(jets["value"]), mp.mpf(residue["value"])
+        assert abs(jv - rv) <= mp.mpf(2) ** (20 - prec) * abs(rv)
 
 
 def test_duplicate_rapidity_exits_3(capsys):

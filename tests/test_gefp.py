@@ -137,14 +137,31 @@ def test_jets_accuracy_gate_at_n5(prec):
 
 
 def test_jets_warm_cache_equals_cold():
+    # the second set is the N = 5 half of the jets-sweep benchmark
     with mp.workprec(128):
         lam, eta = mp.mpf("1.45"), mp.mpf("0.62")
-        profiles = [p for n in (3, 4) for p in all_profiles(n)]
-        random.Random(3).shuffle(profiles)
-        warm = [gefp_determinant_jets(p.N, p, lam, eta).value for p in profiles]
-        for p, value in zip(profiles, warm):
-            gefp._jets_cache.clear()
-            assert gefp_determinant_jets(p.N, p, lam, eta).value == value
+        for profiles in ([p for n in (3, 4) for p in all_profiles(n)],
+                         [p for p in all_profiles(5) if p.s <= 3]):
+            random.Random(3).shuffle(profiles)
+            warm = [gefp_determinant_jets(p.N, p, lam, eta).value for p in profiles]
+            for p, value in zip(profiles, warm):
+                gefp._jets_cache.clear()
+                assert gefp_determinant_jets(p.N, p, lam, eta).value == value
+
+
+def test_jets_second_sweep_reads_the_memo(monkeypatch):
+    with mp.workprec(128):
+        lam, eta = mp.mpf("1.1"), mp.mpf("0.35")
+        profiles = all_profiles(4)
+        random.Random(5).shuffle(profiles)
+        first = {p.r: gefp_determinant_jets(4, p, lam, eta).value for p in profiles}
+        random.Random(6).shuffle(profiles)
+        calls = []
+        fdot = mp.fdot
+        monkeypatch.setattr(mp, "fdot", lambda *args: calls.append(args) or fdot(*args))
+        second = {p.r: gefp_determinant_jets(4, p, lam, eta).value for p in profiles}
+    assert len(calls) == 0
+    assert second == first
 
 
 def test_workspaces_keyed_by_precision_and_exact_value():
@@ -207,6 +224,19 @@ def test_jets_s_cap():
         with pytest.raises(TooLarge):
             gefp_determinant_jets(7, YoungProfile(7, (1,) * 7), mp.mpf("1.1"),
                                   mp.mpf("0.35"))
+
+
+def test_jets_physicality_is_checked_before_the_workspace():
+    with mp.workprec(64):
+        prof, lam, eta = YoungProfile(3, (2, 3)), mp.mpf(0), mp.mpf("0.3")
+        gefp._jets_cache.clear()
+        with pytest.raises(NonphysicalWeights):
+            gefp_determinant_jets(3, prof, lam, eta, allow_nonphysical=False)
+        gefp_determinant_jets(3, prof, lam, eta)        # builds the workspace
+        with pytest.raises(NonphysicalWeights):
+            gefp_determinant_jets(3, prof, lam, eta, allow_nonphysical=False)
+        with pytest.raises(NonphysicalWeights):
+            efp_special_case(3, 2, 3, "jets", lam=lam, eta=eta, allow_nonphysical=False)
 
 
 def test_efp_wrapper():
