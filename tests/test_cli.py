@@ -88,10 +88,16 @@ def test_engine_backend_mismatch_exits_2(capsys):
 DEGENERATE = ["--lambda", "0", "--eta", "0", "--backend", "float"]
 
 
-@pytest.mark.parametrize("argv, name", [
+def test_computation_error_exits_3_with_class_name(capsys):
     # c^2 = 2 has no rational square root, so exact Z_N is unavailable
-    (["partition", "--N", "2", "--delta", "0", "--t", "1", "--engine", "oracle",
-      "--backend", "exact"], "Unsupported"),
+    code, out, err = run_cli(capsys, "partition", "--N", "2",
+                             "--delta", "0", "--t", "1",
+                             "--engine", "oracle", "--backend", "exact")
+    assert code == 3 and out == ""
+    assert err.startswith("error: Unsupported:")
+
+
+@pytest.mark.parametrize("argv, name", [
     # lambda = eta = 0: a = sin(lambda + eta) = 0
     (["gefp", "--N", "3", "--r", "2,3", *DEGENERATE, "--engine", "jets"],
      "DivisionByZero"),
@@ -102,9 +108,9 @@ DEGENERATE = ["--lambda", "0", "--eta", "0", "--backend", "float"]
     # b = sin(lambda - eta) < 0
     (["gefp", "--N", "3", "--r", "2,3", "--lambda", "0", "--eta", "0.3",
       "--engine", "jets", "--backend", "float"], "NonphysicalWeights"),
-], ids=["exact-c", "jets-degenerate", "residue-degenerate", "efp-jets-degenerate",
+], ids=["jets-degenerate", "residue-degenerate", "efp-jets-degenerate",
         "jets-nonphysical"])
-def test_computation_error_exits_3_with_class_name(capsys, argv, name):
+def test_bad_weights_exit_3_with_class_name(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith(f"error: {name}:")
