@@ -9,6 +9,7 @@ float matrices use partially pivoted elimination.
 import math
 from fractions import Fraction
 from itertools import product
+from operator import le
 
 from mpmath import mp
 
@@ -92,6 +93,25 @@ def perm_sign(p) -> int:
 
 
 # ---------------------------------------------------------------------------
+# univariate products
+
+def _convolve(a, b, size, zero):
+    """The first ``size`` coefficients of the product of coefficient lists.
+
+    Each coefficient is summed over the nonzero entries of ``a`` in order,
+    skipping zero entries of ``b``.
+    """
+    out = [zero] * size
+    for i, x in enumerate(a[:size]):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[:size - i]):
+            if y != 0:
+                out[i + j] += x * y
+    return out
+
+
+# ---------------------------------------------------------------------------
 # univariate jets (truncated Taylor expansions around a base point)
 
 class Jet:
@@ -153,16 +173,8 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet([a * other for a in self.coeffs], self.order)
-        n = self.order
-        out = [self.coeffs[0] * 0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return Jet(out, n)
+        return Jet(_convolve(self.coeffs, other.coeffs, self.order + 1,
+                             self.coeffs[0] * 0), self.order)
 
     __rmul__ = __mul__
 
@@ -252,14 +264,9 @@ class UniPoly:
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             return UniPoly([c * other for c in self.coeffs])
-        out = [self.coeffs[0] * other.coeffs[0] * 0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly(_convolve(self.coeffs, other.coeffs,
+                                 len(self.coeffs) + len(other.coeffs) - 1,
+                                 self.coeffs[0] * other.coeffs[0] * 0))
 
     __rmul__ = __mul__
 
@@ -413,28 +420,7 @@ class TruncatedSeries:
             return TruncatedSeries(self.caps, self.zero, [a * other for a in self.data])
         if other.caps != self.caps:
             raise ValueError("cap mismatch")
-        a, b = self, other
-        a_items = list(a.items())
-        b_items = list(b.items())
-        if len(b_items) < len(a_items):
-            a_items, b_items = b_items, a_items
-        out = TruncatedSeries(self.caps, self.zero)
-        caps = self.caps
-        strides = self._strides
-        data = out.data
-        for i1, v1 in a_items:
-            for i2, v2 in b_items:
-                off = 0
-                ok = True
-                for x, y, c, s in zip(i1, i2, caps, strides):
-                    t = x + y
-                    if t > c:
-                        ok = False
-                        break
-                    off += t * s
-                if ok:
-                    data[off] = data[off] + v1 * v2
-        return out
+        return self._mul_factor(range(self.nvars), other.items())
 
     __rmul__ = __mul__
 
@@ -451,55 +437,58 @@ class TruncatedSeries:
     def _mul_factor(self, axes, factor):
         """Product with a factor in the variables ``axes``, by flat offset.
 
-        ``factor`` yields (exponents, coefficient) pairs.  The result equals
-        ``self`` times the factor embedded in this cap box, with every
-        coefficient summed in the order ``__mul__`` uses: over the operand
-        with fewer nonzeros, in flat order.  The partners of one target run
-        in opposite flat orders, so walking this series' nonzeros backwards
-        gives the factor's order.
+        ``factor`` yields (exponents, coefficient) pairs; the result is
+        ``self`` times the factor embedded in this cap box.  Each coefficient
+        starts at ``zero`` and adds its terms over the operand with fewer
+        nonzeros (this series on a tie), in that operand's flat order.  The
+        partners of one target run in opposite flat orders, so walking this
+        series' nonzeros backwards gives the factor's order.
         """
         caps = [self.caps[a] for a in axes]
         strides = [self._strides[a] for a in axes]
         terms = [(sum(e * st for e, st in zip(exps, strides)), exps, v)
                  for exps, v in factor
                  if v != 0 and all(e <= c for e, c in zip(exps, caps))]
-        # the factor terms that fit beside an entry, keyed by its coordinates on axes
-        partners = {coords: [(shift, v) for shift, exps, v in terms
-                             if all(x + e <= c for x, e, c in zip(coords, exps, caps))]
-                    for coords in product(*[range(c + 1) for c in caps])}
         items = [(o, x) for o, x in enumerate(self.data) if x != 0]
         if len(terms) < len(items):
             items.reverse()
+        partners = {}        # room left on axes -> the factor terms that fit there
         out = TruncatedSeries(self.caps, self.zero)
         data = out.data
         for o, x in items:
-            coords = tuple(o // st % (c + 1) for st, c in zip(strides, caps))
-            for shift, v in partners[coords]:
+            room = tuple(c - o // st % (c + 1) for st, c in zip(strides, caps))
+            fits = partners.get(room)
+            if fits is None:
+                fits = partners[room] = [(shift, v) for shift, exps, v in terms
+                                         if all(map(le, exps, room))]
+            for shift, v in fits:
                 data[o + shift] = data[o + shift] + x * v
         return out
 
     def invert(self):
-        """Multiplicative inverse; requires nonzero constant coefficient."""
+        """Multiplicative inverse; requires nonzero constant coefficient.
+
+        Entries are filled in flat order.  Each one starts at ``zero`` and
+        adds, over this series' nonzero non-constant entries in flat order,
+        the entry times the inverse's nonzero entry at the offset difference.
+        """
         c0 = self.data[0]
         if c0 == 0:
             raise NotInvertible("series has zero constant term")
-        inv0 = 1 / c0
         out = TruncatedSeries(self.caps, self.zero)
-        out.data[0] = inv0
-        nz = [(idx, v) for idx, v in self.items() if any(idx)]
-        order = sorted(product(*[range(c + 1) for c in self.caps]),
-                       key=lambda t: (sum(t), t))
-        for idx in order:
-            if not any(idx):
+        data = out.data
+        inv0 = data[0] = 1 / c0
+        nz = [(self._offset(idx), idx, v) for idx, v in self.items() if any(idx)]
+        for o, idx in enumerate(product(*[range(c + 1) for c in self.caps])):
+            if o == 0:
                 continue
             acc = self.zero
-            for i1, v1 in nz:
-                if all(a <= b for a, b in zip(i1, idx)):
-                    rem = tuple(b - a for a, b in zip(i1, idx))
-                    g = out.data[out._offset(rem)]
+            for shift, exps, v in nz:
+                if all(map(le, exps, idx)):
+                    g = data[o - shift]
                     if g != 0:
-                        acc = acc + v1 * g
-            out.data[out._offset(idx)] = -acc * inv0
+                        acc = acc + v * g
+            data[o] = -acc * inv0
         return out
 
     def substitute_value(self, var, value):

@@ -33,7 +33,7 @@ from mpmath import mp
 from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs
 from .backends import EXACT, FLOAT, format_scalar, is_exact_scalar, to_float
 from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
-from .hfun import OmegaRho, build_h_tables, h_polynomial
+from .hfun import OmegaRho, build_h_tables, h_polynomial, reflect_substitute
 from .ik import PhiJet, k_polynomial
 from .oracle import CorrelationResult, YoungProfile, WeightGrid, gefp_oracle
 from .params import (VertexWeights, delta_t_from_trig, lambda_eta_from_delta_t,
@@ -114,14 +114,18 @@ def _cached(cache, key, build):
     return hit
 
 
-def residue_workspace(N, s, delta, t, backend=EXACT, *, lam=None, eta=None,
+def residue_workspace(N, s, delta, t, backend=EXACT, *,
                       allow_nonphysical=True) -> IntegrandSeries:
     """Cached integrand expansion for one (N, s, parameter) combination.
 
-    Physicality is checked before the cache lookup, so a strict call cannot
-    read an entry that a permissive call built at the same point.
+    The exact backend takes rational (delta, t) only.  The float backend
+    derives (lambda, eta) for its h tables from the (delta, t) it is cached
+    under.  Physicality is checked before the cache lookup, so a strict call
+    cannot read an entry that a permissive call built at the same point.
     """
     if backend == EXACT:
+        if not (is_exact_scalar(delta) and is_exact_scalar(t)):
+            raise Unsupported("the exact residue engine needs rational delta and t")
         delta, t = Fraction(delta), Fraction(t)
         key = (N, s, EXACT, delta, t)
     else:
@@ -129,17 +133,16 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, lam=None, eta=None,
         key = (N, s, FLOAT) + _float_key(delta, t)
     if not allow_nonphysical:
         VertexWeights.from_delta_t(delta, t)            # raises NonphysicalWeights
-    return _cached(_workspace_cache, key, lambda: _build_integrand_series(
-        N, s, delta, t, backend, lam, eta))
+    return _cached(_workspace_cache, key,
+                   lambda: _build_integrand_series(N, s, delta, t, backend))
 
 
-def _build_integrand_series(N, s, delta, t, backend, lam, eta):
+def _build_integrand_series(N, s, delta, t, backend):
     if backend == EXACT:
         tables = build_h_tables(N, s, delta=delta, t=t, backend=EXACT)
         zero = Fraction(0)
     else:
-        if lam is None or eta is None:
-            lam, eta = lambda_eta_from_delta_t(delta, t)
+        lam, eta = lambda_eta_from_delta_t(delta, t)
         tables = build_h_tables(N, s, lam=lam, eta=eta, backend=FLOAT)
         zero = mp.mpf(0)
     h = h_polynomial(tables, N, s)
@@ -152,18 +155,22 @@ def gefp_residue(N, profile: YoungProfile, delta=None, t=None, backend=EXACT, *,
 
     Exact backend: (delta, t) rational, h tables from the enumeration
     oracle.  Float backend: h tables from the K-polynomial contraction at
-    (lambda, eta), derived from (delta, t) when not given.
+    the (lambda, eta) derived from (delta, t).  (lambda, eta) may stand in
+    for (delta, t) on the float backend; giving both pairs is refused.
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
-    if backend == FLOAT and delta is None:
-        if lam is None or eta is None:
-            raise Unsupported("float residue engine needs (delta,t) or (lambda,eta)")
-        delta, t = delta_t_from_trig(lam, eta)
+    if lam is not None or eta is not None:
+        if delta is not None or t is not None:
+            raise Unsupported("give the residue engine (delta,t) or (lambda,eta), not both")
+        if backend == FLOAT and lam is not None and eta is not None:
+            delta, t = delta_t_from_trig(lam, eta)
+    if backend == FLOAT and (delta is None or t is None):
+        raise Unsupported("float residue engine needs (delta,t) or (lambda,eta)")
     if profile.s == 0:
         one = Fraction(1) if backend == EXACT else mp.mpf(1)
         return CorrelationResult(one, "residue", backend, {"N": N, "r": []})
-    ws = residue_workspace(N, profile.s, delta, t, backend, lam=lam, eta=eta,
+    ws = residue_workspace(N, profile.s, delta, t, backend,
                            allow_nonphysical=allow_nonphysical)
     value = ws.gefp(profile)
     return CorrelationResult(
@@ -490,23 +497,13 @@ def _pole_term_series(ws, N, s, r, j, spect, delta, t, lin):
         const /= t2
         series = series / jet([-v, one])
         shift -= 1
-    # h with the last variable at the pole, spectators substituted
+    # h with the spectators substituted (descending so indices stay valid),
+    # leaving (z_j, z_s), then z_s at the pole and cleared by z_j^(N-1)
     hsub = ws.h
-    # collapse spectator axes (descending so indices stay valid)
     for jp in sorted(spect, reverse=True):
         hsub = hsub.substitute_value(jp, spect[jp])
-    # hsub now depends on (z_j, z_s); axis 0 is z_j, axis 1 is z_s
-    hl = [Fraction(0)] * (cap + 1)
-    nm1 = N - 1
-    for idx, v in hsub.items():
-        mj, d = idx
-        base = v / t2 ** d
-        for q in range(d + 1):
-            deg = mj + (nm1 - d) + q
-            if deg <= cap:
-                hl[deg] += base * math.comb(d, q) * two_dt ** q * (-one) ** (d - q)
-    shift += nm1
-    series = series * jet(hl) * const
+    shift += N - 1
+    series = series * jet(reflect_substitute(hsub, 0, delta, t).data) * const
     # with r_s = N the clearings cancel exactly
     assert shift == N - r[-1]
     return series, shift

@@ -317,7 +317,6 @@ class NaiveEnumeration:
 
     reduced_sum: object          # Z / c^N
     config_count: int
-    type_counts: list            # summed over configurations, index 0 unused
     parity_ok: bool              # n5 == n6 + N in every configuration
 
 
@@ -341,7 +340,6 @@ def enumerate_naive(grid: WeightGrid, marks=None) -> NaiveEnumeration:
     zero = grid._one * 0
     total = zero
     count = 0
-    type_counts = [0] * 7
     parity_ok = True
     free_h = [(j, k) for j in range(n) for k in range(1, n)]
     free_v = [(i, k) for i in range(1, n) for k in range(n)]
@@ -388,13 +386,7 @@ def enumerate_naive(grid: WeightGrid, marks=None) -> NaiveEnumeration:
         total = total + w
         if n5 != n6 + n:
             parity_ok = False
-        cfg_types = [0] * 7
-        for j in range(n):
-            for k in range(n):
-                cfg_types[_VERTEX_TYPES[(h[j][k + 1], h[j][k], v[j][k], v[j + 1][k])]] += 1
-        for t in range(1, 7):
-            type_counts[t] += cfg_types[t]
-    return NaiveEnumeration(total, count, type_counts, parity_ok)
+    return NaiveEnumeration(total, count, parity_ok)
 
 
 def all_profiles(N, s=None):

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .backends import EXACT, FLOAT, is_exact_scalar
+from .backends import EXACT, FLOAT, is_exact_scalar, to_float
 from .errors import DivisionByZero, DuplicateRapidity, NonphysicalWeights, Unsupported
 
 
@@ -191,9 +191,10 @@ def lambda_eta_from_delta_t(delta, t):
     """Invert (Delta, t) to a homogeneous trig point (lambda, eta).
 
     Requires |Delta| < 1 (the trigonometric regime); lambda is chosen in
-    (0, pi) so the weights come out positive for physical inputs.
+    (0, pi) so the weights come out positive for physical inputs.  A
+    rational input is rounded once to the working precision.
     """
-    delta, t = mp.mpf(delta), mp.mpf(t)
+    delta, t = to_float(delta), to_float(t)
     if not abs(delta) < 1:
         raise Unsupported(f"trig parametrization needs |Delta| < 1, got {delta}")
     eta = mp.acos(delta) / 2

@@ -218,6 +218,98 @@ def test_mul_pair_and_mul_axis_equal_brute_force_convolution(ordered):
             *[range(c + 1) for c in caps]))
 
 
+def _random_float(rng):
+    """A full-width 128-bit mantissa at a random scale, so sums depend on order."""
+    return mp.ldexp(mp.mpf(rng.getrandbits(128) - 2 ** 127), -127 - rng.randint(0, 30))
+
+
+def _random_float_series(rng, caps, density):
+    f = TruncatedSeries(caps, mp.mpf(0))
+    f.data = [_random_float(rng) if rng.random() < density else mp.mpf(0)
+              for _ in f.data]
+    return f
+
+
+def _box(caps):
+    return list(product(*[range(c + 1) for c in caps]))
+
+
+def _ordered_series_product(f, g):
+    """f * g: each coefficient summed over the operand with fewer nonzeros
+    (f on a tie), in its flat order, skipping zero partners."""
+    a, b = (g, f) if len(list(g.items())) < len(list(f.items())) else (f, g)
+    out = []
+    for tgt in _box(f.caps):
+        acc = f.zero
+        for idx, v in a.items():
+            if all(i <= t for i, t in zip(idx, tgt)):
+                w = b.coeff(tuple(t - i for i, t in zip(idx, tgt)))
+                if w != 0:
+                    acc = acc + (v * w if a is f else w * v)
+        out.append(acc)
+    return out
+
+
+def _ordered_series_inverse(f):
+    """1/f filled in graded order; each entry summed over f's nonzero
+    non-constant entries in flat order, skipping zero inverse entries."""
+    inv0 = 1 / f.data[0]
+    out = {(0,) * f.nvars: inv0}
+    for tgt in sorted(_box(f.caps), key=lambda t: (sum(t), t))[1:]:
+        acc = f.zero
+        for idx, v in f.items():
+            if any(idx) and all(i <= t for i, t in zip(idx, tgt)):
+                w = out[tuple(t - i for i, t in zip(idx, tgt))]
+                if w != 0:
+                    acc = acc + v * w
+        out[tgt] = -acc * inv0
+    return [out[tgt] for tgt in _box(f.caps)]
+
+
+def _ordered_convolution(a, b, size, zero):
+    """First ``size`` product coefficients, each summed over a's index in order."""
+    out = []
+    for m in range(size):
+        acc = zero
+        for i in range(min(m + 1, len(a))):
+            if m - i < len(b) and a[i] != 0 and b[m - i] != 0:
+                acc = acc + a[i] * b[m - i]
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["series", "jet", "unipoly"])
+def test_float_products_and_inverse_sum_in_documented_order(kind):
+    rng = random.Random({"series": 21, "jet": 22, "unipoly": 23}[kind])
+    with mp.workprec(128):
+        for _ in range(25):
+            sparse, dense = rng.choice([0.15, 0.3]), rng.choice([0.7, 1.0])
+            if kind == "series":
+                caps = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+                f = _random_float_series(rng, caps, sparse)
+                g = _random_float_series(rng, caps, dense)
+                for x, y in ((f, g), (g, f)):
+                    assert repr((x * y).data) == repr(_ordered_series_product(x, y))
+                for x in (f, g):
+                    x.data[0] = _random_float(rng)
+                    assert repr(x.invert().data) == repr(_ordered_series_inverse(x))
+                continue
+            # sums of three or more terms are needed to see the order
+            n = rng.randint(3, 10)
+            f = [_random_float(rng) if rng.random() < 2 * sparse else mp.mpf(0)
+                 for _ in range(n)]
+            g = [_random_float(rng) if rng.random() < dense else mp.mpf(0)
+                 for _ in range(rng.randint(3, 10) if kind == "unipoly" else n)]
+            f[0] = _random_float(rng)
+            for x, y in ((f, g), (g, f)):
+                if kind == "jet":
+                    want = _ordered_convolution(x, y, n, x[0] * 0)
+                    assert repr(Jet(x) * Jet(y)) == repr(Jet(want))
+                else:
+                    want = _ordered_convolution(x, y, len(x) + len(y) - 1, x[0] * y[0] * 0)
+                    assert repr(UniPoly(x) * UniPoly(y)) == repr(UniPoly(want))
+
+
 def test_geometric_inverse_coeffs():
     # (z-1)^(-2) = 1 + 2z + 3z^2 + ...
     assert geometric_inverse_coeffs(2, 3, Fraction(1)) == [1, 2, 3, 4]

@@ -191,6 +191,35 @@ def test_workspaces_keyed_by_precision_and_exact_value():
         assert gefp_residue(4, prof, delta, t, "float").value == cold_residue
 
 
+def test_float_residue_workspace_depends_on_delta_t_alone():
+    with mp.workprec(128):
+        lam, eta = mp.mpf("1.1"), mp.mpf("0.35")
+        delta, t = delta_t_from_trig(lam, eta)
+        prof = YoungProfile(4, (2, 4))
+        gefp._workspace_cache.clear()
+        cold = gefp_residue(4, prof, delta, t, "float").value
+        gefp._workspace_cache.clear()
+        via_trig = gefp_residue(4, prof, lam=lam, eta=eta, backend="float").value
+        assert via_trig == cold
+        assert gefp_residue(4, prof, delta, t, "float").value == cold
+        with pytest.raises(Unsupported):
+            gefp_residue(4, prof, delta, t, "float", lam=lam, eta=eta)
+
+
+def test_exact_residue_refuses_float_scalars():
+    with pytest.raises(Unsupported):
+        gefp_residue(3, YoungProfile(3, (2,)), mp.mpf(1) / 3, mp.mpf(3) / 4)
+    with pytest.raises(Unsupported):
+        residue_workspace(3, 1, Fraction(1, 3), 0.75)
+
+
+def test_jets_efp_takes_rational_delta_t():
+    with mp.workprec(128):
+        rational = efp_special_case(3, 2, 2, "jets", delta=Fraction(1, 3), t=Fraction(3, 4))
+        rounded = efp_special_case(3, 2, 2, "jets", delta=mp.mpf(1) / 3, t=mp.mpf(3) / 4)
+        assert rational.value == rounded.value
+
+
 def test_jets_full_row_is_one():
     with mp.workprec(128):
         val = gefp_determinant_jets(4, YoungProfile(4, (4,)), mp.mpf("1.2"),
@@ -206,8 +235,7 @@ def test_jets_matches_residue_through_parameter_conversion():
             for n in (1, 2, 3, 4):
                 for prof in all_profiles(n):
                     jv = gefp_determinant_jets(n, prof, lam, eta).value
-                    rv = gefp_residue(n, prof, delta, t, "float",
-                                      lam=lam, eta=eta).value
+                    rv = gefp_residue(n, prof, delta, t, "float").value
                     assert abs(jv - rv) <= mp.mpf("1e-14") * max(1, abs(rv))
         # N = 5 spot checks, including a full-length profile
         lam, eta = mp.mpf("1.1"), mp.mpf("0.35")
@@ -215,7 +243,7 @@ def test_jets_matches_residue_through_parameter_conversion():
         for r in ((3, 5), (2, 3, 4), (1, 2, 3, 4, 5)):
             prof = YoungProfile(5, r)
             jv = gefp_determinant_jets(5, prof, lam, eta).value
-            rv = gefp_residue(5, prof, delta, t, "float", lam=lam, eta=eta).value
+            rv = gefp_residue(5, prof, delta, t, "float").value
             assert abs(jv - rv) <= mp.mpf("1e-14") * max(1, abs(rv))
 
 
@@ -258,8 +286,7 @@ def test_efp_equal_positions_match_jets_engine():
         lam, eta = mp.mpf("1.2"), mp.mpf("0.3")
         delta, t = delta_t_from_trig(lam, eta)
         jv = efp_special_case(4, 2, 3, "jets", lam=lam, eta=eta).value
-        rv = gefp_residue(4, YoungProfile(4, (3, 3)), delta, t, "float",
-                          lam=lam, eta=eta).value
+        rv = gefp_residue(4, YoungProfile(4, (3, 3)), delta, t, "float").value
         assert abs(jv - rv) <= mp.mpf("1e-14") * max(1, abs(rv))
 
 
