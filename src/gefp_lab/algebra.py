@@ -513,34 +513,34 @@ class TruncatedSeries:
         return best
 
     def divide_linear(self, j, k):
-        """Exact division by (z_j - z_k); raises NotDivisible on a remainder."""
-        d_top = self.caps[j]
-        layers = [dict() for _ in range(d_top + 1)]
-        for idx, v in self.items():
-            key = tuple(0 if i == j else x for i, x in enumerate(idx))
-            layers[idx[j]][key] = layers[idx[j]].get(key, self.zero) + v
-        quot_layers = [None] * d_top
-        cur = dict(layers[d_top])
-        for d in range(d_top, 0, -1):
-            quot_layers[d - 1] = cur
-            nxt = dict(layers[d - 1])
-            for idx, v in cur.items():
-                # transient entries beyond the cap box are fine; they cancel
-                idx2 = tuple(x + 1 if i == k else x for i, x in enumerate(idx))
-                nxt[idx2] = nxt.get(idx2, self.zero) + v
-            cur = nxt
-        for idx, v in cur.items():
-            if v != 0:
-                raise NotDivisible(f"nonzero remainder at {idx}: {v}")
+        """Exact quotient by (z_j - z_k), j < k, on the same caps.
+
+        D = (z_j - z_k) q gives q[b] = D[b + e_j] + q[b + e_j - e_k].  The
+        flat data is walked backwards, each entry adding the one at offset
+        stride_j - stride_k above it, so w[b + e_j] = q[b] and the z_j-degree
+        0 layer of w is the remainder.  A quotient entry at z_k-degree
+        caps[k] would put its product past the caps.  Both must vanish:
+        exactly for exact values, and within 2^(32-prec) max|D| for floats.
+        """
+        if not j < k:
+            raise ValueError(f"divide_linear needs j < k, got {j}, {k}")
+        sj, sk = self._strides[j], self._strides[k]
+        cj, ck = self.caps[j], self.caps[k]
+        w = list(self.data)
+        for o in reversed(range(len(w))):
+            if o // sk % (ck + 1) and o // sj % (cj + 1) < cj:
+                w[o] = w[o] + w[o + sj - sk]
+        tol = 0 if is_exact_scalar(self.zero) else (
+            mp.mpf(2) ** (32 - mp.prec) * max(abs(x) for x in self.data))
         out = TruncatedSeries(self.caps, self.zero)
-        for d in range(d_top):
-            for idx, v in quot_layers[d].items():
-                if v == 0:
-                    continue
-                if any(x > c for x, c in zip(idx, self.caps)) or d > self.caps[j]:
-                    raise NotDivisible(f"quotient coefficient outside caps at {idx}")
-                full = tuple(d if i == j else x for i, x in enumerate(idx))
-                out.data[out._offset(full)] = out.data[out._offset(full)] + v
+        for o, x in enumerate(w):
+            top = o // sj % (cj + 1)
+            if top and o // sk % (ck + 1) < ck:
+                out.data[o - sj] = x
+            elif abs(x) > tol:
+                where = "remainder" if top == 0 else "quotient past the caps"
+                idx = tuple(o // st % (c + 1) for st, c in zip(self._strides, self.caps))
+                raise NotDivisible(f"nonzero {where} at {idx}: {x}")
         return out
 
     def __repr__(self):

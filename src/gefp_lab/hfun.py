@@ -2,8 +2,10 @@
 
 H_N^(r) is the probability that the unique c-vertex of the top row sits r
 columns from the right; h_N(z) = sum_r H_N^(r) z^(r-1) is its generating
-polynomial, and h_{N,s} the s-variable symmetric extension entering the
-residue engine.
+polynomial, and h_{N,s}(z) = det[f_k(z_j)] / prod_{j<k} (z_j - z_k) the
+s-variable symmetric extension entering the residue engine, with the column
+polynomials f_k(z) = z^k (z-1)^(s-1-k) h_{N-k}(z).  ``h_polynomial`` expands
+it by exact division, ``h_multivariate`` evaluates it at a point.
 
 Sign convention, pinned against the enumeration oracle: contracting the
 K-polynomial of degree N-1 with the expansion of omega^(N-r) rho^N yields
@@ -19,14 +21,12 @@ verbatim and reproduces the oracle, as do all downstream engines.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
 
 from mpmath import mp
 
-from .algebra import Jet, TruncatedSeries, UniPoly, det, perm_sign
+from .algebra import Jet, TruncatedSeries, UniPoly, det
 from .backends import EXACT, FLOAT
-from .errors import (BadIndex, BranchPole, DuplicateRapidity, NotDivisible,
-                     Unsupported)
+from .errors import BadIndex, BranchPole, DuplicateRapidity, Unsupported
 from .ik import (a_fn, b_fn, homogeneous_partition_jets, k_polynomial,
                  partially_inhomogeneous_partition)
 from .oracle import WeightGrid, boundary_distribution_oracle
@@ -184,134 +184,51 @@ def _columns(tables, N, s):
     return cols
 
 
-def _interp_nodes(s, j, count, exact):
-    """count distinct nodes for variable j, collision-free across variables."""
-    if exact:
-        off = Fraction(j + 1, s + 1)
-        return [off + i for i in range(count)]
-    off = mp.mpf(j + 1) / (s + 1)
-    return [off + i for i in range(count)]
-
-
-def _newton_coeffs(xs, ys):
-    """Monomial coefficients of the interpolating polynomial through (xs, ys)."""
-    n = len(xs)
-    zero = ys[0] * 0
-    dd = list(ys)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
-    # Horner expansion of the Newton form
-    coeffs = [dd[n - 1]]
-    for i in range(n - 2, -1, -1):
-        nxt = [zero] * (len(coeffs) + 1)
-        for m, cm in enumerate(coeffs):
-            nxt[m + 1] += cm
-            nxt[m] -= cm * xs[i]
-        nxt[0] += dd[i]
-        coeffs = nxt
-    return coeffs + [zero] * (n - len(coeffs))
-
-
-def _raw_h_value(matrix, z):
-    """det[f_k(z_j)] / prod_{j<k} (z_j - z_k) at pairwise-distinct z."""
-    vdm = None
-    for j in range(len(z)):
-        for k in range(j + 1, len(z)):
-            f = z[j] - z[k]
-            vdm = f if vdm is None else vdm * f
-    d = det(matrix)
-    return d if vdm is None else d / vdm
-
-
-def h_polynomial(tables, N, s, method="interpolate") -> TruncatedSeries:
+def h_polynomial(tables, N, s) -> TruncatedSeries:
     """The s-variable h as an explicit polynomial (caps N-1 per variable).
 
-    ``interpolate`` builds the s column polynomials f_k once, evaluates each
-    at the N nodes of every variable (s*N evaluations per variable), takes
-    the N^s determinants det[f_k(z_j)] of size s x s on the collision-free
-    tensor grid, divides each by its Vandermonde product, interpolates the
-    values to monomial coefficients and re-checks one off-grid point.
-    ``divide`` expands the numerator determinant and divides out the
-    Vandermonde factors exactly, asserting zero remainders.
+    A subset recursion over the used columns of det[f_k(z_j)], with f_k from
+    ``_columns``.  Step m adds the variable z_m with an unused column c,
+    signed by -1 to the number of used columns greater than c; each used
+    set's terms go into one series, which is then divided exactly by
+    (z_i - z_m) for every i < m.  So every level holds minor/Vandermonde, of
+    degree at most N+s-2-m per variable, and the last level is h.
     """
-    some = tables[N].values[0]
-    exact = not isinstance(some, mp.mpf)
-    zero = some * 0
-    caps = [N - 1] * s
     if s > N:
         raise BadIndex(f"s={s} exceeds N={N}")
-    cols = _columns(tables, N, s)
-    if method == "divide":
-        return _h_poly_divide(cols, N, s, zero)
-    # tensor grid evaluation; row j of each matrix depends on z_j alone
-    nodes = [_interp_nodes(s, j, N, exact) for j in range(s)]
-    rows = [[[col(x) for col in cols] for x in nodes[j]] for j in range(s)]
-    size = N ** s
-    values = []
-    grid_scale = zero + 1
-    for idx in product(range(N), repeat=s):
-        values.append(_raw_h_value([rows[j][i] for j, i in enumerate(idx)],
-                                   [nodes[j][i] for j, i in enumerate(idx)]))
-        grid_scale = max(grid_scale, abs(values[-1]))
-    # axis-by-axis interpolation to monomial coefficients
-    for axis in range(s):
-        stride = N ** (s - 1 - axis)
-        block = stride * N
-        for base in range(0, size, block):
-            for off in range(stride):
-                ys = [values[base + off + i * stride] for i in range(N)]
-                cs = _newton_coeffs(nodes[axis], ys)
-                for i in range(N):
-                    values[base + off + i * stride] = cs[i]
-    out = TruncatedSeries(caps, zero, values)
-    # off-grid consistency check of the reconstruction
-    probe = [_interp_nodes(s, j, N + 1, exact)[N] + (Fraction(1, s + 2) if exact
-             else mp.mpf(1) / (s + 2)) for j in range(s)]
-    direct = _raw_h_value([[col(x) for col in cols] for x in probe], probe)
-    interp = _eval_series(out, probe)
-    if exact:
-        ok = direct == interp
-    else:
-        # reconstruction noise scales with the largest value met on the grid
-        # and with the probe value itself
-        tol = mp.mpf(2) ** (32 - mp.prec) * (grid_scale + abs(direct) + 1)
-        ok = abs(direct - interp) <= tol
-    if not ok:
-        raise NotDivisible("interpolated h fails the off-grid consistency check")
-    return out
-
-
-def _eval_series(series: TruncatedSeries, z):
-    total = series.zero
-    for idx, v in series.items():
-        term = v
-        for j, m in enumerate(idx):
-            for _ in range(m):
-                term = term * z[j]
-        total = total + term
-    return total
-
-
-def _h_poly_divide(cols, N, s, zero):
-    bigcaps = [N + s - 2] * s
-    acc = TruncatedSeries(bigcaps, zero)
-    for p in permutations(range(s)):
-        sgn = perm_sign(p)
-        term = TruncatedSeries.constant(bigcaps, zero + sgn, zero)
-        for j in range(s):
-            term = term.mul_axis(j, cols[p[j]].coeffs)
-        acc = acc + term
-    for j in range(s):
-        for k in range(j + 1, s):
-            acc = acc.divide_linear(j, k)
-    caps = [N - 1] * s
-    out = TruncatedSeries(caps, zero)
-    for idx, v in acc.items():
-        if any(x > N - 1 for x in idx):
-            raise NotDivisible(f"h has unexpected degree at {idx}")
-        out.set_coeff(idx, v)
-    return out
+    zero = tables[N].values[0] * 0
+    cols = [[(e, y) for e, y in enumerate(col.coeffs) if y != 0]
+            for col in _columns(tables, N, s)]
+    top = N + s - 2                      # degree of f_0, the largest column
+    level = {0: [zero + 1]}              # used columns -> minor/Vandermonde data
+    for m in range(s):
+        caps = [top + 1 - m] * m + [top]
+        nxt = {}
+        for used in range(1 << s):
+            if bin(used).count("1") != m + 1:
+                continue
+            acc = [zero] * ((top + 2 - m) ** m * (top + 1))
+            for c in range(s):
+                if not used >> c & 1:
+                    continue
+                odd = bin(used >> (c + 1)).count("1") % 2
+                for o, x in enumerate(level[used ^ (1 << c)]):
+                    if x != 0:
+                        x = -x if odd else x
+                        for e, y in cols[c]:
+                            acc[o * (top + 1) + e] += x * y
+            minor = TruncatedSeries(caps, zero, acc)
+            for i in range(m):
+                minor = minor.divide_linear(i, m)
+            # each exact division lowers the degree in both its variables by
+            # one, so nothing but float noise lies above degree top - m
+            kept = TruncatedSeries([top - m] * (m + 1), zero)
+            for idx, v in minor.items():
+                if max(idx) <= top - m:
+                    kept.set_coeff(idx, v)
+            nxt[used] = kept.data
+        level = nxt
+    return TruncatedSeries([N - 1] * s, zero, level[(1 << s) - 1])
 
 
 def h_multivariate(tables, N, s, z):

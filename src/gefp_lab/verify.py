@@ -188,7 +188,7 @@ def criterion_5(level="desk"):
     for n in range(2, n_max + 1):
         for s in range(2, n + 1):
             tables = build_h_tables(n, s, delta=delta, t=t, backend=EXACT)
-            h = h_polynomial(tables, n, s, method="divide")
+            h = h_polynomial(tables, n, s)
             for v in range(s):
                 if h.max_degree(v) > n - 1:
                     deg_ok = False
@@ -199,7 +199,7 @@ def criterion_5(level="desk"):
                     sym_ok = False
             # specialization at z_s = 1
             tables_red = build_h_tables(n, s - 1, delta=delta, t=t, backend=EXACT)
-            h_red = h_polynomial(tables_red, n, s - 1, method="divide")
+            h_red = h_polynomial(tables_red, n, s - 1)
             spec = h.substitute_value(s - 1, Fraction(1))
             for idx, val in h_red.items():
                 if spec.coeff(idx) != val:

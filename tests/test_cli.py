@@ -146,6 +146,17 @@ def test_nonphysical_jets_agrees_with_residue(capsys):
         assert abs(jv - rv) <= mp.mpf(2) ** (20 - prec) * abs(rv)
 
 
+def test_float_residue_at_n6_s5_is_one(capsys):
+    # r_s = N drops the last row without changing the value, down to s = 0
+    code, out, _ = run_cli(capsys, "gefp", "--N", "6", "--r", "6,6,6,6,6",
+                           "--delta", "1/3", "--t", "3/4", "--backend", "float")
+    assert code == 0
+    rec = json.loads(out)
+    prec = rec["precision_bits"]
+    with mp.workprec(prec):
+        assert abs(mp.mpf(rec["value"]) - 1) <= mp.mpf(2) ** (16 - prec)
+
+
 def test_duplicate_rapidity_exits_3(capsys):
     code, _, err = run_cli(capsys, "partition", "--N", "2", "--backend", "float",
                            "--engine", "ik", "--lambdas", "0.3,0.3",

@@ -126,36 +126,42 @@ def test_h_multivariate_specialization_at_one():
     assert left == right
 
 
+def _evaluate(series, z):
+    total = Fraction(0)
+    for idx, v in series.items():
+        for val, m in zip(z, idx):
+            v *= val ** m
+        total += v
+    return total
+
+
 def test_h_multivariate_confluent_matches_polynomial():
     tabs = build_h_tables(4, 3, delta=Fraction(1, 3), t=Fraction(3, 4))
     hp = h_polynomial(tabs, 4, 3)
     z = [Fraction(2, 5), Fraction(2, 5), Fraction(-1, 3)]
-    direct = h_multivariate(tabs, 4, 3, z)
-    ev = Fraction(0)
-    for idx, v in hp.items():
-        term = v
-        for val, m in zip(z, idx):
-            term *= val ** m
-        ev += term
-    assert direct == ev
+    assert h_multivariate(tabs, 4, 3, z) == _evaluate(hp, z)
     # fully coincident arguments at 1 collapse through the specialization chain
     assert h_multivariate(tabs, 4, 3, [Fraction(1)] * 3) == 1
 
 
-def test_h_polynomial_divide_equals_interpolate():
+def test_h_polynomial_matches_pointwise_determinant():
+    rng = random.Random(7)
     for (n, s) in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 4), (5, 3)):
         tabs = build_h_tables(n, s, delta=Fraction(2, 5), t=Fraction(5, 6))
-        hd = h_polynomial(tabs, n, s, method="divide")
-        hi = h_polynomial(tabs, n, s, method="interpolate")
-        assert all(hd.coeff(i) == v for i, v in hi.items())
-        assert all(hi.coeff(i) == v for i, v in hd.items())
+        h = h_polynomial(tabs, n, s)
+        for _ in range(4):
+            z = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(s)]
+            assert _evaluate(h, z) == h_multivariate(tabs, n, s, z)
+            # coincident arguments: h_multivariate takes its confluent rows
+            z[rng.randrange(1, s)] = z[0]
+            assert _evaluate(h, z) == h_multivariate(tabs, n, s, z)
 
 
 def test_h_polynomial_degree_bound():
-    # the divide route would raise if any degree exceeded N-1; check through N=5
+    # the subset recursion divides exactly at every level; check through N=5
     for (n, s) in ((3, 2), (4, 3), (4, 4), (5, 2)):
         tabs = build_h_tables(n, s, delta=Fraction(1, 3), t=Fraction(3, 4))
-        h = h_polynomial(tabs, n, s, method="divide")
+        h = h_polynomial(tabs, n, s)
         for var in range(s):
             assert h.max_degree(var) <= n - 1
 

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
-from gefp_lab.backends import EXACT
+from gefp_lab.backends import EXACT, FLOAT, to_float
 from gefp_lab.gefp import gefp_residue
 from gefp_lab.oracle import (WeightGrid, YoungProfile, gefp_oracle,
                              reduced_partition_oracle)
@@ -84,3 +85,18 @@ def test_probability_bounds_at_physical_points(delta, t, profile):
     _grid(delta, t, profile.N)
     value = gefp_residue(profile.N, profile, delta, t, EXACT).value
     assert 0 <= value <= 1
+
+
+@property_settings
+@given(st.fractions(min_value=Fraction(-5, 6), max_value=Fraction(5, 6),
+                    max_denominator=6),
+       st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+       profiles())
+def test_float_residue_matches_exact(delta, t, profile):
+    # |Delta| < 1 (the float engine's trigonometric regime) and t > 0 are
+    # physical; the error is relative, and absolute where the value is 0
+    exact = gefp_residue(profile.N, profile, delta, t, EXACT).value
+    with mp.workprec(128):
+        value = gefp_residue(profile.N, profile, delta, t, FLOAT).value
+        exact = to_float(exact)
+        assert abs(value - exact) <= mp.mpf(2) ** (16 - mp.prec) * (abs(exact) or 1)
