@@ -3,9 +3,11 @@ with domain wall boundary conditions.
 
 Four independent engines compute the generalized emptiness formation
 probability and cross-validate each other at desk scale: direct weighted
-enumeration, the inhomogeneous determinant/recurrence pair, the homogeneous
-operator determinant, and iterated-residue extraction from the multiple
-integral representation.
+enumeration (``oracle``), the inhomogeneous N x N determinant/recurrence
+pair (``inhom``, in ``ik``), the homogeneous s x s K-polynomial operator
+determinant (``jets``), and iterated-residue extraction from the multiple
+integral representation (``residue``).  The homogeneous limit of the
+N x N determinant is computed only in its reduced s x s form, ``jets``.
 """
 
 from .algebra import Jet, TruncatedSeries, UniPoly, det
@@ -20,9 +22,9 @@ from .hfun import (HTable, OmegaRho, boundary_H_table_oracle,
                    boundary_H_table_via_K, build_h_tables, h_multivariate,
                    h_polynomial, h_via_inhomogeneous_Z, kfint_check,
                    reflect_substitute)
-from .ik import (PhiJet, gefp_homogeneous_nxn, gefp_inhom_determinant,
-                 gefp_inhom_recurrence, homogeneous_partition_jets,
-                 ik_partition, k_polynomial, partially_inhomogeneous_partition)
+from .ik import (PhiJet, gefp_inhom_determinant, gefp_inhom_recurrence,
+                 homogeneous_partition_jets, ik_partition, k_polynomial,
+                 partially_inhomogeneous_partition)
 from .oracle import (CorrelationResult, NaiveEnumeration, WeightGrid,
                      YoungProfile, all_profiles, boundary_H_oracle,
                      boundary_distribution_oracle, enumerate_naive,

@@ -504,14 +504,6 @@ class TruncatedSeries:
             out.data[off] = out.data[off] + v * powers[idx[var]]
         return out
 
-    def max_degree(self, var):
-        """Largest degree in ``var`` carrying a nonzero coefficient."""
-        best = -1
-        for idx, _ in self.items():
-            if idx[var] > best:
-                best = idx[var]
-        return best
-
     def divide_linear(self, j, k):
         """Exact quotient by (z_j - z_k), j < k, on the same caps.
 

@@ -284,43 +284,17 @@ def cmd_cutdomain(args):
 
 def cmd_table(args):
     spec = ParamSpec(args)
-    profiles = all_profiles(args.N, args.s)
-    keys = sorted((p.s, p.r) for p in profiles)
-    jobs = [(args.N, r) for (_, r) in keys]
+    profiles = sorted(all_profiles(args.N, args.s), key=lambda p: (p.s, p.r))
     t0 = time.perf_counter()
-    if args.workers > 1:
-        records = _table_parallel(args, jobs)
-    else:
-        records = []
-        for n, r in jobs:
-            profile = YoungProfile(n, r)
-            res = _run_gefp_engine(args, spec, profile)
-            inputs = {"N": n, "r": list(r), **spec.echo()}
-            records.append(_record("table", res.engine, res.backend, inputs,
-                                   res.value, args, 0.0))
+    records = []
+    for profile in profiles:
+        res = _run_gefp_engine(args, spec, profile)
+        inputs = {"N": args.N, "r": list(profile.r), **spec.echo()}
+        records.append(_record("table", res.engine, res.backend, inputs,
+                               res.value, args, 0.0))
     ms = (time.perf_counter() - t0) * 1e3
     _log(f"command=table rows={len(records)} wall_time_ms={ms:.3f}")
     return records
-
-
-def _table_job(payload):
-    argv, n, r = payload
-    args = build_parser().parse_args(argv)
-    _apply_precision(args)
-    spec = ParamSpec(args)
-    profile = YoungProfile(n, r)
-    res = _run_gefp_engine(args, spec, profile)
-    inputs = {"N": n, "r": list(r), **spec.echo()}
-    return _record("table", res.engine, res.backend, inputs, res.value, args, 0.0)
-
-
-def _table_parallel(args, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-    argv = args._argv
-    payloads = [(argv, n, r) for n, r in jobs]
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
-        records = list(pool.map(_table_job, payloads))
-    return records  # jobs were sorted by input key already
 
 
 def _criteria(text):
@@ -340,6 +314,8 @@ def _criteria(text):
 
 def cmd_verify(args):
     t0 = time.perf_counter()
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     numbers = _criteria(args.criteria)
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -438,7 +414,6 @@ def build_parser():
     _add_common(p, profile_flag=False,
                 engines=["residue", "jets", "oracle"], default_engine="residue")
     p.add_argument("--s", type=int, default=None, help="restrict to one profile length")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("verify", help="run the acceptance suites")
     p.add_argument("--level", choices=["desk", "quick"], default="desk")
@@ -473,14 +448,9 @@ COMMANDS = {
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = argv
+    args = build_parser().parse_args(argv)
     try:
         _apply_precision(args)
-        if getattr(args, "workers", 1) < 1:
-            raise UsageError(f"--workers must be at least 1, got {args.workers}")
         if args.command == "verify":
             return cmd_verify(args)
         records = COMMANDS[args.command](args)

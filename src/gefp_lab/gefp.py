@@ -156,7 +156,8 @@ def gefp_residue(N, profile: YoungProfile, delta=None, t=None, backend=EXACT, *,
     Exact backend: (delta, t) rational, h tables from the enumeration
     oracle.  Float backend: h tables from the K-polynomial contraction at
     the (lambda, eta) derived from (delta, t).  (lambda, eta) may stand in
-    for (delta, t) on the float backend; giving both pairs is refused.
+    for (delta, t) on the float backend; giving both pairs is refused.  A
+    blocked profile (some r_j < j) gives an exact 0 on both backends.
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
@@ -172,7 +173,9 @@ def gefp_residue(N, profile: YoungProfile, delta=None, t=None, backend=EXACT, *,
         return CorrelationResult(one, "residue", backend, {"N": N, "r": []})
     ws = residue_workspace(N, profile.s, delta, t, backend,
                            allow_nonphysical=allow_nonphysical)
-    value = ws.gefp(profile)
+    # the exact engine computes its zeros (criterion 6 tests them); a float
+    # extraction would leave rounding noise of either sign in their place
+    value = mp.mpf(0) if backend == FLOAT and profile.blocked else ws.gefp(profile)
     return CorrelationResult(
         value, "residue", backend,
         {"N": N, "r": list(profile.r), "delta": format_scalar(delta),

@@ -10,7 +10,10 @@ production; a finite-difference rebuild exists only as a test oracle).
 Two independent inhomogeneous GEFP engines are provided: the row-reduction
 recurrence, and the expansion of an N x N determinant whose first s columns
 carry shift operators acting on a trailing trigonometric function of
-auxiliary variables eps_1..eps_s.
+auxiliary variables eps_1..eps_s.  The homogeneous GEFP is not computed
+here: its one operator-determinant engine is the s x s K-polynomial form,
+``gefp.gefp_determinant_jets``, which takes ``k_polynomial`` from this
+module.
 
 Convention note, validated against the enumeration oracle: in the operator
 determinant the pair factor coupling eps_j and eps_k (j < k) reads
@@ -271,90 +274,3 @@ def gefp_inhom_determinant(spec: SpectralData, profile: YoungProfile, cap=None):
             sub += perm_sign(list(p)) * trailing(eps)
         total += sign_rows * col_sign * minor * sub
     return pre * total
-
-
-def gefp_homogeneous_nxn(N, profile: YoungProfile, lam, eta):
-    """Homogeneous GEFP from the N x N mixed determinant of derivative columns.
-
-    The first s columns carry derivative operators in eps_k acting on a
-    trailing trig function, the rest phi-derivatives.  The overall weight
-    normalization uses one factor a^{r_j} b^{N - r_j} per marked row, the
-    reading confirmed against the enumeration oracle.
-    """
-    from .algebra import TruncatedSeries
-
-    lam, eta = mp.mpf(lam), mp.mpf(eta)
-    r = list(profile.r)
-    s = len(r)
-    n = N
-    if s == 0:
-        return mp.mpf(1)
-    a = a_fn(lam, 0, eta)
-    b = b_fn(lam, 0, eta)
-    phi = PhiJet(lam, eta, 2 * n)
-    pd = phi.derivatives(2 * n)
-    den = det([[pd[j + k] for k in range(n)] for j in range(n)])
-    pre = mp.mpf((-1) ** (s * n))
-    for j in range(1, s + 1):
-        pre *= math.factorial(n - j)
-    for rj in r:
-        pre /= a ** rj * b ** (n - rj)
-    pre /= den
-
-    caps = [n - 1] * s
-    zero = mp.mpf(0)
-    F = TruncatedSeries.constant(caps, mp.mpf(1), zero)
-    for j in range(s):
-        for k in range(j + 1, s):
-            pair_caps = (caps[j], caps[k])
-            f1 = _sin_series_2d(pair_caps, lam + eta, 1, 0, zero)
-            f2 = _sin_series_2d(pair_caps, lam - eta, 0, 1, zero)
-            f3 = _sin_series_2d(pair_caps, 2 * eta, 1, -1, zero)
-            pair = (f1 * f2) * f3.invert()
-            F = F.mul_pair(j, k, pair)
-    for j in range(s):
-        sj = Jet.sin_offset(mp.mpf(0), caps[j])
-        s2 = Jet.sin_offset(-2 * eta, caps[j])
-        s3 = Jet.sin_offset(lam - eta, caps[j])
-        uni = (sj ** (n - r[j])) * (s2 ** r[j]) * (s3 ** n).invert()
-        F = F.mul_axis(j, uni)
-
-    total = mp.mpf(0)
-    col_sign = (-1) ** (s * (s - 1) // 2)
-    for rows in combinations(range(n), s):
-        rest = [i for i in range(n) if i not in rows]
-        minor = det([[pd[i + k - s] for k in range(s, n)] for i in rest])
-        sign_rows = (-1) ** sum(rows)
-        sub = mp.mpf(0)
-        for p in permutations(range(s)):
-            orders = [rows[p[k]] for k in range(s)]
-            if any(o > caps[k] for k, o in enumerate(orders)):
-                continue
-            coeff = F.coeff(tuple(orders))
-            fact = mp.mpf(1)
-            for o in orders:
-                fact *= math.factorial(o)
-            sub += perm_sign(list(p)) * coeff * fact
-        total += sign_rows * col_sign * minor * sub
-    return pre * total
-
-
-def _sin_series_2d(caps, offset, s1, s2, zero):
-    """Series of sin(s1*x + s2*y + offset) on a 2-variable cap box."""
-    from .algebra import TruncatedSeries
-
-    o1, o2 = caps
-    base = Jet.sin_offset(offset, o1 + o2)
-    out = TruncatedSeries(caps, zero)
-    for m in range(o1 + o2 + 1):
-        cm = base.coeffs[m]
-        if cm == 0:
-            continue
-        for i in range(m + 1):
-            j = m - i
-            if i > o1 or j > o2:
-                continue
-            val = cm * math.comb(m, i) * (s1 ** i) * (s2 ** j)
-            if val != 0:
-                out.set_coeff((i, j), out.coeff((i, j)) + val)
-    return out

@@ -75,6 +75,11 @@ class YoungProfile:
         return len(self.r)
 
     @property
+    def blocked(self):
+        """Some r_j < j: the frozen corner cannot fit, so the correlation is 0."""
+        return any(rj < j for j, rj in enumerate(self.r, start=1))
+
+    @property
     def mu(self):
         return tuple(self.N - rj for rj in self.r)
 

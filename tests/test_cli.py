@@ -281,13 +281,6 @@ def test_table_restricted_to_s(capsys):
     assert len(rows) == 3
 
 
-def test_table_worker_pool_matches_serial(capsys):
-    argv = ["table", "--N", "3", "--s", "2", "--delta", "1/2", "--t", "1"]
-    _, serial, _ = run_cli(capsys, *argv)
-    _, parallel, _ = run_cli(capsys, *argv, "--workers", "2")
-    assert serial == parallel
-
-
 def test_precision_flag_and_env(capsys, monkeypatch):
     _, out, _ = run_cli(capsys, "partition", "--N", "1", "--lambda", "1.1",
                         "--eta", "0.35", "--engine", "ik-hom",
@@ -353,6 +346,7 @@ def test_oracle_cap_exits_3(capsys, argv):
      "--engine", "ik-hom", "--backend", "float", "--jet-order", "1"],
     ["verify", "--level", "quick", "--criteria", "8", "--precision", "64"],
     ["verify", "--level", "quick", "--criteria", "8", "--timing"],
+    ["table", "--N", "3", "--delta", "1/2", "--t", "1", "--workers", "2"],
 ])
 def test_removed_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -396,8 +390,6 @@ def test_bad_precision_exits_2(capsys, monkeypatch, env, argv, flag):
 
 
 @pytest.mark.parametrize("argv", [
-    ["table", "--N", "3", "--delta", "1/2", "--t", "1", "--workers", "0"],
-    ["table", "--N", "3", "--delta", "1/2", "--t", "1", "--workers", "-3"],
     ["verify", "--level", "quick", "--criteria", "8", "--workers", "0"],
     ["verify", "--level", "quick", "--criteria", "8", "--workers", "-3"],
 ])

@@ -30,6 +30,17 @@ def test_residue_vanishes_for_blocked_profiles():
         assert gefp_residue(3, prof, D0, T0).value == 0
 
 
+def test_float_residue_is_exactly_zero_on_blocked_profiles():
+    with mp.workprec(128):
+        for lam_s, eta_s in (("1.1", "0.35"), ("1.45", "0.62")):
+            delta, t = delta_t_from_trig(mp.mpf(lam_s), mp.mpf(eta_s))
+            for n in range(1, 6):
+                for prof in all_profiles(n):
+                    if prof.blocked:
+                        value = gefp_residue(n, prof, delta, t, "float").value
+                        assert value == 0 and isinstance(value, mp.mpf), prof.r
+
+
 def test_residue_single_row_is_cumulative_boundary():
     w = VertexWeights.from_delta_t(Fraction(1, 3), Fraction(3, 4))
     table = boundary_H_table_oracle(4, w)
@@ -228,11 +239,9 @@ def test_jets_full_row_is_one():
 
 
 def _assert_jets_match_residue(jv, rv, profile):
-    """Relative error at most 2^(20 - prec); absolute where some r_j < j,
-    since the value there is 0."""
-    blocked = any(rj < j for j, rj in enumerate(profile.r, start=1))
-    scale = 1 if blocked else abs(rv)
-    assert abs(jv - rv) <= mp.mpf(2) ** (20 - mp.prec) * scale, profile.r
+    """Relative error at most 2^(20 - prec); both engines give an exact 0
+    on a blocked profile."""
+    assert abs(jv - rv) <= mp.mpf(2) ** (20 - mp.prec) * abs(rv), profile.r
 
 
 def test_jets_matches_residue_through_parameter_conversion():

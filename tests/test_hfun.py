@@ -157,15 +157,6 @@ def test_h_polynomial_matches_pointwise_determinant():
             assert _evaluate(h, z) == h_multivariate(tabs, n, s, z)
 
 
-def test_h_polynomial_degree_bound():
-    # the subset recursion divides exactly at every level; check through N=5
-    for (n, s) in ((3, 2), (4, 3), (4, 4), (5, 2)):
-        tabs = build_h_tables(n, s, delta=Fraction(1, 3), t=Fraction(3, 4))
-        h = h_polynomial(tabs, n, s)
-        for var in range(s):
-            assert h.max_degree(var) <= n - 1
-
-
 def test_h_multivariate_s_cap():
     tabs = build_h_tables(2, 2, delta=Fraction(1, 3), t=Fraction(3, 4))
     with pytest.raises(BadIndex):

@@ -2,14 +2,13 @@ import pytest
 from mpmath import mp
 
 from gefp_lab.errors import DuplicateRapidity, TooLarge
-from gefp_lab.ik import (PhiJet, a_fn, b_fn, gefp_homogeneous_nxn,
-                         gefp_inhom_determinant, gefp_inhom_recurrence,
-                         homogeneous_partition_jets, ik_partition,
-                         k_polynomial, partially_inhomogeneous_partition,
-                         phi_fn)
+from gefp_lab.ik import (PhiJet, a_fn, b_fn, gefp_inhom_determinant,
+                         gefp_inhom_recurrence, homogeneous_partition_jets,
+                         ik_partition, k_polynomial,
+                         partially_inhomogeneous_partition, phi_fn)
 from gefp_lab.oracle import (WeightGrid, YoungProfile, gefp_oracle,
                              partition_function_oracle)
-from gefp_lab.params import SpectralData, VertexWeights
+from gefp_lab.params import SpectralData
 
 LAM3 = ("0.31", "0.73", "1.17")
 NU3 = ("0.11", "0.52", "0.26")
@@ -191,18 +190,3 @@ def test_determinant_permutation_cap():
         spec = SpectralData(lams, nus, mp.mpf("0.29"))
         with pytest.raises(TooLarge):
             gefp_inhom_determinant(spec, YoungProfile(8, (4,)))
-
-
-def test_homogeneous_nxn_prefactor_readings():
-    """The per-row prefactor reading reproduces the oracle, also for
-    non-constant profiles."""
-    with mp.workprec(128):
-        lam, eta = mp.mpf("1.1"), mp.mpf("0.35")
-        w = VertexWeights.from_abc(mp.sin(lam + eta), mp.sin(lam - eta),
-                                   mp.sin(2 * eta))
-        grid = WeightGrid.from_weights(3, w)
-        for r in ((1, 2), (2, 3), (1, 2, 3), (2, 2), (1, 3)):
-            p = YoungProfile(3, r)
-            orc = gefp_oracle(grid, p).value
-            good = gefp_homogeneous_nxn(3, p, lam, eta)
-            assert abs(good - orc) <= mp.mpf("1e-25") * max(1, abs(orc))

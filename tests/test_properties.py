@@ -1,4 +1,5 @@
-"""Property tests over random rational (Delta, t) points and profiles, N <= 4.
+"""Property tests over random rational (Delta, t) points, random physical
+trig points (lambda, eta) and profiles, N <= 4.
 
 Examples are derandomized, so every run draws the same points and tier-1
 output stays deterministic.
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from gefp_lab.backends import EXACT, FLOAT, to_float
-from gefp_lab.gefp import gefp_residue
+from gefp_lab.gefp import gefp_determinant_jets, gefp_residue
 from gefp_lab.oracle import (WeightGrid, YoungProfile, gefp_oracle,
                              reduced_partition_oracle)
-from gefp_lab.params import VertexWeights
+from gefp_lab.params import VertexWeights, weights_from_trig
 
 N_MAX = 4
 
@@ -44,10 +45,6 @@ def _is_physical(delta, t):
     return t > 0 and 1 + t * t - 2 * t * delta > 0
 
 
-def _blocked(profile):
-    return any(rj < j for j, rj in enumerate(profile.r, start=1))
-
-
 @property_settings
 @given(rationals, rationals, profiles())
 def test_residue_equals_oracle(delta, t, profile):
@@ -61,7 +58,7 @@ def test_residue_equals_oracle(delta, t, profile):
 def test_vanishing_iff_blocked(delta, t, profile):
     _grid(delta, t, profile.N)
     value = gefp_residue(profile.N, profile, delta, t, EXACT).value
-    if _blocked(profile):
+    if profile.blocked:
         assert value == 0
     elif _is_physical(delta, t):
         assert value != 0
@@ -100,3 +97,18 @@ def test_float_residue_matches_exact(delta, t, profile):
         value = gefp_residue(profile.N, profile, delta, t, FLOAT).value
         exact = to_float(exact)
         assert abs(value - exact) <= mp.mpf(2) ** (16 - mp.prec) * (abs(exact) or 1)
+
+
+@property_settings
+@given(st.integers(1, 99), st.integers(1, 99), profiles())
+def test_jets_matches_float_oracle(u, v, profile):
+    # 0 < eta < pi/2 and eta < lambda < pi - eta, so a, b, c = sin(lambda +- eta),
+    # sin(2 eta) are all positive: the point is physical
+    with mp.workprec(128):
+        eta = mp.pi / 2 * u / 100
+        lam = eta + (mp.pi - 2 * eta) * v / 100
+        n = profile.N
+        grid = WeightGrid.from_weights(n, weights_from_trig(lam, 0, eta))
+        expect = gefp_oracle(grid, profile).value
+        value = gefp_determinant_jets(n, profile, lam, eta).value
+        assert abs(value - expect) <= mp.mpf(2) ** (20 - mp.prec) * abs(expect)
