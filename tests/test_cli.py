@@ -390,6 +390,8 @@ def test_bad_precision_exits_2(capsys, monkeypatch, env, argv, flag):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--workers=0"],
+    ["verify", "--level", "desk", "--format", "json", "--workers", "-1"],
     ["verify", "--level", "quick", "--criteria", "8", "--workers", "0"],
     ["verify", "--level", "quick", "--criteria", "8", "--workers", "-3"],
 ])
