@@ -428,6 +428,28 @@ class TruncatedSeries:
         """``self`` times a 2-variable series whose axes 0, 1 are axes j, k here."""
         return self._mul_factor((j, k), block.items())
 
+    def mul_pair_ratio(self, j, k, a, b):
+        """``self`` times (z_j - z_k) / (1 - a z_j + b z_j z_k), in one pass.
+
+        The product q of D = self is filled in flat order by
+        q[o] = D[o - e_j] + a q[o - e_j] - b q[o - e_j - e_k] - D[o - e_k],
+        summed left to right over the terms whose index is not negative (zero
+        if none).  A truncated coefficient depends only on lower indices, so
+        exact values equal those of the full product.
+        """
+        sj, sk = self._strides[j], self._strides[k]
+        cj, ck = self.caps[j], self.caps[k]
+        d, out = self.data, TruncatedSeries(self.caps, self.zero)
+        q = out.data
+        for o in range(len(q)):
+            in_k = o // sk % (ck + 1)
+            if o // sj % (cj + 1):
+                x = d[o - sj] + a * q[o - sj]
+                q[o] = x - b * q[o - sj - sk] - d[o - sk] if in_k else x
+            elif in_k:
+                q[o] = -d[o - sk]
+        return out
+
     def mul_axis(self, var, coeffs):
         """``self`` times a univariate coefficient list (or Jet) in variable ``var``."""
         if isinstance(coeffs, Jet):

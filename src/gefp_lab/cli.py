@@ -288,10 +288,12 @@ def cmd_table(args):
     t0 = time.perf_counter()
     records = []
     for profile in profiles:
+        t1 = time.perf_counter()
         res = _run_gefp_engine(args, spec, profile)
+        ms = (time.perf_counter() - t1) * 1e3
         inputs = {"N": args.N, "r": list(profile.r), **spec.echo()}
         records.append(_record("table", res.engine, res.backend, inputs,
-                               res.value, args, 0.0))
+                               res.value, args, ms))
     ms = (time.perf_counter() - t0) * 1e3
     _log(f"command=table rows={len(records)} wall_time_ms={ms:.3f}")
     return records

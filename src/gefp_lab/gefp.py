@@ -70,26 +70,21 @@ class IntegrandSeries:
 
 
 def _prefactor_series(N, s, delta, t, zero):
-    """All integrand factors except h, truncated to caps (N-1, ..., N-1)."""
+    """All integrand factors except h, truncated to caps (N-1, ..., N-1);
+    each pair factor is one ``mul_pair_ratio`` pass, summed in its order."""
     caps = [N - 1] * s
     one = zero + 1
     out = TruncatedSeries.constant(caps, one, zero)
-    lin = t * t - 2 * delta * t
+    a, b = 2 * delta * t, t * t
+    lin = b - a
     for j in range(s):
         power = s - 1 - j                      # 1-based exponent s - j
         for _ in range(power):
             out = out.mul_axis(j, [one, lin])
         out = out.mul_axis(j, geometric_inverse_coeffs(s - j, caps[j], one))
-    # every pair factor lives on the same (N-1, N-1) box
-    box = (N - 1, N - 1)
-    zj = TruncatedSeries.from_univariate([zero, one], 0, box, zero)
-    zk = TruncatedSeries.from_univariate([zero, one], 1, box, zero)
-    vdm = zj - zk
-    den_inverse = (zj * zk * (t * t) + zj * (-2 * delta * t) + one).invert()
     for j in range(s):
         for k in range(j + 1, s):
-            out = out.mul_pair(j, k, vdm)
-            out = out.mul_pair(j, k, den_inverse)
+            out = out.mul_pair_ratio(j, k, a, b)
     return out
 
 

@@ -7,6 +7,7 @@ from mpmath import mp
 
 from gefp_lab.algebra import Jet, TruncatedSeries, UniPoly, det, geometric_inverse_coeffs
 from gefp_lab.errors import NotDivisible, NotInvertible
+from gefp_lab.gefp import _prefactor_series
 
 
 def det_cofactor(rows):
@@ -268,6 +269,41 @@ def test_divide_linear_float_tolerance():
             d.divide_linear(0, 2)
 
 
+def _pair_ratio_by_inverse(f, j, k, a, b):
+    """f (z_j - z_k) / (1 - a z_j + b z_j z_k) by two ``mul_pair`` products,
+    the second with the denominator's truncated inverse."""
+    zero = f.zero
+    den = TruncatedSeries((f.caps[j] + 1, f.caps[k] + 1), zero)
+    den.set_coeff((0, 0), zero + 1)
+    den.set_coeff((1, 0), zero - a)
+    den.set_coeff((1, 1), zero + b)
+    return f.mul_pair(j, k, _linear_factor(zero)).mul_pair(j, k, den.invert())
+
+
+def test_mul_pair_ratio_equals_product_with_inverse():
+    rng = random.Random(15)
+    coeffs = [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-3, 4), Fraction(7, 3)]
+    for s in (2, 3, 4):
+        for j, k in combinations(range(s), 2):
+            for density in (0.3, 1.0):
+                caps = tuple(rng.randint(0, 3) for _ in range(s))
+                f = _random_series(rng, caps, density)
+                a, b = rng.choice(coeffs), rng.choice(coeffs)
+                want = _pair_ratio_by_inverse(f, j, k, a, b)
+                got = f.mul_pair_ratio(j, k, a, b)
+                assert (got.caps, got.data) == (want.caps, want.data)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_prefactor_equals_product_with_inverse(monkeypatch, N):
+    for delta, t in ((Fraction(1, 3), Fraction(3, 4)), (Fraction(-5, 7), Fraction(2, 9))):
+        for s in range(1, N + 1):
+            got = _prefactor_series(N, s, delta, t, Fraction(0)).data
+            with monkeypatch.context() as m:
+                m.setattr(TruncatedSeries, "mul_pair_ratio", _pair_ratio_by_inverse)
+                assert got == _prefactor_series(N, s, delta, t, Fraction(0)).data
+
+
 def _random_float(rng):
     """A full-width 128-bit mantissa at a random scale, so sums depend on order."""
     return mp.ldexp(mp.mpf(rng.getrandbits(128) - 2 ** 127), -127 - rng.randint(0, 30))
@@ -326,6 +362,39 @@ def _ordered_convolution(a, b, size, zero):
                 acc = acc + a[i] * b[m - i]
         out.append(acc)
     return out
+
+
+def _ordered_pair_ratio(f, j, k, a, b):
+    """f.mul_pair_ratio(j, k, a, b) term by term in the documented order."""
+    q = {}
+    for idx in _box(f.caps):
+        def below(*axes):
+            return tuple(i - (axis in axes) for axis, i in enumerate(idx))
+        terms = []
+        if idx[j]:
+            terms += [f.coeff(below(j)), a * q[below(j)]]
+            if idx[k]:
+                terms.append(-(b * q[below(j, k)]))
+        if idx[k]:
+            terms.append(-f.coeff(below(k)))
+        acc = terms[0] if terms else f.zero
+        for x in terms[1:]:
+            acc = acc + x
+        q[idx] = acc
+    return [q[idx] for idx in _box(f.caps)]
+
+
+def test_float_mul_pair_ratio_sums_in_documented_order():
+    rng = random.Random(24)
+    with mp.workprec(128):
+        for _ in range(25):
+            s = rng.randint(2, 4)
+            caps = tuple(rng.randint(1, 3) for _ in range(s))
+            f = _random_float_series(rng, caps, rng.choice([0.3, 1.0]))
+            j, k = sorted(rng.sample(range(s), 2))
+            a, b = _random_float(rng), _random_float(rng)
+            assert repr(f.mul_pair_ratio(j, k, a, b).data) == repr(
+                _ordered_pair_ratio(f, j, k, a, b))
 
 
 @pytest.mark.parametrize("kind", ["series", "jet", "unipoly"])

@@ -183,6 +183,23 @@ def test_timing_flag_adds_wall_time(capsys):
     assert json.loads(out)["wall_time_ms"] is not None
 
 
+def test_table_timing_times_each_row(capsys):
+    argv = ["table", "--N", "2", "--delta", "1/3", "--t", "3/4"]
+    _, out, _ = run_cli(capsys, *argv, "--timing")
+    assert all(row["wall_time_ms"] > 0 for row in json.loads(out))
+    _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert out == (
+        "schema,command,engine,backend,N,r,delta,t,lambda,eta,precision_bits,"
+        "value,wall_time_ms\n"
+        "gefp-lab/1,table,residue,exact,2,1,1/3,3/4,,,,16/25,\n"
+        "gefp-lab/1,table,residue,exact,2,2,1/3,3/4,,,,1/1,\n"
+        "gefp-lab/1,table,residue,exact,2,1 1,1/3,3/4,,,,0/1,\n"
+        "gefp-lab/1,table,residue,exact,2,1 2,1/3,3/4,,,,16/25,\n"
+        "gefp-lab/1,table,residue,exact,2,2 2,1/3,3/4,,,,1/1,\n")
+    _, out, _ = run_cli(capsys, *argv)
+    assert all(row["wall_time_ms"] is None for row in json.loads(out))
+
+
 def test_csv_format(capsys):
     code, out, _ = run_cli(capsys, "gefp", "--N", "3", "--r", "2,3",
                            "--delta", "1/2", "--t", "1", "--format", "csv")

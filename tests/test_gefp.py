@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 from gefp_lab.backends import to_float
 from gefp_lab.errors import BadIndex, NonphysicalWeights, TooLarge, Unsupported
@@ -107,6 +108,23 @@ def test_float_residue_accepts_exact_scalars():
             vf = gefp_residue(n, prof, Fraction(1, 3), Fraction(3, 4), "float").value
             ve = gefp_residue(n, prof, Fraction(1, 3), Fraction(3, 4)).value
             assert abs(vf - to_float(ve)) <= tol * abs(to_float(ve)), prof.r
+
+
+def test_float_prefactor_accuracy_at_non_dyadic_points():
+    # at (1/3, 3/4) the float pair factor is exact (2 Delta t = 1/2); these
+    # points round 2 Delta t and t^2, so the kernel's rounding shows
+    with mp.workprec(128):
+        for delta, t in ((Fraction(1, 7), Fraction(5, 11)), (Fraction(-5, 7), Fraction(2, 9))):
+            delta, t = to_float(delta), to_float(t)
+            dyadic = [Fraction(*to_rational(x._mpf_)) for x in (delta, t)]
+            for n in range(1, 7):
+                for s in range(1, min(n, 4) + 1):
+                    got = gefp._prefactor_series(n, s, delta, t, mp.mpf(0)).data
+                    want = gefp._prefactor_series(n, s, *dyadic, Fraction(0)).data
+                    for x, y in zip(got, want):
+                        if y != 0:
+                            y = to_float(y)
+                            assert abs(x - y) <= mp.mpf(2) ** (20 - mp.prec) * abs(y)
 
 
 def test_coefficient_equals_brute_force_convolution():
