@@ -13,8 +13,8 @@ N x N determinant is computed only in its reduced s x s form, ``jets``.
 from .algebra import Jet, TruncatedSeries, UniPoly, det
 from .backends import EXACT, FLOAT, default_precision_bits
 from .errors import (BadIndex, BranchPole, DivisionByZero, DuplicateRapidity,
-                     GefpLabError, NonphysicalWeights, NotDivisible,
-                     NotInvertible, SingularHankel, TooLarge, Unsupported)
+                     GefpLabError, NonphysicalWeights, NotInvertible,
+                     SingularHankel, TooLarge, Unsupported)
 from .gefp import (IntegrandSeries, JetsWorkspace, PoleDeformationReport,
                    efp_special_case, gefp_determinant_jets, gefp_residue,
                    jets_workspace, pole_deformation_check, residue_workspace)

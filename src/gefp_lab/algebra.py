@@ -14,7 +14,7 @@ from operator import le
 from mpmath import mp
 
 from .backends import is_exact_scalar
-from .errors import NotDivisible, NotInvertible
+from .errors import NotInvertible
 
 
 # ---------------------------------------------------------------------------
@@ -524,37 +524,6 @@ class TruncatedSeries:
             rest = tuple(x for i, x in enumerate(idx) if i != var)
             off = out._offset(rest)
             out.data[off] = out.data[off] + v * powers[idx[var]]
-        return out
-
-    def divide_linear(self, j, k):
-        """Exact quotient by (z_j - z_k), j < k, on the same caps.
-
-        D = (z_j - z_k) q gives q[b] = D[b + e_j] + q[b + e_j - e_k].  The
-        flat data is walked backwards, each entry adding the one at offset
-        stride_j - stride_k above it, so w[b + e_j] = q[b] and the z_j-degree
-        0 layer of w is the remainder.  A quotient entry at z_k-degree
-        caps[k] would put its product past the caps.  Both must vanish:
-        exactly for exact values, and within 2^(32-prec) max|D| for floats.
-        """
-        if not j < k:
-            raise ValueError(f"divide_linear needs j < k, got {j}, {k}")
-        sj, sk = self._strides[j], self._strides[k]
-        cj, ck = self.caps[j], self.caps[k]
-        w = list(self.data)
-        for o in reversed(range(len(w))):
-            if o // sk % (ck + 1) and o // sj % (cj + 1) < cj:
-                w[o] = w[o] + w[o + sj - sk]
-        tol = 0 if is_exact_scalar(self.zero) else (
-            mp.mpf(2) ** (32 - mp.prec) * max(abs(x) for x in self.data))
-        out = TruncatedSeries(self.caps, self.zero)
-        for o, x in enumerate(w):
-            top = o // sj % (cj + 1)
-            if top and o // sk % (ck + 1) < ck:
-                out.data[o - sj] = x
-            elif abs(x) > tol:
-                where = "remainder" if top == 0 else "quotient past the caps"
-                idx = tuple(o // st % (c + 1) for st, c in zip(self._strides, self.caps))
-                raise NotDivisible(f"nonzero {where} at {idx}: {x}")
         return out
 
     def __repr__(self):

@@ -34,10 +34,6 @@ class NotInvertible(GefpLabError):
     """Series inversion requested with vanishing constant term."""
 
 
-class NotDivisible(GefpLabError):
-    """Exact polynomial division left a nonzero remainder."""
-
-
 class SingularHankel(GefpLabError):
     """Derivative-matrix determinant vanished; degenerate parameter choice."""
 

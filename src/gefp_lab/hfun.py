@@ -5,7 +5,10 @@ columns from the right; h_N(z) = sum_r H_N^(r) z^(r-1) is its generating
 polynomial, and h_{N,s}(z) = det[f_k(z_j)] / prod_{j<k} (z_j - z_k) the
 s-variable symmetric extension entering the residue engine, with the column
 polynomials f_k(z) = z^k (z-1)^(s-1-k) h_{N-k}(z).  ``h_polynomial`` expands
-it by exact division, ``h_multivariate`` evaluates it at a point.
+it in Schur polynomials, with the minors of the columns' coefficient matrix
+as weights and Kostka numbers as the Schur coefficients;
+``h_multivariate`` evaluates the determinant ratio at a point, and is the
+independent check of that expansion.
 
 Sign convention, pinned against the enumeration oracle: contracting the
 K-polynomial of degree N-1 with the expansion of omega^(N-r) rho^N yields
@@ -21,11 +24,13 @@ verbatim and reproduces the oracle, as do all downstream engines.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, product
 
 from mpmath import mp
 
 from .algebra import Jet, TruncatedSeries, UniPoly, det
-from .backends import EXACT, FLOAT
+from .backends import EXACT, FLOAT, is_exact_scalar
 from .errors import BadIndex, BranchPole, DuplicateRapidity, Unsupported
 from .ik import (a_fn, b_fn, homogeneous_partition_jets, k_polynomial,
                  partially_inhomogeneous_partition)
@@ -184,51 +189,97 @@ def _columns(tables, N, s):
     return cols
 
 
+def _minors(cols, top, one, dot):
+    """Every s x s minor d_lambda of the column-coefficient matrix C[e][k].
+
+    ``cols[k]`` lists C[e][k] for e = 0, 1, ...; rows run over e <= top.  Rows
+    are descending exponent sets S = (e_1 > ... > e_s), so the minor belongs
+    to the partition lambda_i = e_i - (s - i).  Column k is added by Laplace
+    expansion along it over the (k+1)-row sets, each minor one ``dot``.
+    """
+    s = len(cols)
+    level = {(): one}
+    for k, col in enumerate(cols):
+        nxt = {}
+        for S in combinations(range(top, -1, -1), k + 1):
+            terms = []
+            for i, e in enumerate(S):
+                x = col[e] if e < len(col) else 0
+                if x != 0:
+                    minor = level[S[:i] + S[i + 1:]]
+                    if minor != 0:
+                        terms.append((-x if (i + k) % 2 else x, minor))
+            nxt[S] = dot(terms)
+        level = nxt
+    return {tuple(e - (s - 1 - i) for i, e in enumerate(S)): d
+            for S, d in level.items()}
+
+
+@lru_cache(maxsize=8)
+def _kostka(width, s):
+    """Kostka numbers K_{lambda, mu} for every partition mu in the s x width box.
+
+    Returns (mu, ((lambda, K_{lambda, mu}), ...)) pairs, parts padded with
+    zeros to length s.  A semistandard tableau of content mu is a chain of
+    horizontal strips of sizes mu_1, mu_2, ..., so the counts are grown strip
+    by strip, depth first over mu so that partitions sharing a prefix share
+    its states, and every shape is kept inside the box.  The numbers depend
+    on (width, s) only, so both backends and every parameter point share them.
+    """
+    out = []
+
+    def strips(shape, m, i=0):
+        """Rows i.. of the shapes that add a horizontal strip of m boxes."""
+        if i == s:
+            if m == 0:
+                yield ()
+            return
+        room = (width if i == 0 else shape[i - 1]) - shape[i]
+        for a in range(min(room, m) + 1):
+            for rest in strips(shape, m - a, i + 1):
+                yield (shape[i] + a,) + rest
+
+    def grow(mu, states):
+        if len(mu) == s:
+            out.append((mu, tuple(sorted(states.items()))))
+            return
+        for m in range(mu[-1] if mu else width, -1, -1):
+            nxt = {}
+            for shape, count in states.items():
+                for nu in strips(shape, m):
+                    nxt[nu] = nxt.get(nu, 0) + count
+            grow(mu + (m,), nxt)
+
+    grow((), {(0,) * s: 1})
+    return tuple(out)
+
+
 def h_polynomial(tables, N, s) -> TruncatedSeries:
     """The s-variable h as an explicit polynomial (caps N-1 per variable).
 
-    A subset recursion over the used columns of det[f_k(z_j)], with f_k from
-    ``_columns``.  Step m adds the variable z_m with an unused column c,
-    signed by -1 to the number of used columns greater than c; each used
-    set's terms go into one series, which is then divided exactly by
-    (z_i - z_m) for every i < m.  So every level holds minor/Vandermonde, of
-    degree at most N+s-2-m per variable, and the last level is h.
+    By Cauchy-Binet over the column-coefficient matrix of ``_columns``,
+    det[f_k(z_j)] = sum_lambda d_lambda a_{lambda + delta}(z), so dividing by
+    the Vandermonde a_delta(z) gives h = sum_lambda d_lambda s_lambda(z) over
+    lambda in the s x (N-1) box (Macdonald, ch. I).  The coefficient of z^alpha
+    in s_lambda is the Kostka number K_{lambda, sort(alpha)}, so each sorted
+    alpha takes one sum over lambda (one ``mp.fdot`` for floats, so every
+    entry is rounded once) and is copied to its permutations.
     """
     if s > N:
         raise BadIndex(f"s={s} exceeds N={N}")
     zero = tables[N].values[0] * 0
-    cols = [[(e, y) for e, y in enumerate(col.coeffs) if y != 0]
-            for col in _columns(tables, N, s)]
-    top = N + s - 2                      # degree of f_0, the largest column
-    level = {0: [zero + 1]}              # used columns -> minor/Vandermonde data
-    for m in range(s):
-        caps = [top + 1 - m] * m + [top]
-        nxt = {}
-        for used in range(1 << s):
-            if bin(used).count("1") != m + 1:
-                continue
-            acc = [zero] * ((top + 2 - m) ** m * (top + 1))
-            for c in range(s):
-                if not used >> c & 1:
-                    continue
-                odd = bin(used >> (c + 1)).count("1") % 2
-                for o, x in enumerate(level[used ^ (1 << c)]):
-                    if x != 0:
-                        x = -x if odd else x
-                        for e, y in cols[c]:
-                            acc[o * (top + 1) + e] += x * y
-            minor = TruncatedSeries(caps, zero, acc)
-            for i in range(m):
-                minor = minor.divide_linear(i, m)
-            # each exact division lowers the degree in both its variables by
-            # one, so nothing but float noise lies above degree top - m
-            kept = TruncatedSeries([top - m] * (m + 1), zero)
-            for idx, v in minor.items():
-                if max(idx) <= top - m:
-                    kept.set_coeff(idx, v)
-            nxt[used] = kept.data
-        level = nxt
-    return TruncatedSeries([N - 1] * s, zero, level[(1 << s) - 1])
+    if is_exact_scalar(zero):
+        def dot(terms):
+            return sum((x * y for x, y in terms), zero)
+    else:
+        dot = mp.fdot
+    d = _minors([col.coeffs for col in _columns(tables, N, s)], N + s - 2,
+                zero + 1, dot)
+    h = {mu: dot([(d[lam], k) for lam, k in row if d[lam] != 0])
+         for mu, row in _kostka(N - 1, s)}
+    data = [h[tuple(sorted(alpha, reverse=True))]
+            for alpha in product(range(N), repeat=s)]
+    return TruncatedSeries([N - 1] * s, zero, data)
 
 
 def h_multivariate(tables, N, s, z):

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp
 
 from gefp_lab.algebra import Jet, TruncatedSeries, UniPoly, det, geometric_inverse_coeffs
-from gefp_lab.errors import NotDivisible, NotInvertible
+from gefp_lab.errors import NotInvertible
 from gefp_lab.gefp import _prefactor_series
 
 
@@ -221,52 +221,6 @@ def test_mul_pair_and_mul_axis_equal_brute_force_convolution(ordered):
 def _linear_factor(zero):
     """z_j - z_k as a block for ``mul_pair``."""
     return TruncatedSeries((1, 1), zero, [zero, zero - 1, zero + 1, zero])
-
-
-def _fits_product(q, j, k):
-    """q with its top z_j and z_k layers zeroed, so q (z_j - z_k) fits the caps."""
-    for idx, _ in list(q.items()):
-        if idx[j] == q.caps[j] or idx[k] == q.caps[k]:
-            q.set_coeff(idx, q.zero)
-    return q
-
-
-def test_divide_linear_undoes_mul_pair():
-    rng = random.Random(13)
-    for s in (2, 3, 4):
-        for j, k in combinations(range(s), 2):
-            for density in (0.2, 0.7, 1.0):
-                caps = tuple(rng.randint(1, 4) for _ in range(s))
-                q = _fits_product(_random_series(rng, caps, density), j, k)
-                d = q.mul_pair(j, k, _linear_factor(Fraction(0)))
-                back = d.divide_linear(j, k)
-                assert (back.caps, back.data) == (q.caps, q.data)
-
-
-def test_divide_linear_rejects_remainder_and_quotient_past_caps():
-    zero, one = Fraction(0), Fraction(1)
-    z0 = TruncatedSeries((1, 1), zero, [zero, zero, one, zero])
-    with pytest.raises(NotDivisible, match="remainder"):
-        z0.divide_linear(0, 1)
-    # z_0 z_1 = (z_0 - z_1) z_1 + z_1^2, and z_1^2 lies past the caps
-    z0z1 = TruncatedSeries((1, 1), zero, [zero, zero, zero, one])
-    with pytest.raises(NotDivisible, match="past the caps"):
-        z0z1.divide_linear(0, 1)
-
-
-def test_divide_linear_float_tolerance():
-    with mp.workprec(128):
-        rng = random.Random(14)
-        q = _fits_product(_random_float_series(rng, (3, 2, 3), 1.0), 0, 2)
-        d = q.mul_pair(0, 2, _linear_factor(mp.mpf(0)))
-        back = d.divide_linear(0, 2)                  # rounding noise passes
-        assert all(abs(x - y) <= mp.mpf(2) ** -120 for x, y in zip(back.data, q.data))
-        scale = max(abs(x) for x in d.data)
-        d.data[0] += scale * mp.mpf(2) ** (31 - mp.prec)
-        d.divide_linear(0, 2)
-        d.data[0] += scale * mp.mpf(2) ** (33 - mp.prec)
-        with pytest.raises(NotDivisible, match="remainder"):
-            d.divide_linear(0, 2)
 
 
 def _pair_ratio_by_inverse(f, j, k, a, b):

@@ -1,16 +1,20 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 from gefp_lab.algebra import UniPoly
+from gefp_lab.backends import EXACT, FLOAT
 from gefp_lab.errors import BadIndex, BranchPole, DuplicateRapidity
-from gefp_lab.hfun import (HTable, OmegaRho, boundary_H_table_oracle,
+from gefp_lab.hfun import (HTable, OmegaRho, _kostka, boundary_H_table_oracle,
                            boundary_H_table_via_K, build_h_tables,
                            h_multivariate, h_polynomial, h_via_inhomogeneous_Z,
                            kfint_check, reflect_substitute)
-from gefp_lab.params import VertexWeights
+from gefp_lab.params import VertexWeights, lambda_eta_from_delta_t
 
 LAM, ETA = "1.1", "0.35"
 
@@ -127,12 +131,9 @@ def test_h_multivariate_specialization_at_one():
 
 
 def _evaluate(series, z):
-    total = Fraction(0)
-    for idx, v in series.items():
-        for val, m in zip(z, idx):
-            v *= val ** m
-        total += v
-    return total
+    for var in reversed(range(len(z))):
+        series = series.substitute_value(var, z[var])
+    return series.coeff(())
 
 
 def test_h_multivariate_confluent_matches_polynomial():
@@ -146,7 +147,8 @@ def test_h_multivariate_confluent_matches_polynomial():
 
 def test_h_polynomial_matches_pointwise_determinant():
     rng = random.Random(7)
-    for (n, s) in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 4), (5, 3)):
+    for (n, s) in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 4), (5, 3), (5, 5),
+                   (6, 4), (6, 6)):
         tabs = build_h_tables(n, s, delta=Fraction(2, 5), t=Fraction(5, 6))
         h = h_polynomial(tabs, n, s)
         for _ in range(4):
@@ -155,6 +157,70 @@ def test_h_polynomial_matches_pointwise_determinant():
             # coincident arguments: h_multivariate takes its confluent rows
             z[rng.randrange(1, s)] = z[0]
             assert _evaluate(h, z) == h_multivariate(tabs, n, s, z)
+
+
+def test_float_h_polynomial_matches_exact_on_the_same_tables():
+    # the float tables, read as exact dyadic rationals, give the exact h that
+    # the float build must round to: within 2^(8-prec) relative entry by
+    # entry, and exactly 0 wherever the exact h is 0
+    with mp.workprec(128):
+        lam, eta = lambda_eta_from_delta_t(mp.mpf(1) / 3, mp.mpf(3) / 4)
+        for (n, s) in ((5, 5), (6, 4), (6, 6), (7, 4)):
+            tabs = build_h_tables(n, s, lam=lam, eta=eta, backend=FLOAT)
+            dyadic = {m: HTable(m, tuple(Fraction(*to_rational(v._mpf_))
+                                         for v in tab.values), EXACT)
+                      for m, tab in tabs.items()}
+            hf = h_polynomial(tabs, n, s)
+            he = h_polynomial(dyadic, n, s)
+            assert hf.caps == he.caps
+            for x, y in zip(hf.data, he.data):
+                err = abs(Fraction(*to_rational(x._mpf_)) - y)
+                assert err <= Fraction(2) ** (8 - mp.prec) * abs(y)
+
+
+def _box_partitions(n, s):
+    """Partitions with at most s parts, each at most n - 1, padded to length s."""
+    return [tuple(sorted(p, reverse=True))
+            for p in combinations_with_replacement(range(n), s)]
+
+
+def _hooks_and_contents(lam):
+    conj = [sum(1 for part in lam if part > j) for j in range(max(lam, default=0))]
+    return [(lam[i] - j + conj[j] - i - 1, j - i)
+            for i in range(len(lam)) for j in range(lam[i])]
+
+
+BOXES = [(n, s) for n in range(1, 7) for s in range(1, n + 1)]
+
+
+def test_kostka_standard_tableaux_match_hook_length_formula():
+    # K_{lambda,(1^m)} counts standard tableaux: m! / prod of hook lengths;
+    # the weight (1^m) lies in the box when m <= s
+    for n, s in BOXES:
+        table = dict(_kostka(n - 1, s))
+        for lam in _box_partitions(n, s):
+            m = sum(lam)
+            if m > s:
+                continue
+            weight = (1,) * m + (0,) * (s - m)
+            hooks = math.prod(h for h, _ in _hooks_and_contents(lam))
+            assert dict(table[weight]).get(lam, 0) == math.factorial(m) // hooks
+
+
+def test_kostka_sums_match_hook_content_formula():
+    # sum_alpha K_{lambda, sort(alpha)} over alpha in {0..n-1}^s is the number
+    # of semistandard tableaux with entries 1..s: s_lambda(1^s), and a letter
+    # fills at most lambda_1 <= n-1 boxes, one per column
+    for n, s in BOXES:
+        table = dict(_kostka(n - 1, s))
+        total = {}
+        for alpha in product(range(n), repeat=s):
+            for lam, k in table[tuple(sorted(alpha, reverse=True))]:
+                total[lam] = total.get(lam, 0) + k
+        for lam in _box_partitions(n, s):
+            value = math.prod(Fraction(s + c, h)
+                              for h, c in _hooks_and_contents(lam))
+            assert total.get(lam, 0) == value
 
 
 def test_h_multivariate_s_cap():

@@ -1,6 +1,6 @@
 """Property tests over random rational (Delta, t) points, random physical
 trig points (lambda, eta) and profiles, N <= 4 (N <= 5 for the float residue
-engine).
+and jets engines).
 
 Examples are derandomized, so every run draws the same points and tier-1
 output stays deterministic.
@@ -101,7 +101,7 @@ def test_float_residue_matches_exact(delta, t, profile):
 
 
 @property_settings
-@given(st.integers(1, 99), st.integers(1, 99), profiles())
+@given(st.integers(1, 99), st.integers(1, 99), profiles(5))
 def test_jets_matches_float_oracle(u, v, profile):
     # 0 < eta < pi/2 and eta < lambda < pi - eta, so a, b, c = sin(lambda +- eta),
     # sin(2 eta) are all positive: the point is physical
