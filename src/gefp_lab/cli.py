@@ -374,8 +374,8 @@ def _add_common(p, profile_flag=True, engines=None, default_engine=None):
                    help="accept weights outside the physical cone")
     p.add_argument("--oracle-cap", type=int, default=None, dest="oracle_cap",
                    help="override the enumeration size cap (default 8) of the "
-                        "oracle engines; the H tables of the exact residue "
-                        "engine keep the default")
+                        "oracle engines; the H tables of the residue engine, "
+                        "both backends, keep the default")
     p.add_argument("--timing", action="store_true",
                    help="include wall time in the stdout record "
                         "(off by default so output is byte-reproducible)")

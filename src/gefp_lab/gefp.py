@@ -60,7 +60,6 @@ class IntegrandSeries:
     s: int
     prefactor: TruncatedSeries
     h: TruncatedSeries
-    backend: str
 
     def coefficient(self, profile: YoungProfile):
         return self.prefactor.product_coeff(self.h, [rj - 1 for rj in profile.r])
@@ -113,10 +112,11 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *,
                       allow_nonphysical=True) -> IntegrandSeries:
     """Cached integrand expansion for one (N, s, parameter) combination.
 
-    The exact backend takes rational (delta, t) only.  The float backend
-    derives (lambda, eta) for its h tables from the (delta, t) it is cached
-    under.  Physicality is checked before the cache lookup, so a strict call
-    cannot read an entry that a permissive call built at the same point.
+    The exact backend takes rational (delta, t) only; the float backend
+    rounds (delta, t) once and builds everything from those values, the h
+    tables through the same oracle sweep as the exact backend.  Physicality
+    is checked before the cache lookup, so a strict call cannot read an
+    entry that a permissive call built at the same point.
     """
     if backend == EXACT:
         if not (is_exact_scalar(delta) and is_exact_scalar(t)):
@@ -129,30 +129,24 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *,
     if not allow_nonphysical:
         VertexWeights.from_delta_t(delta, t)            # raises NonphysicalWeights
     return _cached(_workspace_cache, key,
-                   lambda: _build_integrand_series(N, s, delta, t, backend))
+                   lambda: _build_integrand_series(N, s, delta, t))
 
 
-def _build_integrand_series(N, s, delta, t, backend):
-    if backend == EXACT:
-        tables = build_h_tables(N, s, delta=delta, t=t, backend=EXACT)
-        zero = Fraction(0)
-    else:
-        lam, eta = lambda_eta_from_delta_t(delta, t)
-        tables = build_h_tables(N, s, lam=lam, eta=eta, backend=FLOAT)
-        zero = mp.mpf(0)
-    h = h_polynomial(tables, N, s)
-    return IntegrandSeries(N, s, _prefactor_series(N, s, delta, t, zero), h, backend)
+def _build_integrand_series(N, s, delta, t):
+    h = h_polynomial(build_h_tables(N, s, delta, t), N, s)
+    return IntegrandSeries(N, s, _prefactor_series(N, s, delta, t, h.zero), h)
 
 
 def gefp_residue(N, profile: YoungProfile, delta=None, t=None, backend=EXACT, *,
                  lam=None, eta=None, allow_nonphysical=True) -> CorrelationResult:
     """GEFP by iterated-residue coefficient extraction.
 
-    Exact backend: (delta, t) rational, h tables from the enumeration
-    oracle.  Float backend: h tables from the K-polynomial contraction at
-    the (lambda, eta) derived from (delta, t).  (lambda, eta) may stand in
-    for (delta, t) on the float backend; giving both pairs is refused.  A
-    blocked profile (some r_j < j) gives an exact 0 on both backends.
+    Both backends take their h tables from the enumeration oracle's
+    boundary sweep at (delta, t), so N above its default cap raises
+    ``TooLarge`` and a vanishing partition sum ``DivisionByZero``.  The
+    exact backend needs rational (delta, t); on the float backend
+    (lambda, eta) may stand in for them, and giving both pairs is refused.
+    A blocked profile (some r_j < j) gives an exact 0 on both backends.
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")

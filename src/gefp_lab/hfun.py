@@ -23,15 +23,14 @@ verbatim and reproduces the oracle, as do all downstream engines.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
 from mpmath import mp
 
 from .algebra import Jet, TruncatedSeries, UniPoly, det
-from .backends import EXACT, FLOAT, is_exact_scalar
-from .errors import BadIndex, BranchPole, DuplicateRapidity, Unsupported
+from .backends import FLOAT, is_exact_scalar
+from .errors import BadIndex, BranchPole, DuplicateRapidity
 from .ik import (a_fn, b_fn, homogeneous_partition_jets, k_polynomial,
                  partially_inhomogeneous_partition)
 from .oracle import WeightGrid, boundary_distribution_oracle
@@ -153,27 +152,17 @@ def kfint_check(N, f: UniPoly, lam, eta):
 # ---------------------------------------------------------------------------
 # multivariate h
 
-def build_h_tables(N, s, *, delta=None, t=None, lam=None, eta=None,
-                   backend=EXACT, allow_nonphysical=True):
-    """H tables for sizes N-s+1..N at shared parameters.
+def build_h_tables(N, s, delta, t, allow_nonphysical=True):
+    """H tables for sizes N, N-1, ..., N-s+1 from the enumeration oracle.
 
-    The exact backend builds them from the enumeration oracle at (Delta, t);
-    the float backend from the K-polynomial contraction at (lambda, eta).
+    The weights are built at (Delta, t) in the scalar type given, so both
+    backends take the same one-sweep transfer: float weights enter it as
+    the dyadic rationals they hold and each entry is rounded once.  Sizes
+    run from N down, so N above the oracle's default cap is refused before
+    any transfer.
     """
-    tables = {}
-    if backend == EXACT:
-        if delta is None or t is None:
-            raise Unsupported("exact h tables require (delta, t)")
-        w = VertexWeights.from_delta_t(Fraction(delta), Fraction(t),
-                                       allow_nonphysical=allow_nonphysical)
-        for n in range(N - s + 1, N + 1):
-            tables[n] = boundary_H_table_oracle(n, w)
-    else:
-        if lam is None or eta is None:
-            raise Unsupported("float h tables require (lambda, eta)")
-        for n in range(N - s + 1, N + 1):
-            tables[n] = boundary_H_table_via_K(n, lam, eta)
-    return tables
+    w = VertexWeights.from_delta_t(delta, t, allow_nonphysical=allow_nonphysical)
+    return {n: boundary_H_table_oracle(n, w) for n in range(N, N - s, -1)}
 
 
 def _columns(tables, N, s):

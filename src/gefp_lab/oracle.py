@@ -37,8 +37,8 @@ from math import lcm
 from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
-from .backends import EXACT, FLOAT, format_scalar
-from .errors import BadIndex, TooLarge, Unsupported
+from .backends import EXACT, FLOAT, format_scalar, to_float
+from .errors import BadIndex, DivisionByZero, TooLarge, Unsupported
 from .params import SpectralData, VertexWeights
 
 DEFAULT_ORACLE_CAP = 8
@@ -203,6 +203,13 @@ def _transfer(grid: WeightGrid, marks=(), frozen=(), widths=None):
     return grid._one * states.get(0, 0) / (grid._one * den) ** (sum(widths) - grid.N)
 
 
+def _nonzero(z, n):
+    """The partition sum z of size n, refused when it vanishes."""
+    if z == 0:
+        raise DivisionByZero(f"the partition sum Z_{n} vanishes at these weights")
+    return z
+
+
 def _check_cap(n, cap):
     cap = DEFAULT_ORACLE_CAP if cap is None else cap
     if n > cap:
@@ -238,7 +245,7 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
     _check_cap(grid.N, cap)
     if profile.N != grid.N:
         raise BadIndex(f"profile N={profile.N} does not match grid N={grid.N}")
-    z = _transfer(grid)
+    z = _nonzero(_transfer(grid), grid.N)
     marked = _transfer(grid, marks=profile.r)
     frozen = _transfer(grid, frozen=profile.r)
     value = marked / z
@@ -273,7 +280,8 @@ def boundary_distribution_oracle(grid: WeightGrid, cap=None):
     (types 5 and 6 map to themselves, 1 to 2, 3 to 4) and moves row 1's
     c-vertex at column r to row N, column N + 1 - r, right below row N's
     single incoming down arrow.  So the turned grid's first N - 1 rows are
-    swept once, and row N once from each single-arrow state.
+    swept once, and row N once from each single-arrow state.  Every entry
+    is one ratio of integers, so a float entry is rounded once.
     """
     _check_cap(grid.N, cap)
     n = grid.N
@@ -284,8 +292,10 @@ def boundary_distribution_oracle(grid: WeightGrid, cap=None):
         states = _row(a[row], b[row], c2, states, n)
     last = [_row(a[-1], b[-1], c2, {1 << k: states.get(1 << k, 0)}, n).get(0, 0)
             for k in reversed(range(n))]
-    z = sum(last)
-    return [grid._one * x / z for x in last]
+    z = _nonzero(sum(last), n)
+    if grid.backend == EXACT:
+        return [Fraction(x, z) for x in last]
+    return [to_float(Fraction(x, z)) for x in last]
 
 
 def modified_domain_partition(grid: WeightGrid, profile: YoungProfile, cap=None):

@@ -42,8 +42,9 @@ def test_criterion_4_boundary_layer():
 
 
 def test_criterion_5_h_function_properties():
-    """Symmetry, per-variable degree bound, specialization at 1, and the
-    reflection simple zero, all exact for N <= 4."""
+    """h polynomial == det[f_k(z_j)] / Vandermonde at distinct and
+    coincident arguments, specialization at 1, and the reflection simple
+    zero, all exact for N <= 4."""
     _run(5)
 
 

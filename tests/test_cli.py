@@ -227,6 +227,35 @@ def test_hfun_command(capsys):
     assert rec["value"]["h_poly_coeffs"] == ["2/7", "3/7", "2/7"]
 
 
+# Delta = 4, t = 1: c^2 = -6, and Z_3 / c^3 = 6 + c^2 = 0
+VANISHING_Z = ["--N", "3", "--delta", "4", "--t", "1", "--allow-nonphysical"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gefp", "--r", "2", *VANISHING_Z],
+    ["gefp", "--r", "2", *VANISHING_Z, "--backend", "float"],
+    ["gefp", "--r", "2", *VANISHING_Z, "--engine", "oracle"],
+    ["hfun", *VANISHING_Z],
+    ["table", *VANISHING_Z],
+], ids=["residue", "residue-float", "oracle", "hfun", "table"])
+def test_vanishing_partition_sum_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: DivisionByZero:") and "Z_3" in err
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_residue_refuses_n9_before_any_transfer(capsys, monkeypatch, backend):
+    def no_transfer(*args):
+        raise AssertionError("the transfer ran")
+
+    monkeypatch.setattr(oracle, "_row", no_transfer)
+    code, out, err = run_cli(capsys, "gefp", "--N", "9", "--r", "1,2", "--delta", "1/3",
+                             "--t", "3/4", "--backend", backend)
+    assert code == 3 and out == ""
+    assert err.startswith("error: TooLarge:")
+
+
 def test_hfun_oracle_reaches_n10_and_refuses_n11_before_compute(capsys, monkeypatch):
     argv = ["hfun", "--engine", "oracle", "--oracle-cap", "10", "--delta", "1/3", "--t", "3/4"]
     code, out, _ = run_cli(capsys, *argv, "--N", "10")

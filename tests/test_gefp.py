@@ -7,7 +7,7 @@ from mpmath.libmp import to_rational
 
 from gefp_lab.backends import to_float
 from gefp_lab.errors import BadIndex, NonphysicalWeights, TooLarge, Unsupported
-from gefp_lab import gefp
+from gefp_lab import gefp, hfun
 from gefp_lab.gefp import (efp_special_case, gefp_determinant_jets, gefp_residue,
                            jets_workspace, pole_deformation_check, residue_workspace)
 from gefp_lab.hfun import boundary_H_table_oracle
@@ -108,6 +108,36 @@ def test_float_residue_accepts_exact_scalars():
             vf = gefp_residue(n, prof, Fraction(1, 3), Fraction(3, 4), "float").value
             ve = gefp_residue(n, prof, Fraction(1, 3), Fraction(3, 4)).value
             assert abs(vf - to_float(ve)) <= tol * abs(to_float(ve)), prof.r
+
+
+@pytest.mark.parametrize("delta, t", [(Fraction(1, 3), Fraction(3, 4)),
+                                      (Fraction(3, 2), Fraction(1, 2)),
+                                      (Fraction(-1), Fraction(2, 3))])
+def test_float_residue_gate_at_n7_n8(delta, t):
+    # relative to exact, every unblocked profile with s <= 3; (3/2, 1/2) is
+    # outside the physical cone, and (-1, 2/3) has no trig point (lambda, eta)
+    with mp.workprec(128):
+        tol = mp.mpf(2) ** (16 - mp.prec)
+        for n in (7, 8):
+            for prof in all_profiles(n):
+                if prof.s > 3 or prof.blocked:
+                    continue
+                vf = gefp_residue(n, prof, delta, t, "float").value
+                ve = to_float(gefp_residue(n, prof, delta, t).value)
+                assert abs(vf - ve) <= tol * abs(ve), (n, prof.r)
+
+
+def test_float_residue_never_takes_the_k_route(monkeypatch):
+    def no_k_route(*args):
+        raise AssertionError("the K-polynomial tables were built")
+
+    monkeypatch.setattr(hfun, "boundary_H_table_via_K", no_k_route)
+    gefp._workspace_cache.clear()
+    with mp.workprec(128):
+        prof = YoungProfile(5, (2, 3, 5))
+        value = gefp_residue(5, prof, Fraction(1, 3), Fraction(3, 4), "float").value
+        exact = to_float(gefp_residue(5, prof, Fraction(1, 3), Fraction(3, 4)).value)
+        assert abs(value - exact) <= mp.mpf(2) ** (16 - mp.prec) * exact
 
 
 def test_float_prefactor_accuracy_at_non_dyadic_points():

@@ -8,7 +8,7 @@ from mpmath import mp
 from mpmath.libmp import to_rational
 
 from gefp_lab.algebra import UniPoly
-from gefp_lab.backends import EXACT, FLOAT
+from gefp_lab.backends import EXACT
 from gefp_lab.errors import BadIndex, BranchPole, DuplicateRapidity
 from gefp_lab.hfun import (HTable, OmegaRho, _kostka, boundary_H_table_oracle,
                            boundary_H_table_via_K, build_h_tables,
@@ -159,6 +159,11 @@ def test_h_polynomial_matches_pointwise_determinant():
             assert _evaluate(h, z) == h_multivariate(tabs, n, s, z)
 
 
+def _k_tables(n, s, lam, eta):
+    """The K-route H tables of sizes n-s+1..n."""
+    return {m: boundary_H_table_via_K(m, lam, eta) for m in range(n - s + 1, n + 1)}
+
+
 def test_float_h_polynomial_matches_exact_on_the_same_tables():
     # the float tables, read as exact dyadic rationals, give the exact h that
     # the float build must round to: within 2^(8-prec) relative entry by
@@ -166,7 +171,7 @@ def test_float_h_polynomial_matches_exact_on_the_same_tables():
     with mp.workprec(128):
         lam, eta = lambda_eta_from_delta_t(mp.mpf(1) / 3, mp.mpf(3) / 4)
         for (n, s) in ((5, 5), (6, 4), (6, 6), (7, 4)):
-            tabs = build_h_tables(n, s, lam=lam, eta=eta, backend=FLOAT)
+            tabs = _k_tables(n, s, lam, eta)
             dyadic = {m: HTable(m, tuple(Fraction(*to_rational(v._mpf_))
                                          for v in tab.values), EXACT)
                       for m, tab in tabs.items()}
@@ -245,12 +250,12 @@ def test_reflection_simple_zero_exact():
 def test_h_via_inhomogeneous_Z_matches_h_multivariate():
     with mp.workprec(128):
         lam, eta = mp.mpf(LAM), mp.mpf(ETA)
-        tabs = build_h_tables(2, 2, lam=lam, eta=eta, backend="float")
+        tabs = _k_tables(2, 2, lam, eta)
         z = [mp.mpf("0.3"), mp.mpf("0.6")]
         hv = h_via_inhomogeneous_Z(z, lam, eta)
         hm = h_multivariate(tabs, 2, 2, z)
         assert abs(hv - hm) <= mp.mpf("1e-18") * max(1, abs(hm))
-        tabs3 = build_h_tables(3, 3, lam=lam, eta=eta, backend="float")
+        tabs3 = _k_tables(3, 3, lam, eta)
         z3 = [mp.mpf("0.3"), mp.mpf("0.6"), mp.mpf("-0.4")]
         hv3 = h_via_inhomogeneous_Z(z3, lam, eta)
         hm3 = h_multivariate(tabs3, 3, 3, z3)
