@@ -16,8 +16,8 @@ from .errors import (BadIndex, BranchPole, DivisionByZero, DuplicateRapidity,
                      GefpLabError, NonphysicalWeights, NotInvertible,
                      SingularHankel, TooLarge, Unsupported)
 from .gefp import (IntegrandSeries, JetsWorkspace, PoleDeformationReport,
-                   efp_special_case, gefp_determinant_jets, gefp_residue,
-                   jets_workspace, pole_deformation_check, residue_workspace)
+                   gefp_determinant_jets, gefp_residue, jets_workspace,
+                   pole_deformation_check, residue_workspace)
 from .hfun import (HTable, OmegaRho, boundary_H_table_oracle,
                    boundary_H_table_via_K, build_h_tables, h_multivariate,
                    h_polynomial, h_via_inhomogeneous_Z, kfint_check,

@@ -7,8 +7,8 @@ formatting is fixed by the working precision, summation orders are fixed,
 and the wall-time field stays null unless --timing is passed.
 
 Exit codes: 0 success, 2 argument/configuration errors (including
-non-monotone profiles and engine/backend mismatches), 3 computation errors
-(the error class name is reported).
+non-monotone profiles, sizes below their minimum and engine/backend
+mismatches), 3 computation errors (the error class name is reported).
 """
 
 import argparse
@@ -23,12 +23,13 @@ from . import __version__
 from .backends import (EXACT, FLOAT, MIN_PRECISION_BITS, default_precision_bits,
                        format_scalar, parse_exact, parse_float)
 from .errors import BadIndex, GefpLabError, Unsupported
-from .gefp import efp_special_case, gefp_determinant_jets, gefp_residue
+from .gefp import gefp_determinant_jets, gefp_residue
 from .hfun import boundary_H_table_oracle, boundary_H_table_via_K
 from .ik import homogeneous_partition_jets, ik_partition
 from .oracle import (WeightGrid, YoungProfile, all_profiles, gefp_oracle,
                      modified_domain_partition, partition_function_oracle)
-from .params import SpectralData, VertexWeights, weights_from_trig
+from .params import (SpectralData, VertexWeights, delta_t_from_trig,
+                     lambda_eta_from_delta_t, weights_from_trig)
 from .verify import CRITERIA, run_acceptance
 
 SCHEMA = "gefp-lab/1"
@@ -46,11 +47,17 @@ def _parse_profile(text, N):
         parts = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise UsageError(f"cannot parse profile {text!r}; expected e.g. 2,3,3")
+    return _profile(N, parts)
+
+
+def _profile(N, parts):
+    if len(parts) > N:
+        raise UsageError(f"profile length {len(parts)} exceeds N={N}")
     try:
         return YoungProfile(N, parts)
     except BadIndex:
         raise UsageError(
-            f"invalid profile r={parts}: positions must satisfy "
+            f"invalid profile r={list(parts)}: positions must satisfy "
             f"1 <= r_1 <= r_2 <= ... <= r_s <= N")
 
 
@@ -94,6 +101,12 @@ class ParamSpec:
                                 for x in args.lambdas.split(",")]
                 self.nus = [_number("--nus", x, parse_float) for x in args.nus.split(",")]
                 self.eta = _number("--eta", args.eta, parse_float)
+                if len(self.lambdas) != len(self.nus):
+                    raise UsageError(f"--lambdas and --nus must have equal length, got "
+                                     f"{len(self.lambdas)} and {len(self.nus)}")
+                if len(self.lambdas) != args.N:
+                    raise UsageError(f"--N {args.N} does not match the "
+                                     f"{len(self.lambdas)} rapidities of --lambdas/--nus")
             else:
                 if args.lam is None or args.eta is None:
                     raise UsageError("--lambda and --eta must be given together")
@@ -106,6 +119,18 @@ class ParamSpec:
         if self.lam is None:
             raise UsageError("this command needs homogeneous parameters")
         return weights_from_trig(self.lam, 0, self.eta, allow_nonphysical)
+
+    def delta_t(self):
+        """(Delta, t) as given, or converted once from the trig point."""
+        if self.delta is not None:
+            return self.delta, self.t
+        return delta_t_from_trig(self.lam, self.eta)
+
+    def lambda_eta(self):
+        """(lambda, eta) as given, or converted from (Delta, t); needs |Delta| < 1."""
+        if self.lam is not None:
+            return self.lam, self.eta
+        return lambda_eta_from_delta_t(self.delta, self.t)
 
     def echo(self):
         out = {}
@@ -193,31 +218,20 @@ def cmd_partition(args):
     return [_record("partition", args.engine, backend, inputs, value, args, ms)]
 
 
-def _require_float_for_jets(spec):
-    if spec.backend == EXACT:
-        raise UsageError("--engine jets runs in the float backend")
-
-
 def _run_gefp_engine(args, spec, profile):
+    """One profile on the engine of ``gefp``, ``efp`` and ``table``."""
     if args.engine == "residue":
-        res = gefp_residue(args.N, profile, spec.delta, spec.t, spec.backend,
-                           lam=spec.lam, eta=spec.eta,
-                           allow_nonphysical=args.allow_nonphysical)
-    elif args.engine == "jets":
-        _require_float_for_jets(spec)
-        if spec.lam is None:
-            from .params import lambda_eta_from_delta_t
-            lam, eta = lambda_eta_from_delta_t(spec.delta, spec.t)
-        else:
-            lam, eta = spec.lam, spec.eta
-        res = gefp_determinant_jets(args.N, profile, lam, eta,
-                                    allow_nonphysical=args.allow_nonphysical)
-    elif args.engine == "oracle":
+        return gefp_residue(args.N, profile, *spec.delta_t(), spec.backend,
+                            allow_nonphysical=args.allow_nonphysical)
+    if args.engine == "jets":
+        if spec.backend == EXACT:
+            raise UsageError("--engine jets runs in the float backend")
+        return gefp_determinant_jets(args.N, profile, *spec.lambda_eta(),
+                                     allow_nonphysical=args.allow_nonphysical)
+    if args.engine == "oracle":
         grid = WeightGrid.from_weights(args.N, spec.weights(args.allow_nonphysical))
-        res = gefp_oracle(grid, profile, cap=args.oracle_cap)
-    else:
-        raise UsageError(f"unknown gefp engine {args.engine!r}")
-    return res
+        return gefp_oracle(grid, profile, cap=args.oracle_cap)
+    raise UsageError(f"unknown gefp engine {args.engine!r}")
 
 
 def cmd_gefp(args):
@@ -232,19 +246,18 @@ def cmd_gefp(args):
 
 
 def cmd_efp(args):
+    """The EFP is the GEFP of the rectangular profile (r, ..., r), s times."""
     spec = ParamSpec(args)
-    if args.engine == "jets":
-        _require_float_for_jets(spec)
+    if not 1 <= args.r <= args.N:
+        raise UsageError(f"--r {args.r} outside 1..{args.N}")
+    profile = _profile(args.N, (args.r,) * args.s)
     t0 = time.perf_counter()
-    res = efp_special_case(args.N, args.s, args.r, args.engine,
-                           delta=spec.delta, t=spec.t, lam=spec.lam, eta=spec.eta,
-                           backend=spec.backend,
-                           allow_nonphysical=args.allow_nonphysical,
-                           cap=args.oracle_cap)
+    res = _run_gefp_engine(args, spec, profile)
     ms = (time.perf_counter() - t0) * 1e3
-    _log(f"command=efp engine={res.engine} wall_time_ms={ms:.3f}")
+    engine = f"efp/{res.engine}"
+    _log(f"command=efp engine={engine} wall_time_ms={ms:.3f}")
     inputs = {"N": args.N, "r": args.r, "s": args.s, **spec.echo()}
-    return [_record("efp", res.engine, res.backend, inputs, res.value, args, ms)]
+    return [_record("efp", engine, res.backend, inputs, res.value, args, ms)]
 
 
 def cmd_hfun(args):
@@ -284,6 +297,8 @@ def cmd_cutdomain(args):
 
 def cmd_table(args):
     spec = ParamSpec(args)
+    if args.s is not None and args.s > args.N:
+        raise UsageError(f"--s {args.s} exceeds N={args.N}")
     profiles = sorted(all_profiles(args.N, args.s), key=lambda p: (p.s, p.r))
     t0 = time.perf_counter()
     records = []
@@ -353,8 +368,19 @@ def _verify_job(payload):
 # ---------------------------------------------------------------------------
 # parser
 
+def _at_least(low):
+    """argparse type: an integer of at least ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"          # argparse names the type in its messages
+    return parse
+
+
 def _add_common(p, profile_flag=True, engines=None, default_engine=None):
-    p.add_argument("--N", type=int, required=True, help="lattice size")
+    p.add_argument("--N", type=_at_least(1), required=True, help="lattice size")
     if profile_flag:
         p.add_argument("--r", required=True,
                        help="comma-separated edge positions, e.g. 2,3,3")
@@ -399,10 +425,11 @@ def build_parser():
     p = sub.add_parser("gefp", help="generalized emptiness formation probability")
     _add_common(p, engines=["residue", "jets", "oracle"], default_engine="residue")
 
-    p = sub.add_parser("efp", help="equal-position special case")
+    p = sub.add_parser("efp", help="emptiness formation probability: the "
+                                   "profile (r, ..., r), s times")
     _add_common(p, profile_flag=False,
                 engines=["residue", "jets", "oracle"], default_engine="residue")
-    p.add_argument("--s", type=int, required=True, help="number of marked rows")
+    p.add_argument("--s", type=_at_least(0), required=True, help="number of marked rows")
     p.add_argument("--r", type=int, required=True, help="common edge position")
 
     p = sub.add_parser("hfun", help="boundary distribution H and its polynomial")
@@ -415,7 +442,8 @@ def build_parser():
     p = sub.add_parser("table", help="sweep all profiles at fixed parameters")
     _add_common(p, profile_flag=False,
                 engines=["residue", "jets", "oracle"], default_engine="residue")
-    p.add_argument("--s", type=int, default=None, help="restrict to one profile length")
+    p.add_argument("--s", type=_at_least(0), default=None,
+                   help="restrict to one profile length")
 
     p = sub.add_parser("verify", help="run the acceptance suites")
     p.add_argument("--level", choices=["desk", "quick"], default="desk")

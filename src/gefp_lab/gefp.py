@@ -31,13 +31,12 @@ from fractions import Fraction
 from mpmath import mp
 
 from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs
-from .backends import EXACT, FLOAT, format_scalar, is_exact_scalar, to_float
+from .backends import EXACT, FLOAT, is_exact_scalar, to_float
 from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
 from .hfun import OmegaRho, build_h_tables, h_polynomial, reflect_substitute
 from .ik import PhiJet, k_polynomial
-from .oracle import CorrelationResult, YoungProfile, WeightGrid, gefp_oracle
-from .params import (VertexWeights, delta_t_from_trig, lambda_eta_from_delta_t,
-                     weights_from_trig)
+from .oracle import CorrelationResult, YoungProfile
+from .params import VertexWeights, weights_from_trig
 
 # Largest pair box N^s the jets engine builds, checked before any work.  The
 # build grows with the box: at 128 bits, process time on one x86 core,
@@ -137,39 +136,28 @@ def _build_integrand_series(N, s, delta, t):
     return IntegrandSeries(N, s, _prefactor_series(N, s, delta, t, h.zero), h)
 
 
-def gefp_residue(N, profile: YoungProfile, delta=None, t=None, backend=EXACT, *,
-                 lam=None, eta=None, allow_nonphysical=True) -> CorrelationResult:
-    """GEFP by iterated-residue coefficient extraction.
+def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
+                 allow_nonphysical=True) -> CorrelationResult:
+    """GEFP by iterated-residue coefficient extraction at (delta, t).
 
     Both backends take their h tables from the enumeration oracle's
     boundary sweep at (delta, t), so N above its default cap raises
     ``TooLarge`` and a vanishing partition sum ``DivisionByZero``.  The
-    exact backend needs rational (delta, t); on the float backend
-    (lambda, eta) may stand in for them, and giving both pairs is refused.
-    A blocked profile (some r_j < j) gives an exact 0 on both backends.
+    exact backend needs rational (delta, t); the float backend rounds them
+    once, and a trig point enters through ``delta_t_from_trig``.  A
+    blocked profile (some r_j < j) gives an exact 0 on both backends.
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
-    if lam is not None or eta is not None:
-        if delta is not None or t is not None:
-            raise Unsupported("give the residue engine (delta,t) or (lambda,eta), not both")
-        if backend == FLOAT and lam is not None and eta is not None:
-            delta, t = delta_t_from_trig(lam, eta)
-    if backend == FLOAT and (delta is None or t is None):
-        raise Unsupported("float residue engine needs (delta,t) or (lambda,eta)")
     if profile.s == 0:
         one = Fraction(1) if backend == EXACT else mp.mpf(1)
-        return CorrelationResult(one, "residue", backend, {"N": N, "r": []})
+        return CorrelationResult(one, "residue", backend)
     ws = residue_workspace(N, profile.s, delta, t, backend,
                            allow_nonphysical=allow_nonphysical)
     # the exact engine computes its zeros (criterion 6 tests them); a float
     # extraction would leave rounding noise of either sign in their place
     value = mp.mpf(0) if backend == FLOAT and profile.blocked else ws.gefp(profile)
-    return CorrelationResult(
-        value, "residue", backend,
-        {"N": N, "r": list(profile.r), "delta": format_scalar(delta),
-         "t": format_scalar(t)},
-        None if backend == EXACT else mp.prec)
+    return CorrelationResult(value, "residue", backend)
 
 
 @dataclass
@@ -292,50 +280,15 @@ def gefp_determinant_jets(N, profile: YoungProfile, lam, eta, *,
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
     s = profile.s
     if s == 0:
-        return CorrelationResult(mp.mpf(1), "jets", FLOAT, {"N": N, "r": []}, mp.prec)
+        return CorrelationResult(mp.mpf(1), "jets", FLOAT)
     if N ** s > JETS_BOX_CAP:
         raise TooLarge(f"the pair box N^s = {N}^{s} exceeds the operator-determinant "
                        f"cap {JETS_BOX_CAP}")
     lam, eta = mp.mpf(lam), mp.mpf(eta)
     if not allow_nonphysical:
         weights_from_trig(lam, 0, eta)                  # raises NonphysicalWeights
-    r = list(profile.r)
-    value = (-1) ** s * jets_workspace(N, s, lam, eta).contraction(r)
-    return CorrelationResult(value, "jets", FLOAT,
-                             {"N": N, "r": r, "lambda": format_scalar(lam),
-                              "eta": format_scalar(eta)}, mp.prec)
-
-
-def efp_special_case(N, s, r, engine="residue", *, delta=None, t=None,
-                     lam=None, eta=None, backend=EXACT,
-                     allow_nonphysical=True, cap=None) -> CorrelationResult:
-    """The equal-position special case: the profile (r, r, ..., r), s times.
-
-    In the integral representation this replaces the mixed monomial
-    z_1^(r_1) ... z_s^(r_s) by (z_1 ... z_s)^r; any engine accepts it as an
-    ordinary profile.  ``cap`` bounds the oracle engine's lattice size.
-    """
-    if not 1 <= r <= N:
-        raise BadIndex(f"r={r} outside 1..{N}")
-    profile = YoungProfile(N, (r,) * s)
-    if engine == "residue":
-        out = gefp_residue(N, profile, delta, t, backend, lam=lam, eta=eta,
-                           allow_nonphysical=allow_nonphysical)
-    elif engine == "jets":
-        if lam is None:
-            lam, eta = lambda_eta_from_delta_t(delta, t)
-        out = gefp_determinant_jets(N, profile, lam, eta,
-                                    allow_nonphysical=allow_nonphysical)
-    elif engine == "oracle":
-        if delta is not None:
-            w = VertexWeights.from_delta_t(delta, t, allow_nonphysical)
-        else:
-            w = weights_from_trig(lam, 0, eta, allow_nonphysical)
-        out = gefp_oracle(WeightGrid.from_weights(N, w), profile, cap)
-    else:
-        raise Unsupported(f"unknown engine {engine!r}")
-    out.engine = f"efp/{out.engine}"
-    return out
+    value = (-1) ** s * jets_workspace(N, s, lam, eta).contraction(list(profile.r))
+    return CorrelationResult(value, "jets", FLOAT)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from itertools import combinations, permutations
 from mpmath import mp
 
 from .algebra import Jet, UniPoly, det, perm_sign
-from .errors import DuplicateRapidity, SingularHankel, TooLarge
+from .errors import DivisionByZero, DuplicateRapidity, SingularHankel, TooLarge
 from .oracle import YoungProfile
 from .params import SpectralData
 
@@ -92,6 +92,8 @@ def ik_partition(spec: SpectralData):
     for j in range(n):
         for k in range(n):
             num *= a_fn(lam[j], nu[k], eta) * b_fn(lam[j], nu[k], eta)
+    if num == 0:
+        raise DivisionByZero("a weight a or b vanishes, so its phi entry has a pole")
     den = mp.mpf(1)
     for j in range(n):
         for k in range(j + 1, n):

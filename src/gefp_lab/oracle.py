@@ -24,11 +24,12 @@ of these reduced sums and never need c itself, which keeps the exact backend
 closed over the rationals even when c^2 has no rational square root.
 
 The transfer engine crosses each row vertex by vertex on Python ints and
-divides out one power of a common denominator at the end.  A deliberately
-naive ice-rule filter (N <= 3) double-checks it from scratch.
+returns one exact ratio of integers, float weights entering as the dyadic
+rationals they hold.  So every float result is that ratio rounded once.  A
+deliberately naive ice-rule filter (N <= 3) double-checks it from scratch.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations_with_replacement, product, zip_longest
@@ -37,7 +38,7 @@ from math import lcm
 from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
-from .backends import EXACT, FLOAT, format_scalar, to_float
+from .backends import EXACT, FLOAT, to_float
 from .errors import BadIndex, DivisionByZero, TooLarge, Unsupported
 from .params import SpectralData, VertexWeights
 
@@ -94,13 +95,11 @@ class YoungProfile:
 
 @dataclass
 class CorrelationResult:
-    """A computed quantity together with its provenance."""
+    """A computed GEFP value, the engine that computed it and its backend."""
 
     value: object
     engine: str
     backend: str
-    inputs: dict = field(default_factory=dict)
-    precision_bits: object = None
 
 
 class WeightGrid:
@@ -119,7 +118,6 @@ class WeightGrid:
         self.homogeneous = homogeneous
         self.backend = backend
         self.N = len(self.a)
-        self._one = Fraction(1) if backend == EXACT else c2 / c2
 
     @classmethod
     def from_weights(cls, N, w: VertexWeights):
@@ -138,11 +136,9 @@ class WeightGrid:
         c = mp.sin(2 * eta)
         return cls(a, b, c * c, c, homogeneous=False, backend=FLOAT)
 
-    def describe(self):
-        if self.homogeneous:
-            return {"a": format_scalar(self.a[0][0]), "b": format_scalar(self.b[0][0]),
-                    "c2": format_scalar(self.c2)}
-        return {"inhomogeneous": True, "N": self.N}
+    def rounded(self, x: Fraction):
+        """An exact transfer ratio in this grid's backend, rounded once if float."""
+        return x if self.backend == EXACT else to_float(x)
 
     @cached_property
     def _transfer_weights(self):
@@ -187,11 +183,12 @@ def _row(a, b, c2, states, width, mark=None, frozen=None):
     return {key >> 1: w for key, w in cur.items() if key & 1}
 
 
-def _transfer(grid: WeightGrid, marks=(), frozen=(), widths=None):
+def _transfer(grid: WeightGrid, marks=(), frozen=(), widths=None) -> Fraction:
     """Reduced partition sum (without the overall c^N) under constraints.
 
     Every row has n5 - n6 = 1, so a row of width n weighs an integer over
-    D^(n-1) and the sum is one integer over a power of D.
+    D^(n-1) and the sum is one integer over a power of D.  It is returned
+    as that exact ``Fraction`` on both backends; callers round it once.
     """
     a, b, c2, den = grid._transfer_weights
     widths = widths or [grid.N] * grid.N
@@ -200,7 +197,7 @@ def _transfer(grid: WeightGrid, marks=(), frozen=(), widths=None):
         # the top boundary and the edges entering a wider row from outside point down
         states = {v | (1 << width) - (1 << prev): w for v, w in states.items()}
         states, prev = _row(a_row, b_row, c2, states, width, mark, froz), width
-    return grid._one * states.get(0, 0) / (grid._one * den) ** (sum(widths) - grid.N)
+    return Fraction(states.get(0, 0), den ** (sum(widths) - grid.N))
 
 
 def _nonzero(z, n):
@@ -225,13 +222,13 @@ def partition_function_oracle(grid: WeightGrid, cap=None):
     _check_cap(grid.N, cap)
     if grid.c is None:
         raise Unsupported("Z_N needs a concrete c; this grid only carries c^2")
-    return grid.c ** grid.N * _transfer(grid)
+    return grid.c ** grid.N * grid.rounded(_transfer(grid))
 
 
 def reduced_partition_oracle(grid: WeightGrid, cap=None):
     """The c-reduced sum Z_N / c^N; always available, both backends."""
     _check_cap(grid.N, cap)
-    return _transfer(grid)
+    return grid.rounded(_transfer(grid))
 
 
 def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> CorrelationResult:
@@ -239,8 +236,8 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
 
     Edge j sits in row j between columns r_j and r_j + 1 from the right.
     The equivalent characterization (a frozen corner of type-2 vertices with
-    diagram shape mu) is evaluated as well and must agree; a mismatch means
-    a bug, so it raises.
+    diagram shape mu) is evaluated as well and must agree exactly, on both
+    backends; a mismatch means a bug, so it raises.
     """
     _check_cap(grid.N, cap)
     if profile.N != grid.N:
@@ -248,18 +245,10 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
     z = _nonzero(_transfer(grid), grid.N)
     marked = _transfer(grid, marks=profile.r)
     frozen = _transfer(grid, frozen=profile.r)
-    value = marked / z
-    other = frozen / z
-    if grid.backend == EXACT:
-        agree = value == other
-    else:
-        agree = abs(value - other) <= mp.mpf(2) ** (8 - mp.prec) * (1 + abs(value))
-    if not agree:
+    if marked != frozen:
         raise AssertionError(
-            f"edge-based and frozen-region GEFP disagree: {value} vs {other}")
-    return CorrelationResult(value, "oracle", grid.backend,
-                             {"N": grid.N, "r": list(profile.r), **grid.describe()},
-                             None if grid.backend == EXACT else mp.prec)
+            f"edge-based and frozen-region GEFP disagree: {marked / z} vs {frozen / z}")
+    return CorrelationResult(grid.rounded(marked / z), "oracle", grid.backend)
 
 
 def boundary_H_oracle(grid: WeightGrid, r: int, cap=None) -> CorrelationResult:
@@ -268,9 +257,7 @@ def boundary_H_oracle(grid: WeightGrid, r: int, cap=None) -> CorrelationResult:
     if not 1 <= r <= grid.N:
         raise BadIndex(f"r={r} outside 1..{grid.N}")
     value = boundary_distribution_oracle(grid)[r - 1]
-    return CorrelationResult(value, "oracle", grid.backend,
-                             {"N": grid.N, "r": r, **grid.describe()},
-                             None if grid.backend == EXACT else mp.prec)
+    return CorrelationResult(value, "oracle", grid.backend)
 
 
 def boundary_distribution_oracle(grid: WeightGrid, cap=None):
@@ -293,9 +280,7 @@ def boundary_distribution_oracle(grid: WeightGrid, cap=None):
     last = [_row(a[-1], b[-1], c2, {1 << k: states.get(1 << k, 0)}, n).get(0, 0)
             for k in reversed(range(n))]
     z = _nonzero(sum(last), n)
-    if grid.backend == EXACT:
-        return [Fraction(x, z) for x in last]
-    return [to_float(Fraction(x, z)) for x in last]
+    return [grid.rounded(Fraction(x, z)) for x in last]
 
 
 def modified_domain_partition(grid: WeightGrid, profile: YoungProfile, cap=None):
@@ -320,7 +305,7 @@ def reduced_modified_domain_partition(grid: WeightGrid, profile: YoungProfile, c
     if profile.N != grid.N:
         raise BadIndex(f"profile N={profile.N} does not match grid N={grid.N}")
     widths = list(profile.r) + [grid.N] * (grid.N - profile.s)
-    return _transfer(grid, widths=widths)
+    return grid.rounded(_transfer(grid, widths=widths))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +337,7 @@ def enumerate_naive(grid: WeightGrid, marks=None) -> NaiveEnumeration:
     n = grid.N
     if n > NAIVE_CAP:
         raise TooLarge(f"naive enumeration is capped at N={NAIVE_CAP}")
-    zero = grid._one * 0
-    total = zero
+    total = Fraction(0)
     count = 0
     parity_ok = True
     free_h = [(j, k) for j in range(n) for k in range(1, n)]
@@ -371,7 +355,7 @@ def enumerate_naive(grid: WeightGrid, marks=None) -> NaiveEnumeration:
             h[j][k] = bit
         for (i, k), bit in zip(free_v, bits[len(free_h):]):
             v[i][k] = bit
-        w = grid._one
+        w = Fraction(1)
         n5 = n6 = 0
         ok = True
         for j in range(n):

@@ -11,15 +11,15 @@ from fractions import Fraction
 from mpmath import mp
 
 from .backends import EXACT
-from .gefp import efp_special_case, gefp_residue, pole_deformation_check
+from .gefp import gefp_residue, pole_deformation_check
 from .hfun import (boundary_H_table_oracle, boundary_H_table_via_K, build_h_tables,
                    h_multivariate, h_polynomial, kfint_check, reflect_substitute)
 from .ik import (gefp_inhom_determinant, gefp_inhom_recurrence,
                  homogeneous_partition_jets, ik_partition)
 from .algebra import UniPoly
-from .oracle import (WeightGrid, YoungProfile, all_profiles, enumerate_naive,
-                     gefp_oracle, modified_domain_partition,
-                     partition_function_oracle, reduced_partition_oracle)
+from .oracle import (WeightGrid, all_profiles, enumerate_naive, gefp_oracle,
+                     modified_domain_partition, partition_function_oracle,
+                     reduced_partition_oracle)
 from .params import SpectralData, VertexWeights
 
 # rational parameter grid: includes the free-fermion line and Delta > 1
@@ -226,16 +226,18 @@ def criterion_5(level="desk"):
 
 
 def criterion_6(level="desk"):
-    """Structural theorems: vanishing, boundary reduction, pole balance, EFP."""
+    """Structural theorems: vanishing, boundary reduction, pole balance.
+
+    The EFP, the rectangular profile (r, ..., r), is an ordinary profile:
+    criterion 1 compares it with the oracle along with every other one.
+    """
     n_max_vanish = 5 if level == "desk" else 3
     n_max_pole = 4 if level == "desk" else 3
     records = []
     delta, t = Fraction(1, 2), Fraction(1)
-    w = VertexWeights.from_delta_t(delta, t)
     vanish_ok = True
     reduce_ok = True
     for n in range(1, n_max_vanish + 1):
-        grid = WeightGrid.from_weights(n, w)
         for prof in all_profiles(n):
             val = gefp_residue(n, prof, delta, t, EXACT).value
             if prof.blocked != (val == 0):
@@ -262,18 +264,6 @@ def criterion_6(level="desk"):
     records.append(CheckRecord(
         "criterion-6", f"pole deformation balanced for all r_s = N profiles, "
         f"N<={n_max_pole}", pole_ok))
-    efp_ok = True
-    for n in range(1, n_max_pole + 1):
-        grid = WeightGrid.from_weights(n, w)
-        for s in range(1, n + 1):
-            for r in range(1, n + 1):
-                lhs = efp_special_case(n, s, r, "residue", delta=delta, t=t).value
-                rhs = gefp_oracle(grid, YoungProfile(n, (r,) * s)).value
-                if lhs != rhs:
-                    efp_ok = False
-    records.append(CheckRecord(
-        "criterion-6", f"equal-position special case matches the general engine, "
-        f"N<={n_max_pole}", efp_ok))
     return records
 
 

@@ -49,8 +49,8 @@ def test_criterion_5_h_function_properties():
 
 
 def test_criterion_6_structural_theorems():
-    """Vanishing iff r_j < j, boundary-row reduction, pole-deformation
-    balance (N <= 4), and the equal-position special case."""
+    """Vanishing iff r_j < j, boundary-row reduction, and pole-deformation
+    balance (N <= 4)."""
     _run(6)
 
 

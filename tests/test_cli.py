@@ -2,14 +2,24 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from gefp_lab import gefp, oracle
+from gefp_lab.backends import format_scalar
 from gefp_lab.cli import main
+from gefp_lab.gefp import gefp_residue
+from gefp_lab.oracle import YoungProfile
+from gefp_lab.params import delta_t_from_trig
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr); an argparse refusal gives its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -108,8 +118,13 @@ def test_computation_error_exits_3_with_class_name(capsys):
     # b = sin(lambda - eta) < 0
     (["gefp", "--N", "3", "--r", "2,3", "--lambda", "0", "--eta", "0.3",
       "--engine", "jets", "--backend", "float"], "NonphysicalWeights"),
+    (["efp", "--N", "3", "--s", "2", "--r", "3", "--lambda", "0", "--eta", "0.3",
+      "--engine", "jets", "--backend", "float"], "NonphysicalWeights"),
+    # a = sin(lambda - nu + eta) = 0 at one site
+    (["partition", "--N", "1", "--lambdas", "0", "--nus", "0.1", "--eta", "0.1",
+      "--engine", "ik", "--backend", "float"], "DivisionByZero"),
 ], ids=["jets-degenerate", "residue-degenerate", "efp-jets-degenerate",
-        "jets-nonphysical"])
+        "jets-nonphysical", "efp-jets-nonphysical", "ik-vanishing-weight"])
 def test_bad_weights_exit_3_with_class_name(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
@@ -294,6 +309,36 @@ def test_efp_jets_converts_delta_t(capsys):
     assert rec["value"] == json.loads(out2)["value"]
 
 
+RATIONAL_POINT = ["--delta", "1/3", "--t", "3/4"]
+TRIG_POINT = ["--lambda", "1.1", "--eta", "0.35", "--backend", "float"]
+
+
+@pytest.mark.parametrize("engine", ["residue", "jets", "oracle"])
+@pytest.mark.parametrize("point", [RATIONAL_POINT, RATIONAL_POINT + ["--backend", "float"],
+                                   TRIG_POINT], ids=["exact", "float", "trig"])
+def test_efp_is_the_gefp_of_the_rectangular_profile(capsys, engine, point):
+    code, out, _ = run_cli(capsys, "efp", "--N", "4", "--s", "2", "--r", "3",
+                           "--engine", engine, *point)
+    code2, out2, _ = run_cli(capsys, "gefp", "--N", "4", "--r", "3,3",
+                             "--engine", engine, *point)
+    assert code == code2 == (2 if (engine, point) == ("jets", RATIONAL_POINT) else 0)
+    if code == 0:
+        efp, gefp_rec = json.loads(out), json.loads(out2)
+        assert efp["engine"] == f"efp/{gefp_rec['engine']}"
+        for key in ("backend", "precision_bits", "value"):
+            assert efp[key] == gefp_rec[key]
+
+
+def test_float_residue_at_a_trig_point_takes_delta_t_from_trig(capsys):
+    code, out, _ = run_cli(capsys, "gefp", "--N", "4", "--r", "2,4", "--engine", "residue",
+                           *TRIG_POINT)
+    assert code == 0
+    with mp.workprec(128):
+        delta, t = delta_t_from_trig(mp.mpf("1.1"), mp.mpf("0.35"))
+        value = gefp_residue(4, YoungProfile(4, (2, 4)), delta, t, "float").value
+        assert json.loads(out)["value"] == format_scalar(value)
+
+
 def test_efp_jets_on_exact_backend_exits_2(capsys):
     code, out, err = run_cli(capsys, "efp", "--N", "3", "--s", "2", "--r", "2",
                              "--delta", "1/2", "--t", "1", "--engine", "jets")
@@ -445,3 +490,83 @@ def test_workers_below_one_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--workers" in err
+
+
+RATIONAL = ["--delta", "1/2", "--t", "1"]
+FLOAT_LISTS = ["--engine", "ik", "--eta", "0.4", "--backend", "float"]
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (["partition", "--N", "-2", *RATIONAL], "--N"),
+    (["partition", "--N", "-2", "--lambda", "1.1", "--eta", "0.3", "--engine", "ik-hom",
+      "--backend", "float"], "--N"),
+    (["table", "--N", "-1", *RATIONAL], "--N"),
+    (["hfun", "--N", "0", "--delta", "1/3", "--t", "3/4"], "--N"),
+    (["hfun", "--N", "0", "--lambda", "1.1", "--eta", "0.35", "--engine", "kpoly",
+      "--backend", "float"], "--N"),
+    (["table", "--N", "3", "--s", "-1", *RATIONAL], "--s"),
+    (["table", "--N", "3", "--s", "4", *RATIONAL], "--s 4 exceeds N=3"),
+    (["efp", "--N", "3", "--s", "-1", "--r", "2", *RATIONAL], "--s"),
+    (["efp", "--N", "3", "--s", "4", "--r", "2", *RATIONAL], "length 4 exceeds N=3"),
+    (["efp", "--N", "3", "--s", "2", "--r", "4", *RATIONAL], "--r 4 outside 1..3"),
+    (["efp", "--N", "3", "--s", "0", "--r", "0", *RATIONAL], "--r 0 outside 1..3"),
+    (["efp", "--N", "3", "--s", "2", "--r", "2", *RATIONAL, "--engine", "quadrature"],
+     "--engine"),
+    (["gefp", "--N", "3", "--r", "1,2,3,3", *RATIONAL], "length 4 exceeds N=3"),
+    (["partition", "--N", "1", "--lambdas", "0.3", "--nus", "0.1,0.5", *FLOAT_LISTS],
+     "equal length"),
+    (["partition", "--N", "5", "--lambdas", "0.3,0.4", "--nus", "0.1,0.5", *FLOAT_LISTS],
+     "--N 5 does not match"),
+], ids=["partition-N", "ik-hom-N", "table-N", "hfun-N", "kpoly-N", "table-s-negative",
+        "table-s-above-N", "efp-s-negative", "efp-s-above-N", "efp-r-above-N",
+        "efp-r-zero", "efp-unknown-engine", "gefp-profile-too-long",
+        "ik-unequal-lists", "ik-N-mismatch"])
+def test_bad_sizes_exit_2_naming_the_fault(capsys, argv, fault):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert fault in err
+
+
+@st.composite
+def cli_argv(draw):
+    """Argv of one result command from small sizes and parameters, valid or not."""
+    engines = {"gefp": ["residue", "jets", "oracle"], "efp": ["residue", "jets", "oracle"],
+               "table": ["residue", "jets", "oracle"], "hfun": ["oracle", "kpoly"],
+               "partition": ["oracle", "ik", "ik-hom"], "cutdomain": []}
+    command = draw(st.sampled_from(sorted(engines)))
+    argv = [command, "--N", str(draw(st.integers(-2, 4)))]
+    if command in ("gefp", "cutdomain"):
+        argv += ["--r", ",".join(str(r) for r in draw(st.lists(st.integers(-1, 5),
+                                                               max_size=5)))]
+    if command == "efp":
+        argv += ["--s", str(draw(st.integers(-2, 4))), "--r", str(draw(st.integers(-1, 5)))]
+    if command == "table" and draw(st.booleans()):
+        argv += ["--s", str(draw(st.integers(-2, 4)))]
+    if engines[command]:
+        argv += ["--engine", draw(st.sampled_from(engines[command]))]
+    argv += ["--backend", draw(st.sampled_from(["exact", "float"]))]
+    rational = st.fractions(min_value=-2, max_value=2, max_denominator=4).map(str)
+    decimal = st.integers(-20, 20).map(lambda k: str(k / 10))
+    kinds = ["rational", "trig"] + (["lists"] if command == "partition" else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "rational":
+        argv += ["--delta", draw(rational), "--t", draw(rational)]
+    elif kind == "trig":
+        argv += ["--lambda", draw(decimal), "--eta", draw(decimal)]
+    else:
+        lists = st.lists(decimal, min_size=1, max_size=3).map(",".join)
+        argv += ["--lambdas", draw(lists), "--nus", draw(lists), "--eta", draw(decimal)]
+    if draw(st.booleans()):
+        argv.append("--allow-nonphysical")
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(cli_argv())
+def test_cli_ends_in_an_exit_code_never_a_traceback(argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:           # argparse refuses the argument
+        code = exc.code
+        assert code == 2, argv
+    assert code in (0, 2, 3), argv

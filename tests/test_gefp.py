@@ -8,8 +8,8 @@ from mpmath.libmp import to_rational
 from gefp_lab.backends import to_float
 from gefp_lab.errors import BadIndex, NonphysicalWeights, TooLarge, Unsupported
 from gefp_lab import gefp, hfun
-from gefp_lab.gefp import (efp_special_case, gefp_determinant_jets, gefp_residue,
-                           jets_workspace, pole_deformation_check, residue_workspace)
+from gefp_lab.gefp import (gefp_determinant_jets, gefp_residue, jets_workspace,
+                           pole_deformation_check, residue_workspace)
 from gefp_lab.hfun import boundary_H_table_oracle
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles, gefp_oracle)
 from gefp_lab.params import VertexWeights, delta_t_from_trig
@@ -257,12 +257,7 @@ def test_float_residue_workspace_depends_on_delta_t_alone():
         prof = YoungProfile(4, (2, 4))
         gefp._workspace_cache.clear()
         cold = gefp_residue(4, prof, delta, t, "float").value
-        gefp._workspace_cache.clear()
-        via_trig = gefp_residue(4, prof, lam=lam, eta=eta, backend="float").value
-        assert via_trig == cold
         assert gefp_residue(4, prof, delta, t, "float").value == cold
-        with pytest.raises(Unsupported):
-            gefp_residue(4, prof, delta, t, "float", lam=lam, eta=eta)
 
 
 def test_exact_residue_refuses_float_scalars():
@@ -270,13 +265,6 @@ def test_exact_residue_refuses_float_scalars():
         gefp_residue(3, YoungProfile(3, (2,)), mp.mpf(1) / 3, mp.mpf(3) / 4)
     with pytest.raises(Unsupported):
         residue_workspace(3, 1, Fraction(1, 3), 0.75)
-
-
-def test_jets_efp_takes_rational_delta_t():
-    with mp.workprec(128):
-        rational = efp_special_case(3, 2, 2, "jets", delta=Fraction(1, 3), t=Fraction(3, 4))
-        rounded = efp_special_case(3, 2, 2, "jets", delta=mp.mpf(1) / 3, t=mp.mpf(3) / 4)
-        assert rational.value == rounded.value
 
 
 def test_jets_full_row_is_one():
@@ -328,31 +316,9 @@ def test_jets_physicality_is_checked_before_the_workspace():
         gefp_determinant_jets(3, prof, lam, eta)        # builds the workspace
         with pytest.raises(NonphysicalWeights):
             gefp_determinant_jets(3, prof, lam, eta, allow_nonphysical=False)
-        with pytest.raises(NonphysicalWeights):
-            efp_special_case(3, 2, 3, "jets", lam=lam, eta=eta, allow_nonphysical=False)
-
-
-def test_efp_wrapper():
-    assert (efp_special_case(3, 1, 2, "residue", delta=D0, t=T0).value
-            == gefp_residue(3, YoungProfile(3, (2,)), D0, T0).value)
-    ice_grid = WeightGrid.from_weights(
-        4, VertexWeights.from_abc(Fraction(1), Fraction(1), Fraction(1)))
-    assert (efp_special_case(4, 2, 3, "residue", delta=D0, t=T0).value
-            == gefp_oracle(ice_grid, YoungProfile(4, (3, 3))).value)
-    assert efp_special_case(3, 3, 3, "residue", delta=D0, t=T0).value == 1
-    with pytest.raises(BadIndex):
-        efp_special_case(3, 1, 4, "residue", delta=D0, t=T0)
-    with pytest.raises(Unsupported):
-        efp_special_case(3, 1, 2, "quadrature", delta=D0, t=T0)
-
-
-def test_efp_equal_positions_match_jets_engine():
-    with mp.workprec(128):
-        lam, eta = mp.mpf("1.2"), mp.mpf("0.3")
-        delta, t = delta_t_from_trig(lam, eta)
-        jv = efp_special_case(4, 2, 3, "jets", lam=lam, eta=eta).value
-        rv = gefp_residue(4, YoungProfile(4, (3, 3)), delta, t, "float").value
-        _assert_jets_match_residue(jv, rv, YoungProfile(4, (3, 3)))
+        with pytest.raises(NonphysicalWeights):       # the EFP profile (3, 3)
+            gefp_determinant_jets(3, YoungProfile(3, (3, 3)), lam, eta,
+                                  allow_nonphysical=False)
 
 
 def test_pole_deformation_reports():

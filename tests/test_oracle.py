@@ -4,7 +4,9 @@ from math import comb, factorial, prod
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_rational
 
+from gefp_lab.backends import to_float
 from gefp_lab.errors import BadIndex, TooLarge, Unsupported
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              boundary_H_oracle, boundary_distribution_oracle,
@@ -228,6 +230,21 @@ def test_turned_sweep_matches_marked_transfer_on_spectral_grids():
             for h, g in zip(dist, first_row_increments(grid), strict=True):
                 assert abs(h - g) <= tol
             assert abs(sum(dist) - 1) <= tol
+
+
+def test_float_oracle_is_the_exact_ratio_rounded_once():
+    # the exact oracle on the dyadic rationals that the float weights hold
+    with mp.workprec(128):
+        for delta, t in ((mp.mpf(1) / 3, mp.mpf(3) / 4), (mp.mpf("0.41"), mp.mpf("1.3"))):
+            w = VertexWeights.from_delta_t(delta, t)
+            dyadic = VertexWeights(*(Fraction(*to_rational(x._mpf_)) for x in (w.a, w.b, w.c2)))
+            for n in range(1, 7):
+                grid, exact = (WeightGrid.from_weights(n, x) for x in (w, dyadic))
+                assert (reduced_partition_oracle(grid)
+                        == to_float(reduced_partition_oracle(exact)))
+                for prof in all_profiles(n):
+                    assert (gefp_oracle(grid, prof).value
+                            == to_float(gefp_oracle(exact, prof).value)), (n, prof.r)
 
 
 def test_modified_domain_identities():

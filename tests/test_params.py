@@ -117,3 +117,10 @@ def test_lambda_eta_inversion_round_trip():
             assert abs(t2 - t) < mp.mpf("1e-35")
         with pytest.raises(Unsupported):
             lambda_eta_from_delta_t(mp.mpf("1.5"), mp.mpf("0.5"))
+
+
+def test_lambda_eta_takes_rational_delta_t():
+    # a rational (Delta, t) is rounded once, like the float input it stands for
+    with mp.workprec(128):
+        assert (lambda_eta_from_delta_t(Fraction(1, 3), Fraction(3, 4))
+                == lambda_eta_from_delta_t(mp.mpf(1) / 3, mp.mpf(3) / 4))
