@@ -15,6 +15,11 @@ series and the h polynomial depend on the profile only through the
 extraction index, so they are cached per (N, s, parameters) and each profile
 costs one convolution.
 
+The exact backend runs on Python integers: with Delta = p/q, t = u/v in
+lowest terms and B = q v^2, both series are integer in w = z / B once each H
+table is scaled by the lcm of its denominators (D the product of the
+scales), and a profile costs one integer convolution and one ``Fraction``.
+
 ``gefp_determinant_jets`` evaluates the s x s determinant of K-polynomial
 operators acting on the omega/rho product, by multivariate jet expansion.
 The pair product, the K rows and the omega/rho powers depend only on
@@ -33,7 +38,7 @@ from mpmath import mp
 from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs
 from .backends import EXACT, FLOAT, is_exact_scalar, to_float
 from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
-from .hfun import OmegaRho, build_h_tables, h_polynomial, reflect_substitute
+from .hfun import HTable, OmegaRho, build_h_tables, h_polynomial, reflect_substitute
 from .ik import PhiJet, k_polynomial
 from .oracle import CorrelationResult, YoungProfile
 from .params import VertexWeights, weights_from_trig
@@ -51,35 +56,44 @@ class IntegrandSeries:
     """Analytic-at-origin part of the integral representation, expanded.
 
     ``prefactor`` holds every factor except h; ``h`` is the multivariate
-    boundary polynomial.  The GEFP for a profile is (-1)^s times the
-    convolution of the two coefficient tables at index (r_1-1, ..., r_s-1).
+    boundary polynomial.  With ``scale`` None both are series in z, on the
+    scalars of (Delta, t).  The exact workspace has ``scale`` = (B, D): both
+    are integer series in w = z / B, ``prefactor`` divided by B^(s(s-1)/2)
+    and ``h`` multiplied by D.
     """
 
-    N: int
     s: int
     prefactor: TruncatedSeries
     h: TruncatedSeries
+    scale: tuple = None
 
     def coefficient(self, profile: YoungProfile):
-        return self.prefactor.product_coeff(self.h, [rj - 1 for rj in profile.r])
+        """The GEFP, (-1)^s [prod_j z_j^(r_j - 1)] prefactor * h; in w the
+        integer convolution c at m = r - 1 gives c B^(s(s-1)/2) / (B^|m| D)."""
+        m = [rj - 1 for rj in profile.r]
+        c = (-1) ** self.s * self.prefactor.product_coeff(self.h, m)
+        if self.scale is None:
+            return c
+        B, D = self.scale
+        return Fraction(c * B ** (self.s * (self.s - 1) // 2), B ** sum(m) * D)
 
-    def gefp(self, profile: YoungProfile):
-        return (-1) ** self.s * self.coefficient(profile)
 
+def _prefactor_series(N, s, B, lin, a, b, zero):
+    """All integrand factors except h in w = z / B, over B^(s(s-1)/2).
 
-def _prefactor_series(N, s, delta, t, zero):
-    """All integrand factors except h, truncated to caps (N-1, ..., N-1);
-    each pair factor is one ``mul_pair_ratio`` pass, summed in its order."""
+    With lin = (t^2 - 2 Delta t) B, a = 2 Delta t B and b = t^2 B^2 the
+    factors are [lin w_j + 1]^(s-j) (B w_j - 1)^-(s-j+1) and, per pair,
+    (w_j - w_k) / (1 - a w_j + b w_j w_k), one ``mul_pair_ratio`` pass each,
+    summed in its order; caps (N-1, ..., N-1).  B = 1 gives the series in z.
+    """
     caps = [N - 1] * s
     one = zero + 1
     out = TruncatedSeries.constant(caps, one, zero)
-    a, b = 2 * delta * t, t * t
-    lin = b - a
     for j in range(s):
-        power = s - 1 - j                      # 1-based exponent s - j
-        for _ in range(power):
+        for _ in range(s - 1 - j):             # 1-based exponent s - j
             out = out.mul_axis(j, [one, lin])
-        out = out.mul_axis(j, geometric_inverse_coeffs(s - j, caps[j], one))
+        geometric = geometric_inverse_coeffs(s - j, caps[j], one)
+        out = out.mul_axis(j, [c * B ** m for m, c in enumerate(geometric)])
     for j in range(s):
         for k in range(j + 1, s):
             out = out.mul_pair_ratio(j, k, a, b)
@@ -107,33 +121,61 @@ def _cached(cache, key, build):
     return hit
 
 
-def residue_workspace(N, s, delta, t, backend=EXACT, *,
-                      allow_nonphysical=True) -> IntegrandSeries:
-    """Cached integrand expansion for one (N, s, parameter) combination.
-
-    The exact backend takes rational (delta, t) only; the float backend
-    rounds (delta, t) once and builds everything from those values, the h
-    tables through the same oracle sweep as the exact backend.  Physicality
-    is checked before the cache lookup, so a strict call cannot read an
-    entry that a permissive call built at the same point.
-    """
+def _residue_point(delta, t, backend, allow_nonphysical):
+    """(delta, t) in the backend's scalars, after the parameter checks."""
     if backend == EXACT:
         if not (is_exact_scalar(delta) and is_exact_scalar(t)):
             raise Unsupported("the exact residue engine needs rational delta and t")
         delta, t = Fraction(delta), Fraction(t)
-        key = (N, s, EXACT, delta, t)
     else:
         delta, t = to_float(delta), to_float(t)
-        key = (N, s, FLOAT) + _float_key(delta, t)
     if not allow_nonphysical:
         VertexWeights.from_delta_t(delta, t)            # raises NonphysicalWeights
-    return _cached(_workspace_cache, key,
-                   lambda: _build_integrand_series(N, s, delta, t))
+    return delta, t
 
 
-def _build_integrand_series(N, s, delta, t):
+def residue_workspace(N, s, delta, t, backend=EXACT, *,
+                      allow_nonphysical=True) -> IntegrandSeries:
+    """Cached integrand expansion for one (N, s, parameter) combination.
+
+    The exact backend takes rational (delta, t) only and builds the scaled
+    integer series; the float backend rounds (delta, t) once and builds the
+    series in z from those values, the h tables through the same oracle
+    sweep as the exact backend.  Physicality is checked before the cache
+    lookup, so a strict call cannot read an entry that a permissive call
+    built at the same point.
+    """
+    delta, t = _residue_point(delta, t, backend, allow_nonphysical)
+    if backend == EXACT:
+        key, build = (N, s, EXACT, delta, t), _build_exact_series
+    else:
+        key, build = (N, s, FLOAT) + _float_key(delta, t), _z_series
+    return _cached(_workspace_cache, key, lambda: build(N, s, delta, t))
+
+
+def _z_series(N, s, delta, t):
+    """The expansion in z on the scalars of (delta, t): the float workspace,
+    and on rationals the unscaled reference of the exact one."""
     h = h_polynomial(build_h_tables(N, s, delta, t), N, s)
-    return IntegrandSeries(N, s, _prefactor_series(N, s, delta, t, h.zero), h)
+    a, b = 2 * delta * t, t * t
+    return IntegrandSeries(s, _prefactor_series(N, s, 1, b - a, a, b, h.zero), h)
+
+
+def _build_exact_series(N, s, delta, t):
+    """The integer expansion in w = z / B, B = q v^2 for Delta = p/q, t = u/v."""
+    p, q, u, v = delta.numerator, delta.denominator, t.numerator, t.denominator
+    B, D = q * v * v, 1
+    tables = build_h_tables(N, s, delta, t)
+    for n, table in tables.items():
+        scale = math.lcm(*(x.denominator for x in table.values))
+        tables[n] = HTable(n, tuple(int(x * scale) for x in table.values), EXACT)
+        D *= scale
+    h = h_polynomial(tables, N, s)
+    for idx, x in h.items():
+        h.set_coeff(idx, x * B ** sum(idx))
+    prefactor = _prefactor_series(N, s, B, u * u * q - 2 * p * u * v, 2 * p * u * v,
+                                  (u * q * v) ** 2, 0)
+    return IntegrandSeries(s, prefactor, h, (B, D))
 
 
 def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
@@ -144,19 +186,21 @@ def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
     boundary sweep at (delta, t), so N above its default cap raises
     ``TooLarge`` and a vanishing partition sum ``DivisionByZero``.  The
     exact backend needs rational (delta, t); the float backend rounds them
-    once, and a trig point enters through ``delta_t_from_trig``.  A
-    blocked profile (some r_j < j) gives an exact 0 on both backends.
+    once, and a trig point enters through ``delta_t_from_trig``.  The
+    empty profile gives 1 after the same parameter checks, and a blocked
+    profile (some r_j < j) an exact 0, on both backends.
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
     if profile.s == 0:
+        _residue_point(delta, t, backend, allow_nonphysical)
         one = Fraction(1) if backend == EXACT else mp.mpf(1)
         return CorrelationResult(one, "residue", backend)
     ws = residue_workspace(N, profile.s, delta, t, backend,
                            allow_nonphysical=allow_nonphysical)
     # the exact engine computes its zeros (criterion 6 tests them); a float
     # extraction would leave rounding noise of either sign in their place
-    value = mp.mpf(0) if backend == FLOAT and profile.blocked else ws.gefp(profile)
+    value = mp.mpf(0) if backend == FLOAT and profile.blocked else ws.coefficient(profile)
     return CorrelationResult(value, "residue", backend)
 
 
@@ -274,19 +318,19 @@ def gefp_determinant_jets(N, profile: YoungProfile, lam, eta, *,
     shared multivariate jet of the trailing omega/rho product, one axis at a
     time (see ``JetsWorkspace.contraction``).  Boxes above ``JETS_BOX_CAP``
     are refused before any work, and physicality is checked before the
-    workspace lookup.
+    workspace lookup and before the empty profile's 1.
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
     s = profile.s
-    if s == 0:
-        return CorrelationResult(mp.mpf(1), "jets", FLOAT)
     if N ** s > JETS_BOX_CAP:
         raise TooLarge(f"the pair box N^s = {N}^{s} exceeds the operator-determinant "
                        f"cap {JETS_BOX_CAP}")
     lam, eta = mp.mpf(lam), mp.mpf(eta)
     if not allow_nonphysical:
         weights_from_trig(lam, 0, eta)                  # raises NonphysicalWeights
+    if s == 0:
+        return CorrelationResult(mp.mpf(1), "jets", FLOAT)
     value = (-1) ** s * jets_workspace(N, s, lam, eta).contraction(list(profile.r))
     return CorrelationResult(value, "jets", FLOAT)
 
@@ -323,35 +367,31 @@ def pole_deformation_check(N, profile: YoungProfile, delta, t) -> PoleDeformatio
 
     Exact backend only.
     """
-    if not (is_exact_scalar(delta) and is_exact_scalar(t)):
-        raise Unsupported("the pole deformation check runs in the exact backend")
-    delta, t = Fraction(delta), Fraction(t)
+    delta, t = _residue_point(delta, t, EXACT, True)
     s = profile.s
     if s == 0 or profile.r[-1] != N:
         raise BadIndex("the check needs a nonempty profile with r_s = N")
     reduced = profile.reduced()
-    ws = residue_workspace(N, s, delta, t, EXACT)
-    value = ws.gefp(profile)
+    value = residue_workspace(N, s, delta, t, EXACT).coefficient(profile)
+    zs = _z_series(N, s, delta, t)
     if s == 1:
         reduced_value = Fraction(1)
-        h_at_one = ws.h.substitute_value(0, Fraction(1))
+        h_at_one = zs.h.substitute_value(0, Fraction(1))
         res_match = h_at_one.coeff(()) == 1
         return PoleDeformationReport(tuple(profile.r), value, reduced_value,
                                      res_match, [], value == reduced_value)
-    ws_red = residue_workspace(N, s - 1, delta, t, EXACT)
-    reduced_value = ws_red.gefp(reduced)
+    reduced_value = residue_workspace(N, s - 1, delta, t, EXACT).coefficient(reduced)
 
     # (i): coefficient extraction of the z_s = 1 residue vs the shorter profile
-    h_at_one = ws.h.substitute_value(s - 1, Fraction(1))
+    h_at_one = zs.h.substitute_value(s - 1, Fraction(1))
     target = tuple(rj - 1 for rj in reduced.r)
-    c1 = ws_red.prefactor.product_coeff(h_at_one, target)
-    i_red = ws_red.coefficient(reduced)
-    res_match = c1 == i_red
+    c1 = _z_series(N, s - 1, delta, t).prefactor.product_coeff(h_at_one, target)
+    res_match = (-1) ** (s - 1) * c1 == reduced_value
 
     # (ii): each remaining pole, spectators at generic rationals
     pole_zero = []
     for j in range(s - 1):
-        pole_zero.append(_pole_contribution_is_zero(ws, profile, j, delta, t))
+        pole_zero.append(_pole_contribution_is_zero(zs, profile, j, delta, t))
 
     return PoleDeformationReport(tuple(profile.r), value, reduced_value,
                                  res_match, pole_zero, value == reduced_value)

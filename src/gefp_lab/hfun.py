@@ -252,7 +252,8 @@ def h_polynomial(tables, N, s) -> TruncatedSeries:
     lambda in the s x (N-1) box (Macdonald, ch. I).  The coefficient of z^alpha
     in s_lambda is the Kostka number K_{lambda, sort(alpha)}, so each sorted
     alpha takes one sum over lambda (one ``mp.fdot`` for floats, so every
-    entry is rounded once) and is copied to its permutations.
+    entry is rounded once) and is copied to its permutations.  Integer tables,
+    as the exact residue engine passes them, give integer minors and entries.
     """
     if s > N:
         raise BadIndex(f"s={s} exceeds N={N}")

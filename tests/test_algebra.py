@@ -250,12 +250,20 @@ def test_mul_pair_ratio_equals_product_with_inverse():
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 def test_prefactor_equals_product_with_inverse(monkeypatch, N):
+    # in z (B = 1); in w = z / B, with the exact engine's integer parameters,
+    # the series is the one in z times B^|m| / B^(s(s-1)/2)
     for delta, t in ((Fraction(1, 3), Fraction(3, 4)), (Fraction(-5, 7), Fraction(2, 9))):
+        a, b, B = 2 * delta * t, t * t, delta.denominator * t.denominator ** 2
         for s in range(1, N + 1):
-            got = _prefactor_series(N, s, delta, t, Fraction(0)).data
+            got = _prefactor_series(N, s, 1, b - a, a, b, Fraction(0))
             with monkeypatch.context() as m:
                 m.setattr(TruncatedSeries, "mul_pair_ratio", _pair_ratio_by_inverse)
-                assert got == _prefactor_series(N, s, delta, t, Fraction(0)).data
+                assert got.data == _prefactor_series(N, s, 1, b - a, a, b, Fraction(0)).data
+            scaled = _prefactor_series(N, s, B, int((b - a) * B), int(a * B),
+                                       int(b * B * B), 0)
+            pairs = s * (s - 1) // 2
+            assert scaled.data == [got.coeff(idx) * Fraction(B) ** (sum(idx) - pairs)
+                                   for idx in product(range(N), repeat=s)]
 
 
 def _random_float(rng):

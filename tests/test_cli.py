@@ -132,6 +132,21 @@ def test_bad_weights_exit_3_with_class_name(capsys, argv, name):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gefp", "--N", "3", "--r", ""],
+    ["efp", "--N", "3", "--s", "0", "--r", "2"],
+    ["table", "--N", "3", "--s", "0"],
+], ids=["gefp", "efp", "table"])
+def test_empty_profile_checks_physicality(capsys, argv):
+    # Delta = 5, t = -1 gives b < 0: refused like any other profile
+    point = ["--delta", "5", "--t", "-1"]
+    code, out, err = run_cli(capsys, *argv, *point)
+    assert code == 3 and out == ""
+    assert err.startswith("error: NonphysicalWeights:")
+    code, out, _ = run_cli(capsys, *argv, *point, "--allow-nonphysical")
+    assert code == 0 and json.loads(out)["value"] == "1/1"
+
+
+@pytest.mark.parametrize("argv", [
     ["efp", "--N", "40", "--s", "6", "--r", "3"],
     ["gefp", "--N", "30", "--r", "1,2,3,4,5"],
     ["gefp", "--N", "15", "--r", "1,2,3,4"],

@@ -140,6 +140,12 @@ def test_float_residue_never_takes_the_k_route(monkeypatch):
         assert abs(value - exact) <= mp.mpf(2) ** (16 - mp.prec) * exact
 
 
+def _z_prefactor(n, s, delta, t, zero):
+    """The prefactor series in z (B = 1) on the scalars of (delta, t)."""
+    a, b = 2 * delta * t, t * t
+    return gefp._prefactor_series(n, s, 1, b - a, a, b, zero).data
+
+
 def test_float_prefactor_accuracy_at_non_dyadic_points():
     # at (1/3, 3/4) the float pair factor is exact (2 Delta t = 1/2); these
     # points round 2 Delta t and t^2, so the kernel's rounding shows
@@ -149,25 +155,55 @@ def test_float_prefactor_accuracy_at_non_dyadic_points():
             dyadic = [Fraction(*to_rational(x._mpf_)) for x in (delta, t)]
             for n in range(1, 7):
                 for s in range(1, min(n, 4) + 1):
-                    got = gefp._prefactor_series(n, s, delta, t, mp.mpf(0)).data
-                    want = gefp._prefactor_series(n, s, *dyadic, Fraction(0)).data
+                    got = _z_prefactor(n, s, delta, t, mp.mpf(0))
+                    want = _z_prefactor(n, s, *dyadic, Fraction(0))
                     for x, y in zip(got, want):
                         if y != 0:
                             y = to_float(y)
                             assert abs(x - y) <= mp.mpf(2) ** (20 - mp.prec) * abs(y)
 
 
+def _brute_convolution(series, target):
+    total = 0
+    for idx, v in series.prefactor.items():
+        rem = tuple(a - b for a, b in zip(target, idx))
+        if all(x >= 0 for x in rem):
+            total += v * series.h.coeff(rem)
+    return total
+
+
 def test_coefficient_equals_brute_force_convolution():
+    # the integer series in w, scaled back, and the series in z
+    delta, t = Fraction(1, 3), Fraction(3, 4)
     for s in range(1, 5):
-        ws = residue_workspace(4, s, Fraction(1, 3), Fraction(3, 4))
+        ws = residue_workspace(4, s, delta, t)
+        zs = gefp._z_series(4, s, delta, t)
+        B, D = ws.scale
         for prof in all_profiles(4, s):
             target = tuple(rj - 1 for rj in prof.r)
-            brute = Fraction(0)
-            for idx, v in ws.prefactor.items():
-                rem = tuple(a - b for a, b in zip(target, idx))
-                if all(x >= 0 for x in rem):
-                    brute += v * ws.h.coeff(rem)
-            assert ws.coefficient(prof) == brute
+            want = (-1) ** s * _brute_convolution(zs, target)
+            assert ws.coefficient(prof) == want
+            assert want == Fraction((-1) ** s * _brute_convolution(ws, target)
+                                    * B ** (s * (s - 1) // 2), B ** sum(target) * D)
+
+
+@pytest.mark.parametrize("delta, t", [(Fraction(1, 3), Fraction(3, 4)),
+                                      (Fraction(-5, 7), Fraction(-2, 9)),
+                                      (Fraction(5), Fraction(1, 2))])
+def test_exact_workspace_holds_only_ints(delta, t):
+    # a silent fallback to Fraction arithmetic would pass every value test
+    for s in range(1, 6):
+        ws = residue_workspace(5, s, delta, t)
+        assert all(type(x) is int for x in ws.prefactor.data + ws.h.data + list(ws.scale))
+        assert ws.scale[0] == delta.denominator * t.denominator ** 2
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_empty_profile_checks_physicality(backend):
+    prof = YoungProfile(3, ())
+    with pytest.raises(NonphysicalWeights):
+        gefp_residue(3, prof, Fraction(5), Fraction(-1), backend, allow_nonphysical=False)
+    assert gefp_residue(3, prof, Fraction(5), Fraction(-1), backend).value == 1
 
 
 def _assert_jets_match_oracle(n, profiles):
@@ -265,6 +301,8 @@ def test_exact_residue_refuses_float_scalars():
         gefp_residue(3, YoungProfile(3, (2,)), mp.mpf(1) / 3, mp.mpf(3) / 4)
     with pytest.raises(Unsupported):
         residue_workspace(3, 1, Fraction(1, 3), 0.75)
+    with pytest.raises(Unsupported):
+        gefp_residue(3, YoungProfile(3, ()), 0.5, Fraction(1))
 
 
 def test_jets_full_row_is_one():
@@ -316,9 +354,11 @@ def test_jets_physicality_is_checked_before_the_workspace():
         gefp_determinant_jets(3, prof, lam, eta)        # builds the workspace
         with pytest.raises(NonphysicalWeights):
             gefp_determinant_jets(3, prof, lam, eta, allow_nonphysical=False)
-        with pytest.raises(NonphysicalWeights):       # the EFP profile (3, 3)
-            gefp_determinant_jets(3, YoungProfile(3, (3, 3)), lam, eta,
-                                  allow_nonphysical=False)
+        for r in ((3, 3), ()):                         # an EFP profile, the empty one
+            with pytest.raises(NonphysicalWeights):
+                gefp_determinant_jets(3, YoungProfile(3, r), lam, eta,
+                                      allow_nonphysical=False)
+        assert gefp_determinant_jets(3, YoungProfile(3, ()), lam, eta).value == 1
 
 
 def test_pole_deformation_reports():

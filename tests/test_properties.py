@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from gefp_lab.backends import EXACT, FLOAT, to_float
+from gefp_lab import gefp
 from gefp_lab.gefp import gefp_determinant_jets, gefp_residue
-from gefp_lab.oracle import (WeightGrid, YoungProfile, gefp_oracle,
+from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles, gefp_oracle,
                              reduced_partition_oracle)
 from gefp_lab.params import VertexWeights, weights_from_trig
 
@@ -73,6 +74,25 @@ def test_boundary_row_reduction(delta, t, profile):
     full = YoungProfile(n, profile.r[:-1] + (n,))
     assert (gefp_residue(n, full, delta, t, EXACT).value
             == gefp_residue(n, full.reduced(), delta, t, EXACT).value)
+
+
+numerators = st.integers(-50, 50)
+denominators = st.integers(1, 50)
+
+
+@property_settings
+@given(numerators, denominators, numerators, denominators)
+def test_exact_residue_equals_unscaled_route(p, q, u, v):
+    # the same kernels on Fraction in z (B = 1) against the integer route in
+    # w, for every profile with N <= 4
+    delta, t = Fraction(p, q), Fraction(u, v)
+    _grid(delta, t, N_MAX)
+    for n in range(1, N_MAX + 1):
+        for s in range(1, n + 1):
+            unscaled = gefp._z_series(n, s, delta, t)
+            for profile in all_profiles(n, s):
+                assert (gefp_residue(n, profile, delta, t, EXACT).value
+                        == unscaled.coefficient(profile))
 
 
 @property_settings
