@@ -18,21 +18,19 @@ from .errors import (BadIndex, BranchPole, DivisionByZero, DuplicateRapidity,
 from .gefp import (IntegrandSeries, JetsWorkspace, PoleDeformationReport,
                    gefp_determinant_jets, gefp_residue, jets_workspace,
                    pole_deformation_check, residue_workspace)
-from .hfun import (HTable, OmegaRho, boundary_H_table_oracle,
-                   boundary_H_table_via_K, build_h_tables, h_multivariate,
-                   h_polynomial, h_via_inhomogeneous_Z, kfint_check,
-                   reflect_substitute)
+from .hfun import (OmegaRho, boundary_H_table_via_K, build_h_tables,
+                   h_multivariate, h_polynomial, h_via_inhomogeneous_Z,
+                   kfint_check, reflect_substitute)
 from .ik import (PhiJet, gefp_inhom_determinant, gefp_inhom_recurrence,
                  homogeneous_partition_jets, ik_partition, k_polynomial,
                  partially_inhomogeneous_partition)
 from .oracle import (CorrelationResult, NaiveEnumeration, WeightGrid,
-                     YoungProfile, all_profiles, boundary_H_oracle,
-                     boundary_distribution_oracle, enumerate_naive,
-                     gefp_oracle, modified_domain_partition,
+                     YoungProfile, all_profiles, boundary_distribution_oracle,
+                     enumerate_naive, gefp_oracle, modified_domain_partition,
                      partition_function_oracle, reduced_partition_oracle,
                      reduced_modified_domain_partition)
-from .params import (AnisotropyPoint, SpectralData, VertexWeights,
-                     delta_t_from_trig, delta_t_from_weights, exact_sqrt,
-                     lambda_eta_from_delta_t, weights_from_trig)
+from .params import (SpectralData, VertexWeights, delta_t_from_trig,
+                     delta_t_from_weights, exact_sqrt, lambda_eta_from_delta_t,
+                     weights_from_trig)
 
 __version__ = "0.1.0"

@@ -179,10 +179,12 @@ class Jet:
     __rmul__ = __mul__
 
     def invert(self):
-        if self.coeffs[0] == 0:
+        """Multiplicative inverse; an exact constant term keeps the entries exact."""
+        c0 = self.coeffs[0]
+        if c0 == 0:
             raise NotInvertible("jet has zero constant term")
         n = self.order
-        inv0 = 1 / self.coeffs[0]
+        inv0 = Fraction(1, c0) if is_exact_scalar(c0) else 1 / c0
         out = [inv0]
         for m in range(1, n + 1):
             acc = None
@@ -241,25 +243,6 @@ class UniPoly:
         for c in reversed(self.coeffs[:-1]):
             out = out * x + c
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [0] * (n - len(self.coeffs))
-        b = other.coeffs + [0] * (n - len(other.coeffs))
-        return UniPoly([x + y for x, y in zip(a, b)])
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly([other])
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
@@ -493,13 +476,15 @@ class TruncatedSeries:
         Entries are filled in flat order.  Each one starts at ``zero`` and
         adds, over this series' nonzero non-constant entries in flat order,
         the entry times the inverse's nonzero entry at the offset difference.
+        An exact constant term is inverted as a ``Fraction``, so an int series
+        gets an exact inverse.
         """
         c0 = self.data[0]
         if c0 == 0:
             raise NotInvertible("series has zero constant term")
         out = TruncatedSeries(self.caps, self.zero)
         data = out.data
-        inv0 = data[0] = 1 / c0
+        inv0 = data[0] = Fraction(1, c0) if is_exact_scalar(c0) else 1 / c0
         nz = [(self._offset(idx), idx, v) for idx, v in self.items() if any(idx)]
         for o, idx in enumerate(product(*[range(c + 1) for c in self.caps])):
             if o == 0:

@@ -20,13 +20,15 @@ from dataclasses import asdict
 from mpmath import mp
 
 from . import __version__
+from .algebra import UniPoly
 from .backends import (EXACT, FLOAT, MIN_PRECISION_BITS, default_precision_bits,
                        format_scalar, parse_exact, parse_float)
 from .errors import BadIndex, GefpLabError, Unsupported
 from .gefp import gefp_determinant_jets, gefp_residue
-from .hfun import boundary_H_table_oracle, boundary_H_table_via_K
+from .hfun import boundary_H_table_via_K
 from .ik import homogeneous_partition_jets, ik_partition
-from .oracle import (WeightGrid, YoungProfile, all_profiles, gefp_oracle,
+from .oracle import (WeightGrid, YoungProfile, all_profiles,
+                     boundary_distribution_oracle, gefp_oracle,
                      modified_domain_partition, partition_function_oracle)
 from .params import (SpectralData, VertexWeights, delta_t_from_trig,
                      lambda_eta_from_delta_t, weights_from_trig)
@@ -264,8 +266,8 @@ def cmd_hfun(args):
     spec = ParamSpec(args)
     t0 = time.perf_counter()
     if args.engine == "oracle":
-        table = boundary_H_table_oracle(args.N, spec.weights(args.allow_nonphysical),
-                                        cap=args.oracle_cap)
+        grid = WeightGrid.from_weights(args.N, spec.weights(args.allow_nonphysical))
+        table = boundary_distribution_oracle(grid, cap=args.oracle_cap)
     elif args.engine == "kpoly":
         if spec.lam is None:
             raise UsageError("--engine kpoly needs --lambda/--eta")
@@ -276,11 +278,10 @@ def cmd_hfun(args):
     _log(f"command=hfun engine={args.engine} wall_time_ms={ms:.3f}")
     inputs = {"N": args.N, **spec.echo()}
     value = {
-        "H": [format_scalar(x) for x in table.values],
-        "h_poly_coeffs": [format_scalar(c) for c in table.polynomial().coeffs],
+        "H": [format_scalar(x) for x in table],
+        "h_poly_coeffs": [format_scalar(c) for c in UniPoly(table).coeffs],
     }
-    rec = _record("hfun", args.engine, table.backend, inputs, value, args, ms)
-    return [rec]
+    return [_record("hfun", args.engine, spec.backend, inputs, value, args, ms)]
 
 
 def cmd_cutdomain(args):
@@ -299,10 +300,10 @@ def cmd_table(args):
     spec = ParamSpec(args)
     if args.s is not None and args.s > args.N:
         raise UsageError(f"--s {args.s} exceeds N={args.N}")
-    profiles = sorted(all_profiles(args.N, args.s), key=lambda p: (p.s, p.r))
+    sizes = range(1, args.N + 1) if args.s is None else [args.s]
     t0 = time.perf_counter()
     records = []
-    for profile in profiles:
+    for profile in (p for s in sizes for p in all_profiles(args.N, s)):
         t1 = time.perf_counter()
         res = _run_gefp_engine(args, spec, profile)
         ms = (time.perf_counter() - t1) * 1e3

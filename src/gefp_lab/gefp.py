@@ -38,7 +38,7 @@ from mpmath import mp
 from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs
 from .backends import EXACT, FLOAT, is_exact_scalar, to_float
 from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
-from .hfun import HTable, OmegaRho, build_h_tables, h_polynomial, reflect_substitute
+from .hfun import OmegaRho, build_h_tables, h_polynomial, reflect_substitute
 from .ik import PhiJet, k_polynomial
 from .oracle import CorrelationResult, YoungProfile
 from .params import VertexWeights, weights_from_trig
@@ -167,8 +167,8 @@ def _build_exact_series(N, s, delta, t):
     B, D = q * v * v, 1
     tables = build_h_tables(N, s, delta, t)
     for n, table in tables.items():
-        scale = math.lcm(*(x.denominator for x in table.values))
-        tables[n] = HTable(n, tuple(int(x * scale) for x in table.values), EXACT)
+        scale = math.lcm(*(x.denominator for x in table))
+        tables[n] = [int(x * scale) for x in table]
         D *= scale
     h = h_polynomial(tables, N, s)
     for idx, x in h.items():
@@ -373,31 +373,31 @@ def pole_deformation_check(N, profile: YoungProfile, delta, t) -> PoleDeformatio
         raise BadIndex("the check needs a nonempty profile with r_s = N")
     reduced = profile.reduced()
     value = residue_workspace(N, s, delta, t, EXACT).coefficient(profile)
-    zs = _z_series(N, s, delta, t)
+    h = h_polynomial(build_h_tables(N, s, delta, t), N, s)
     if s == 1:
         reduced_value = Fraction(1)
-        h_at_one = zs.h.substitute_value(0, Fraction(1))
-        res_match = h_at_one.coeff(()) == 1
+        res_match = h.substitute_value(0, Fraction(1)).coeff(()) == 1
         return PoleDeformationReport(tuple(profile.r), value, reduced_value,
                                      res_match, [], value == reduced_value)
     reduced_value = residue_workspace(N, s - 1, delta, t, EXACT).coefficient(reduced)
 
     # (i): coefficient extraction of the z_s = 1 residue vs the shorter profile
-    h_at_one = zs.h.substitute_value(s - 1, Fraction(1))
+    h_at_one = h.substitute_value(s - 1, Fraction(1))
     target = tuple(rj - 1 for rj in reduced.r)
-    c1 = _z_series(N, s - 1, delta, t).prefactor.product_coeff(h_at_one, target)
+    a, b = 2 * delta * t, t * t
+    prefactor = _prefactor_series(N, s - 1, 1, b - a, a, b, h.zero)
+    c1 = prefactor.product_coeff(h_at_one, target)
     res_match = (-1) ** (s - 1) * c1 == reduced_value
 
     # (ii): each remaining pole, spectators at generic rationals
-    pole_zero = []
-    for j in range(s - 1):
-        pole_zero.append(_pole_contribution_is_zero(zs, profile, j, delta, t))
+    pole_zero = [_pole_contribution_is_zero(h, profile, j, delta, t)
+                 for j in range(s - 1)]
 
     return PoleDeformationReport(tuple(profile.r), value, reduced_value,
                                  res_match, pole_zero, value == reduced_value)
 
 
-def _pole_contribution_is_zero(ws: IntegrandSeries, profile: YoungProfile, j,
+def _pole_contribution_is_zero(h: TruncatedSeries, profile: YoungProfile, j,
                                delta, t, seed=0):
     """Expand the pole-j residue term around z_j = 0 and test low orders.
 
@@ -414,7 +414,7 @@ def _pole_contribution_is_zero(ws: IntegrandSeries, profile: YoungProfile, j,
         spect = {jp: Fraction(3 + 2 * jp + attempt, 17 + attempt)
                  for jp in range(s - 1) if jp != j}
         try:
-            series, shift = _pole_term_series(ws, N, s, r, j, spect, delta, t, lin)
+            series, shift = _pole_term_series(h, N, s, r, j, spect, delta, t, lin)
         except (NotInvertible, ZeroDivisionError):
             continue
         # term = z_j^(-shift) * series; orders below r_s are entries < shift + r_s
@@ -422,7 +422,7 @@ def _pole_contribution_is_zero(ws: IntegrandSeries, profile: YoungProfile, j,
     raise NotInvertible("could not find generic spectator values for the pole check")
 
 
-def _pole_term_series(ws, N, s, r, j, spect, delta, t, lin):
+def _pole_term_series(h, N, s, r, j, spect, delta, t, lin):
     """Laurent expansion (as shift + Jet in z_j) of the pole-j term."""
     two_dt = 2 * delta * t
     t2 = t * t
@@ -484,7 +484,7 @@ def _pole_term_series(ws, N, s, r, j, spect, delta, t, lin):
         shift -= 1
     # h with the spectators substituted (descending so indices stay valid),
     # leaving (z_j, z_s), then z_s at the pole and cleared by z_j^(N-1)
-    hsub = ws.h
+    hsub = h
     for jp in sorted(spect, reverse=True):
         hsub = hsub.substitute_value(jp, spect[jp])
     shift += N - 1

@@ -22,35 +22,18 @@ verbatim and reproduces the oracle, as do all downstream engines.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
 from mpmath import mp
 
 from .algebra import Jet, TruncatedSeries, UniPoly, det
-from .backends import FLOAT, is_exact_scalar
-from .errors import BadIndex, BranchPole, DuplicateRapidity
+from .backends import is_exact_scalar
+from .errors import BadIndex, BranchPole, DivisionByZero, DuplicateRapidity
 from .ik import (a_fn, b_fn, homogeneous_partition_jets, k_polynomial,
                  partially_inhomogeneous_partition)
 from .oracle import WeightGrid, boundary_distribution_oracle
-from .params import VertexWeights, delta_t_from_trig
-
-
-@dataclass(frozen=True)
-class HTable:
-    """Boundary distribution (H^(1), ..., H^(N)) for one lattice size."""
-
-    N: int
-    values: tuple
-    backend: str
-
-    def __post_init__(self):
-        if len(self.values) != self.N:
-            raise BadIndex(f"expected {self.N} entries, got {len(self.values)}")
-
-    def polynomial(self) -> UniPoly:
-        return UniPoly(list(self.values))
+from .params import VertexWeights
 
 
 class OmegaRho:
@@ -67,7 +50,9 @@ class OmegaRho:
         self.a = a_fn(self.lam, 0, self.eta)
         self.b = b_fn(self.lam, 0, self.eta)
         self.c = mp.sin(2 * self.eta)
-        self.delta, self.t = delta_t_from_trig(self.lam, self.eta)
+        if self.a == 0:
+            raise DivisionByZero(
+                f"a = sin(lambda + eta) vanishes at lambda={self.lam}, eta={self.eta}")
 
     def omega(self, order) -> Jet:
         num = Jet.sin_offset(mp.mpf(0), order)
@@ -109,15 +94,10 @@ def _cumulative_contractions(N, lam, eta):
     return out
 
 
-def boundary_H_table_via_K(N, lam, eta) -> HTable:
+def boundary_H_table_via_K(N, lam, eta) -> list:
+    """(H^(1), ..., H^(N)) as differences of the cumulative K contractions."""
     F = _cumulative_contractions(N, lam, eta)
-    vals = tuple(F[N - r + 1] - F[N - r] for r in range(1, N + 1))
-    return HTable(N, vals, FLOAT)
-
-
-def boundary_H_table_oracle(N, weights: VertexWeights, cap=None) -> HTable:
-    grid = WeightGrid.from_weights(N, weights)
-    return HTable(N, tuple(boundary_distribution_oracle(grid, cap)), weights.backend)
+    return [F[N - r + 1] - F[N - r] for r in range(1, N + 1)]
 
 
 def kfint_check(N, f: UniPoly, lam, eta):
@@ -144,7 +124,7 @@ def kfint_check(N, f: UniPoly, lam, eta):
     acc = UniPoly([mp.mpf(1)])
     for _ in range(N - 1):
         acc = acc * zpoly
-    rhs_poly = acc * table.polynomial() * f
+    rhs_poly = acc * UniPoly(table) * f
     rhs = rhs_poly.coeff(N - 1)
     return lhs, rhs
 
@@ -152,8 +132,8 @@ def kfint_check(N, f: UniPoly, lam, eta):
 # ---------------------------------------------------------------------------
 # multivariate h
 
-def build_h_tables(N, s, delta, t, allow_nonphysical=True):
-    """H tables for sizes N, N-1, ..., N-s+1 from the enumeration oracle.
+def build_h_tables(N, s, delta, t):
+    """H tables {n: [H_n^(1), ..., H_n^(n)]} for n = N, N-1, ..., N-s+1.
 
     The weights are built at (Delta, t) in the scalar type given, so both
     backends take the same one-sweep transfer: float weights enter it as
@@ -161,8 +141,9 @@ def build_h_tables(N, s, delta, t, allow_nonphysical=True):
     run from N down, so N above the oracle's default cap is refused before
     any transfer.
     """
-    w = VertexWeights.from_delta_t(delta, t, allow_nonphysical=allow_nonphysical)
-    return {n: boundary_H_table_oracle(n, w) for n in range(N, N - s, -1)}
+    w = VertexWeights.from_delta_t(delta, t, allow_nonphysical=True)
+    return {n: boundary_distribution_oracle(WeightGrid.from_weights(n, w))
+            for n in range(N, N - s, -1)}
 
 
 def _columns(tables, N, s):
@@ -170,10 +151,10 @@ def _columns(tables, N, s):
     zm1 = UniPoly([-1, 1])
     cols = []
     for k in range(s):
-        poly = UniPoly([tables[N - k].values[0] * 0 + 1])
+        poly = UniPoly([tables[N - k][0] * 0 + 1])
         for _ in range(s - 1 - k):
             poly = poly * zm1
-        poly = poly * tables[N - k].polynomial()
+        poly = poly * UniPoly(tables[N - k])
         cols.append(UniPoly([0] * k + poly.coeffs))
     return cols
 
@@ -257,7 +238,7 @@ def h_polynomial(tables, N, s) -> TruncatedSeries:
     """
     if s > N:
         raise BadIndex(f"s={s} exceeds N={N}")
-    zero = tables[N].values[0] * 0
+    zero = tables[N][0] * 0
     if is_exact_scalar(zero):
         def dot(terms):
             return sum((x * y for x, y in terms), zero)
@@ -284,7 +265,7 @@ def h_multivariate(tables, N, s, z):
     if len(z) != s:
         raise BadIndex(f"expected {s} arguments, got {len(z)}")
     if s == 0:
-        return tables[N].values[0] * 0 + 1
+        return tables[N][0] * 0 + 1
     zs = sorted(z)
     groups = []
     for val in zs:

@@ -121,9 +121,10 @@ class WeightGrid:
 
     @classmethod
     def from_weights(cls, N, w: VertexWeights):
-        a = [[w.a] * N for _ in range(N)]
-        b = [[w.b] * N for _ in range(N)]
-        return cls(a, b, w.c2, w.c, homogeneous=True, backend=w.backend)
+        """All N rows are one shared tuple, so an oversize N costs O(N) until
+        an engine's cap refuses it."""
+        return cls([(w.a,) * N] * N, [(w.b,) * N] * N, w.c2, w.c, homogeneous=True,
+                   backend=w.backend)
 
     @classmethod
     def from_spectral(cls, spec: SpectralData):
@@ -249,15 +250,6 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
         raise AssertionError(
             f"edge-based and frozen-region GEFP disagree: {marked / z} vs {frozen / z}")
     return CorrelationResult(grid.rounded(marked / z), "oracle", grid.backend)
-
-
-def boundary_H_oracle(grid: WeightGrid, r: int, cap=None) -> CorrelationResult:
-    """Probability that row 1's unique c-vertex sits r columns from the right."""
-    _check_cap(grid.N, cap)
-    if not 1 <= r <= grid.N:
-        raise BadIndex(f"r={r} outside 1..{grid.N}")
-    value = boundary_distribution_oracle(grid)[r - 1]
-    return CorrelationResult(value, "oracle", grid.backend)
 
 
 def boundary_distribution_oracle(grid: WeightGrid, cap=None):
@@ -389,7 +381,7 @@ def enumerate_naive(grid: WeightGrid, marks=None) -> NaiveEnumeration:
 
 
 def all_profiles(N, s=None):
-    """All weakly increasing profiles for the given N (and s if fixed)."""
+    """All weakly increasing profiles for N (and s if fixed), in (s, r) order."""
     sizes = range(1, N + 1) if s is None else [s]
     out = []
     for ss in sizes:

@@ -7,7 +7,7 @@ Three equivalent descriptions are used throughout:
   ratios in which the leftover odd power of c cancels, because every
   configuration on the N x N domain-wall lattice carries exactly
   n5 = n6 + N c-vertices.
-* ``AnisotropyPoint``: (Delta, t) with Delta = (a^2 + b^2 - c^2) / (2ab) and
+* (Delta, t), a plain pair, with Delta = (a^2 + b^2 - c^2) / (2ab) and
   t = b / a.  Correlation functions are rational in these.
 * ``SpectralData``: trigonometric rapidities (lambda_j, nu_k) and crossing
   parameter eta with a = sin(lambda - nu + eta), b = sin(lambda - nu - eta),
@@ -96,24 +96,6 @@ class VertexWeights:
 
 
 @dataclass(frozen=True)
-class AnisotropyPoint:
-    """The (Delta, t) parameters; correlation functions are rational in them."""
-
-    delta: object
-    t: object
-    allow_nonphysical: bool = False
-
-    def __post_init__(self):
-        c2_ratio = 1 + self.t * self.t - 2 * self.t * self.delta
-        if not self.allow_nonphysical:
-            if not self.t > 0:
-                raise NonphysicalWeights(f"t={self.t} must be positive")
-            if not c2_ratio > 0:
-                raise NonphysicalWeights(
-                    f"c^2/a^2 = 1 + t^2 - 2*t*Delta = {c2_ratio} must be positive")
-
-
-@dataclass(frozen=True)
 class SpectralData:
     """Rapidities and crossing parameter of the inhomogeneous model.
 
@@ -156,12 +138,9 @@ class SpectralData:
 # ---------------------------------------------------------------------------
 # conversions
 
-def delta_t_from_weights(w: VertexWeights) -> AnisotropyPoint:
-    """Delta = (a^2 + b^2 - c^2) / (2ab), t = b/a, in the input backend."""
-    if w.a == 0 or w.b == 0:
-        raise DivisionByZero("a and b must be nonzero")
-    delta = (w.a * w.a + w.b * w.b - w.c2) / (2 * w.a * w.b)
-    return AnisotropyPoint(delta, w.b / w.a, allow_nonphysical=w.allow_nonphysical)
+def delta_t_from_weights(w: VertexWeights):
+    """(Delta, t) = ((a^2 + b^2 - c^2) / (2ab), b/a), in the input backend."""
+    return (w.a * w.a + w.b * w.b - w.c2) / (2 * w.a * w.b), w.b / w.a
 
 
 def weights_from_trig(lam, nu, eta, allow_nonphysical=False) -> VertexWeights:

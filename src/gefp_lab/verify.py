@@ -12,14 +12,14 @@ from mpmath import mp
 
 from .backends import EXACT
 from .gefp import gefp_residue, pole_deformation_check
-from .hfun import (boundary_H_table_oracle, boundary_H_table_via_K, build_h_tables,
-                   h_multivariate, h_polynomial, kfint_check, reflect_substitute)
+from .hfun import (boundary_H_table_via_K, build_h_tables, h_multivariate,
+                   h_polynomial, kfint_check, reflect_substitute)
 from .ik import (gefp_inhom_determinant, gefp_inhom_recurrence,
                  homogeneous_partition_jets, ik_partition)
 from .algebra import UniPoly
-from .oracle import (WeightGrid, all_profiles, enumerate_naive, gefp_oracle,
-                     modified_domain_partition, partition_function_oracle,
-                     reduced_partition_oracle)
+from .oracle import (WeightGrid, all_profiles, boundary_distribution_oracle,
+                     enumerate_naive, gefp_oracle, modified_domain_partition,
+                     partition_function_oracle, reduced_partition_oracle)
 from .params import SpectralData, VertexWeights
 
 # rational parameter grid: includes the free-fermion line and Delta > 1
@@ -150,19 +150,18 @@ def criterion_4(level="desk"):
     w = VertexWeights.from_abc(Fraction(2), Fraction(1), Fraction(2))
     ok = True
     for n in range(1, (6 if level == "desk" else 4) + 1):
-        table = boundary_H_table_oracle(n, w)
-        ok = ok and sum(table.values) == 1
+        grid = WeightGrid.from_weights(n, w)
+        ok = ok and sum(boundary_distribution_oracle(grid)) == 1
     records.append(CheckRecord(
         "criterion-4", "sum_r H_N^(r) == 1 exactly (exact backend, N<=6)", ok))
     tol = mp.mpf("1e-18")
     with mp.workprec(128):
         lam, eta = mp.mpf("1.1"), mp.mpf("0.35")
+        wf = VertexWeights.from_abc(mp.sin(lam + eta), mp.sin(lam - eta), mp.sin(2 * eta))
         worst = mp.mpf(0)
         for n in range(1, n_max + 1):
-            via_k = boundary_H_table_via_K(n, lam, eta)
-            orc = boundary_H_table_oracle(n, VertexWeights.from_abc(
-                mp.sin(lam + eta), mp.sin(lam - eta), mp.sin(2 * eta)))
-            for a, b in zip(via_k.values, orc.values):
+            orc = boundary_distribution_oracle(WeightGrid.from_weights(n, wf))
+            for a, b in zip(boundary_H_table_via_K(n, lam, eta), orc):
                 worst = max(worst, _rel_err(a, b))
         records.append(CheckRecord(
             "criterion-4", f"boundary H via K-contraction == oracle, N<={n_max} "

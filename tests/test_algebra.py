@@ -131,6 +131,14 @@ def test_series_invert_constant():
     assert f.invert().coeff((0,)) == Fraction(1, 2)
 
 
+def test_inverse_of_an_integer_series_is_exact():
+    want = [Fraction(1, 3), Fraction(-1, 9), Fraction(1, 27), Fraction(-1, 81)]
+    for inverse in (TruncatedSeries((3,), 0, [3, 1, 0, 0]).invert().data,
+                    Jet([3, 1, 0, 0]).invert().coeffs):
+        assert inverse == want
+        assert all(type(x) is Fraction for x in inverse)
+
+
 def test_series_invert_multiply_back_bivariate():
     # (1 - 2*Delta*t*z + t^2*z*w) with caps (2, 2)
     delta, t = Fraction(1, 3), Fraction(3, 4)

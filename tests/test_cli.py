@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from gefp_lab import gefp, oracle
+from gefp_lab import cli, gefp, oracle
 from gefp_lab.backends import format_scalar
 from gefp_lab.cli import main
 from gefp_lab.gefp import gefp_residue
@@ -255,6 +255,15 @@ def test_hfun_command(capsys):
     rec = json.loads(out)
     assert rec["value"]["H"] == ["2/7", "3/7", "2/7"]
     assert rec["value"]["h_poly_coeffs"] == ["2/7", "3/7", "2/7"]
+    assert rec["backend"] == "exact" and rec["precision_bits"] is None
+
+
+def test_hfun_kpoly_refuses_a_trig_point_with_vanishing_a(capsys):
+    code, out, err = run_cli(capsys, "hfun", "--engine", "kpoly", "--N", "3",
+                             "--lambda", "-0.3", "--eta", "0.3", "--backend", "float",
+                             "--allow-nonphysical")
+    assert code == 3 and out == ""
+    assert err.startswith("error: DivisionByZero:")
 
 
 # Delta = 4, t = 1: c^2 = -6, and Z_3 / c^3 = 6 + c^2 = 0
@@ -385,6 +394,21 @@ def test_table_restricted_to_s(capsys):
                            "--delta", "1/2", "--t", "1")
     rows = json.loads(out)
     assert len(rows) == 3
+
+
+def test_table_refuses_oversize_N_at_its_first_row(capsys, monkeypatch):
+    # profiles are listed one length at a time, never all C(2N, N) up front
+    real = cli.all_profiles
+
+    def one_length(N, s=None):
+        if s is None:
+            raise AssertionError("every profile length was listed at once")
+        return real(N, s)
+
+    monkeypatch.setattr(cli, "all_profiles", one_length)
+    code, out, err = run_cli(capsys, "table", "--N", "9", "--delta", "1/3", "--t", "3/4")
+    assert code == 3 and out == ""
+    assert err.startswith("error: TooLarge:")
 
 
 def test_precision_flag_and_env(capsys, monkeypatch):

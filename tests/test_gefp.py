@@ -10,8 +10,8 @@ from gefp_lab.errors import BadIndex, NonphysicalWeights, TooLarge, Unsupported
 from gefp_lab import gefp, hfun
 from gefp_lab.gefp import (gefp_determinant_jets, gefp_residue, jets_workspace,
                            pole_deformation_check, residue_workspace)
-from gefp_lab.hfun import boundary_H_table_oracle
-from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles, gefp_oracle)
+from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
+                             boundary_distribution_oracle, gefp_oracle)
 from gefp_lab.params import VertexWeights, delta_t_from_trig
 
 D0, T0 = Fraction(1, 2), Fraction(1)
@@ -44,11 +44,11 @@ def test_float_residue_is_exactly_zero_on_blocked_profiles():
 
 def test_residue_single_row_is_cumulative_boundary():
     w = VertexWeights.from_delta_t(Fraction(1, 3), Fraction(3, 4))
-    table = boundary_H_table_oracle(4, w)
+    table = boundary_distribution_oracle(WeightGrid.from_weights(4, w))
     running = Fraction(0)
     previous = Fraction(0)
     for r in range(1, 5):
-        running += table.values[r - 1]
+        running += table[r - 1]
         val = gefp_residue(4, YoungProfile(4, (r,)), Fraction(1, 3),
                            Fraction(3, 4)).value
         assert val == running

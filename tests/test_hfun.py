@@ -8,13 +8,13 @@ from mpmath import mp
 from mpmath.libmp import to_rational
 
 from gefp_lab.algebra import UniPoly
-from gefp_lab.backends import EXACT
-from gefp_lab.errors import BadIndex, BranchPole, DuplicateRapidity
-from gefp_lab.hfun import (HTable, OmegaRho, _kostka, boundary_H_table_oracle,
-                           boundary_H_table_via_K, build_h_tables,
+from gefp_lab.errors import BadIndex, BranchPole, DivisionByZero, DuplicateRapidity
+from gefp_lab.gefp import gefp_determinant_jets
+from gefp_lab.hfun import (OmegaRho, _kostka, boundary_H_table_via_K, build_h_tables,
                            h_multivariate, h_polynomial, h_via_inhomogeneous_Z,
                            kfint_check, reflect_substitute)
-from gefp_lab.params import VertexWeights, lambda_eta_from_delta_t
+from gefp_lab.oracle import WeightGrid, YoungProfile, boundary_distribution_oracle
+from gefp_lab.params import VertexWeights, delta_t_from_trig, lambda_eta_from_delta_t
 
 LAM, ETA = "1.1", "0.35"
 
@@ -22,7 +22,7 @@ LAM, ETA = "1.1", "0.35"
 def test_boundary_H_via_K_forced_case():
     with mp.workprec(128):
         table = boundary_H_table_via_K(1, mp.mpf("0.9"), mp.mpf("0.3"))
-        assert abs(table.values[0] - 1) < mp.mpf("1e-30")
+        assert abs(table[0] - 1) < mp.mpf("1e-30")
 
 
 def test_boundary_H_via_K_ice_point():
@@ -31,13 +31,13 @@ def test_boundary_H_via_K_ice_point():
         expect = [mp.mpf(2) / 7, mp.mpf(3) / 7, mp.mpf(2) / 7]
         table = boundary_H_table_via_K(3, lam, eta)
         for r in (1, 2, 3):
-            assert abs(table.values[r - 1] - expect[r - 1]) < mp.mpf("1e-20")
+            assert abs(table[r - 1] - expect[r - 1]) < mp.mpf("1e-20")
 
 
 def test_boundary_H_table_sums_to_one():
     with mp.workprec(128):
         table = boundary_H_table_via_K(4, mp.pi / 2, mp.mpf("0.35"))
-        assert abs(sum(table.values) - 1) < mp.mpf("1e-22")
+        assert abs(sum(table) - 1) < mp.mpf("1e-22")
 
 
 def test_boundary_H_via_K_matches_oracle():
@@ -47,14 +47,15 @@ def test_boundary_H_via_K_matches_oracle():
                                    mp.sin(2 * eta))
         for n in (1, 2, 3, 4):
             via_k = boundary_H_table_via_K(n, lam, eta)
-            orc = boundary_H_table_oracle(n, w)
-            for x, y in zip(via_k.values, orc.values):
+            orc = boundary_distribution_oracle(WeightGrid.from_weights(n, w))
+            for x, y in zip(via_k, orc, strict=True):
                 assert abs(x - y) <= mp.mpf("1e-20") * max(1, abs(y))
 
 
 def test_omega_rho_identities():
     with mp.workprec(128):
         fns = OmegaRho(mp.mpf(LAM), mp.mpf(ETA))
+        delta, t = delta_t_from_trig(LAM, ETA)
         order = 8
         om = fns.omega(order)
         rho = fns.rho(order)
@@ -66,8 +67,8 @@ def test_omega_rho_identities():
         assert abs(prod.coeffs[0] - 1) < mp.mpf("1e-34")
         assert all(abs(c) < mp.mpf("1e-32") for c in prod.coeffs[1:])
         # omega_tilde * (2 t Delta omega - 1) = t^2 omega
-        lhs = omt * (om * (2 * fns.t * fns.delta) - 1)
-        rhs = om * (fns.t ** 2)
+        lhs = omt * (om * (2 * t * delta) - 1)
+        rhs = om * (t ** 2)
         for x, y in zip(lhs.coeffs, rhs.coeffs):
             assert abs(x - y) < mp.mpf("1e-30")
         # rho_tilde * (1 - omega_tilde) = 1
@@ -77,19 +78,23 @@ def test_omega_rho_identities():
 
 
 def test_h_generating_examples():
-    table = HTable(1, (Fraction(1),), "exact")
-    assert table.polynomial().coeffs == [1]
     ice = VertexWeights.from_abc(Fraction(1), Fraction(1), Fraction(1))
-    table2 = boundary_H_table_oracle(2, ice)
-    assert table2.polynomial().coeffs == [Fraction(1, 2), Fraction(1, 2)]
-    for n in (2, 3, 4):
-        t = boundary_H_table_oracle(n, ice)
-        assert t.polynomial()(Fraction(1)) == 1
+    tables = build_h_tables(4, 4, Fraction(1, 2), Fraction(1))
+    for n in (1, 2, 3, 4):
+        table = boundary_distribution_oracle(WeightGrid.from_weights(n, ice))
+        assert type(table) is list and table == tables[n]
+        assert UniPoly(table)(Fraction(1)) == 1
+    assert UniPoly(tables[1]).coeffs == [1]
+    assert UniPoly(tables[2]).coeffs == [Fraction(1, 2), Fraction(1, 2)]
 
 
-def test_htable_length_validation():
-    with pytest.raises(BadIndex):
-        HTable(3, (Fraction(1),), "exact")
+def test_trig_point_with_vanishing_a_is_refused():
+    # a = sin(lambda + eta) = 0: every K-route function refuses before dividing
+    for build in (lambda: OmegaRho(-0.3, 0.3),
+                  lambda: boundary_H_table_via_K(3, -0.3, 0.3),
+                  lambda: gefp_determinant_jets(3, YoungProfile(3, (2, 3)), -0.3, 0.3)):
+        with mp.workprec(128), pytest.raises(DivisionByZero):
+            build()
 
 
 def test_kfint_identity():
@@ -107,7 +112,7 @@ def test_kfint_identity():
 def test_h_multivariate_single_variable():
     tabs = build_h_tables(3, 1, delta=Fraction(1, 3), t=Fraction(3, 4))
     z = Fraction(2, 7)
-    assert h_multivariate(tabs, 3, 1, [z]) == tabs[3].polynomial()(z)
+    assert h_multivariate(tabs, 3, 1, [z]) == UniPoly(tabs[3])(z)
 
 
 def test_h_multivariate_symmetry():
@@ -126,7 +131,7 @@ def test_h_multivariate_specialization_at_one():
     tabs = build_h_tables(3, 2, delta=Fraction(1, 3), t=Fraction(3, 4))
     z = Fraction(5, 9)
     left = h_multivariate(tabs, 3, 2, [z, Fraction(1)])
-    right = tabs[3].polynomial()(z)
+    right = UniPoly(tabs[3])(z)
     assert left == right
 
 
@@ -172,8 +177,7 @@ def test_float_h_polynomial_matches_exact_on_the_same_tables():
         lam, eta = lambda_eta_from_delta_t(mp.mpf(1) / 3, mp.mpf(3) / 4)
         for (n, s) in ((5, 5), (6, 4), (6, 6), (7, 4)):
             tabs = _k_tables(n, s, lam, eta)
-            dyadic = {m: HTable(m, tuple(Fraction(*to_rational(v._mpf_))
-                                         for v in tab.values), EXACT)
+            dyadic = {m: [Fraction(*to_rational(v._mpf_)) for v in tab]
                       for m, tab in tabs.items()}
             hf = h_polynomial(tabs, n, s)
             he = h_polynomial(dyadic, n, s)
@@ -265,8 +269,7 @@ def test_h_via_inhomogeneous_Z_matches_h_multivariate():
 def test_h_via_inhomogeneous_Z_simple_zero_slope():
     with mp.workprec(160):
         lam, eta = mp.mpf(LAM), mp.mpf(ETA)
-        fns = OmegaRho(lam, eta)
-        delta, t = fns.delta, fns.t
+        delta, t = delta_t_from_trig(lam, eta)
         vals = []
         for z1 in (mp.mpf("1e-6"), mp.mpf("5e-7")):
             z2 = (2 * delta * t * z1 - 1) / (t * t * z1)
@@ -290,10 +293,8 @@ def test_float_h_tables_match_exact_at_rational_point():
     # cross-backend: K-contraction tables against the oracle through (Delta, t)
     with mp.workprec(128):
         delta, t = mp.mpf("0.5"), mp.mpf(1)
-        from gefp_lab.params import lambda_eta_from_delta_t
         lam, eta = lambda_eta_from_delta_t(delta, t)
         tab_f = boundary_H_table_via_K(3, lam, eta)
-        tab_e = boundary_H_table_oracle(
-            3, VertexWeights.from_delta_t(Fraction(1, 2), Fraction(1)))
-        for x, y in zip(tab_f.values, tab_e.values):
+        tab_e = build_h_tables(3, 1, Fraction(1, 2), Fraction(1))[3]
+        for x, y in zip(tab_f, tab_e, strict=True):
             assert abs(x - mp.mpf(y.numerator) / y.denominator) < mp.mpf("1e-30")

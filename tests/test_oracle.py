@@ -9,7 +9,7 @@ from mpmath.libmp import to_rational
 from gefp_lab.backends import to_float
 from gefp_lab.errors import BadIndex, TooLarge, Unsupported
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
-                             boundary_H_oracle, boundary_distribution_oracle,
+                             boundary_distribution_oracle,
                              enumerate_naive, gefp_oracle,
                              modified_domain_partition,
                              partition_function_oracle,
@@ -96,6 +96,16 @@ def test_naive_cap():
         enumerate_naive(WeightGrid.from_weights(4, ICE))
 
 
+def test_homogeneous_grid_shares_one_row():
+    # an oversize N costs O(N) memory until an engine's cap refuses it
+    grid = WeightGrid.from_weights(1000, ICE)
+    assert grid.N == 1000 and len(grid.a[0]) == 1000
+    assert all(row is grid.a[0] for row in grid.a)
+    assert all(row is grid.b[0] for row in grid.b)
+    with pytest.raises(TooLarge):
+        boundary_distribution_oracle(grid)
+
+
 def test_oracle_cap():
     grid = WeightGrid.from_weights(3, ICE)
     with pytest.raises(TooLarge):
@@ -146,7 +156,7 @@ def test_gefp_reduction_at_boundary():
 
 
 def test_boundary_H_examples():
-    assert boundary_H_oracle(WeightGrid.from_weights(1, ICE), 1).value == 1
+    assert boundary_distribution_oracle(WeightGrid.from_weights(1, ICE)) == [1]
     grid2 = WeightGrid.from_weights(2, ICE)
     assert boundary_distribution_oracle(grid2) == [Fraction(1, 2), Fraction(1, 2)]
     grid3 = WeightGrid.from_weights(3, ICE)
@@ -158,10 +168,7 @@ def test_boundary_H_closed_form_n2():
     w = rational_weights(7)
     grid = WeightGrid.from_weights(2, w)
     a2, b2 = w.a ** 2, w.b ** 2
-    assert boundary_H_oracle(grid, 1).value == a2 / (a2 + b2)
-    assert boundary_H_oracle(grid, 2).value == b2 / (a2 + b2)
-    with pytest.raises(BadIndex):
-        boundary_H_oracle(grid, 3)
+    assert boundary_distribution_oracle(grid) == [a2 / (a2 + b2), b2 / (a2 + b2)]
 
 
 def test_boundary_H_normalization_exact():
@@ -215,7 +222,6 @@ def test_turned_sweep_matches_marked_transfer_on_inhomogeneous_grids():
             grid = WeightGrid(a, b, Fraction(rng.randint(1, 6), rng.randint(1, 4)))
             dist = boundary_distribution_oracle(grid)
             assert dist == first_row_increments(grid)
-            assert [boundary_H_oracle(grid, r).value for r in range(1, n + 1)] == dist
 
 
 def test_turned_sweep_matches_marked_transfer_on_spectral_grids():

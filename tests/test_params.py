@@ -5,27 +5,24 @@ import pytest
 from mpmath import mp
 
 from gefp_lab.errors import DivisionByZero, NonphysicalWeights, Unsupported
-from gefp_lab.params import (AnisotropyPoint, VertexWeights, delta_t_from_trig,
-                             delta_t_from_weights, exact_sqrt,
-                             lambda_eta_from_delta_t, weights_from_trig)
+from gefp_lab.params import (VertexWeights, delta_t_from_trig, delta_t_from_weights,
+                             exact_sqrt, lambda_eta_from_delta_t, weights_from_trig)
 
 
 def test_delta_t_direct_substitution():
     w = VertexWeights.from_abc(Fraction(1), Fraction(1), Fraction(1))
-    pt = delta_t_from_weights(w)
-    assert pt.delta == Fraction(1, 2) and pt.t == 1
+    assert delta_t_from_weights(w) == (Fraction(1, 2), 1)
 
     w = VertexWeights.from_abc(Fraction(2), Fraction(1), Fraction(2))
-    pt = delta_t_from_weights(w)
-    assert pt.delta == Fraction(1, 4) and pt.t == Fraction(1, 2)
+    assert delta_t_from_weights(w) == (Fraction(1, 4), Fraction(1, 2))
 
 
 def test_delta_t_free_fermion_float():
     with mp.workprec(128):
         w = VertexWeights.from_abc(mp.mpf(1), mp.mpf(1), mp.sqrt(2))
-        pt = delta_t_from_weights(w)
-        assert abs(pt.delta) < mp.mpf("1e-36")
-        assert pt.t == 1
+        delta, t = delta_t_from_weights(w)
+        assert abs(delta) < mp.mpf("1e-36")
+        assert t == 1
 
 
 def test_zero_weight_rejected():
@@ -42,7 +39,7 @@ def test_weights_from_trig_symmetric_points():
         w = weights_from_trig(mp.pi / 2, 0, mp.pi / 4)
         assert abs(w.a - mp.sqrt(2) / 2) < mp.mpf("1e-36")
         assert abs(w.c - 1) < mp.mpf("1e-36")
-        assert abs(delta_t_from_weights(w).delta) < mp.mpf("1e-36")
+        assert abs(delta_t_from_weights(w)[0]) < mp.mpf("1e-36")
 
 
 def test_weights_from_trig_nonphysical_rejected_and_allowed():
@@ -62,8 +59,8 @@ def test_trig_round_trip_delta_is_cos_2eta():
             if not (mp.sin(lam + eta) > 0 and mp.sin(lam - eta) > 0):
                 continue
             w = weights_from_trig(lam, 0, eta, allow_nonphysical=True)
-            pt = delta_t_from_weights(w)
-            assert abs(pt.delta - mp.cos(2 * eta)) < mp.mpf("1e-35")
+            delta, _ = delta_t_from_weights(w)
+            assert abs(delta - mp.cos(2 * eta)) < mp.mpf("1e-35")
 
 
 def test_scale_invariance():
@@ -75,7 +72,7 @@ def test_scale_invariance():
         k = Fraction(rng.randint(1, 7), rng.randint(1, 5))
         p1 = delta_t_from_weights(VertexWeights.from_abc(a, b, c, True))
         p2 = delta_t_from_weights(VertexWeights.from_abc(k * a, k * b, k * c, True))
-        assert (p1.delta, p1.t) == (p2.delta, p2.t)
+        assert p1 == p2
 
 
 def test_exact_sqrt():
@@ -94,12 +91,6 @@ def test_from_delta_t_rational_c_detection():
     w = VertexWeights.from_delta_t(Fraction(3, 2), Fraction(1, 2),
                                    allow_nonphysical=True)
     assert w.c is None and w.c2 == Fraction(-1, 4)
-
-
-def test_anisotropy_point_validation():
-    with pytest.raises(NonphysicalWeights):
-        AnisotropyPoint(Fraction(3, 2), Fraction(1, 2))
-    AnisotropyPoint(Fraction(3, 2), Fraction(1, 2), allow_nonphysical=True)
 
 
 def test_exact_backend_rejects_trig():
