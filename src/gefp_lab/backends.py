@@ -8,7 +8,9 @@ Two backends are supported everywhere:
 * ``float``: ``mpmath`` arbitrary-precision binary floats.  The working
   precision is the ambient ``mpmath.mp.prec``; the CLI sets it from
   ``--precision`` or the ``GEFP_LAB_PRECISION`` environment variable
-  (default 128 bits).
+  (default 128 bits).  ``to_exact`` reads a finite float as the dyadic
+  ``Fraction`` it holds, so an engine can run exactly on float inputs and
+  round once with ``to_float``; nan and infinities are refused.
 
 Rationals serialize as ``"numerator/denominator"`` strings, floats as
 decimal strings together with an explicit precision field.
@@ -18,8 +20,8 @@ import os
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
-from mpmath.libmp import from_rational, round_nearest
+from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from .errors import Unsupported
 
@@ -63,7 +65,11 @@ def parse_exact(text: str) -> Fraction:
 
 
 def parse_float(text: str):
-    return mp.mpf(text.strip())
+    """A finite mpf at the working precision; nan and infinities raise ValueError."""
+    x = mp.mpf(text.strip())
+    if not mp.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
 
 
 def to_float(x):
@@ -72,6 +78,16 @@ def to_float(x):
         return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec,
                                          round_nearest))
     return mp.mpf(x)
+
+
+def to_exact(x) -> Fraction:
+    """The rational x holds, an mpf read as its dyadic value; nan and
+    infinities raise ``Unsupported``."""
+    if is_exact_scalar(x):
+        return Fraction(x)
+    if not mp.isfinite(x):
+        raise Unsupported(f"{x} is not a finite number")
+    return Fraction(*to_rational(x._mpf_)) if isinstance(x, mpf) else Fraction(x)
 
 
 def format_exact(x: Fraction) -> str:

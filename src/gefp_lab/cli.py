@@ -24,7 +24,7 @@ from .algebra import UniPoly
 from .backends import (EXACT, FLOAT, MIN_PRECISION_BITS, default_precision_bits,
                        format_scalar, parse_exact, parse_float)
 from .errors import BadIndex, GefpLabError, Unsupported
-from .gefp import gefp_determinant_jets, gefp_residue
+from .gefp import check_jets_box, gefp_determinant_jets, gefp_residue
 from .hfun import boundary_H_table_via_K
 from .ik import homogeneous_partition_jets, ik_partition
 from .oracle import (WeightGrid, YoungProfile, all_profiles,
@@ -301,6 +301,8 @@ def cmd_table(args):
     if args.s is not None and args.s > args.N:
         raise UsageError(f"--s {args.s} exceeds N={args.N}")
     sizes = range(1, args.N + 1) if args.s is None else [args.s]
+    if args.engine == "jets" and spec.backend == FLOAT:
+        check_jets_box(args.N, max(sizes))      # before any row is computed
     t0 = time.perf_counter()
     records = []
     for profile in (p for s in sizes for p in all_profiles(args.N, s)):

@@ -15,10 +15,12 @@ series and the h polynomial depend on the profile only through the
 extraction index, so they are cached per (N, s, parameters) and each profile
 costs one convolution.
 
-The exact backend runs on Python integers: with Delta = p/q, t = u/v in
-lowest terms and B = q v^2, both series are integer in w = z / B once each H
-table is scaled by the lcm of its denominators (D the product of the
-scales), and a profile costs one integer convolution and one ``Fraction``.
+The engine runs on Python integers: with Delta = p/q, t = u/v in lowest
+terms and B = q v^2, both series are integer in w = z / B once each H table
+is scaled by the lcm of its denominators (D the product of the scales), and
+a profile costs one integer convolution and one ``Fraction``.  A float
+(Delta, t) enters as the dyadic rationals it holds, and the result is
+rounded once.
 
 ``gefp_determinant_jets`` evaluates the s x s determinant of K-polynomial
 operators acting on the omega/rho product, by multivariate jet expansion.
@@ -36,7 +38,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs
-from .backends import EXACT, FLOAT, is_exact_scalar, to_float
+from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
 from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
 from .hfun import OmegaRho, build_h_tables, h_polynomial, reflect_substitute
 from .ik import PhiJet, k_polynomial
@@ -56,24 +58,22 @@ class IntegrandSeries:
     """Analytic-at-origin part of the integral representation, expanded.
 
     ``prefactor`` holds every factor except h; ``h`` is the multivariate
-    boundary polynomial.  With ``scale`` None both are series in z, on the
-    scalars of (Delta, t).  The exact workspace has ``scale`` = (B, D): both
-    are integer series in w = z / B, ``prefactor`` divided by B^(s(s-1)/2)
-    and ``h`` multiplied by D.
+    boundary polynomial.  With ``scale`` = (B, D) both are series in
+    w = z / B, ``prefactor`` divided by B^(s(s-1)/2) and ``h`` multiplied by
+    D; the residue workspace holds them as integers, and (1, 1) is the
+    series in z.
     """
 
     s: int
     prefactor: TruncatedSeries
     h: TruncatedSeries
-    scale: tuple = None
+    scale: tuple
 
     def coefficient(self, profile: YoungProfile):
         """The GEFP, (-1)^s [prod_j z_j^(r_j - 1)] prefactor * h; in w the
-        integer convolution c at m = r - 1 gives c B^(s(s-1)/2) / (B^|m| D)."""
+        convolution c at m = r - 1 gives c B^(s(s-1)/2) / (B^|m| D)."""
         m = [rj - 1 for rj in profile.r]
         c = (-1) ** self.s * self.prefactor.product_coeff(self.h, m)
-        if self.scale is None:
-            return c
         B, D = self.scale
         return Fraction(c * B ** (self.s * (self.s - 1) // 2), B ** sum(m) * D)
 
@@ -105,11 +105,6 @@ _jets_cache = {}
 _WORKSPACE_CACHE_MAX = 64
 
 
-def _float_key(*values):
-    """Cache key part of float parameters: their round-trip ``repr`` and mp.prec."""
-    return tuple(repr(v) for v in values) + (mp.prec,)
-
-
 def _cached(cache, key, build):
     """Bounded per-process memo of both workspaces; the oldest entry goes first."""
     hit = cache.get(key)
@@ -122,13 +117,13 @@ def _cached(cache, key, build):
 
 
 def _residue_point(delta, t, backend, allow_nonphysical):
-    """(delta, t) in the backend's scalars, after the parameter checks."""
-    if backend == EXACT:
-        if not (is_exact_scalar(delta) and is_exact_scalar(t)):
-            raise Unsupported("the exact residue engine needs rational delta and t")
-        delta, t = Fraction(delta), Fraction(t)
-    else:
+    """(delta, t) as ``Fraction`` after the parameter checks; a float input
+    is rounded once and read as the dyadic rational it holds."""
+    if backend != EXACT:
         delta, t = to_float(delta), to_float(t)
+    elif not (is_exact_scalar(delta) and is_exact_scalar(t)):
+        raise Unsupported("the exact residue engine needs rational delta and t")
+    delta, t = to_exact(delta), to_exact(t)
     if not allow_nonphysical:
         VertexWeights.from_delta_t(delta, t)            # raises NonphysicalWeights
     return delta, t
@@ -136,29 +131,14 @@ def _residue_point(delta, t, backend, allow_nonphysical):
 
 def residue_workspace(N, s, delta, t, backend=EXACT, *,
                       allow_nonphysical=True) -> IntegrandSeries:
-    """Cached integrand expansion for one (N, s, parameter) combination.
-
-    The exact backend takes rational (delta, t) only and builds the scaled
-    integer series; the float backend rounds (delta, t) once and builds the
-    series in z from those values, the h tables through the same oracle
-    sweep as the exact backend.  Physicality is checked before the cache
-    lookup, so a strict call cannot read an entry that a permissive call
-    built at the same point.
+    """Cached integer expansion at (N, s) and the ``Fraction`` pair of
+    ``_residue_point``, one entry for both backends.  Physicality is checked
+    before the cache lookup, so a strict call cannot read an entry that a
+    permissive call built at the same point.
     """
     delta, t = _residue_point(delta, t, backend, allow_nonphysical)
-    if backend == EXACT:
-        key, build = (N, s, EXACT, delta, t), _build_exact_series
-    else:
-        key, build = (N, s, FLOAT) + _float_key(delta, t), _z_series
-    return _cached(_workspace_cache, key, lambda: build(N, s, delta, t))
-
-
-def _z_series(N, s, delta, t):
-    """The expansion in z on the scalars of (delta, t): the float workspace,
-    and on rationals the unscaled reference of the exact one."""
-    h = h_polynomial(build_h_tables(N, s, delta, t), N, s)
-    a, b = 2 * delta * t, t * t
-    return IntegrandSeries(s, _prefactor_series(N, s, 1, b - a, a, b, h.zero), h)
+    return _cached(_workspace_cache, (N, s, delta, t),
+                   lambda: _build_exact_series(N, s, delta, t))
 
 
 def _build_exact_series(N, s, delta, t):
@@ -182,26 +162,28 @@ def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
                  allow_nonphysical=True) -> CorrelationResult:
     """GEFP by iterated-residue coefficient extraction at (delta, t).
 
-    Both backends take their h tables from the enumeration oracle's
-    boundary sweep at (delta, t), so N above its default cap raises
-    ``TooLarge`` and a vanishing partition sum ``DivisionByZero``.  The
-    exact backend needs rational (delta, t); the float backend rounds them
-    once, and a trig point enters through ``delta_t_from_trig``.  The
-    empty profile gives 1 after the same parameter checks, and a blocked
-    profile (some r_j < j) an exact 0, on both backends.
+    The h tables come from the enumeration oracle's boundary sweep at
+    (delta, t), so N above its default cap raises ``TooLarge`` and a
+    vanishing partition sum ``DivisionByZero``.  The exact backend needs
+    rational (delta, t).  The float backend (a trig point enters through
+    ``delta_t_from_trig``) runs the same integers at the dyadic rationals
+    its rounded inputs hold and rounds the result once, so a blocked
+    profile gives exactly 0.  Its cost is integer size: B = q v^2 has up to
+    3 prec bits, the workspace integers about 3 prec (N-1) s bits, so time
+    grows with the precision.  At N = 7, r = (2, 4, 6, 7) and the trig point
+    (1.1, 0.35), one cold call takes 0.26 s at 128 bits, 0.65 s at 256 and
+    1.7 s at 512 (process time, one x86 core, pure-Python mpmath).
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
     if profile.s == 0:
         _residue_point(delta, t, backend, allow_nonphysical)
-        one = Fraction(1) if backend == EXACT else mp.mpf(1)
-        return CorrelationResult(one, "residue", backend)
-    ws = residue_workspace(N, profile.s, delta, t, backend,
-                           allow_nonphysical=allow_nonphysical)
-    # the exact engine computes its zeros (criterion 6 tests them); a float
-    # extraction would leave rounding noise of either sign in their place
-    value = mp.mpf(0) if backend == FLOAT and profile.blocked else ws.coefficient(profile)
-    return CorrelationResult(value, "residue", backend)
+        value = Fraction(1)
+    else:
+        value = residue_workspace(N, profile.s, delta, t, backend,
+                                  allow_nonphysical=allow_nonphysical).coefficient(profile)
+    return CorrelationResult(value if backend == EXACT else to_float(value),
+                             "residue", backend)
 
 
 @dataclass
@@ -273,10 +255,18 @@ class JetsWorkspace:
         return states[(1 << s) - 1][0]
 
 
+def check_jets_box(N, s):
+    """Refuse the pair box N^s above ``JETS_BOX_CAP`` with ``TooLarge``."""
+    if N ** s > JETS_BOX_CAP:
+        raise TooLarge(f"the pair box N^s = {N}^{s} exceeds the operator-determinant "
+                       f"cap {JETS_BOX_CAP}")
+
+
 def jets_workspace(N, s, lam, eta) -> JetsWorkspace:
     """Cached profile-independent parts of ``gefp_determinant_jets``."""
     lam, eta = mp.mpf(lam), mp.mpf(eta)
-    return _cached(_jets_cache, (N, s) + _float_key(lam, eta),
+    # float keys by round-trip repr, and the precision the workspace is built at
+    return _cached(_jets_cache, (N, s, repr(lam), repr(eta), mp.prec),
                    lambda: _build_jets_workspace(N, s, lam, eta))
 
 
@@ -323,9 +313,7 @@ def gefp_determinant_jets(N, profile: YoungProfile, lam, eta, *,
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
     s = profile.s
-    if N ** s > JETS_BOX_CAP:
-        raise TooLarge(f"the pair box N^s = {N}^{s} exceeds the operator-determinant "
-                       f"cap {JETS_BOX_CAP}")
+    check_jets_box(N, s)
     lam, eta = mp.mpf(lam), mp.mpf(eta)
     if not allow_nonphysical:
         weights_from_trig(lam, 0, eta)                  # raises NonphysicalWeights

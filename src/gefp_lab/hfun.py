@@ -6,7 +6,8 @@ polynomial, and h_{N,s}(z) = det[f_k(z_j)] / prod_{j<k} (z_j - z_k) the
 s-variable symmetric extension entering the residue engine, with the column
 polynomials f_k(z) = z^k (z-1)^(s-1-k) h_{N-k}(z).  ``h_polynomial`` expands
 it in Schur polynomials, with the minors of the columns' coefficient matrix
-as weights and Kostka numbers as the Schur coefficients;
+as weights and Kostka numbers as the Schur coefficients, on the tables' own
+exact scalars (the residue engine passes integer tables, on both backends);
 ``h_multivariate`` evaluates the determinant ratio at a point, and is the
 independent check of that expansion.
 
@@ -28,7 +29,6 @@ from itertools import combinations, product
 from mpmath import mp
 
 from .algebra import Jet, TruncatedSeries, UniPoly, det
-from .backends import is_exact_scalar
 from .errors import BadIndex, BranchPole, DivisionByZero, DuplicateRapidity
 from .ik import (a_fn, b_fn, homogeneous_partition_jets, k_polynomial,
                  partially_inhomogeneous_partition)
@@ -159,27 +159,27 @@ def _columns(tables, N, s):
     return cols
 
 
-def _minors(cols, top, one, dot):
+def _minors(cols, top, zero):
     """Every s x s minor d_lambda of the column-coefficient matrix C[e][k].
 
     ``cols[k]`` lists C[e][k] for e = 0, 1, ...; rows run over e <= top.  Rows
     are descending exponent sets S = (e_1 > ... > e_s), so the minor belongs
     to the partition lambda_i = e_i - (s - i).  Column k is added by Laplace
-    expansion along it over the (k+1)-row sets, each minor one ``dot``.
+    expansion along it over the (k+1)-row sets, each minor one sum.
     """
     s = len(cols)
-    level = {(): one}
+    level = {(): zero + 1}
     for k, col in enumerate(cols):
         nxt = {}
         for S in combinations(range(top, -1, -1), k + 1):
-            terms = []
+            total = zero
             for i, e in enumerate(S):
                 x = col[e] if e < len(col) else 0
                 if x != 0:
                     minor = level[S[:i] + S[i + 1:]]
                     if minor != 0:
-                        terms.append((-x if (i + k) % 2 else x, minor))
-            nxt[S] = dot(terms)
+                        total += -x * minor if (i + k) % 2 else x * minor
+            nxt[S] = total
         level = nxt
     return {tuple(e - (s - 1 - i) for i, e in enumerate(S)): d
             for S, d in level.items()}
@@ -232,21 +232,15 @@ def h_polynomial(tables, N, s) -> TruncatedSeries:
     the Vandermonde a_delta(z) gives h = sum_lambda d_lambda s_lambda(z) over
     lambda in the s x (N-1) box (Macdonald, ch. I).  The coefficient of z^alpha
     in s_lambda is the Kostka number K_{lambda, sort(alpha)}, so each sorted
-    alpha takes one sum over lambda (one ``mp.fdot`` for floats, so every
-    entry is rounded once) and is copied to its permutations.  Integer tables,
-    as the exact residue engine passes them, give integer minors and entries.
+    alpha takes one sum over lambda and is copied to its permutations.  The
+    sums run on the tables' own scalars: integer tables, as the residue
+    engine passes them, give integer minors and entries.
     """
     if s > N:
         raise BadIndex(f"s={s} exceeds N={N}")
     zero = tables[N][0] * 0
-    if is_exact_scalar(zero):
-        def dot(terms):
-            return sum((x * y for x, y in terms), zero)
-    else:
-        dot = mp.fdot
-    d = _minors([col.coeffs for col in _columns(tables, N, s)], N + s - 2,
-                zero + 1, dot)
-    h = {mu: dot([(d[lam], k) for lam, k in row if d[lam] != 0])
+    d = _minors([col.coeffs for col in _columns(tables, N, s)], N + s - 2, zero)
+    h = {mu: sum((d[lam] * k for lam, k in row), zero)
          for mu, row in _kostka(N - 1, s)}
     data = [h[tuple(sorted(alpha, reverse=True))]
             for alpha in product(range(N), repeat=s)]

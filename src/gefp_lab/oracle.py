@@ -35,10 +35,9 @@ from functools import cached_property
 from itertools import chain, combinations_with_replacement, product, zip_longest
 from math import lcm
 
-from mpmath import mp, mpf
-from mpmath.libmp import to_rational
+from mpmath import mp
 
-from .backends import EXACT, FLOAT, to_float
+from .backends import EXACT, FLOAT, to_exact, to_float
 from .errors import BadIndex, DivisionByZero, TooLarge, Unsupported
 from .params import SpectralData, VertexWeights
 
@@ -148,8 +147,7 @@ class WeightGrid:
         An mpf enters as the dyadic rational it holds, so the loop is exact
         on both backends and a float result is rounded once at the end.
         """
-        exact = {x: Fraction(*to_rational(x._mpf_)) if isinstance(x, mpf) else Fraction(x)
-                 for x in (self.c2, *chain(*self.a, *self.b))}
+        exact = {x: to_exact(x) for x in {self.c2, *chain(*self.a, *self.b)}}
         den = lcm(*(x.denominator for x in exact.values()))
         return ([[int(exact[x] * den) for x in row] for row in self.a],
                 [[int(exact[x] * den) for x in row] for row in self.b],

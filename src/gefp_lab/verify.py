@@ -149,11 +149,11 @@ def criterion_4(level="desk"):
     records = []
     w = VertexWeights.from_abc(Fraction(2), Fraction(1), Fraction(2))
     ok = True
-    for n in range(1, (6 if level == "desk" else 4) + 1):
+    for n in range(1, n_max + 2):
         grid = WeightGrid.from_weights(n, w)
         ok = ok and sum(boundary_distribution_oracle(grid)) == 1
     records.append(CheckRecord(
-        "criterion-4", "sum_r H_N^(r) == 1 exactly (exact backend, N<=6)", ok))
+        "criterion-4", f"sum_r H_N^(r) == 1 exactly (exact backend, N<={n_max + 1})", ok))
     tol = mp.mpf("1e-18")
     with mp.workprec(128):
         lam, eta = mp.mpf("1.1"), mp.mpf("0.35")

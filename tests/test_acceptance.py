@@ -64,3 +64,9 @@ def test_criterion_8_configuration_counts():
     """Counts 1, 2, 7, 42, 429 at a=b=c=1; the naive filter independently
     confirms 1, 2, 7 and the c-vertex parity."""
     _run(8)
+
+
+def test_criterion_4_quick_names_the_sizes_it_checks():
+    names = [r.name for r in run_criterion(4, "quick")]
+    assert "N<=4)" in names[0]
+    assert "N<=3 " in names[1] and "N <= 3 " in names[2]

@@ -411,6 +411,17 @@ def test_table_refuses_oversize_N_at_its_first_row(capsys, monkeypatch):
     assert err.startswith("error: TooLarge:")
 
 
+def test_table_jets_refuses_the_largest_box_before_any_row(capsys, monkeypatch):
+    # s = 1..4 fit under the cap at N = 9, s = 5 does not
+    def no_workspace(*args):
+        raise AssertionError("a jets workspace was built")
+
+    monkeypatch.setattr(gefp, "jets_workspace", no_workspace)
+    code, out, err = run_cli(capsys, "table", "--N", "9", "--engine", "jets", *TRIG_POINT)
+    assert code == 3 and out == ""
+    assert err.startswith("error: TooLarge:") and "9^9" in err
+
+
 def test_precision_flag_and_env(capsys, monkeypatch):
     _, out, _ = run_cli(capsys, "partition", "--N", "1", "--lambda", "1.1",
                         "--eta", "0.35", "--engine", "ik-hom",
@@ -505,6 +516,23 @@ def test_malformed_number_exits_2(capsys, flag, argv):
     assert err.startswith("error:") and flag in err
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--delta", ["gefp", "--r", "2", "--delta", "nan", "--t", "1"]),
+    ("--t", ["gefp", "--r", "2", "--delta", "1/3", "--t", "inf", "--engine", "oracle"]),
+    ("--lambda", ["gefp", "--r", "2", "--lambda", "nan", "--eta", "0.3", "--engine", "jets"]),
+    ("--eta", ["efp", "--s", "2", "--r", "2", "--lambda", "1.1", "--eta=-inf"]),
+    ("--lambdas", ["partition", "--engine", "ik", "--lambdas", "0.3,inf,0.5",
+                   "--nus", "0.1,0.2,0.4", "--eta", "0.4"]),
+    ("--nus", ["partition", "--engine", "ik", "--lambdas", "0.3,0.7,0.5",
+               "--nus", "0.1,nan,0.4", "--eta", "0.4"]),
+], ids=["delta-nan", "t-inf", "lambda-nan", "eta-minus-inf", "lambdas-inf", "nus-nan"])
+def test_non_finite_float_parameter_exits_2(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv[:1], "--N", "3", *argv[1:], "--backend", "float",
+                             "--allow-nonphysical")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
 @pytest.mark.parametrize("env, argv, flag", [
     ("abc", [], "GEFP_LAB_PRECISION"),
     (None, ["--precision", "0"], "--precision"),
@@ -585,7 +613,8 @@ def cli_argv(draw):
         argv += ["--engine", draw(st.sampled_from(engines[command]))]
     argv += ["--backend", draw(st.sampled_from(["exact", "float"]))]
     rational = st.fractions(min_value=-2, max_value=2, max_denominator=4).map(str)
-    decimal = st.integers(-20, 20).map(lambda k: str(k / 10))
+    decimal = st.one_of(st.integers(-20, 20).map(lambda k: str(k / 10)),
+                        st.sampled_from(["nan", "inf", "-inf"]))
     kinds = ["rational", "trig"] + (["lists"] if command == "partition" else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "rational":

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import to_rational
 
-from gefp_lab.backends import to_float
+from gefp_lab.backends import to_exact, to_float
 from gefp_lab.errors import BadIndex, NonphysicalWeights, TooLarge, Unsupported
 from gefp_lab import gefp, hfun
 from gefp_lab.gefp import (gefp_determinant_jets, gefp_residue, jets_workspace,
@@ -13,6 +12,7 @@ from gefp_lab.gefp import (gefp_determinant_jets, gefp_residue, jets_workspace,
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              boundary_distribution_oracle, gefp_oracle)
 from gefp_lab.params import VertexWeights, delta_t_from_trig
+from residue_reference import _z_series
 
 D0, T0 = Fraction(1, 2), Fraction(1)
 
@@ -140,27 +140,42 @@ def test_float_residue_never_takes_the_k_route(monkeypatch):
         assert abs(value - exact) <= mp.mpf(2) ** (16 - mp.prec) * exact
 
 
-def _z_prefactor(n, s, delta, t, zero):
-    """The prefactor series in z (B = 1) on the scalars of (delta, t)."""
-    a, b = 2 * delta * t, t * t
-    return gefp._prefactor_series(n, s, 1, b - a, a, b, zero).data
+def _assert_correctly_rounded(n, profiles, delta, t):
+    """The float residue value is the exact oracle's at the dyadic inputs,
+    rounded once."""
+    w = VertexWeights.from_delta_t(to_exact(delta), to_exact(t), allow_nonphysical=True)
+    grid = WeightGrid.from_weights(n, w)
+    for prof in profiles:
+        value = gefp_residue(n, prof, delta, t, "float").value
+        assert value._mpf_ == to_float(gefp_oracle(grid, prof).value)._mpf_, (n, prof.r)
 
 
-def test_float_prefactor_accuracy_at_non_dyadic_points():
-    # at (1/3, 3/4) the float pair factor is exact (2 Delta t = 1/2); these
-    # points round 2 Delta t and t^2, so the kernel's rounding shows
+# (3/2, 1/2) is outside the physical cone, and (-1, 2/3) has no trig point
+GATE_POINTS = [(Fraction(1, 3), Fraction(3, 4)), (Fraction(1, 7), Fraction(5, 11)),
+               (Fraction(-1), Fraction(2, 3)), (Fraction(3, 2), Fraction(1, 2)),
+               ("1.1", "0.35")]
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+@pytest.mark.parametrize("point", GATE_POINTS,
+                         ids=["1/3,3/4", "1/7,5/11", "-1,2/3", "3/2,1/2", "trig"])
+def test_float_residue_is_correctly_rounded(prec, point):
+    with mp.workprec(prec):
+        if isinstance(point[0], str):
+            delta, t = delta_t_from_trig(*(mp.mpf(x) for x in point))
+        else:
+            delta, t = (to_float(x) for x in point)
+        for n in range(1, 6):
+            _assert_correctly_rounded(n, all_profiles(n), delta, t)
+
+
+def test_float_residue_is_correctly_rounded_at_n7_n8():
     with mp.workprec(128):
-        for delta, t in ((Fraction(1, 7), Fraction(5, 11)), (Fraction(-5, 7), Fraction(2, 9))):
-            delta, t = to_float(delta), to_float(t)
-            dyadic = [Fraction(*to_rational(x._mpf_)) for x in (delta, t)]
-            for n in range(1, 7):
-                for s in range(1, min(n, 4) + 1):
-                    got = _z_prefactor(n, s, delta, t, mp.mpf(0))
-                    want = _z_prefactor(n, s, *dyadic, Fraction(0))
-                    for x, y in zip(got, want):
-                        if y != 0:
-                            y = to_float(y)
-                            assert abs(x - y) <= mp.mpf(2) ** (20 - mp.prec) * abs(y)
+        delta, t = to_float(Fraction(1, 3)), to_float(Fraction(3, 4))
+        _assert_correctly_rounded(7, [YoungProfile(7, (2, 4, 6, 7))], delta, t)
+        _assert_correctly_rounded(8, [YoungProfile(8, r) for r in
+                                      ((3,), (1, 1), (2, 5), (1, 4, 8), (3, 3, 6))],
+                                  delta, t)
 
 
 def _brute_convolution(series, target):
@@ -177,7 +192,7 @@ def test_coefficient_equals_brute_force_convolution():
     delta, t = Fraction(1, 3), Fraction(3, 4)
     for s in range(1, 5):
         ws = residue_workspace(4, s, delta, t)
-        zs = gefp._z_series(4, s, delta, t)
+        zs = _z_series(4, s, delta, t)
         B, D = ws.scale
         for prof in all_profiles(4, s):
             target = tuple(rj - 1 for rj in prof.r)
@@ -260,8 +275,9 @@ def test_jets_second_sweep_reads_the_memo(monkeypatch):
 
 
 def test_workspaces_keyed_by_precision_and_exact_value():
-    # dyadic parameters read the same at 64 and 128 bits, so only mp.prec
-    # in the key keeps the entries apart
+    # dyadic parameters read the same at 64 and 128 bits, so only mp.prec in
+    # the jets key keeps those entries apart; the residue entry is exact and
+    # shared, and each call rounds its own result
     lam, eta = mp.mpf("1.125"), mp.mpf("0.375")
     delta, t = mp.mpf("0.375"), mp.mpf("0.75")
     prof = YoungProfile(4, (2, 3, 4))
@@ -303,6 +319,19 @@ def test_exact_residue_refuses_float_scalars():
         residue_workspace(3, 1, Fraction(1, 3), 0.75)
     with pytest.raises(Unsupported):
         gefp_residue(3, YoungProfile(3, ()), 0.5, Fraction(1))
+
+
+@pytest.mark.parametrize("bad", [mp.nan, mp.inf, -mp.inf, float("nan")],
+                         ids=["nan", "inf", "-inf", "float-nan"])
+def test_non_finite_parameters_raise_unsupported(bad):
+    with pytest.raises(Unsupported):
+        to_exact(bad)
+    for r in ((2,), ()):
+        with pytest.raises(Unsupported):
+            gefp_residue(3, YoungProfile(3, r), bad, Fraction(1), "float")
+    w = VertexWeights.from_delta_t(mp.mpf(bad), mp.mpf(1), allow_nonphysical=True)
+    with pytest.raises(Unsupported):
+        gefp_oracle(WeightGrid.from_weights(3, w), YoungProfile(3, (2,)))
 
 
 def test_jets_full_row_is_one():

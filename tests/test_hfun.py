@@ -5,7 +5,6 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import to_rational
 
 from gefp_lab.algebra import UniPoly
 from gefp_lab.errors import BadIndex, BranchPole, DivisionByZero, DuplicateRapidity
@@ -167,24 +166,6 @@ def test_h_polynomial_matches_pointwise_determinant():
 def _k_tables(n, s, lam, eta):
     """The K-route H tables of sizes n-s+1..n."""
     return {m: boundary_H_table_via_K(m, lam, eta) for m in range(n - s + 1, n + 1)}
-
-
-def test_float_h_polynomial_matches_exact_on_the_same_tables():
-    # the float tables, read as exact dyadic rationals, give the exact h that
-    # the float build must round to: within 2^(8-prec) relative entry by
-    # entry, and exactly 0 wherever the exact h is 0
-    with mp.workprec(128):
-        lam, eta = lambda_eta_from_delta_t(mp.mpf(1) / 3, mp.mpf(3) / 4)
-        for (n, s) in ((5, 5), (6, 4), (6, 6), (7, 4)):
-            tabs = _k_tables(n, s, lam, eta)
-            dyadic = {m: [Fraction(*to_rational(v._mpf_)) for v in tab]
-                      for m, tab in tabs.items()}
-            hf = h_polynomial(tabs, n, s)
-            he = h_polynomial(dyadic, n, s)
-            assert hf.caps == he.caps
-            for x, y in zip(hf.data, he.data):
-                err = abs(Fraction(*to_rational(x._mpf_)) - y)
-                assert err <= Fraction(2) ** (8 - mp.prec) * abs(y)
 
 
 def _box_partitions(n, s):
