@@ -13,6 +13,7 @@ mismatches), 3 computation errors (the error class name is reported).
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -480,8 +481,25 @@ COMMANDS = {
 }
 
 
+_SIGNED_FLAGS = ("--delta", "--t", "--lambdas", "--nus")
+
+
+def _join_negative_values(argv):
+    """argparse reads a separate "-1/2" or "-0.5,0.3" as a flag; only a plain
+    negative number passes.  So "--delta -1/2" is joined into "--delta=-1/2",
+    and likewise after --t, --lambdas and --nus."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_FLAGS and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         _apply_precision(args)
         if args.command == "verify":

@@ -25,8 +25,12 @@ closed over the rationals even when c^2 has no rational square root.
 
 The transfer engine crosses each row vertex by vertex on Python ints and
 returns one exact ratio of integers, float weights entering as the dyadic
-rationals they hold.  So every float result is that ratio rounded once.  A
-deliberately naive ice-rule filter (N <= 3) double-checks it from scratch.
+rationals they hold.  So every float result is that ratio rounded once.
+Constraints (GEFP marks, the frozen corner, a cut corner) sit in rows
+1..s only, so the N - s rows below are swept once per call, turned by 180
+degrees, and each constrained sum is a short sweep of the s top rows
+contracted with that one vector.  A deliberately naive ice-rule filter
+(N <= 3) double-checks it from scratch.
 """
 
 from dataclasses import dataclass
@@ -146,12 +150,16 @@ class WeightGrid:
 
         An mpf enters as the dyadic rational it holds, so the loop is exact
         on both backends and a float result is rounded once at the end.
+        Each distinct weight object and row tuple is converted once, keyed
+        by identity, so a homogeneous grid costs O(N).
         """
-        exact = {x: to_exact(x) for x in {self.c2, *chain(*self.a, *self.b)}}
+        rows = {id(r): r for r in self.a + self.b}
+        exact = {id(x): to_exact(x) for x in (self.c2, *chain(*rows.values()))}
         den = lcm(*(x.denominator for x in exact.values()))
-        return ([[int(exact[x] * den) for x in row] for row in self.a],
-                [[int(exact[x] * den) for x in row] for row in self.b],
-                int(exact[self.c2] * den * den), den)
+        scaled = {k: x.numerator * (den // x.denominator) for k, x in exact.items()}
+        ints = {k: [scaled[id(x)] for x in r] for k, r in rows.items()}
+        return ([ints[id(r)] for r in self.a], [ints[id(r)] for r in self.b],
+                scaled[id(self.c2)] * den, den)
 
 
 def _row(a, b, c2, states, width, mark=None, frozen=None):
@@ -182,21 +190,48 @@ def _row(a, b, c2, states, width, mark=None, frozen=None):
     return {key >> 1: w for key, w in cur.items() if key & 1}
 
 
-def _transfer(grid: WeightGrid, marks=(), frozen=(), widths=None) -> Fraction:
+def _bottom(grid: WeightGrid, rows) -> dict:
+    """{state above the last ``rows`` rows: integer weight of those rows}.
+
+    A 180-degree turn keeps domain-wall boundaries and every vertex weight
+    (types 5 and 6 map to themselves, 1 to 2, 3 to 4), so the bottom rows
+    are swept forward as the top rows of the turned grid.  A turned state
+    reads back as its bit-reversed complement.  ``rows = 0`` gives {0: 1},
+    the all-up state below row N.
+    """
+    n = grid.N
+    a, b, c2, _ = grid._transfer_weights
+    full = (1 << n) - 1
+    states = {full: 1}
+    for j in range(n - 1, n - 1 - rows, -1):
+        states = _row(a[j][::-1], b[j][::-1], c2, states, n)
+    return {full ^ int(f"{u:0{n}b}"[::-1], 2): w for u, w in states.items()}
+
+
+def _transfer(grid: WeightGrid, top, bottom, marks=(), frozen=(), widths=()) -> Fraction:
     """Reduced partition sum (without the overall c^N) under constraints.
 
-    Every row has n5 - n6 = 1, so a row of width n weighs an integer over
-    D^(n-1) and the sum is one integer over a power of D.  It is returned
-    as that exact ``Fraction`` on both backends; callers round it once.
+    Rows 1..top are swept forward from the top boundary, under the GEFP
+    marks, the frozen corner or the cut-domain ``widths`` of those rows, and
+    contracted with ``bottom``, the rows below as given by
+    ``_bottom(grid, N - top)``.  ``top = N`` with bottom {0: 1} is the plain
+    forward sweep.  Every row has n5 - n6 = 1, so a row of width n weighs an
+    integer over D^(n-1) and the sum is one integer over a power of D.  It
+    is returned as that exact ``Fraction`` on both backends; callers round
+    it once.
     """
+    n = grid.N
     a, b, c2, den = grid._transfer_weights
-    widths = widths or [grid.N] * grid.N
+    widths = list(widths) + [n] * (top - len(widths))
     states, prev = {0: 1}, 0
-    for a_row, b_row, width, mark, froz in zip_longest(a, b, widths, marks, frozen):
+    rows = zip_longest(a[:top], b[:top], widths, marks, frozen)
+    for a_row, b_row, width, mark, froz in rows:
         # the top boundary and the edges entering a wider row from outside point down
         states = {v | (1 << width) - (1 << prev): w for v, w in states.items()}
         states, prev = _row(a_row, b_row, c2, states, width, mark, froz), width
-    return Fraction(states.get(0, 0), den ** (sum(widths) - grid.N))
+    wider = (1 << n) - (1 << prev)
+    total = sum(w * bottom.get(v | wider, 0) for v, w in states.items())
+    return Fraction(total, den ** (sum(widths) + n * (n - top) - n))
 
 
 def _nonzero(z, n):
@@ -221,13 +256,13 @@ def partition_function_oracle(grid: WeightGrid, cap=None):
     _check_cap(grid.N, cap)
     if grid.c is None:
         raise Unsupported("Z_N needs a concrete c; this grid only carries c^2")
-    return grid.c ** grid.N * grid.rounded(_transfer(grid))
+    return grid.c ** grid.N * reduced_partition_oracle(grid, cap)
 
 
 def reduced_partition_oracle(grid: WeightGrid, cap=None):
     """The c-reduced sum Z_N / c^N; always available, both backends."""
     _check_cap(grid.N, cap)
-    return grid.rounded(_transfer(grid))
+    return grid.rounded(_transfer(grid, 0, _bottom(grid, grid.N)))
 
 
 def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> CorrelationResult:
@@ -236,14 +271,18 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
     Edge j sits in row j between columns r_j and r_j + 1 from the right.
     The equivalent characterization (a frozen corner of type-2 vertices with
     diagram shape mu) is evaluated as well and must agree exactly, on both
-    backends; a mismatch means a bug, so it raises.
+    backends; a mismatch means a bug, so it raises.  Z, the marked and the
+    frozen sum share one bottom sweep of rows s+1..N, and each adds a sweep
+    of rows 1..s.
     """
     _check_cap(grid.N, cap)
     if profile.N != grid.N:
         raise BadIndex(f"profile N={profile.N} does not match grid N={grid.N}")
-    z = _nonzero(_transfer(grid), grid.N)
-    marked = _transfer(grid, marks=profile.r)
-    frozen = _transfer(grid, frozen=profile.r)
+    s = profile.s
+    bottom = _bottom(grid, grid.N - s)
+    z = _nonzero(_transfer(grid, s, bottom), grid.N)
+    marked = _transfer(grid, s, bottom, marks=profile.r)
+    frozen = _transfer(grid, s, bottom, frozen=profile.r)
     if marked != frozen:
         raise AssertionError(
             f"edge-based and frozen-region GEFP disagree: {marked / z} vs {frozen / z}")
@@ -253,24 +292,20 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
 def boundary_distribution_oracle(grid: WeightGrid, cap=None):
     """The full boundary distribution (H^(1), ..., H^(N)) in one sweep.
 
-    A 180-degree turn keeps domain-wall boundaries and every vertex weight
-    (types 5 and 6 map to themselves, 1 to 2, 3 to 4) and moves row 1's
-    c-vertex at column r to row N, column N + 1 - r, right below row N's
-    single incoming down arrow.  So the turned grid's first N - 1 rows are
-    swept once, and row N once from each single-arrow state.  Every entry
-    is one ratio of integers, so a float entry is rounded once.
+    Row 1 has a single c-vertex, at column r, so the state below it is all
+    down but for column r.  That row is swept once from the top boundary
+    and contracted entry-wise with the N - 1 rows below it (``_bottom``).
+    Every entry is one ratio of integers, so a float entry is rounded once.
     """
     _check_cap(grid.N, cap)
     n = grid.N
     a, b, c2, _ = grid._transfer_weights
-    a, b = ([row[::-1] for row in reversed(x)] for x in (a, b))
-    states = {(1 << n) - 1: 1}
-    for row in range(n - 1):
-        states = _row(a[row], b[row], c2, states, n)
-    last = [_row(a[-1], b[-1], c2, {1 << k: states.get(1 << k, 0)}, n).get(0, 0)
-            for k in reversed(range(n))]
-    z = _nonzero(sum(last), n)
-    return [grid.rounded(Fraction(x, z)) for x in last]
+    full = (1 << n) - 1
+    first = _row(a[0], b[0], c2, {full: 1}, n)
+    rest = _bottom(grid, n - 1)
+    h = [first.get(full ^ 1 << k, 0) * rest.get(full ^ 1 << k, 0) for k in range(n)]
+    z = _nonzero(sum(h), n)
+    return [grid.rounded(Fraction(x, z)) for x in h]
 
 
 def modified_domain_partition(grid: WeightGrid, profile: YoungProfile, cap=None):
@@ -294,8 +329,8 @@ def reduced_modified_domain_partition(grid: WeightGrid, profile: YoungProfile, c
         raise Unsupported("the cut-corner domain is defined for homogeneous weights")
     if profile.N != grid.N:
         raise BadIndex(f"profile N={profile.N} does not match grid N={grid.N}")
-    widths = list(profile.r) + [grid.N] * (grid.N - profile.s)
-    return grid.rounded(_transfer(grid, widths=widths))
+    s = profile.s
+    return grid.rounded(_transfer(grid, s, _bottom(grid, grid.N - s), widths=profile.r))
 
 
 # ---------------------------------------------------------------------------

@@ -594,6 +594,21 @@ def test_bad_sizes_exit_2_naming_the_fault(capsys, argv, fault):
     assert fault in err
 
 
+GEFP_N3 = ["gefp", "--N", "3", "--r", "2", "--allow-nonphysical"]
+
+
+@pytest.mark.parametrize("command, values", [
+    (GEFP_N3, {"--delta": "-1/2", "--t": "3/4"}),
+    (GEFP_N3, {"--delta": "1/3", "--t": "-3/4"}),
+    (["partition", "--N", "2", "--engine", "ik", "--backend", "float"],
+     {"--lambdas": "-0.7,0.3", "--nus": "-0.15,0.2", "--eta": "0.4"})])
+def test_negative_value_as_its_own_argument(capsys, command, values):
+    # argparse alone reads "-1/2" or "-0.5,0.3" after a flag as another flag
+    separate = run_cli(capsys, *command, *(x for kv in values.items() for x in kv))
+    joined = run_cli(capsys, *command, *(f"{k}={v}" for k, v in values.items()))
+    assert separate[:2] == joined[:2] and separate[0] == 0   # stderr carries the wall time
+
+
 @st.composite
 def cli_argv(draw):
     """Argv of one result command from small sizes and parameters, valid or not."""
@@ -617,13 +632,19 @@ def cli_argv(draw):
                         st.sampled_from(["nan", "inf", "-inf"]))
     kinds = ["rational", "trig"] + (["lists"] if command == "partition" else [])
     kind = draw(st.sampled_from(kinds))
+
+    def option(flag, value):
+        """A value, negative ones too, as its own argument or joined by "="."""
+        return [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
+
     if kind == "rational":
-        argv += ["--delta", draw(rational), "--t", draw(rational)]
+        argv += option("--delta", draw(rational)) + option("--t", draw(rational))
     elif kind == "trig":
         argv += ["--lambda", draw(decimal), "--eta", draw(decimal)]
     else:
         lists = st.lists(decimal, min_size=1, max_size=3).map(",".join)
-        argv += ["--lambdas", draw(lists), "--nus", draw(lists), "--eta", draw(decimal)]
+        argv += (option("--lambdas", draw(lists)) + option("--nus", draw(lists))
+                 + ["--eta", draw(decimal)])
     if draw(st.booleans()):
         argv.append("--allow-nonphysical")
     return argv

@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import to_rational
 
+from gefp_lab import oracle
 from gefp_lab.backends import to_float
 from gefp_lab.errors import BadIndex, TooLarge, Unsupported
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
@@ -206,36 +207,99 @@ def test_boundary_distribution_closed_forms():
         assert dist == [Fraction(comb(n - 1, r - 1), 2 ** (n - 1)) for r in range(1, n + 1)]
 
 
+def unsplit(grid, **constraints):
+    """The plain forward sweep of all N rows: the reference for the split."""
+    return oracle._transfer(grid, grid.N, {0: 1}, **constraints)
+
+
 def first_row_increments(grid):
-    """G((r)) - G((r - 1)) from the unturned marked transfer, G((0)) = 0."""
-    g = [0] + [gefp_oracle(grid, YoungProfile(grid.N, (r,))).value
-               for r in range(1, grid.N + 1)]
-    return [g[r] - g[r - 1] for r in range(1, grid.N + 1)]
+    """G((r)) - G((r - 1)) from the unsplit marked transfer, G((0)) = 0."""
+    z = unsplit(grid)
+    g = [0] + [unsplit(grid, marks=(r,)) for r in range(1, grid.N + 1)]
+    return [grid.rounded((g[r] - g[r - 1]) / z) for r in range(1, grid.N + 1)]
+
+
+def random_grid(rng, n):
+    a, b = ([[Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(n)]
+             for _ in range(n)] for _ in range(2))
+    return WeightGrid(a, b, Fraction(rng.randint(1, 6), rng.randint(1, 4)))
+
+
+def random_spectral_grid(rng, n):
+    spec = SpectralData([rng.uniform(0.6, 1.4) for _ in range(n)],
+                        [rng.uniform(-0.2, 0.2) for _ in range(n)], 0.4)
+    return WeightGrid.from_spectral(spec)
 
 
 def test_turned_sweep_matches_marked_transfer_on_inhomogeneous_grids():
     rng = random.Random(11)
     for n in range(1, 6):
         for _ in range(3):
-            a, b = ([[Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(n)]
-                     for _ in range(n)] for _ in range(2))
-            grid = WeightGrid(a, b, Fraction(rng.randint(1, 6), rng.randint(1, 4)))
-            dist = boundary_distribution_oracle(grid)
-            assert dist == first_row_increments(grid)
+            grid = random_grid(rng, n)
+            assert boundary_distribution_oracle(grid) == first_row_increments(grid)
 
 
 def test_turned_sweep_matches_marked_transfer_on_spectral_grids():
+    # every entry is one exact ratio rounded once on both routes
     rng = random.Random(12)
     with mp.workprec(128):
         tol = mp.mpf(2) ** (8 - mp.prec)
         for n in range(1, 5):
-            spec = SpectralData([rng.uniform(0.6, 1.4) for _ in range(n)],
-                                [rng.uniform(-0.2, 0.2) for _ in range(n)], 0.4)
-            grid = WeightGrid.from_spectral(spec)
+            grid = random_spectral_grid(rng, n)
             dist = boundary_distribution_oracle(grid)
-            for h, g in zip(dist, first_row_increments(grid), strict=True):
-                assert abs(h - g) <= tol
+            assert dist == first_row_increments(grid)
             assert abs(sum(dist) - 1) <= tol
+
+
+def split_matches_unsplit(grid):
+    n = grid.N
+    for top in range(n + 1):
+        assert oracle._transfer(grid, top, oracle._bottom(grid, n - top)) == unsplit(grid)
+    for prof in all_profiles(n):
+        bottom = oracle._bottom(grid, n - prof.s)
+        for kind in ("marks", "frozen", "widths"):
+            split = oracle._transfer(grid, prof.s, bottom, **{kind: prof.r})
+            assert split == unsplit(grid, **{kind: prof.r}), (n, prof.r, kind)
+
+
+def test_split_transfer_matches_the_unsplit_sweep_on_rational_grids():
+    rng = random.Random(13)
+    for n in range(1, 7):
+        split_matches_unsplit(random_grid(rng, n))
+
+
+def test_split_transfer_matches_the_unsplit_sweep_on_spectral_grids():
+    rng = random.Random(14)
+    with mp.workprec(128):
+        for n in range(1, 6):
+            split_matches_unsplit(random_spectral_grid(rng, n))
+
+
+def test_edge_vs_frozen_cross_check_fires(monkeypatch):
+    # a _row that ignores the frozen corner makes the frozen sum Z
+    row = oracle._row
+
+    def without_frozen(a, b, c2, states, width, mark=None, frozen=None):
+        return row(a, b, c2, states, width, mark)
+
+    monkeypatch.setattr(oracle, "_row", without_frozen)
+    with pytest.raises(AssertionError, match="disagree"):
+        gefp_oracle(WeightGrid.from_weights(4, ICE), YoungProfile(4, (2, 3)))
+
+
+@pytest.mark.parametrize("r", [(3,), (3, 5)])
+def test_gefp_oracle_sweeps_the_unconstrained_rows_once(monkeypatch, r):
+    n, s, calls = 8, len(r), []
+    row = oracle._row
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return row(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_row", counted)
+    grid = WeightGrid.from_weights(n, rational_weights(4))
+    gefp_oracle(grid, YoungProfile(n, r))
+    assert len(calls) <= (n - s) + 3 * s
 
 
 def test_float_oracle_is_the_exact_ratio_rounded_once():
