@@ -17,6 +17,7 @@ import re
 import sys
 import time
 from dataclasses import asdict
+from functools import cached_property
 
 from mpmath import mp
 
@@ -123,14 +124,17 @@ class ParamSpec:
             raise UsageError("this command needs homogeneous parameters")
         return weights_from_trig(self.lam, 0, self.eta, allow_nonphysical)
 
+    @cached_property
     def delta_t(self):
         """(Delta, t) as given, or converted once from the trig point."""
         if self.delta is not None:
             return self.delta, self.t
         return delta_t_from_trig(self.lam, self.eta)
 
+    @cached_property
     def lambda_eta(self):
-        """(lambda, eta) as given, or converted from (Delta, t); needs |Delta| < 1."""
+        """(lambda, eta) as given, or converted once from (Delta, t); needs
+        |Delta| < 1."""
         if self.lam is not None:
             return self.lam, self.eta
         return lambda_eta_from_delta_t(self.delta, self.t)
@@ -224,12 +228,12 @@ def cmd_partition(args):
 def _run_gefp_engine(args, spec, profile):
     """One profile on the engine of ``gefp``, ``efp`` and ``table``."""
     if args.engine == "residue":
-        return gefp_residue(args.N, profile, *spec.delta_t(), spec.backend,
+        return gefp_residue(args.N, profile, *spec.delta_t, spec.backend,
                             allow_nonphysical=args.allow_nonphysical)
     if args.engine == "jets":
         if spec.backend == EXACT:
             raise UsageError("--engine jets runs in the float backend")
-        return gefp_determinant_jets(args.N, profile, *spec.lambda_eta(),
+        return gefp_determinant_jets(args.N, profile, *spec.lambda_eta,
                                      allow_nonphysical=args.allow_nonphysical)
     if args.engine == "oracle":
         grid = WeightGrid.from_weights(args.N, spec.weights(args.allow_nonphysical))
@@ -481,13 +485,14 @@ COMMANDS = {
 }
 
 
-_SIGNED_FLAGS = ("--delta", "--t", "--lambdas", "--nus")
+_SIGNED_FLAGS = ("--delta", "--t", "--lambdas", "--nus", "--r")
 
 
 def _join_negative_values(argv):
     """argparse reads a separate "-1/2" or "-0.5,0.3" as a flag; only a plain
     negative number passes.  So "--delta -1/2" is joined into "--delta=-1/2",
-    and likewise after --t, --lambdas and --nus."""
+    and likewise after --t, --lambdas and --nus, and after --r, whose
+    negative entries are then refused as an invalid profile."""
     out = []
     for arg in argv:
         if out and out[-1] in _SIGNED_FLAGS and re.match(r"-\d", arg):

@@ -24,16 +24,22 @@ rounded once.
 
 ``gefp_determinant_jets`` evaluates the s x s determinant of K-polynomial
 operators acting on the omega/rho product, by multivariate jet expansion.
-The pair product, the K rows and the omega/rho powers depend only on
-(N, s, lambda, eta), so they are cached as well.  The contraction runs from
-the last axis, and what it builds after axis k depends only on the suffix
-(r_k, ..., r_s), so the workspace keeps each fold and partial tensor and a
-profile costs only the steps for the suffixes not yet met.
+The block inverse, the K rows and the omega/rho powers depend only on
+(N, lambda, eta), so they are built once per N and shared by every s; the
+pair product depends on s as well, and both are cached.  The engine runs on
+Python integers: each group of mpf inputs is read as the integers it holds
+over one power of two, the pair product keeps ``JETS_GUARD_BITS`` past the
+working precision, and the folds and the contraction are exact, so a
+result is rounded once.  The contraction runs from the last axis, and what
+it builds after axis k depends only on the suffix (r_k, ..., r_s), so the
+workspace keeps each fold and partial tensor and a profile costs only the
+steps for the suffixes not yet met.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from mpmath import mp
 
@@ -46,11 +52,20 @@ from .oracle import CorrelationResult, YoungProfile
 from .params import VertexWeights, weights_from_trig
 
 # Largest pair box N^s the jets engine builds, checked before any work.  The
-# build grows with the box: at 128 bits, process time on one x86 core,
-# (8, 4) takes about 2 s, (7, 5) 10 s, and the largest boxes under the cap,
-# (6, 6) and (14, 4), about 33 s each.  6^6 keeps every s <= N <= 6, and since
-# s <= N it refuses every s >= 7.
+# build grows with the box: one cold call at 128 bits, process time on one
+# x86 core, takes about 0.2 s at (8, 4), 0.8 s at (7, 5), and 3 s at the
+# largest boxes under the cap, (6, 6) and (14, 4), most of it in the integer
+# pair product.  6^6 keeps every s <= N <= 6, and since s <= N it refuses
+# every s >= 7.
 JETS_BOX_CAP = 6 ** 6
+
+# Bits past the working precision that the jets pair product keeps in its
+# smallest nonzero entry after each pair pass.  Without the shift the entries
+# grow by one block's bit size per pass (to 1,960 bits at (6, 6), 128 bits).
+# The nonzero entries of one pair tensor span at most 57 bits at (6, 6) and
+# 86 at (14, 4) (at the trig point (1.1, 0.35)), so after the shift none is
+# longer than about prec + 100.
+JETS_GUARD_BITS = 16
 
 
 @dataclass
@@ -186,13 +201,84 @@ def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
                              "residue", backend)
 
 
+def _dyadic(values):
+    """Integers c and one exponent e with values[i] == c[i] * 2^e, exactly.
+
+    Each mpf is read from its (sign, mantissa, exponent) tuple, so nothing is
+    rounded; nan and infinities raise ``Unsupported``.
+    """
+    parts = [x._mpf_ for x in values]
+    if any(not man and bc for _, man, _, bc in parts):
+        raise Unsupported("the operator determinant needs finite inputs")
+    e = min((exp for _, man, exp, _ in parts if man), default=0)
+    return [(-int(man) if sign else int(man)) << (exp - e)
+            for sign, man, exp, _ in parts], e
+
+
+def _shift_to(data, bits):
+    """Shift the integers right, rounding to nearest, until the smallest
+    nonzero one has ``bits`` bits (none if it has fewer); returns the shift."""
+    shift = min((x.bit_length() for x in data if x), default=0) - bits
+    if shift <= 0:
+        return 0
+    half = 1 << (shift - 1)
+    data[:] = [(x + half) >> shift for x in data]
+    return shift
+
+
+class _JetsInputs:
+    """The s-independent inputs of the operator determinant at
+    (N, lambda, eta, prec), built once and shared by every s.
+
+    ``inverse`` is the pair block (rt rr (wt ww - 1))^-1 on the (N-1, N-1)
+    box and ``powers[e]`` the Taylor coefficients of rho^N omega^e,
+    e = 0..N-1, each group as the integers it holds over one power of two
+    (``inverse_exp``, ``powers_exp``).  ``k_row(n)`` is K_n[m] m!, m < N, as
+    mpf, built on first use.
+    """
+
+    def __init__(self, N, lam, eta):
+        self.N, self.lam, self.eta = N, lam, eta
+        fns = OmegaRho(lam, eta)
+        n = N - 1
+        zero = mp.mpf(0)
+        box = (n, n)
+        rt = TruncatedSeries.from_univariate(fns.rho_tilde(n), 0, box, zero)
+        rr = TruncatedSeries.from_univariate(fns.rho(n), 1, box, zero)
+        wt = TruncatedSeries.from_univariate(fns.omega_tilde(n), 0, box, zero)
+        ww = TruncatedSeries.from_univariate(fns.omega(n), 1, box, zero)
+        inverse = (rt * rr * (wt * ww - 1)).invert()
+        data, self.inverse_exp = _dyadic(inverse.data)
+        self.inverse = TruncatedSeries(box, 0, data)
+        om = fns.omega(n)
+        powers = [fns.rho(n) ** N]
+        for _ in range(n):
+            powers.append(powers[-1] * om)
+        flat, self.powers_exp = _dyadic([x for p in powers for x in p.coeffs])
+        self.powers = [flat[o:o + N] for o in range(0, N * N, N)]
+        self.phi = PhiJet(lam, eta, 2 * n)
+        self.k_rows = {}
+
+    def k_row(self, index):
+        row = self.k_rows.get(index)
+        if row is None:
+            kc = k_polynomial(index, self.lam, self.eta, self.phi).coeffs
+            row = self.k_rows[index] = [kc[m] * math.factorial(m) if m < len(kc)
+                                        else mp.mpf(0) for m in range(self.N)]
+        return row
+
+
 @dataclass
 class JetsWorkspace:
     """Profile-independent parts of the operator determinant at (N, s, lambda, eta).
 
-    ``pair`` is P = prod_{j<k} block_jk^-1 on the (N-1)^s box; ``weights[j][m]``
-    is K_{N-s+j}[m] m! (zero past the degree); ``powers[e]`` holds the Taylor
-    coefficients of rho^N omega^e for e = 0..N-1.
+    All three parts are Python integers: ``pair`` is P = prod_{j<k}
+    block_jk^-1 on the (N-1)^s box; ``weights[j][m]`` is K_{N-s+j}[m] m!
+    (zero past the degree); ``powers[e]`` holds the Taylor coefficients of
+    rho^N omega^e for e = 0..N-1.  Every contraction is an integer times
+    2^``exponent``.  The K rows and the powers are the exact dyadic values of
+    their mpf inputs; ``pair`` is rounded to ``JETS_GUARD_BITS`` past the
+    working precision after each pair pass.
 
     ``folds`` and ``partials`` memoize ``contraction``: the fold of one row
     position r into the K rows, and the partial tensors of each profile
@@ -208,15 +294,16 @@ class JetsWorkspace:
     pair: TruncatedSeries
     weights: list
     powers: list
+    exponent: int
     folds: dict = field(default_factory=dict)
     partials: dict = field(default_factory=dict)
 
     def fold(self, rk):
-        """v[j][m] = sum_d u[d] W_j[m + d], u = rho^N omega^(N - rk), one fdot each."""
+        """v[j][m] = sum_d u[d] W_j[m + d], u = rho^N omega^(N - rk), in integers."""
         v = self.folds.get(rk)
         if v is None:
             N, u = self.N, self.powers[self.N - rk]
-            v = self.folds[rk] = [[mp.fdot(u[:N - m], w[m:]) for m in range(N)]
+            v = self.folds[rk] = [[sum(map(mul, u[:N - m], w[m:])) for m in range(N)]
                                   for w in self.weights]
         return v
 
@@ -229,8 +316,8 @@ class JetsWorkspace:
         permutation sign gains a factor -1 for each used row below the new
         one.  The partial tensors after axis k depend only on r[k:], so the
         call resumes from the longest suffix already in ``partials`` and
-        stores every level it adds.  Every dot product is one ``mp.fdot``,
-        rounded once, on the same inputs in the same order as a cold call.
+        stores every level it adds.  Every dot product is exact, so the
+        result is the exact sum at the workspace's integers, rounded once.
         """
         N, s = self.N, self.s
         start = next((k for k in range(s) if tuple(r[k:]) in self.partials), s)
@@ -248,11 +335,11 @@ class JetsWorkspace:
                         odd = bin(prev & ((1 << j) - 1)).count("1") % 2
                         rows += [-x for x in v[j]] if odd else v[j]
                         tensors.append(states[prev])
-                nxt[used] = [mp.fdot(rows, [x for tensor in tensors
-                                            for x in tensor[o:o + N]])
+                nxt[used] = [sum(map(mul, rows, [x for tensor in tensors
+                                                 for x in tensor[o:o + N]]))
                              for o in range(0, len(tensors[0]), N)]
             states = self.partials[tuple(r[k:])] = nxt
-        return states[(1 << s) - 1][0]
+        return mp.ldexp(mp.mpf(states[(1 << s) - 1][0]), self.exponent)
 
 
 def check_jets_box(N, s):
@@ -263,40 +350,28 @@ def check_jets_box(N, s):
 
 
 def jets_workspace(N, s, lam, eta) -> JetsWorkspace:
-    """Cached profile-independent parts of ``gefp_determinant_jets``."""
+    """Cached profile-independent parts of ``gefp_determinant_jets``, keyed by
+    the exact parameter values and the precision the workspace is built at;
+    the shared inputs sit in the same cache under (N, lambda, eta, prec)."""
     lam, eta = mp.mpf(lam), mp.mpf(eta)
-    # float keys by round-trip repr, and the precision the workspace is built at
-    return _cached(_jets_cache, (N, s, repr(lam), repr(eta), mp.prec),
+    return _cached(_jets_cache, (N, s, lam._mpf_, eta._mpf_, mp.prec),
                    lambda: _build_jets_workspace(N, s, lam, eta))
 
 
 def _build_jets_workspace(N, s, lam, eta):
-    fns = OmegaRho(lam, eta)
-    n = N - 1
-    zero = mp.mpf(0)
-    # every pair block lives on the same (n, n) box, so one inverse serves all
-    box = (n, n)
-    rt = TruncatedSeries.from_univariate(fns.rho_tilde(n), 0, box, zero)
-    rr = TruncatedSeries.from_univariate(fns.rho(n), 1, box, zero)
-    wt = TruncatedSeries.from_univariate(fns.omega_tilde(n), 0, box, zero)
-    ww = TruncatedSeries.from_univariate(fns.omega(n), 1, box, zero)
-    inverse = (rt * rr * (wt * ww - 1)).invert()
-    pair = TruncatedSeries.constant([n] * s, mp.mpf(1), zero)
+    inputs = _cached(_jets_cache, (N, lam._mpf_, eta._mpf_, mp.prec),
+                     lambda: _JetsInputs(N, lam, eta))
+    pair = TruncatedSeries.constant([N - 1] * s, 1, 0)
+    exponent = 0
     for j in range(s):
         for k in range(j + 1, s):
-            pair = pair.mul_pair(j, k, inverse)
-
-    phi = PhiJet(lam, eta, 2 * n)
-    weights = []
-    for j in range(s):
-        kc = k_polynomial(N - s + j, lam, eta, phi).coeffs
-        weights.append([kc[m] * math.factorial(m) if m < len(kc) else zero
-                        for m in range(N)])
-    om = fns.omega(n)
-    powers = [fns.rho(n) ** N]
-    for _ in range(n):
-        powers.append(powers[-1] * om)
-    return JetsWorkspace(N, s, pair, weights, [p.coeffs for p in powers])
+            pair = pair.mul_pair(j, k, inputs.inverse)
+            exponent += inputs.inverse_exp + _shift_to(pair.data,
+                                                       mp.prec + JETS_GUARD_BITS)
+    flat, weights_exp = _dyadic([x for j in range(s) for x in inputs.k_row(N - s + j)])
+    weights = [flat[o:o + N] for o in range(0, s * N, N)]
+    exponent += s * (weights_exp + inputs.powers_exp)
+    return JetsWorkspace(N, s, pair, weights, inputs.powers, exponent)
 
 
 def gefp_determinant_jets(N, profile: YoungProfile, lam, eta, *,

@@ -422,6 +422,17 @@ def test_table_jets_refuses_the_largest_box_before_any_row(capsys, monkeypatch):
     assert err.startswith("error: TooLarge:") and "9^9" in err
 
 
+@pytest.mark.parametrize("engine, point, conversion", [
+    ("jets", ["--delta", "1/3", "--t", "3/4", "--backend", "float"], "lambda_eta_from_delta_t"),
+    ("residue", TRIG_POINT, "delta_t_from_trig")])
+def test_table_converts_the_parameters_once(capsys, monkeypatch, engine, point, conversion):
+    real, calls = getattr(cli, conversion), []
+    monkeypatch.setattr(cli, conversion, lambda *args: calls.append(args) or real(*args))
+    code, out, _ = run_cli(capsys, "table", "--N", "3", "--engine", engine, *point)
+    assert code == 0 and len(json.loads(out)) == 19
+    assert len(calls) == 1
+
+
 def test_precision_flag_and_env(capsys, monkeypatch):
     _, out, _ = run_cli(capsys, "partition", "--N", "1", "--lambda", "1.1",
                         "--eta", "0.35", "--engine", "ik-hom",
@@ -607,6 +618,15 @@ def test_negative_value_as_its_own_argument(capsys, command, values):
     separate = run_cli(capsys, *command, *(x for kv in values.items() for x in kv))
     joined = run_cli(capsys, *command, *(f"{k}={v}" for k, v in values.items()))
     assert separate[:2] == joined[:2] and separate[0] == 0   # stderr carries the wall time
+
+
+@pytest.mark.parametrize("profile", [["--r", "-1,2"], ["--r=-1,2"]])
+def test_negative_profile_entry_is_an_invalid_profile(capsys, profile):
+    # "-1,2" on its own would be read as a flag: exit 2 with "expected one argument"
+    code, out, err = run_cli(capsys, "gefp", "--N", "3", *profile, "--delta", "1/2",
+                             "--t", "1")
+    assert code == 2 and out == ""
+    assert "invalid profile r=[-1, 2]" in err
 
 
 @st.composite

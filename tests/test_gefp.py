@@ -12,6 +12,7 @@ from gefp_lab.gefp import (gefp_determinant_jets, gefp_residue, jets_workspace,
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              boundary_distribution_oracle, gefp_oracle)
 from gefp_lab.params import VertexWeights, delta_t_from_trig
+from jets_reference import exact_contraction
 from residue_reference import _z_series
 
 D0, T0 = Fraction(1, 2), Fraction(1)
@@ -265,13 +266,55 @@ def test_jets_second_sweep_reads_the_memo(monkeypatch):
         profiles = all_profiles(4)
         random.Random(5).shuffle(profiles)
         first = {p.r: gefp_determinant_jets(4, p, lam, eta).value for p in profiles}
+        spaces = [jets_workspace(4, s, lam, eta) for s in range(1, 5)]
+        memos = [(dict(ws.folds), dict(ws.partials)) for ws in spaces]
+
+        def no_build(*args):
+            raise AssertionError("a jets workspace was rebuilt")
+
+        monkeypatch.setattr(gefp, "_build_jets_workspace", no_build)
         random.Random(6).shuffle(profiles)
-        calls = []
-        fdot = mp.fdot
-        monkeypatch.setattr(mp, "fdot", lambda *args: calls.append(args) or fdot(*args))
         second = {p.r: gefp_determinant_jets(4, p, lam, eta).value for p in profiles}
-    assert len(calls) == 0
     assert second == first
+    # nothing was built again: every fold and partial tensor is the stored one
+    for ws, memo in zip(spaces, memos):
+        for now, then in zip((ws.folds, ws.partials), memo):
+            assert now.keys() == then.keys()
+            assert all(now[key] is value for key, value in then.items())
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_jets_contraction_is_the_exact_sum_rounded_once(prec):
+    with mp.workprec(prec):
+        lam, eta = mp.mpf("1.1"), mp.mpf("0.35")
+        profiles = [p for n in (1, 2, 3, 4) for p in all_profiles(n)]
+        profiles += [p for p in all_profiles(5) if p.s <= 3]
+        for p in profiles:
+            value = gefp_determinant_jets(p.N, p, lam, eta).value
+            exact = exact_contraction(jets_workspace(p.N, p.s, lam, eta), p.r)
+            assert value._mpf_ == to_float((-1) ** p.s * exact)._mpf_, p.r
+
+
+def test_jets_shared_inputs_built_once_per_n(monkeypatch):
+    # the block inverse, the K rows and the powers do not depend on s
+    calls = {"OmegaRho": [], "k_polynomial": []}
+    for name, log in calls.items():
+        real = getattr(gefp, name)
+        monkeypatch.setattr(gefp, name, lambda *a, real=real, log=log: log.append(a) or real(*a))
+    with mp.workprec(128):
+        lam, eta = mp.mpf("1.45"), mp.mpf("0.62")
+        gefp._jets_cache.clear()
+        warm = [jets_workspace(5, s, lam, eta) for s in (3, 1, 5, 2, 4)]
+        assert len(calls["OmegaRho"]) == 1
+        assert sorted(a[0] for a in calls["k_polynomial"]) == [0, 1, 2, 3, 4]
+        for ws in warm:
+            gefp._jets_cache.clear()
+            cold = jets_workspace(5, ws.s, lam, eta)
+            assert cold is not ws
+            assert (cold.pair.data, cold.weights, cold.powers, cold.exponent) == \
+                (ws.pair.data, ws.weights, ws.powers, ws.exponent)
+            for p in all_profiles(5, ws.s):
+                assert cold.contraction(p.r)._mpf_ == ws.contraction(p.r)._mpf_, p.r
 
 
 def test_workspaces_keyed_by_precision_and_exact_value():
@@ -332,6 +375,10 @@ def test_non_finite_parameters_raise_unsupported(bad):
     w = VertexWeights.from_delta_t(mp.mpf(bad), mp.mpf(1), allow_nonphysical=True)
     with pytest.raises(Unsupported):
         gefp_oracle(WeightGrid.from_weights(3, w), YoungProfile(3, (2,)))
+    # the jets engine reads its inputs as integers, where nan would read as 0
+    for lam, eta in ((bad, mp.mpf("0.3")), (mp.mpf("1.1"), bad)):
+        with pytest.raises(Unsupported):
+            gefp_determinant_jets(3, YoungProfile(3, (2,)), lam, eta)
 
 
 def test_jets_full_row_is_one():
