@@ -406,7 +406,7 @@ def _add_common(p, profile_flag=True, engines=None, default_engine=None):
     p.add_argument("--allow-nonphysical", action="store_true",
                    dest="allow_nonphysical",
                    help="accept weights outside the physical cone")
-    p.add_argument("--oracle-cap", type=int, default=None, dest="oracle_cap",
+    p.add_argument("--oracle-cap", type=_at_least(1), default=None, dest="oracle_cap",
                    help="override the enumeration size cap (default 8) of the "
                         "oracle engines; the H tables of the residue engine, "
                         "both backends, keep the default")

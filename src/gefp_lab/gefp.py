@@ -48,7 +48,7 @@ from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
 from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
 from .hfun import OmegaRho, build_h_tables, h_polynomial, reflect_substitute
 from .ik import PhiJet, k_polynomial
-from .oracle import CorrelationResult, YoungProfile
+from .oracle import CorrelationResult, YoungProfile, _cached
 from .params import VertexWeights, weights_from_trig
 
 # Largest pair box N^s the jets engine builds, checked before any work.  The
@@ -117,18 +117,6 @@ def _prefactor_series(N, s, B, lin, a, b, zero):
 
 _workspace_cache = {}
 _jets_cache = {}
-_WORKSPACE_CACHE_MAX = 64
-
-
-def _cached(cache, key, build):
-    """Bounded per-process memo of both workspaces; the oldest entry goes first."""
-    hit = cache.get(key)
-    if hit is None:
-        hit = build()
-        if len(cache) >= _WORKSPACE_CACHE_MAX:
-            cache.pop(next(iter(cache)))
-        cache[key] = hit
-    return hit
 
 
 def _residue_point(delta, t, backend, allow_nonphysical):

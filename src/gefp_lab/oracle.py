@@ -27,10 +27,13 @@ The transfer engine crosses each row vertex by vertex on Python ints and
 returns one exact ratio of integers, float weights entering as the dyadic
 rationals they hold.  So every float result is that ratio rounded once.
 Constraints (GEFP marks, the frozen corner, a cut corner) sit in rows
-1..s only, so the N - s rows below are swept once per call, turned by 180
-degrees, and each constrained sum is a short sweep of the s top rows
-contracted with that one vector.  A deliberately naive ice-rule filter
-(N <= 3) double-checks it from scratch.
+1..s only, so the N - s rows below are swept, turned by 180 degrees, and
+each constrained sum is a short sweep of the s top rows contracted with
+that one vector.  Neither that bottom sweep nor the unconstrained sum Z
+depends on the profile: both are memoized once per parameter point, keyed
+by the grid's integer weights, so every grid at one point (fresh or not,
+exact or float at the same dyadic weights) shares them.  A deliberately
+naive ice-rule filter (N <= 3) double-checks it from scratch.
 """
 
 from dataclasses import dataclass
@@ -47,6 +50,20 @@ from .params import SpectralData, VertexWeights
 
 DEFAULT_ORACLE_CAP = 8
 NAIVE_CAP = 3
+_MEMO_MAX = 64
+
+_sweeps = {}    # {(transfer weights, rows): bottom sweep, (transfer weights, "Z"): Z}
+
+
+def _cached(cache, key, build):
+    """Bounded per-process memo; the oldest entry goes first."""
+    hit = cache.get(key)
+    if hit is None:
+        hit = build()
+        if len(cache) >= _MEMO_MAX:
+            cache.pop(next(iter(cache)))
+        cache[key] = hit
+    return hit
 
 
 @dataclass(frozen=True)
@@ -151,14 +168,16 @@ class WeightGrid:
         An mpf enters as the dyadic rational it holds, so the loop is exact
         on both backends and a float result is rounded once at the end.
         Each distinct weight object and row tuple is converted once, keyed
-        by identity, so a homogeneous grid costs O(N).
+        by identity, so a homogeneous grid costs O(N).  It is all integers
+        in tuples and keys the oracle memo: two grids with equal weights
+        here have equal transfer sums, whatever their backend.
         """
         rows = {id(r): r for r in self.a + self.b}
         exact = {id(x): to_exact(x) for x in (self.c2, *chain(*rows.values()))}
         den = lcm(*(x.denominator for x in exact.values()))
         scaled = {k: x.numerator * (den // x.denominator) for k, x in exact.items()}
-        ints = {k: [scaled[id(x)] for x in r] for k, r in rows.items()}
-        return ([ints[id(r)] for r in self.a], [ints[id(r)] for r in self.b],
+        ints = {k: tuple(scaled[id(x)] for x in r) for k, r in rows.items()}
+        return (tuple(ints[id(r)] for r in self.a), tuple(ints[id(r)] for r in self.b),
                 scaled[id(self.c2)] * den, den)
 
 
@@ -197,15 +216,18 @@ def _bottom(grid: WeightGrid, rows) -> dict:
     (types 5 and 6 map to themselves, 1 to 2, 3 to 4), so the bottom rows
     are swept forward as the top rows of the turned grid.  A turned state
     reads back as its bit-reversed complement.  ``rows = 0`` gives {0: 1},
-    the all-up state below row N.
+    the all-up state below row N.  Memoized per point; callers only read it.
     """
-    n = grid.N
-    a, b, c2, _ = grid._transfer_weights
-    full = (1 << n) - 1
-    states = {full: 1}
-    for j in range(n - 1, n - 1 - rows, -1):
-        states = _row(a[j][::-1], b[j][::-1], c2, states, n)
-    return {full ^ int(f"{u:0{n}b}"[::-1], 2): w for u, w in states.items()}
+    def sweep():
+        n = grid.N
+        a, b, c2, _ = grid._transfer_weights
+        full = (1 << n) - 1
+        states = {full: 1}
+        for j in range(n - 1, n - 1 - rows, -1):
+            states = _row(a[j][::-1], b[j][::-1], c2, states, n)
+        return {full ^ int(f"{u:0{n}b}"[::-1], 2): w for u, w in states.items()}
+
+    return _cached(_sweeps, (grid._transfer_weights, rows), sweep)
 
 
 def _transfer(grid: WeightGrid, top, bottom, marks=(), frozen=(), widths=()) -> Fraction:
@@ -232,6 +254,14 @@ def _transfer(grid: WeightGrid, top, bottom, marks=(), frozen=(), widths=()) -> 
     wider = (1 << n) - (1 << prev)
     total = sum(w * bottom.get(v | wider, 0) for v, w in states.items())
     return Fraction(total, den ** (sum(widths) + n * (n - top) - n))
+
+
+def _reduced_z(grid: WeightGrid, s):
+    """Z / c^N as one exact ratio, memoized per point.  It is the same for
+    every split, so a cold entry sweeps the s top rows onto the (memoized)
+    bottom sweep of rows s+1..N that the caller needs anyway."""
+    return _cached(_sweeps, (grid._transfer_weights, "Z"),
+                   lambda: _transfer(grid, s, _bottom(grid, grid.N - s)))
 
 
 def _nonzero(z, n):
@@ -262,7 +292,7 @@ def partition_function_oracle(grid: WeightGrid, cap=None):
 def reduced_partition_oracle(grid: WeightGrid, cap=None):
     """The c-reduced sum Z_N / c^N; always available, both backends."""
     _check_cap(grid.N, cap)
-    return grid.rounded(_transfer(grid, 0, _bottom(grid, grid.N)))
+    return grid.rounded(_reduced_z(grid, 0))
 
 
 def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> CorrelationResult:
@@ -271,16 +301,17 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
     Edge j sits in row j between columns r_j and r_j + 1 from the right.
     The equivalent characterization (a frozen corner of type-2 vertices with
     diagram shape mu) is evaluated as well and must agree exactly, on both
-    backends; a mismatch means a bug, so it raises.  Z, the marked and the
-    frozen sum share one bottom sweep of rows s+1..N, and each adds a sweep
-    of rows 1..s.
+    backends; a mismatch means a bug, so it raises.  Z and the bottom sweep
+    of rows s+1..N are swept once per parameter point and shared by every
+    grid there; the marked and the frozen sum each add a sweep of rows
+    1..s on every call.
     """
     _check_cap(grid.N, cap)
     if profile.N != grid.N:
         raise BadIndex(f"profile N={profile.N} does not match grid N={grid.N}")
     s = profile.s
     bottom = _bottom(grid, grid.N - s)
-    z = _nonzero(_transfer(grid, s, bottom), grid.N)
+    z = _nonzero(_reduced_z(grid, s), grid.N)
     marked = _transfer(grid, s, bottom, marks=profile.r)
     frozen = _transfer(grid, s, bottom, frozen=profile.r)
     if marked != frozen:

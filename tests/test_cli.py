@@ -284,7 +284,7 @@ def test_vanishing_partition_sum_exits_3(capsys, argv):
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
-def test_residue_refuses_n9_before_any_transfer(capsys, monkeypatch, backend):
+def test_residue_refuses_n9_before_any_transfer(capsys, monkeypatch, cold_oracle, backend):
     def no_transfer(*args):
         raise AssertionError("the transfer ran")
 
@@ -295,7 +295,8 @@ def test_residue_refuses_n9_before_any_transfer(capsys, monkeypatch, backend):
     assert err.startswith("error: TooLarge:")
 
 
-def test_hfun_oracle_reaches_n10_and_refuses_n11_before_compute(capsys, monkeypatch):
+def test_hfun_oracle_reaches_n10_and_refuses_n11_before_compute(capsys, monkeypatch,
+                                                                cold_oracle):
     argv = ["hfun", "--engine", "oracle", "--oracle-cap", "10", "--delta", "1/3", "--t", "3/4"]
     code, out, _ = run_cli(capsys, *argv, "--N", "10")
     assert code == 0
@@ -590,6 +591,10 @@ FLOAT_LISTS = ["--engine", "ik", "--eta", "0.4", "--backend", "float"]
     (["efp", "--N", "3", "--s", "0", "--r", "0", *RATIONAL], "--r 0 outside 1..3"),
     (["efp", "--N", "3", "--s", "2", "--r", "2", *RATIONAL, "--engine", "quadrature"],
      "--engine"),
+    (["gefp", "--N", "4", "--r", "2,3", *RATIONAL, "--engine", "oracle",
+      "--oracle-cap", "0"], "--oracle-cap"),
+    (["gefp", "--N", "4", "--r", "2,3", *RATIONAL, "--engine", "oracle",
+      "--oracle-cap", "-3"], "--oracle-cap"),
     (["gefp", "--N", "3", "--r", "1,2,3,3", *RATIONAL], "length 4 exceeds N=3"),
     (["partition", "--N", "1", "--lambdas", "0.3", "--nus", "0.1,0.5", *FLOAT_LISTS],
      "equal length"),
@@ -597,7 +602,8 @@ FLOAT_LISTS = ["--engine", "ik", "--eta", "0.4", "--backend", "float"]
      "--N 5 does not match"),
 ], ids=["partition-N", "ik-hom-N", "table-N", "hfun-N", "kpoly-N", "table-s-negative",
         "table-s-above-N", "efp-s-negative", "efp-s-above-N", "efp-r-above-N",
-        "efp-r-zero", "efp-unknown-engine", "gefp-profile-too-long",
+        "efp-r-zero", "efp-unknown-engine", "oracle-cap-zero", "oracle-cap-negative",
+        "gefp-profile-too-long",
         "ik-unequal-lists", "ik-N-mismatch"])
 def test_bad_sizes_exit_2_naming_the_fault(capsys, argv, fault):
     code, out, err = run_cli(capsys, *argv)

@@ -7,8 +7,8 @@ from mpmath import mp
 from mpmath.libmp import to_rational
 
 from gefp_lab import oracle
-from gefp_lab.backends import to_float
-from gefp_lab.errors import BadIndex, TooLarge, Unsupported
+from gefp_lab.backends import EXACT, FLOAT, to_float
+from gefp_lab.errors import BadIndex, DivisionByZero, TooLarge, Unsupported
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              boundary_distribution_oracle,
                              enumerate_naive, gefp_oracle,
@@ -17,6 +17,7 @@ from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              reduced_modified_domain_partition,
                              reduced_partition_oracle)
 from gefp_lab.params import SpectralData, VertexWeights
+from gefp_lab.verify import EXACT_POINTS
 
 ICE = VertexWeights.from_abc(Fraction(1), Fraction(1), Fraction(1))
 
@@ -275,20 +276,22 @@ def test_split_transfer_matches_the_unsplit_sweep_on_spectral_grids():
             split_matches_unsplit(random_spectral_grid(rng, n))
 
 
-def test_edge_vs_frozen_cross_check_fires(monkeypatch):
-    # a _row that ignores the frozen corner makes the frozen sum Z
+def test_edge_vs_frozen_cross_check_fires(monkeypatch, cold_oracle):
+    # a _row that ignores the frozen corner makes the frozen sum Z, on a cold
+    # memo and again on the warm one that the first call left
     row = oracle._row
 
     def without_frozen(a, b, c2, states, width, mark=None, frozen=None):
         return row(a, b, c2, states, width, mark)
 
     monkeypatch.setattr(oracle, "_row", without_frozen)
-    with pytest.raises(AssertionError, match="disagree"):
-        gefp_oracle(WeightGrid.from_weights(4, ICE), YoungProfile(4, (2, 3)))
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="disagree"):
+            gefp_oracle(WeightGrid.from_weights(4, ICE), YoungProfile(4, (2, 3)))
 
 
 @pytest.mark.parametrize("r", [(3,), (3, 5)])
-def test_gefp_oracle_sweeps_the_unconstrained_rows_once(monkeypatch, r):
+def test_gefp_oracle_sweeps_the_unconstrained_rows_once(monkeypatch, cold_oracle, r):
     n, s, calls = 8, len(r), []
     row = oracle._row
 
@@ -297,9 +300,95 @@ def test_gefp_oracle_sweeps_the_unconstrained_rows_once(monkeypatch, r):
         return row(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "_row", counted)
-    grid = WeightGrid.from_weights(n, rational_weights(4))
-    gefp_oracle(grid, YoungProfile(n, r))
-    assert len(calls) <= (n - s) + 3 * s
+    # cold: the bottom rows, then Z, the marked and the frozen sum over the
+    # s top rows; a fresh grid at the same point sweeps only the last two
+    for expected in ((n - s) + 3 * s, 2 * s):
+        calls.clear()
+        gefp_oracle(WeightGrid.from_weights(n, rational_weights(4)), YoungProfile(n, r))
+        assert len(calls) == expected
+
+
+def oracle_calls(n, w):
+    """Every output of the memo-reading oracle functions at size n, as calls
+    that each build a fresh grid at w."""
+    def grid():
+        return WeightGrid.from_weights(n, w)
+
+    calls = [lambda: reduced_partition_oracle(grid()),
+             lambda: boundary_distribution_oracle(grid())]
+    for prof in all_profiles(n):
+        calls += [lambda p=prof: gefp_oracle(grid(), p).value,
+                  lambda p=prof: reduced_modified_domain_partition(grid(), p)]
+    return calls
+
+
+def bits(value):
+    """An exact value as it is, a float by its mpf tuple, entry-wise in a list."""
+    if isinstance(value, list):
+        return [bits(x) for x in value]
+    return getattr(value, "_mpf_", value)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("delta, t", EXACT_POINTS, ids=[f"{d},{t}" for d, t in EXACT_POINTS])
+def test_warm_memo_gives_the_cold_values(cold_oracle, backend, delta, t):
+    # cold: each call after a clear; warm: the calls in order on one memo,
+    # so Z and the bottom sweeps that one function stored serve the others
+    with mp.workprec(128):
+        if backend == FLOAT:
+            delta, t = to_float(delta), to_float(t)
+        w = VertexWeights.from_delta_t(delta, t, allow_nonphysical=True)
+        for n in range(1, 7):
+            calls = oracle_calls(n, w)
+            cold = []
+            for call in calls:
+                oracle._sweeps.clear()
+                cold.append(bits(call()))
+            assert [bits(call()) for call in calls] == cold, n
+
+
+def memo_run(grid):
+    """The memo-reading sums on grid, checked against the unsplit sweep; the
+    memo keys they added."""
+    before = set(oracle._sweeps)
+    z = reduced_partition_oracle(grid)
+    assert z == unsplit(grid)
+    assert boundary_distribution_oracle(grid) == first_row_increments(grid)
+    for prof in all_profiles(grid.N):
+        assert gefp_oracle(grid, prof).value == unsplit(grid, marks=prof.r) / z
+    return set(oracle._sweeps) - before
+
+
+def test_grids_that_differ_in_one_row_share_no_memo_entry(cold_oracle):
+    rng = random.Random(15)
+    for n in range(1, 6):
+        grid = random_grid(rng, n)
+        for j in range(n):
+            a = [list(row) for row in grid.a]
+            a[j][rng.randrange(n)] += 1
+            other = WeightGrid(a, grid.b, grid.c2)
+            oracle._sweeps.clear()
+            mine = memo_run(grid)
+            memo_run(other)                 # right values next to grid's entries
+            oracle._sweeps.clear()
+            assert mine.isdisjoint(memo_run(other)), (n, j)
+
+
+def test_vanishing_z_raises_on_every_call(cold_oracle):
+    w = VertexWeights.from_delta_t(Fraction(4), Fraction(1), allow_nonphysical=True)
+    for _ in range(2):
+        with pytest.raises(DivisionByZero, match="Z_3"):
+            gefp_oracle(WeightGrid.from_weights(3, w), YoungProfile(3, (2,)))
+    assert reduced_partition_oracle(WeightGrid.from_weights(3, w)) == 0
+
+
+def test_memo_holds_at_most_its_bound(cold_oracle):
+    for k in range(1, 100):
+        grid = WeightGrid.from_weights(2, VertexWeights.from_abc(Fraction(k), Fraction(1),
+                                                                 Fraction(1)))
+        gefp_oracle(grid, YoungProfile(2, (2,)))
+        assert len(oracle._sweeps) <= oracle._MEMO_MAX
+    assert len(oracle._sweeps) == oracle._MEMO_MAX
 
 
 def test_float_oracle_is_the_exact_ratio_rounded_once():
