@@ -12,6 +12,7 @@ mismatches), 3 computation errors (the error class name is reported).
 """
 
 import argparse
+import csv
 import json
 import re
 import sys
@@ -171,18 +172,19 @@ def _emit(records, args):
         payload = records[0] if len(records) == 1 else records
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     elif args.format == "csv":
-        sys.stdout.write(",".join(CSV_COLUMNS) + "\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         for rec in records:
+            cells = {**rec, **rec["inputs"]}
             row = []
             for col in CSV_COLUMNS:
-                if col in ("N", "r", "delta", "t", "lambda", "eta"):
-                    val = rec["inputs"].get(col, "")
-                else:
-                    val = rec.get(col, "")
+                val = cells.get(col)
                 if isinstance(val, list):
                     val = " ".join(str(x) for x in val)
+                elif isinstance(val, dict):
+                    val = json.dumps(val, sort_keys=True, separators=(",", ":"))
                 row.append("" if val is None else str(val))
-            sys.stdout.write(",".join(row) + "\n")
+            writer.writerow(row)
     else:
         for rec in records:
             for key in ("command", "engine", "backend"):
@@ -215,6 +217,7 @@ def cmd_partition(args):
     elif args.engine == "ik-hom":
         if spec.lam is None:
             raise UsageError("--engine ik-hom needs --lambda/--eta")
+        spec.weights(args.allow_nonphysical)            # raises NonphysicalWeights
         value = homogeneous_partition_jets(args.N, spec.lam, spec.eta)
         backend = FLOAT
     else:
@@ -274,9 +277,10 @@ def cmd_hfun(args):
         grid = WeightGrid.from_weights(args.N, spec.weights(args.allow_nonphysical))
         table = boundary_distribution_oracle(grid, cap=args.oracle_cap)
     elif args.engine == "kpoly":
-        if spec.lam is None:
-            raise UsageError("--engine kpoly needs --lambda/--eta")
-        table = boundary_H_table_via_K(args.N, spec.lam, spec.eta)
+        if spec.backend == EXACT:
+            raise UsageError("--engine kpoly runs in the float backend")
+        spec.weights(args.allow_nonphysical)            # raises NonphysicalWeights
+        table = boundary_H_table_via_K(args.N, *spec.lambda_eta)
     else:
         raise UsageError(f"unknown hfun engine {args.engine!r}")
     ms = (time.perf_counter() - t0) * 1e3

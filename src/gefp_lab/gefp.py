@@ -38,6 +38,7 @@ steps for the suffixes not yet met.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
@@ -218,34 +219,39 @@ class _JetsInputs:
     """The s-independent inputs of the operator determinant at
     (N, lambda, eta, prec), built once and shared by every s.
 
-    ``inverse`` is the pair block (rt rr (wt ww - 1))^-1 on the (N-1, N-1)
-    box and ``powers[e]`` the Taylor coefficients of rho^N omega^e,
-    e = 0..N-1, each group as the integers it holds over one power of two
-    (``inverse_exp``, ``powers_exp``).  ``k_row(n)`` is K_n[m] m!, m < N, as
-    mpf, built on first use.
+    ``omega`` is the Taylor jet of omega to order N-1, and ``powers[e]`` the
+    Taylor coefficients of rho^N omega^e, e = 0..N-1, as the integers they
+    hold over one power of two (``powers_exp``).  ``pair_block`` is the pair
+    block (rt rr (wt ww - 1))^-1 on the (N-1, N-1) box, in the same form,
+    and ``k_row(n)`` is K_n[m] m!, m < N, as mpf; both are built on first
+    use, so the s = 1 workspace of the K-route H table never builds the
+    block.
     """
 
     def __init__(self, N, lam, eta):
         self.N, self.lam, self.eta = N, lam, eta
-        fns = OmegaRho(lam, eta)
+        self.fns = OmegaRho(lam, eta)
         n = N - 1
-        zero = mp.mpf(0)
-        box = (n, n)
-        rt = TruncatedSeries.from_univariate(fns.rho_tilde(n), 0, box, zero)
-        rr = TruncatedSeries.from_univariate(fns.rho(n), 1, box, zero)
-        wt = TruncatedSeries.from_univariate(fns.omega_tilde(n), 0, box, zero)
-        ww = TruncatedSeries.from_univariate(fns.omega(n), 1, box, zero)
-        inverse = (rt * rr * (wt * ww - 1)).invert()
-        data, self.inverse_exp = _dyadic(inverse.data)
-        self.inverse = TruncatedSeries(box, 0, data)
-        om = fns.omega(n)
-        powers = [fns.rho(n) ** N]
+        self.omega = self.fns.omega(n)
+        powers = [self.fns.rho(n) ** N]
         for _ in range(n):
-            powers.append(powers[-1] * om)
+            powers.append(powers[-1] * self.omega)
         flat, self.powers_exp = _dyadic([x for p in powers for x in p.coeffs])
         self.powers = [flat[o:o + N] for o in range(0, N * N, N)]
         self.phi = PhiJet(lam, eta, 2 * n)
         self.k_rows = {}
+
+    @cached_property
+    def pair_block(self):
+        """(block, exponent): the pair block's integers and their power of two."""
+        fns, n, zero = self.fns, self.N - 1, mp.mpf(0)
+        box = (n, n)
+        rt = TruncatedSeries.from_univariate(fns.rho_tilde(n), 0, box, zero)
+        rr = TruncatedSeries.from_univariate(fns.rho(n), 1, box, zero)
+        wt = TruncatedSeries.from_univariate(fns.omega_tilde(n), 0, box, zero)
+        ww = TruncatedSeries.from_univariate(self.omega, 1, box, zero)
+        data, exponent = _dyadic((rt * rr * (wt * ww - 1)).invert().data)
+        return TruncatedSeries(box, 0, data), exponent
 
     def k_row(self, index):
         row = self.k_rows.get(index)
@@ -346,16 +352,23 @@ def jets_workspace(N, s, lam, eta) -> JetsWorkspace:
                    lambda: _build_jets_workspace(N, s, lam, eta))
 
 
+def jets_inputs(N, lam, eta) -> _JetsInputs:
+    """Cached s-independent inputs of ``jets_workspace``, keyed by
+    (N, lambda, eta, prec) in the same cache."""
+    lam, eta = mp.mpf(lam), mp.mpf(eta)
+    return _cached(_jets_cache, (N, lam._mpf_, eta._mpf_, mp.prec),
+                   lambda: _JetsInputs(N, lam, eta))
+
+
 def _build_jets_workspace(N, s, lam, eta):
-    inputs = _cached(_jets_cache, (N, lam._mpf_, eta._mpf_, mp.prec),
-                     lambda: _JetsInputs(N, lam, eta))
+    inputs = jets_inputs(N, lam, eta)
     pair = TruncatedSeries.constant([N - 1] * s, 1, 0)
     exponent = 0
     for j in range(s):
         for k in range(j + 1, s):
-            pair = pair.mul_pair(j, k, inputs.inverse)
-            exponent += inputs.inverse_exp + _shift_to(pair.data,
-                                                       mp.prec + JETS_GUARD_BITS)
+            block, block_exp = inputs.pair_block
+            pair = pair.mul_pair(j, k, block)
+            exponent += block_exp + _shift_to(pair.data, mp.prec + JETS_GUARD_BITS)
     flat, weights_exp = _dyadic([x for j in range(s) for x in inputs.k_row(N - s + j)])
     weights = [flat[o:o + N] for o in range(0, s * N, N)]
     exponent += s * (weights_exp + inputs.powers_exp)

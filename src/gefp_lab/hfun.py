@@ -17,9 +17,12 @@ MINUS the cumulative distribution, i.e.
 
     K_{N-1}(d_eps) [omega(eps)]^(N-r) [rho(eps)]^N |_0  =  - sum_{r' <= r} H_N^(r'),
 
-so the point probability is the difference of consecutive contractions.
-With that reading, the residue identity implemented in ``kfint_check`` holds
-verbatim and reproduces the oracle, as do all downstream engines.
+and that contraction is the operator determinant at s = 1, the fold of row
+position r in ``gefp.jets_workspace(N, 1, ...)``.  The point probability is
+the difference of consecutive contractions, taken there in integers and
+rounded once.  With that reading, the residue identity implemented in
+``kfint_check`` holds verbatim and reproduces the oracle, as do all
+downstream engines.
 """
 
 import math
@@ -30,7 +33,7 @@ from mpmath import mp
 
 from .algebra import Jet, TruncatedSeries, UniPoly, det
 from .errors import BadIndex, BranchPole, DivisionByZero, DuplicateRapidity
-from .ik import (a_fn, b_fn, homogeneous_partition_jets, k_polynomial,
+from .ik import (a_fn, b_fn, homogeneous_partition_jets,
                  partially_inhomogeneous_partition)
 from .oracle import WeightGrid, boundary_distribution_oracle
 from .params import VertexWeights
@@ -50,9 +53,9 @@ class OmegaRho:
         self.a = a_fn(self.lam, 0, self.eta)
         self.b = b_fn(self.lam, 0, self.eta)
         self.c = mp.sin(2 * self.eta)
-        if self.a == 0:
-            raise DivisionByZero(
-                f"a = sin(lambda + eta) vanishes at lambda={self.lam}, eta={self.eta}")
+        for name, w in (("a = sin(lambda + eta)", self.a), ("b = sin(lambda - eta)", self.b)):
+            if w == 0:
+                raise DivisionByZero(f"{name} vanishes at lambda={self.lam}, eta={self.eta}")
 
     def omega(self, order) -> Jet:
         num = Jet.sin_offset(mp.mpf(0), order)
@@ -73,59 +76,36 @@ class OmegaRho:
         return (1 - self.omega_tilde(order)).invert()
 
 
-def _cumulative_contractions(N, lam, eta):
-    """List F[m] = K_{N-1}(d) omega^m rho^N |_0 for m = 0..N; F[m] = -G_{N,1}^(N-m)."""
-    fns = OmegaRho(lam, eta)
-    order = N - 1
-    kc = k_polynomial(N - 1, lam, eta).coeffs
-    om = fns.omega(order)
-    rho = fns.rho(order)
-    rho_n = rho ** N
-    out = []
-    power = Jet.constant(mp.mpf(1), order)
-    for m in range(N + 1):
-        f = power * rho_n
-        val = mp.mpf(0)
-        for q, kq in enumerate(kc):
-            if q <= order:
-                val += kq * math.factorial(q) * f.coeffs[q]
-        out.append(val)
-        power = power * om
-    return out
-
-
 def boundary_H_table_via_K(N, lam, eta) -> list:
-    """(H^(1), ..., H^(N)) as differences of the cumulative K contractions."""
-    F = _cumulative_contractions(N, lam, eta)
-    return [F[N - r + 1] - F[N - r] for r in range(1, N + 1)]
+    """(H^(1), ..., H^(N)) from the s = 1 operator-determinant workspace.
+
+    Its fold c_r of row position r is K_{N-1}(d) omega^(N-r) rho^N |_0, minus
+    the cumulative distribution, as an integer over 2^exponent (c_0 = 0).  So
+    H^(r) = -(c_r - c_{r-1}) 2^exponent is an integer difference, rounded once.
+    """
+    from .gefp import jets_workspace
+    ws = jets_workspace(N, 1, lam, eta)
+    c = [0] + [ws.fold(r)[0][0] for r in range(1, N + 1)]
+    return [mp.ldexp(mp.mpf(c[r - 1] - c[r]), ws.exponent) for r in range(1, N + 1)]
 
 
 def kfint_check(N, f: UniPoly, lam, eta):
     """Both sides of the contraction-residue identity, for f regular at 0.
 
-    Left: K_{N-1}(d_eps) f(omega(eps)) |_0.  Right: the residue at z = 0 of
-    (z-1)^(N-1) h_N(z) f(z) / z^N, read off as the coefficient of z^(N-1)
-    in (z-1)^(N-1) h_N(z) f(z).
+    Left: K_{N-1}(d_eps) f(omega(eps)) |_0, from the K row and the omega jet
+    of the operator determinant's shared inputs.  Right: the residue at
+    z = 0 of (z-1)^(N-1) h_N(z) f(z) / z^N, read off as the coefficient of
+    z^(N-1) in (z-1)^(N-1) h_N(z) f(z).
     """
-    fns = OmegaRho(lam, eta)
-    order = N - 1
-    kc = k_polynomial(N - 1, lam, eta).coeffs
-    om = fns.omega(order)
+    from .gefp import jets_inputs
+    inputs = jets_inputs(N, lam, eta)
     # f(omega) by Horner on jets
-    comp = Jet.constant(mp.mpf(f.coeffs[-1]), order)
+    comp = Jet.constant(mp.mpf(f.coeffs[-1]), N - 1)
     for c in reversed(f.coeffs[:-1]):
-        comp = comp * om + mp.mpf(c)
-    lhs = mp.mpf(0)
-    for q, kq in enumerate(kc):
-        if q <= order:
-            lhs += kq * math.factorial(q) * comp.coeffs[q]
-    table = boundary_H_table_via_K(N, lam, eta)
-    zpoly = UniPoly([-1, 1])
-    acc = UniPoly([mp.mpf(1)])
-    for _ in range(N - 1):
-        acc = acc * zpoly
-    rhs_poly = acc * UniPoly(table) * f
-    rhs = rhs_poly.coeff(N - 1)
+        comp = comp * inputs.omega + mp.mpf(c)
+    lhs = sum(k * x for k, x in zip(inputs.k_row(N - 1), comp.coeffs))
+    zm1 = UniPoly([mp.mpf((-1) ** (N - 1 - k) * math.comb(N - 1, k)) for k in range(N)])
+    rhs = (zm1 * UniPoly(boundary_H_table_via_K(N, lam, eta)) * f).coeff(N - 1)
     return lhs, rhs
 
 

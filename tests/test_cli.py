@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from gefp_lab.backends import format_scalar
 from gefp_lab.cli import main
 from gefp_lab.gefp import gefp_residue
 from gefp_lab.oracle import YoungProfile
-from gefp_lab.params import delta_t_from_trig
+from gefp_lab.params import delta_t_from_trig, lambda_eta_from_delta_t
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +98,8 @@ def test_engine_backend_mismatch_exits_2(capsys):
 
 
 DEGENERATE = ["--lambda", "0", "--eta", "0", "--backend", "float"]
+# b = sin(lambda - eta) < 0
+NONPHYSICAL_TRIG = ["--lambda", "0.2", "--eta", "0.35", "--backend", "float"]
 
 
 def test_computation_error_exits_3_with_class_name(capsys):
@@ -123,12 +127,25 @@ def test_computation_error_exits_3_with_class_name(capsys):
     # a = sin(lambda - nu + eta) = 0 at one site
     (["partition", "--N", "1", "--lambdas", "0", "--nus", "0.1", "--eta", "0.1",
       "--engine", "ik", "--backend", "float"], "DivisionByZero"),
+    (["hfun", "--N", "3", *NONPHYSICAL_TRIG, "--engine", "kpoly"], "NonphysicalWeights"),
+    (["partition", "--N", "3", *NONPHYSICAL_TRIG, "--engine", "ik-hom"],
+     "NonphysicalWeights"),
 ], ids=["jets-degenerate", "residue-degenerate", "efp-jets-degenerate",
-        "jets-nonphysical", "efp-jets-nonphysical", "ik-vanishing-weight"])
+        "jets-nonphysical", "efp-jets-nonphysical", "ik-vanishing-weight",
+        "kpoly-nonphysical", "ik-hom-nonphysical"])
 def test_bad_weights_exit_3_with_class_name(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith(f"error: {name}:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hfun", "--N", "3", *NONPHYSICAL_TRIG, "--engine", "kpoly"],
+    ["partition", "--N", "3", *NONPHYSICAL_TRIG, "--engine", "ik-hom"],
+], ids=["kpoly", "ik-hom"])
+def test_allow_nonphysical_admits_the_trig_engines(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--allow-nonphysical")
+    assert code == 0 and json.loads(out)["value"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -241,6 +258,15 @@ def test_csv_format(capsys):
     assert vals[cols.index("r")] == "2 3"
 
 
+def test_csv_quotes_a_structured_value(capsys):
+    code, out, _ = run_cli(capsys, "hfun", "--N", "3", *RATIONAL_POINT, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1 and len(rows[0]) == 13 and None not in rows[0]
+    _, out_json, _ = run_cli(capsys, "hfun", "--N", "3", *RATIONAL_POINT)
+    assert json.loads(rows[0]["value"])["H"] == json.loads(out_json)["value"]["H"]
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "gefp", "--N", "3", "--r", "2,3",
                            "--delta", "1/2", "--t", "1", "--format", "text")
@@ -256,6 +282,24 @@ def test_hfun_command(capsys):
     assert rec["value"]["H"] == ["2/7", "3/7", "2/7"]
     assert rec["value"]["h_poly_coeffs"] == ["2/7", "3/7", "2/7"]
     assert rec["backend"] == "exact" and rec["precision_bits"] is None
+
+
+def test_hfun_kpoly_converts_delta_t(capsys):
+    float_point = RATIONAL_POINT + ["--backend", "float", "--precision", "128"]
+    code, out, _ = run_cli(capsys, "hfun", "--N", "3", "--engine", "kpoly", *float_point)
+    assert code == 0
+    with mp.workprec(128):
+        lam, eta = lambda_eta_from_delta_t(Fraction(1, 3), Fraction(3, 4))
+        trig = ["--lambda", mp.nstr(lam, 60), "--eta", mp.nstr(eta, 60)]
+    code, out_trig, _ = run_cli(capsys, "hfun", "--N", "3", "--engine", "kpoly",
+                                *trig, "--backend", "float", "--precision", "128")
+    assert code == 0
+    rec, rec_trig = json.loads(out), json.loads(out_trig)
+    assert rec.pop("inputs") != rec_trig.pop("inputs")
+    assert rec == rec_trig
+    code, out, err = run_cli(capsys, "hfun", "--N", "3", "--engine", "kpoly",
+                             *RATIONAL_POINT)
+    assert code == 2 and out == "" and "float backend" in err
 
 
 def test_hfun_kpoly_refuses_a_trig_point_with_vanishing_a(capsys):

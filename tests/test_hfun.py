@@ -6,14 +6,17 @@ from itertools import combinations_with_replacement, product
 import pytest
 from mpmath import mp
 
-from gefp_lab.algebra import UniPoly
+from gefp_lab import gefp
+from gefp_lab.algebra import TruncatedSeries, UniPoly
+from gefp_lab.backends import to_float
 from gefp_lab.errors import BadIndex, BranchPole, DivisionByZero, DuplicateRapidity
-from gefp_lab.gefp import gefp_determinant_jets
+from gefp_lab.gefp import gefp_determinant_jets, jets_workspace
 from gefp_lab.hfun import (OmegaRho, _kostka, boundary_H_table_via_K, build_h_tables,
                            h_multivariate, h_polynomial, h_via_inhomogeneous_Z,
                            kfint_check, reflect_substitute)
 from gefp_lab.oracle import WeightGrid, YoungProfile, boundary_distribution_oracle
 from gefp_lab.params import VertexWeights, delta_t_from_trig, lambda_eta_from_delta_t
+from jets_reference import exact_contraction
 
 LAM, ETA = "1.1", "0.35"
 
@@ -49,6 +52,40 @@ def test_boundary_H_via_K_matches_oracle():
             orc = boundary_distribution_oracle(WeightGrid.from_weights(n, w))
             for x, y in zip(via_k, orc, strict=True):
                 assert abs(x - y) <= mp.mpf("1e-20") * max(1, abs(y))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_boundary_H_via_K_is_the_s1_contraction_differenced_and_rounded_once(prec):
+    # H^(r) = -(c_r - c_{r-1}), c_r the s = 1 jets contraction, c_0 = 0
+    with mp.workprec(prec):
+        for lam, eta in ((mp.mpf(LAM), mp.mpf(ETA)), (mp.pi / 2, mp.pi / 6)):
+            for n in range(1, 9):
+                ws = jets_workspace(n, 1, lam, eta)
+                c = [0] + [exact_contraction(ws, (r,)) for r in range(1, n + 1)]
+                expect = [to_float(c[r - 1] - c[r])._mpf_ for r in range(1, n + 1)]
+                assert [x._mpf_ for x in boundary_H_table_via_K(n, lam, eta)] == expect, n
+
+
+def test_boundary_H_via_K_builds_no_pair_block_and_shares_its_workspace(monkeypatch):
+    calls = []
+    real = TruncatedSeries.invert
+    monkeypatch.setattr(TruncatedSeries, "invert",
+                        lambda self: calls.append(self) or real(self))
+    gefp._jets_cache.clear()
+    with mp.workprec(128):
+        lam, eta = mp.mpf(LAM), mp.mpf(ETA)
+        table = boundary_H_table_via_K(8, lam, eta)
+        assert calls == []
+
+        def no_build(*args):
+            raise AssertionError("a jets workspace was built")
+
+        monkeypatch.setattr(gefp, "_build_jets_workspace", no_build)
+        cumulative = mp.mpf(0)
+        for r in range(1, 9):
+            cumulative += table[r - 1]
+            value = gefp_determinant_jets(8, YoungProfile(8, (r,)), lam, eta).value
+            assert abs(value - cumulative) <= mp.mpf(2) ** (8 - mp.prec)
 
 
 def test_omega_rho_identities():
@@ -93,6 +130,14 @@ def test_trig_point_with_vanishing_a_is_refused():
                   lambda: boundary_H_table_via_K(3, -0.3, 0.3),
                   lambda: gefp_determinant_jets(3, YoungProfile(3, (2, 3)), -0.3, 0.3)):
         with mp.workprec(128), pytest.raises(DivisionByZero):
+            build()
+
+
+def test_trig_point_with_vanishing_b_is_refused():
+    # b = sin(lambda - eta) = 0: omega = (a/b) sin(eps) / sin(eps - 2 eta)
+    for build in (lambda: boundary_H_table_via_K(3, 0.3, 0.3),
+                  lambda: gefp_determinant_jets(1, YoungProfile(1, (1,)), 0.1, 0.1)):
+        with mp.workprec(128), pytest.raises(DivisionByZero, match="b = sin"):
             build()
 
 
