@@ -8,6 +8,7 @@ float matrices use partially pivoted elimination.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import le
 
@@ -411,27 +412,26 @@ class TruncatedSeries:
         """``self`` times a 2-variable series whose axes 0, 1 are axes j, k here."""
         return self._mul_factor((j, k), block.items())
 
-    def mul_pair_ratio(self, j, k, a, b):
-        """``self`` times (z_j - z_k) / (1 - a z_j + b z_j z_k), in one pass.
+    def div_pair(self, j, k, a, b, top):
+        """``self`` divided by 1 - a z_j + b z_j z_k, to total degree ``top``.
 
-        The product q of D = self is filled in flat order by
-        q[o] = D[o - e_j] + a q[o - e_j] - b q[o - e_j - e_k] - D[o - e_k],
-        summed left to right over the terms whose index is not negative (zero
-        if none).  A truncated coefficient depends only on lower indices, so
-        exact values equal those of the full product.
+        The quotient q of D = self is filled in flat order by
+        q[o] = D[o] + a q[o - e_j] - b q[o - e_j - e_k], summed left to right
+        over the terms whose index is not negative.  An entry reads only
+        entries of lower total degree, so filling only the entries of total
+        degree <= top, and leaving the rest zero, changes none of them.
         """
         sj, sk = self._strides[j], self._strides[k]
-        cj, ck = self.caps[j], self.caps[k]
-        d, out = self.data, TruncatedSeries(self.caps, self.zero)
-        q = out.data
-        for o in range(len(q)):
-            in_k = o // sk % (ck + 1)
-            if o // sj % (cj + 1):
-                x = d[o - sj] + a * q[o - sj]
-                q[o] = x - b * q[o - sj - sk] - d[o - sk] if in_k else x
-            elif in_k:
-                q[o] = -d[o - sk]
-        return out
+        nj, nk = self.caps[j] + 1, self.caps[k] + 1
+        d, q = self.data, [self.zero] * len(self.data)
+        for o in _offsets_to_degree(self.caps, top):
+            x = d[o]
+            if o // sj % nj:
+                x = x + a * q[o - sj]
+                if o // sk % nk:
+                    x = x - b * q[o - sj - sk]
+            q[o] = x
+        return TruncatedSeries(self.caps, self.zero, q)
 
     def mul_axis(self, var, coeffs):
         """``self`` times a univariate coefficient list (or Jet) in variable ``var``."""
@@ -514,6 +514,16 @@ class TruncatedSeries:
     def __repr__(self):
         nz = sum(1 for v in self.data if v != 0)
         return f"TruncatedSeries(caps={self.caps}, nonzero={nz})"
+
+
+@lru_cache(maxsize=8)
+def _offsets_to_degree(caps, top):
+    """Flat offsets, ascending, of the entries of total degree <= top in the
+    cap box."""
+    degrees = [0]
+    for c in caps:
+        degrees = [d + i for d in degrees for i in range(c + 1)]
+    return tuple(o for o, d in enumerate(degrees) if d <= top)
 
 
 def geometric_inverse_coeffs(p, cap, one):

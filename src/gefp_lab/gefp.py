@@ -10,10 +10,15 @@ prod_j z_j^(r_j - 1) in
     * prod_{j<k} (z_j - z_k) / (t^2 z_j z_k - 2 Delta t z_j + 1)
     * h_{N,s}(z_1, ..., z_s),
 
-times (-1)^s.  No numerical quadrature is ever performed.  The prefactor
-series and the h polynomial depend on the profile only through the
-extraction index, so they are cached per (N, s, parameters) and each profile
-costs one convolution.
+times (-1)^s.  No numerical quadrature is ever performed.  Since
+h_{N,s} = det[f_k(z_j)] / prod_{j<k} (z_j - z_k), the two Vandermonde
+products cancel, and the engine expands A(z) G(z): the alternant
+A = det[f_k(z_j)], sparse since it vanishes wherever two exponents agree,
+and G, the univariate factors over the pair denominators.  Every nonzero
+term of A has total degree at least s(s-1)/2, so an extraction reads G only
+up to total degree s(N-1) - s(s-1)/2, and G is built only that far.  Both
+depend on the profile only through the extraction index, so they are
+cached per (N, s, parameters) and each profile costs one convolution.
 
 The engine runs on Python integers: with Delta = p/q, t = u/v in lowest
 terms and B = q v^2, both series are integer in w = z / B once each H table
@@ -40,14 +45,16 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import permutations
 from operator import mul
 
 from mpmath import mp
 
-from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs
+from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs, perm_sign
 from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
 from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
-from .hfun import OmegaRho, build_h_tables, h_polynomial, reflect_substitute
+from .hfun import (OmegaRho, _columns, _minors, build_h_tables, h_polynomial,
+                   reflect_substitute)
 from .ik import PhiJet, k_polynomial
 from .oracle import CorrelationResult, YoungProfile, _cached
 from .params import VertexWeights, weights_from_trig
@@ -73,51 +80,88 @@ JETS_GUARD_BITS = 16
 class IntegrandSeries:
     """Analytic-at-origin part of the integral representation, expanded.
 
-    ``prefactor`` holds every factor except h; ``h`` is the multivariate
-    boundary polynomial.  With ``scale`` = (B, D) both are series in
-    w = z / B, ``prefactor`` divided by B^(s(s-1)/2) and ``h`` multiplied by
-    D; the residue workspace holds them as integers, and (1, 1) is the
-    series in z.
+    The Vandermonde of h cancels against the pair numerators, so the
+    integrand is A(z) G(z): ``alternant`` holds A = det[f_k(z_j)] and
+    ``quotient`` holds G, the univariate factors over the pair denominators.
+    With ``scale`` = (B, D) both are integer series in w = z / B: A(Bw)
+    times D over B^(s(s-1)/2), and G(Bw) up to total degree
+    s(N-1) - s(s-1)/2, the highest that any extraction reads.
     """
 
     s: int
-    prefactor: TruncatedSeries
-    h: TruncatedSeries
+    alternant: TruncatedSeries
+    quotient: TruncatedSeries
     scale: tuple
 
     def coefficient(self, profile: YoungProfile):
-        """The GEFP, (-1)^s [prod_j z_j^(r_j - 1)] prefactor * h; in w the
-        convolution c at m = r - 1 gives c B^(s(s-1)/2) / (B^|m| D)."""
+        """The GEFP, (-1)^s [prod_j z_j^(r_j - 1)] A G; in w the convolution
+        c at m = r - 1 gives c B^(s(s-1)/2) / (B^|m| D).
+
+        A vanishes where alpha repeats an entry, so c runs over the alpha <= m
+        with distinct entries alone, grown axis by axis with a mask of the
+        entries used.
+        """
         m = [rj - 1 for rj in profile.r]
-        c = (-1) ** self.s * self.prefactor.product_coeff(self.h, m)
+        terms = [(0, 0)]
+        for mj, stride in zip(m, self.alternant._strides):
+            terms = [(o + e * stride, used | 1 << e) for o, used in terms
+                     for e in range(mj + 1) if not used >> e & 1]
+        a, g, top = self.alternant.data, self.quotient.data, self.quotient._offset(m)
+        c = (-1) ** self.s * sum(a[o] * g[top - o] for o, _ in terms)
         B, D = self.scale
         return Fraction(c * B ** (self.s * (self.s - 1) // 2), B ** sum(m) * D)
 
 
-def _prefactor_series(N, s, B, lin, a, b, zero):
-    """All integrand factors except h in w = z / B, over B^(s(s-1)/2).
+def _prefactor_series(N, s, B, lin, a, b):
+    """G, every integrand factor except A, in w = z / B.
 
-    With lin = (t^2 - 2 Delta t) B, a = 2 Delta t B and b = t^2 B^2 the
-    factors are [lin w_j + 1]^(s-j) (B w_j - 1)^-(s-j+1) and, per pair,
-    (w_j - w_k) / (1 - a w_j + b w_j w_k), one ``mul_pair_ratio`` pass each,
-    summed in its order; caps (N-1, ..., N-1).  B = 1 gives the series in z.
+    With lin = (t^2 - 2 Delta t) B, a = 2 Delta t B and b = t^2 B^2, G is
+    the product of the univariate factors [lin w_j + 1]^(s-1-j)
+    (B w_j - 1)^-(s-j) over the pair factors 1 - a w_j + b w_j w_k, one
+    ``div_pair`` pass each, on the (N-1)^s box.  Every nonzero term of the
+    alternant has total degree at least s(s-1)/2, so an extraction reads G
+    only up to top = s(N-1) - s(s-1)/2; entries above it are zero.  B = 1
+    gives the series in z.
     """
-    caps = [N - 1] * s
-    one = zero + 1
-    out = TruncatedSeries.constant(caps, one, zero)
+    top = s * (N - 1) - s * (s - 1) // 2
+    degrees, data = [0], [1]
     for j in range(s):
-        for _ in range(s - 1 - j):             # 1-based exponent s - j
-            out = out.mul_axis(j, [one, lin])
-        geometric = geometric_inverse_coeffs(s - j, caps[j], one)
-        out = out.mul_axis(j, [c * B ** m for m, c in enumerate(geometric)])
+        u = Jet([1, lin], N - 1) ** (s - 1 - j) * Jet(
+            [c * B ** m for m, c in enumerate(geometric_inverse_coeffs(s - j, N - 1, 1))])
+        data = [x * y if d + m <= top else 0
+                for d, x in zip(degrees, data) for m, y in enumerate(u.coeffs)]
+        degrees = [d + m for d in degrees for m in range(N)]
+    out = TruncatedSeries([N - 1] * s, 0, data)
     for j in range(s):
         for k in range(j + 1, s):
-            out = out.mul_pair_ratio(j, k, a, b)
+            out = out.div_pair(j, k, a, b, top)
+    return out
+
+
+def _alternant(tables, N, s, B):
+    """A(Bw) / B^(s(s-1)/2) on the (N-1)^s box, A = det[f_k(z_j)].
+
+    By Cauchy-Binet, A[alpha] = sgn(p) d_S when alpha_j = S_p(j) for a
+    descending exponent set S, d_S the minor of the column coefficients on
+    the rows S, and 0 when alpha repeats an entry.  An extraction reads only
+    exponents <= N-1, so only those minors are taken, and with
+    lambda_i = S_i - (s - i) the entry scales by B^|lambda|.
+    """
+    cols = [col.coeffs for col in _columns(tables, N, s)]
+    signed = [(p, perm_sign(p)) for p in permutations(range(s))]
+    out = TruncatedSeries([N - 1] * s, 0)
+    for lam, d in _minors(cols, N - 1, 0).items():
+        if d:
+            S = [x + s - 1 - i for i, x in enumerate(lam)]
+            value = d * B ** sum(lam)
+            for p, sign in signed:
+                out.set_coeff([S[i] for i in p], sign * value)
     return out
 
 
 _workspace_cache = {}
 _jets_cache = {}
+_physical_points = {}
 
 
 def _residue_point(delta, t, backend, allow_nonphysical):
@@ -128,8 +172,8 @@ def _residue_point(delta, t, backend, allow_nonphysical):
     elif not (is_exact_scalar(delta) and is_exact_scalar(t)):
         raise Unsupported("the exact residue engine needs rational delta and t")
     delta, t = to_exact(delta), to_exact(t)
-    if not allow_nonphysical:
-        VertexWeights.from_delta_t(delta, t)            # raises NonphysicalWeights
+    if not allow_nonphysical:                           # raises NonphysicalWeights
+        _cached(_physical_points, (delta, t), lambda: VertexWeights.from_delta_t(delta, t))
     return delta, t
 
 
@@ -154,29 +198,29 @@ def _build_exact_series(N, s, delta, t):
         scale = math.lcm(*(x.denominator for x in table))
         tables[n] = [int(x * scale) for x in table]
         D *= scale
-    h = h_polynomial(tables, N, s)
-    for idx, x in h.items():
-        h.set_coeff(idx, x * B ** sum(idx))
-    prefactor = _prefactor_series(N, s, B, u * u * q - 2 * p * u * v, 2 * p * u * v,
-                                  (u * q * v) ** 2, 0)
-    return IntegrandSeries(s, prefactor, h, (B, D))
+    quotient = _prefactor_series(N, s, B, u * u * q - 2 * p * u * v, 2 * p * u * v,
+                                 (u * q * v) ** 2)
+    return IntegrandSeries(s, _alternant(tables, N, s, B), quotient, (B, D))
 
 
 def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
                  allow_nonphysical=True) -> CorrelationResult:
     """GEFP by iterated-residue coefficient extraction at (delta, t).
 
-    The h tables come from the enumeration oracle's boundary sweep at
+    The H tables come from the enumeration oracle's boundary sweep at
     (delta, t), so N above its default cap raises ``TooLarge`` and a
-    vanishing partition sum ``DivisionByZero``.  The exact backend needs
-    rational (delta, t).  The float backend (a trig point enters through
-    ``delta_t_from_trig``) runs the same integers at the dyadic rationals
-    its rounded inputs hold and rounds the result once, so a blocked
-    profile gives exactly 0.  Its cost is integer size: B = q v^2 has up to
-    3 prec bits, the workspace integers about 3 prec (N-1) s bits, so time
+    vanishing partition sum ``DivisionByZero``.  The workspace is the
+    cancelled integrand A G of ``IntegrandSeries``; h is never built.  The
+    exact backend needs rational (delta, t).  The float backend (a trig
+    point enters through ``delta_t_from_trig``) runs the same integers at
+    the dyadic rationals its rounded inputs hold and rounds the result
+    once, so a blocked profile gives exactly 0.  Its cost is integer size:
+    B = q v^2 has up to 3 prec bits, and the entries of G, built to total
+    degree s(N-1) - s(s-1)/2, up to that many times 3 prec bits, so time
     grows with the precision.  At N = 7, r = (2, 4, 6, 7) and the trig point
-    (1.1, 0.35), one cold call takes 0.26 s at 128 bits, 0.65 s at 256 and
-    1.7 s at 512 (process time, one x86 core, pure-Python mpmath).
+    (1.1, 0.35), one cold call takes 0.17 s at 128 bits, 0.53 s at 256 and
+    1.1 s at 512 (process time, median of five, one x86 core, pure-Python
+    mpmath).
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
@@ -419,6 +463,10 @@ class PoleDeformationReport:
                 and all(self.pole_contributions_zero))
 
 
+# z_j - z_k as a block for ``mul_pair``
+_DIFFERENCE = TruncatedSeries((1, 1), 0, [0, -1, 1, 0])
+
+
 def pole_deformation_check(N, profile: YoungProfile, delta, t) -> PoleDeformationReport:
     """Verify the deformation bookkeeping for a profile ending at r_s = N.
 
@@ -446,11 +494,13 @@ def pole_deformation_check(N, profile: YoungProfile, delta, t) -> PoleDeformatio
     reduced_value = residue_workspace(N, s - 1, delta, t, EXACT).coefficient(reduced)
 
     # (i): coefficient extraction of the z_s = 1 residue vs the shorter profile
-    h_at_one = h.substitute_value(s - 1, Fraction(1))
+    vandermonde_h = h.substitute_value(s - 1, Fraction(1))
+    for j in range(s - 1):
+        for k in range(j + 1, s - 1):
+            vandermonde_h = vandermonde_h.mul_pair(j, k, _DIFFERENCE)
     target = tuple(rj - 1 for rj in reduced.r)
     a, b = 2 * delta * t, t * t
-    prefactor = _prefactor_series(N, s - 1, 1, b - a, a, b, h.zero)
-    c1 = prefactor.product_coeff(h_at_one, target)
+    c1 = vandermonde_h.product_coeff(_prefactor_series(N, s - 1, 1, b - a, a, b), target)
     res_match = (-1) ** (s - 1) * c1 == reduced_value
 
     # (ii): each remaining pole, spectators at generic rationals

@@ -7,9 +7,11 @@ s-variable symmetric extension entering the residue engine, with the column
 polynomials f_k(z) = z^k (z-1)^(s-1-k) h_{N-k}(z).  ``h_polynomial`` expands
 it in Schur polynomials, with the minors of the columns' coefficient matrix
 as weights and Kostka numbers as the Schur coefficients, on the tables' own
-exact scalars (the residue engine passes integer tables, on both backends);
-``h_multivariate`` evaluates the determinant ratio at a point, and is the
-independent check of that expansion.
+exact scalars; ``h_multivariate`` evaluates the determinant ratio at a
+point, and is the independent check of that expansion.  The residue engine
+does not call h: its Vandermonde cancels in the integrand, and the engine
+expands det[f_k(z_j)] from the same ``_columns`` and ``_minors``.  h serves
+the h-function checks and the pole-deformation report.
 
 Sign convention, pinned against the enumeration oracle: contracting the
 K-polynomial of degree N-1 with the expansion of omega^(N-r) rho^N yields
@@ -213,8 +215,8 @@ def h_polynomial(tables, N, s) -> TruncatedSeries:
     lambda in the s x (N-1) box (Macdonald, ch. I).  The coefficient of z^alpha
     in s_lambda is the Kostka number K_{lambda, sort(alpha)}, so each sorted
     alpha takes one sum over lambda and is copied to its permutations.  The
-    sums run on the tables' own scalars: integer tables, as the residue
-    engine passes them, give integer minors and entries.
+    sums run on the tables' own scalars: integer tables give integer minors
+    and entries.
     """
     if s > N:
         raise BadIndex(f"s={s} exceeds N={N}")

@@ -9,6 +9,7 @@ def cold_workspaces():
     as a CLI call does."""
     gefp._workspace_cache.clear()
     gefp._jets_cache.clear()
+    gefp._physical_points.clear()
     oracle._sweeps.clear()
 
 

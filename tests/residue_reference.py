@@ -1,17 +1,94 @@
-"""The unscaled residue expansion in z, the reference for the integer engine.
+"""The residue expansion by the route through h, the reference for the engine.
 
-``gefp_residue`` runs on integer series in w = z / B.  ``_z_series`` builds
-the same integrand in z itself, on the scalars of (delta, t), from the same
-kernels with B = 1: on ``Fraction`` it gives the same values by a route
-with no scaling, which the tests compare against.
+``gefp_residue`` cancels the Vandermonde of h_{N,s} against the pair
+numerators and expands the alternant det[f_k(z_j)] directly, only to the
+total degree an extraction reads.  This module keeps the route through h:
+the prefactor with the Vandermonde, one factor
+(z_j - z_k) / (1 - 2 Delta t z_j + t^2 z_j z_k) per pair, times
+``h_polynomial`` on the whole box.  ``_z_series`` builds it in z on the
+scalars of (delta, t), with no scaling; ``_w_series`` builds the same
+integrand on integers in w = z / B, with its own scaling (the prefactor
+over B^(s(s-1)/2), entry k of h times D B^|k|), which keeps the N = 6
+sweeps affordable.
 """
 
-from gefp_lab.gefp import IntegrandSeries, _prefactor_series
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from gefp_lab.algebra import TruncatedSeries, geometric_inverse_coeffs
 from gefp_lab.hfun import build_h_tables, h_polynomial
 
 
+def pair_ratio(f, j, k, a, b):
+    """f (z_j - z_k) / (1 - a z_j + b z_j z_k), filled in flat order by
+    q[o] = D[o - e_j] + a q[o - e_j] - b q[o - e_j - e_k] - D[o - e_k] over
+    the terms whose index is not negative."""
+    sj, sk = f._strides[j], f._strides[k]
+    nj, nk = f.caps[j] + 1, f.caps[k] + 1
+    d, q = f.data, [f.zero] * len(f.data)
+    for o in range(len(q)):
+        in_k = o // sk % nk
+        if o // sj % nj:
+            x = d[o - sj] + a * q[o - sj]
+            q[o] = x - b * q[o - sj - sk] - d[o - sk] if in_k else x
+        elif in_k:
+            q[o] = -d[o - sk]
+    return TruncatedSeries(f.caps, f.zero, q)
+
+
+@dataclass
+class RouteSeries:
+    """The prefactor (with the Vandermonde) and h, with ``scale`` = (B, D)."""
+
+    s: int
+    prefactor: TruncatedSeries
+    h: TruncatedSeries
+    scale: tuple
+
+    def coefficient(self, profile):
+        """(-1)^s [w^m] prefactor * h at m = r - 1, times B^(s(s-1)/2) / (B^|m| D)."""
+        m = [rj - 1 for rj in profile.r]
+        c = (-1) ** self.s * self.prefactor.product_coeff(self.h, m)
+        B, D = self.scale
+        return Fraction(c * B ** (self.s * (self.s - 1) // 2), B ** sum(m) * D)
+
+
+def _route(N, s, tables, B, D, lin, a, b):
+    h = h_polynomial(tables, N, s)
+    degrees = [0]
+    for _ in range(s):
+        degrees = [d + e for d in degrees for e in range(N)]
+    powers = [B ** d for d in range(s * (N - 1) + 1)]
+    h.data = [x * powers[d] for x, d in zip(h.data, degrees)]
+    one = h.zero + 1
+    prefactor = TruncatedSeries.constant([N - 1] * s, one, h.zero)
+    for j in range(s):
+        for _ in range(s - 1 - j):
+            prefactor = prefactor.mul_axis(j, [one, lin])
+        geometric = geometric_inverse_coeffs(s - j, N - 1, one)
+        prefactor = prefactor.mul_axis(j, [c * B ** m for m, c in enumerate(geometric)])
+    for j in range(s):
+        for k in range(j + 1, s):
+            prefactor = pair_ratio(prefactor, j, k, a, b)
+    return RouteSeries(s, prefactor, h, (B, D))
+
+
 def _z_series(N, s, delta, t):
-    """The expansion in z on the scalars of (delta, t)."""
-    h = h_polynomial(build_h_tables(N, s, delta, t), N, s)
+    """The route through h in z, on the scalars of (delta, t)."""
     a, b = 2 * delta * t, t * t
-    return IntegrandSeries(s, _prefactor_series(N, s, 1, b - a, a, b, h.zero), h, (1, 1))
+    return _route(N, s, build_h_tables(N, s, delta, t), 1, 1, b - a, a, b)
+
+
+def _w_series(N, s, delta, t):
+    """The route through h on integers in w = z / B, B = q v^2 for
+    Delta = p/q and t = u/v; the tables are scaled to integers, D in all."""
+    p, q, u, v = delta.numerator, delta.denominator, t.numerator, t.denominator
+    B, D = q * v * v, 1
+    tables = build_h_tables(N, s, delta, t)
+    for n, table in tables.items():
+        scale = math.lcm(*(x.denominator for x in table))
+        tables[n] = [int(x * scale) for x in table]
+        D *= scale
+    return _route(N, s, tables, B, D, u * u * q - 2 * p * u * v, 2 * p * u * v,
+                  (u * q * v) ** 2)

@@ -226,23 +226,24 @@ def test_mul_pair_and_mul_axis_equal_brute_force_convolution(ordered):
             *[range(c + 1) for c in caps]))
 
 
-def _linear_factor(zero):
-    """z_j - z_k as a block for ``mul_pair``."""
-    return TruncatedSeries((1, 1), zero, [zero, zero - 1, zero + 1, zero])
-
-
-def _pair_ratio_by_inverse(f, j, k, a, b):
-    """f (z_j - z_k) / (1 - a z_j + b z_j z_k) by two ``mul_pair`` products,
-    the second with the denominator's truncated inverse."""
+def _inverse_block(f, j, k, a, b):
+    """The truncated inverse of 1 - a z_j + b z_j z_k on f's (j, k) caps."""
     zero = f.zero
-    den = TruncatedSeries((f.caps[j] + 1, f.caps[k] + 1), zero)
+    den = TruncatedSeries((f.caps[j], f.caps[k]), zero)
     den.set_coeff((0, 0), zero + 1)
-    den.set_coeff((1, 0), zero - a)
-    den.set_coeff((1, 1), zero + b)
-    return f.mul_pair(j, k, _linear_factor(zero)).mul_pair(j, k, den.invert())
+    if f.caps[j]:
+        den.set_coeff((1, 0), zero - a)
+        if f.caps[k]:
+            den.set_coeff((1, 1), zero + b)
+    return den.invert()
 
 
-def test_mul_pair_ratio_equals_product_with_inverse():
+def _capped(f, top):
+    """f with the entries of total degree above ``top`` set to zero."""
+    return [v if sum(idx) <= top else 0 for idx, v in zip(_box(f.caps), f.data)]
+
+
+def test_div_pair_equals_product_with_inverse():
     rng = random.Random(15)
     coeffs = [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-3, 4), Fraction(7, 3)]
     for s in (2, 3, 4):
@@ -251,27 +252,38 @@ def test_mul_pair_ratio_equals_product_with_inverse():
                 caps = tuple(rng.randint(0, 3) for _ in range(s))
                 f = _random_series(rng, caps, density)
                 a, b = rng.choice(coeffs), rng.choice(coeffs)
-                want = _pair_ratio_by_inverse(f, j, k, a, b)
-                got = f.mul_pair_ratio(j, k, a, b)
+                want = f.mul_pair(j, k, _inverse_block(f, j, k, a, b))
+                got = f.div_pair(j, k, a, b, sum(caps))
                 assert (got.caps, got.data) == (want.caps, want.data)
+                top = rng.randint(0, sum(caps))
+                assert f.div_pair(j, k, a, b, top).data == _capped(want, top)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
-def test_prefactor_equals_product_with_inverse(monkeypatch, N):
-    # in z (B = 1); in w = z / B, with the exact engine's integer parameters,
-    # the series is the one in z times B^|m| / B^(s(s-1)/2)
+def test_prefactor_equals_product_with_inverse(N):
+    # in w = z / B with the exact engine's integer parameters, against the
+    # univariate factors times each pair block's inverse: equal up to the
+    # degree cap and zero above it; in z (B = 1) the series is the one in w
+    # over B^|m|
     for delta, t in ((Fraction(1, 3), Fraction(3, 4)), (Fraction(-5, 7), Fraction(2, 9))):
         a, b, B = 2 * delta * t, t * t, delta.denominator * t.denominator ** 2
+        lin, a_w, b_w = int((b - a) * B), int(a * B), int(b * B * B)
         for s in range(1, N + 1):
-            got = _prefactor_series(N, s, 1, b - a, a, b, Fraction(0))
-            with monkeypatch.context() as m:
-                m.setattr(TruncatedSeries, "mul_pair_ratio", _pair_ratio_by_inverse)
-                assert got.data == _prefactor_series(N, s, 1, b - a, a, b, Fraction(0)).data
-            scaled = _prefactor_series(N, s, B, int((b - a) * B), int(a * B),
-                                       int(b * B * B), 0)
-            pairs = s * (s - 1) // 2
-            assert scaled.data == [got.coeff(idx) * Fraction(B) ** (sum(idx) - pairs)
-                                   for idx in product(range(N), repeat=s)]
+            top = s * (N - 1) - s * (s - 1) // 2
+            want = TruncatedSeries.constant([N - 1] * s, 1, 0)
+            for j in range(s):
+                geometric = geometric_inverse_coeffs(s - j, N - 1, 1)
+                want = want.mul_axis(j, Jet([1, lin], N - 1) ** (s - 1 - j))
+                want = want.mul_axis(j, [c * B ** m for m, c in enumerate(geometric)])
+            for j, k in combinations(range(s), 2):
+                inverse = _inverse_block(want, j, k, a_w, b_w)
+                assert all(x.denominator == 1 for x in inverse.data)
+                inverse.data = [x.numerator for x in inverse.data]
+                want = want.mul_pair(j, k, inverse)
+            scaled = _prefactor_series(N, s, B, lin, a_w, b_w)
+            assert scaled.data == _capped(want, top)
+            assert _prefactor_series(N, s, 1, b - a, a, b).data == [
+                Fraction(x, B ** sum(idx)) for idx, x in zip(_box(want.caps), scaled.data)]
 
 
 def _random_float(rng):
@@ -332,39 +344,6 @@ def _ordered_convolution(a, b, size, zero):
                 acc = acc + a[i] * b[m - i]
         out.append(acc)
     return out
-
-
-def _ordered_pair_ratio(f, j, k, a, b):
-    """f.mul_pair_ratio(j, k, a, b) term by term in the documented order."""
-    q = {}
-    for idx in _box(f.caps):
-        def below(*axes):
-            return tuple(i - (axis in axes) for axis, i in enumerate(idx))
-        terms = []
-        if idx[j]:
-            terms += [f.coeff(below(j)), a * q[below(j)]]
-            if idx[k]:
-                terms.append(-(b * q[below(j, k)]))
-        if idx[k]:
-            terms.append(-f.coeff(below(k)))
-        acc = terms[0] if terms else f.zero
-        for x in terms[1:]:
-            acc = acc + x
-        q[idx] = acc
-    return [q[idx] for idx in _box(f.caps)]
-
-
-def test_float_mul_pair_ratio_sums_in_documented_order():
-    rng = random.Random(24)
-    with mp.workprec(128):
-        for _ in range(25):
-            s = rng.randint(2, 4)
-            caps = tuple(rng.randint(1, 3) for _ in range(s))
-            f = _random_float_series(rng, caps, rng.choice([0.3, 1.0]))
-            j, k = sorted(rng.sample(range(s), 2))
-            a, b = _random_float(rng), _random_float(rng)
-            assert repr(f.mul_pair_ratio(j, k, a, b).data) == repr(
-                _ordered_pair_ratio(f, j, k, a, b))
 
 
 @pytest.mark.parametrize("kind", ["series", "jet", "unipoly"])

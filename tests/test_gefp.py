@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from mpmath import mp
@@ -7,13 +8,15 @@ from mpmath import mp
 from gefp_lab.backends import to_exact, to_float
 from gefp_lab.errors import BadIndex, NonphysicalWeights, TooLarge, Unsupported
 from gefp_lab import gefp, hfun
+from gefp_lab.algebra import TruncatedSeries
 from gefp_lab.gefp import (gefp_determinant_jets, gefp_residue, jets_workspace,
                            pole_deformation_check, residue_workspace)
+from gefp_lab.hfun import build_h_tables, h_polynomial
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              boundary_distribution_oracle, gefp_oracle)
 from gefp_lab.params import VertexWeights, delta_t_from_trig
 from jets_reference import exact_contraction
-from residue_reference import _z_series
+from residue_reference import _w_series, _z_series
 
 D0, T0 = Fraction(1, 2), Fraction(1)
 
@@ -179,17 +182,17 @@ def test_float_residue_is_correctly_rounded_at_n7_n8():
                                   delta, t)
 
 
-def _brute_convolution(series, target):
+def _brute_convolution(f, g, target):
     total = 0
-    for idx, v in series.prefactor.items():
+    for idx, v in f.items():
         rem = tuple(a - b for a, b in zip(target, idx))
         if all(x >= 0 for x in rem):
-            total += v * series.h.coeff(rem)
+            total += v * g.coeff(rem)
     return total
 
 
 def test_coefficient_equals_brute_force_convolution():
-    # the integer series in w, scaled back, and the series in z
+    # the integer series in w, scaled back, and the route through h in z
     delta, t = Fraction(1, 3), Fraction(3, 4)
     for s in range(1, 5):
         ws = residue_workspace(4, s, delta, t)
@@ -197,9 +200,10 @@ def test_coefficient_equals_brute_force_convolution():
         B, D = ws.scale
         for prof in all_profiles(4, s):
             target = tuple(rj - 1 for rj in prof.r)
-            want = (-1) ** s * _brute_convolution(zs, target)
+            want = (-1) ** s * _brute_convolution(zs.prefactor, zs.h, target)
             assert ws.coefficient(prof) == want
-            assert want == Fraction((-1) ** s * _brute_convolution(ws, target)
+            assert want == Fraction((-1) ** s * _brute_convolution(ws.alternant, ws.quotient,
+                                                                   target)
                                     * B ** (s * (s - 1) // 2), B ** sum(target) * D)
 
 
@@ -207,11 +211,84 @@ def test_coefficient_equals_brute_force_convolution():
                                       (Fraction(-5, 7), Fraction(-2, 9)),
                                       (Fraction(5), Fraction(1, 2))])
 def test_exact_workspace_holds_only_ints(delta, t):
-    # a silent fallback to Fraction arithmetic would pass every value test
+    # a silent fallback to Fraction arithmetic would pass every value test;
+    # the alternant is zero on repeated exponents, the quotient above the cap
     for s in range(1, 6):
         ws = residue_workspace(5, s, delta, t)
-        assert all(type(x) is int for x in ws.prefactor.data + ws.h.data + list(ws.scale))
+        data = ws.alternant.data + ws.quotient.data + list(ws.scale)
+        assert all(type(x) is int for x in data)
         assert ws.scale[0] == delta.denominator * t.denominator ** 2
+        top = s * 4 - s * (s - 1) // 2
+        for idx in product(range(5), repeat=s):
+            if len(set(idx)) < s:
+                assert ws.alternant.coeff(idx) == 0
+            if sum(idx) > top:
+                assert ws.quotient.coeff(idx) == 0
+
+
+def test_alternant_is_h_times_the_vandermonde():
+    # A = det[f_k(z_j)] = h prod_{j<k} (z_j - z_k) on the box, in z (B = 1)
+    difference = TruncatedSeries((1, 1), 0, [0, -1, 1, 0])
+    for delta, t in ((Fraction(1, 3), Fraction(3, 4)), (Fraction(3, 2), Fraction(1, 2))):
+        for n in range(1, 6):
+            for s in range(1, n + 1):
+                tables = build_h_tables(n, s, delta, t)
+                want = h_polynomial(tables, n, s)
+                for j in range(s):
+                    for k in range(j + 1, s):
+                        want = want.mul_pair(j, k, difference)
+                assert gefp._alternant(tables, n, s, 1).data == want.data, (n, s)
+
+
+# (3/2, 1/2) is outside the physical cone; the last point is the 128-bit
+# rounding of (1/3, 3/4), whose denominators are powers of two
+with mp.workprec(128):
+    ROUTE_POINTS = [(Fraction(1, 3), Fraction(3, 4)), (Fraction(1, 7), Fraction(5, 11)),
+                    (Fraction(-5, 7), Fraction(2, 9)), (Fraction(3, 2), Fraction(1, 2)),
+                    (to_exact(to_float(Fraction(1, 3))), to_exact(to_float(Fraction(3, 4))))]
+ROUTE_IDS = ["1/3,3/4", "1/7,5/11", "-5/7,2/9", "3/2,1/2", "1/3,3/4@128"]
+
+
+@pytest.mark.parametrize("delta, t", ROUTE_POINTS, ids=ROUTE_IDS)
+def test_residue_equals_the_route_through_h(delta, t):
+    # every profile with N <= 6
+    for n in range(1, 7):
+        for s in range(1, n + 1):
+            reference = _w_series(n, s, delta, t)
+            for prof in all_profiles(n, s):
+                assert gefp_residue(n, prof, delta, t).value == reference.coefficient(prof), \
+                    (n, prof.r)
+
+
+@pytest.mark.parametrize("delta, t", ROUTE_POINTS, ids=ROUTE_IDS)
+def test_residue_equals_the_route_through_h_at_n7_n8(delta, t):
+    # r = (N, ..., N) reads the quotient at the degree cap
+    rng = random.Random(21)
+    for n, s_max in ((7, 4), (8, 3)):
+        for s in range(1, s_max + 1):
+            reference = _w_series(n, s, delta, t)
+            profiles = [YoungProfile(n, (n,) * s)] + rng.sample(all_profiles(n, s), 4)
+            for prof in profiles:
+                assert gefp_residue(n, prof, delta, t).value == reference.coefficient(prof), \
+                    (n, prof.r)
+
+
+def test_strict_sweep_checks_physicality_once(monkeypatch):
+    calls = []
+    original = VertexWeights.from_delta_t.__func__
+
+    def counted(cls, *args, **kwargs):
+        if not kwargs.get("allow_nonphysical"):
+            calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(VertexWeights, "from_delta_t", classmethod(counted))
+    monkeypatch.setattr(gefp, "_physical_points", {})
+    profiles = [p for s in range(1, 5) for p in all_profiles(6, s)]
+    assert len(profiles) == 209
+    for prof in profiles:
+        gefp_residue(6, prof, Fraction(1, 3), Fraction(3, 4), allow_nonphysical=False)
+    assert calls == [(Fraction(1, 3), Fraction(3, 4))]
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
