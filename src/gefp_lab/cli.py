@@ -348,7 +348,8 @@ def cmd_verify(args):
     numbers = _criteria(args.criteria)
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # one process per criterion at most: a forking pool starts them all at once
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(numbers))) as pool:
             chunks = list(pool.map(_verify_job, [(args.level, n) for n in numbers]))
         records = [rec for chunk in chunks for rec in chunk]
         ok = all(r["passed"] for r in records)

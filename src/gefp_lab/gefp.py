@@ -15,10 +15,12 @@ h_{N,s} = det[f_k(z_j)] / prod_{j<k} (z_j - z_k), the two Vandermonde
 products cancel, and the engine expands A(z) G(z): the alternant
 A = det[f_k(z_j)], sparse since it vanishes wherever two exponents agree,
 and G, the univariate factors over the pair denominators.  Every nonzero
-term of A has total degree at least s(s-1)/2, so an extraction reads G only
-up to total degree s(N-1) - s(s-1)/2, and G is built only that far.  Both
-depend on the profile only through the extraction index, so they are
-cached per (N, s, parameters) and each profile costs one convolution.
+term of A has total degree at least s(s-1)/2, so the extraction at
+m = r - 1 reads A and G only on the box [0..m], G only up to total degree
+|m| - s(s-1)/2, and both are filled on a box alone.  The inputs that do not
+depend on the box are cached per (N, s, parameters); the first profile
+there sets the box, a later one that reaches past it widens the workspace
+once to the whole (N-1)^s box, and each profile costs one convolution.
 
 The engine runs on Python integers: with Delta = p/q, t = u/v in lowest
 terms and B = q v^2, both series are integer in w = z / B once each H table
@@ -45,12 +47,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import permutations
-from operator import mul
+from operator import gt, mul
 
 from mpmath import mp
 
-from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs, perm_sign
+from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs
 from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
 from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
 from .hfun import (OmegaRho, _columns, _minors, build_h_tables, h_polynomial,
@@ -84,14 +85,35 @@ class IntegrandSeries:
     integrand is A(z) G(z): ``alternant`` holds A = det[f_k(z_j)] and
     ``quotient`` holds G, the univariate factors over the pair denominators.
     With ``scale`` = (B, D) both are integer series in w = z / B: A(Bw)
-    times D over B^(s(s-1)/2), and G(Bw) up to total degree
-    s(N-1) - s(s-1)/2, the highest that any extraction reads.
+    times D over B^(s(s-1)/2), and G(Bw).
+
+    The profile m = r - 1 reads A and G only on the box [0..m], so they are
+    filled on a cap box ``caps`` alone, G to total degree
+    |caps| - s(s-1)/2, the highest that an extraction inside the box reads.
+    The inputs that do not depend on the box are kept: ``minors`` maps each
+    exponent set S, as the bitmask of its entries, to d_S B^|lambda|,
+    ``factors`` lists each axis' univariate factor coefficients to degree
+    N-1, and ``pair`` = (a, b) gives the pair denominators
+    1 - a w_j + b w_j w_k.  ``fill`` rebuilds A and G on a new box from them.
     """
 
     s: int
-    alternant: TruncatedSeries
-    quotient: TruncatedSeries
     scale: tuple
+    minors: dict = field(repr=False)
+    factors: list = field(repr=False)
+    pair: tuple = field(repr=False)
+    alternant: TruncatedSeries = field(default=None, repr=False)
+    quotient: TruncatedSeries = field(default=None, repr=False)
+
+    @property
+    def caps(self):
+        return self.quotient.caps
+
+    def fill(self, caps):
+        """A and G on the box [0..caps], in place."""
+        self.quotient = _prefactor_series(self.factors, caps, *self.pair)
+        self.alternant = _alternant(self.minors, caps)
+        return self
 
     def coefficient(self, profile: YoungProfile):
         """The GEFP, (-1)^s [prod_j z_j^(r_j - 1)] A G; in w the convolution
@@ -99,7 +121,8 @@ class IntegrandSeries:
 
         A vanishes where alpha repeats an entry, so c runs over the alpha <= m
         with distinct entries alone, grown axis by axis with a mask of the
-        entries used.
+        entries used.  The box must cover m unless the profile is blocked:
+        then no such alpha exists, no entry is read, and c = 0.
         """
         m = [rj - 1 for rj in profile.r]
         terms = [(0, 0)]
@@ -112,50 +135,68 @@ class IntegrandSeries:
         return Fraction(c * B ** (self.s * (self.s - 1) // 2), B ** sum(m) * D)
 
 
-def _prefactor_series(N, s, B, lin, a, b):
-    """G, every integrand factor except A, in w = z / B.
+def _factor_coeffs(N, s, B, lin):
+    """Coefficients, to degree N-1, of the univariate factors
+    [lin w_j + 1]^(s-1-j) (B w_j - 1)^-(s-j) of axis j, in w = z / B with
+    lin = (t^2 - 2 Delta t) B; B = 1 gives the factors in z."""
+    return [(Jet([1, lin], N - 1) ** (s - 1 - j) * Jet(
+        [c * B ** m for m, c in enumerate(geometric_inverse_coeffs(s - j, N - 1, 1))])).coeffs
+            for j in range(s)]
 
-    With lin = (t^2 - 2 Delta t) B, a = 2 Delta t B and b = t^2 B^2, G is
-    the product of the univariate factors [lin w_j + 1]^(s-1-j)
-    (B w_j - 1)^-(s-j) over the pair factors 1 - a w_j + b w_j w_k, one
-    ``div_pair`` pass each, on the (N-1)^s box.  Every nonzero term of the
-    alternant has total degree at least s(s-1)/2, so an extraction reads G
-    only up to top = s(N-1) - s(s-1)/2; entries above it are zero.  B = 1
-    gives the series in z.
+
+def _prefactor_series(factors, caps, a, b):
+    """G, every integrand factor except A, on the box [0..caps].
+
+    G is the product of the univariate ``factors`` over the pair factors
+    1 - a w_j + b w_j w_k, a = 2 Delta t B and b = t^2 B^2, one ``div_pair``
+    pass each.  Every nonzero term of the alternant has total degree at
+    least s(s-1)/2, so an extraction inside the box reads G only up to
+    top = |caps| - s(s-1)/2; entries above it are zero.  An entry depends
+    only on entries below it, so it is the same on every box that holds it.
     """
-    top = s * (N - 1) - s * (s - 1) // 2
+    s = len(caps)
+    top = sum(caps) - s * (s - 1) // 2
     degrees, data = [0], [1]
-    for j in range(s):
-        u = Jet([1, lin], N - 1) ** (s - 1 - j) * Jet(
-            [c * B ** m for m, c in enumerate(geometric_inverse_coeffs(s - j, N - 1, 1))])
+    for u, c in zip(factors, caps):
         data = [x * y if d + m <= top else 0
-                for d, x in zip(degrees, data) for m, y in enumerate(u.coeffs)]
-        degrees = [d + m for d in degrees for m in range(N)]
-    out = TruncatedSeries([N - 1] * s, 0, data)
+                for d, x in zip(degrees, data) for m, y in enumerate(u[:c + 1])]
+        degrees = [d + m for d in degrees for m in range(c + 1)]
+    out = TruncatedSeries(caps, 0, data)
     for j in range(s):
         for k in range(j + 1, s):
             out = out.div_pair(j, k, a, b, top)
     return out
 
 
-def _alternant(tables, N, s, B):
-    """A(Bw) / B^(s(s-1)/2) on the (N-1)^s box, A = det[f_k(z_j)].
+def _alternant_minors(tables, N, s, B):
+    """d_S B^|lambda| for every descending exponent set S with entries
+    <= N-1, keyed by the bitmask of S.
 
-    By Cauchy-Binet, A[alpha] = sgn(p) d_S when alpha_j = S_p(j) for a
-    descending exponent set S, d_S the minor of the column coefficients on
-    the rows S, and 0 when alpha repeats an entry.  An extraction reads only
-    exponents <= N-1, so only those minors are taken, and with
-    lambda_i = S_i - (s - i) the entry scales by B^|lambda|.
+    d_S is the minor of the column coefficients on the rows S, and
+    lambda_i = S_i - (s - i).  An extraction reads only exponents <= N-1,
+    so only those minors are taken.
     """
     cols = [col.coeffs for col in _columns(tables, N, s)]
-    signed = [(p, perm_sign(p)) for p in permutations(range(s))]
-    out = TruncatedSeries([N - 1] * s, 0)
-    for lam, d in _minors(cols, N - 1, 0).items():
-        if d:
-            S = [x + s - 1 - i for i, x in enumerate(lam)]
-            value = d * B ** sum(lam)
-            for p, sign in signed:
-                out.set_coeff([S[i] for i in p], sign * value)
+    return {sum(1 << x + s - 1 - i for i, x in enumerate(lam)): d * B ** sum(lam)
+            for lam, d in _minors(cols, N - 1, 0).items()}
+
+
+def _alternant(minors, caps):
+    """A(Bw) / B^(s(s-1)/2) on the box [0..caps], A = det[f_k(z_j)].
+
+    By Cauchy-Binet, A[alpha] = sgn(p) d_S when alpha_j = S_p(j) for a
+    descending exponent set S, and 0 when alpha repeats an entry.  The alpha
+    with distinct entries are grown axis by axis, like the extraction's, with
+    the mask of the entries used and the parity of the pairs j < k with
+    alpha_j < alpha_k, which is that of p.
+    """
+    out = TruncatedSeries(caps, 0)
+    terms = [(0, 0, 0)]
+    for c, stride in zip(caps, out._strides):
+        terms = [(o + e * stride, used | 1 << e, odd ^ (used & (1 << e) - 1).bit_count() & 1)
+                 for o, used, odd in terms for e in range(c + 1) if not used >> e & 1]
+    for o, used, odd in terms:
+        out.data[o] = -minors[used] if odd else minors[used]
     return out
 
 
@@ -177,20 +218,33 @@ def _residue_point(delta, t, backend, allow_nonphysical):
     return delta, t
 
 
-def residue_workspace(N, s, delta, t, backend=EXACT, *,
-                      allow_nonphysical=True) -> IntegrandSeries:
+def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
+                      profile: YoungProfile = None) -> IntegrandSeries:
     """Cached integer expansion at (N, s) and the ``Fraction`` pair of
-    ``_residue_point``, one entry for both backends.  Physicality is checked
-    before the cache lookup, so a strict call cannot read an entry that a
-    permissive call built at the same point.
+    ``_residue_point``, one entry for both backends, filled on the box the
+    profile reads.  Physicality is checked before the cache lookup, so a
+    strict call cannot read an entry that a permissive call built at the
+    same point.
+
+    The first call at a point fills the box of its profile, m = r - 1, or
+    the whole box (N-1)^s when no profile is given.  A later call whose
+    profile has some m_j above the box, or that gives no profile, widens the
+    same object in place to the whole box, once.  A blocked profile reads
+    no entry, so it never widens.
     """
     delta, t = _residue_point(delta, t, backend, allow_nonphysical)
-    return _cached(_workspace_cache, (N, s, delta, t),
-                   lambda: _build_exact_series(N, s, delta, t))
+    whole = (N - 1,) * s
+    caps = whole if profile is None else tuple(rj - 1 for rj in profile.r)
+    ws = _cached(_workspace_cache, (N, s, delta, t),
+                 lambda: _build_exact_series(N, s, delta, t).fill(caps))
+    if any(map(gt, caps, ws.caps)) and (profile is None or not profile.blocked):
+        ws.fill(whole)
+    return ws
 
 
 def _build_exact_series(N, s, delta, t):
-    """The integer expansion in w = z / B, B = q v^2 for Delta = p/q, t = u/v."""
+    """The box-independent inputs in w = z / B, B = q v^2 for Delta = p/q,
+    t = u/v; A and G are left for ``IntegrandSeries.fill``."""
     p, q, u, v = delta.numerator, delta.denominator, t.numerator, t.denominator
     B, D = q * v * v, 1
     tables = build_h_tables(N, s, delta, t)
@@ -198,9 +252,9 @@ def _build_exact_series(N, s, delta, t):
         scale = math.lcm(*(x.denominator for x in table))
         tables[n] = [int(x * scale) for x in table]
         D *= scale
-    quotient = _prefactor_series(N, s, B, u * u * q - 2 * p * u * v, 2 * p * u * v,
-                                 (u * q * v) ** 2)
-    return IntegrandSeries(s, _alternant(tables, N, s, B), quotient, (B, D))
+    return IntegrandSeries(s, (B, D), _alternant_minors(tables, N, s, B),
+                           _factor_coeffs(N, s, B, u * u * q - 2 * p * u * v),
+                           (2 * p * u * v, (u * q * v) ** 2))
 
 
 def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
@@ -215,12 +269,12 @@ def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
     point enters through ``delta_t_from_trig``) runs the same integers at
     the dyadic rationals its rounded inputs hold and rounds the result
     once, so a blocked profile gives exactly 0.  Its cost is integer size:
-    B = q v^2 has up to 3 prec bits, and the entries of G, built to total
-    degree s(N-1) - s(s-1)/2, up to that many times 3 prec bits, so time
-    grows with the precision.  At N = 7, r = (2, 4, 6, 7) and the trig point
-    (1.1, 0.35), one cold call takes 0.17 s at 128 bits, 0.53 s at 256 and
-    1.1 s at 512 (process time, median of five, one x86 core, pure-Python
-    mpmath).
+    B = q v^2 has up to 3 prec bits, and the entries of G, built on the box
+    of m = r - 1 to total degree |m| - s(s-1)/2, up to that many times
+    3 prec bits, so time grows with the precision.  At N = 7,
+    r = (2, 4, 6, 7) and the trig point (1.1, 0.35), one cold call takes
+    0.03 s at 128 bits, 0.09 s at 256 and 0.33 s at 512 (process time,
+    median of five, one x86 core, pure-Python mpmath).
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
@@ -229,7 +283,8 @@ def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
         value = Fraction(1)
     else:
         value = residue_workspace(N, profile.s, delta, t, backend,
-                                  allow_nonphysical=allow_nonphysical).coefficient(profile)
+                                  allow_nonphysical=allow_nonphysical,
+                                  profile=profile).coefficient(profile)
     return CorrelationResult(value if backend == EXACT else to_float(value),
                              "residue", backend)
 
@@ -500,7 +555,8 @@ def pole_deformation_check(N, profile: YoungProfile, delta, t) -> PoleDeformatio
             vandermonde_h = vandermonde_h.mul_pair(j, k, _DIFFERENCE)
     target = tuple(rj - 1 for rj in reduced.r)
     a, b = 2 * delta * t, t * t
-    c1 = vandermonde_h.product_coeff(_prefactor_series(N, s - 1, 1, b - a, a, b), target)
+    prefactor = _prefactor_series(_factor_coeffs(N, s - 1, 1, b - a), (N - 1,) * (s - 1), a, b)
+    c1 = vandermonde_h.product_coeff(prefactor, target)
     res_match = (-1) ** (s - 1) * c1 == reduced_value
 
     # (ii): each remaining pole, spectators at generic rationals

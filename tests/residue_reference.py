@@ -1,9 +1,9 @@
 """The residue expansion by the route through h, the reference for the engine.
 
 ``gefp_residue`` cancels the Vandermonde of h_{N,s} against the pair
-numerators and expands the alternant det[f_k(z_j)] directly, only to the
-total degree an extraction reads.  This module keeps the route through h:
-the prefactor with the Vandermonde, one factor
+numerators and expands the alternant det[f_k(z_j)] directly, only on the
+box and to the total degree an extraction reads.  This module keeps the
+route through h: the prefactor with the Vandermonde, one factor
 (z_j - z_k) / (1 - 2 Delta t z_j + t^2 z_j z_k) per pair, times
 ``h_polynomial`` on the whole box.  ``_z_series`` builds it in z on the
 scalars of (delta, t), with no scaling; ``_w_series`` builds the same

@@ -7,7 +7,7 @@ from mpmath import mp
 
 from gefp_lab.algebra import Jet, TruncatedSeries, UniPoly, det, geometric_inverse_coeffs
 from gefp_lab.errors import NotInvertible
-from gefp_lab.gefp import _prefactor_series
+from gefp_lab.gefp import _factor_coeffs, _prefactor_series
 
 
 def det_cofactor(rows):
@@ -264,7 +264,8 @@ def test_prefactor_equals_product_with_inverse(N):
     # in w = z / B with the exact engine's integer parameters, against the
     # univariate factors times each pair block's inverse: equal up to the
     # degree cap and zero above it; in z (B = 1) the series is the one in w
-    # over B^|m|
+    # over B^|m|; on a smaller box, the same entries to that box's cap
+    rng = random.Random(N)
     for delta, t in ((Fraction(1, 3), Fraction(3, 4)), (Fraction(-5, 7), Fraction(2, 9))):
         a, b, B = 2 * delta * t, t * t, delta.denominator * t.denominator ** 2
         lin, a_w, b_w = int((b - a) * B), int(a * B), int(b * B * B)
@@ -280,10 +281,16 @@ def test_prefactor_equals_product_with_inverse(N):
                 assert all(x.denominator == 1 for x in inverse.data)
                 inverse.data = [x.numerator for x in inverse.data]
                 want = want.mul_pair(j, k, inverse)
-            scaled = _prefactor_series(N, s, B, lin, a_w, b_w)
+            whole = (N - 1,) * s
+            scaled = _prefactor_series(_factor_coeffs(N, s, B, lin), whole, a_w, b_w)
             assert scaled.data == _capped(want, top)
-            assert _prefactor_series(N, s, 1, b - a, a, b).data == [
+            assert _prefactor_series(_factor_coeffs(N, s, 1, b - a), whole, a, b).data == [
                 Fraction(x, B ** sum(idx)) for idx, x in zip(_box(want.caps), scaled.data)]
+            for caps in rng.sample(_box(whole), min(8, N ** s)):
+                sub = _prefactor_series(_factor_coeffs(N, s, B, lin), caps, a_w, b_w)
+                cap = sum(caps) - s * (s - 1) // 2
+                assert sub.data == [scaled.coeff(idx) if sum(idx) <= cap else 0
+                                    for idx in _box(caps)]
 
 
 def _random_float(rng):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -518,6 +519,32 @@ def test_verify_worker_pool_matches_serial(capsys):
         assert code == 0 and serial == parallel
     checks = json.loads(serial)["checks"]
     assert {c["criterion"] for c in checks} == {"criterion-1", "criterion-3"}
+
+
+def test_verify_pool_is_no_larger_than_the_criteria(capsys, monkeypatch):
+    # a pool that records its size and runs the jobs in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return list(map(fn, jobs))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    argv = ["verify", "--level", "quick", "--criteria", "8"]
+    code, serial, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, pooled, _ = run_cli(capsys, *argv, "--workers", "1000")
+    assert code == 0 and pooled == serial
+    assert sizes == [1]
 
 
 @pytest.mark.parametrize("text", ["x", "1,", "9", "0,2"])

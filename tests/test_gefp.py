@@ -237,7 +237,8 @@ def test_alternant_is_h_times_the_vandermonde():
                 for j in range(s):
                     for k in range(j + 1, s):
                         want = want.mul_pair(j, k, difference)
-                assert gefp._alternant(tables, n, s, 1).data == want.data, (n, s)
+                minors = gefp._alternant_minors(tables, n, s, 1)
+                assert gefp._alternant(minors, (n - 1,) * s).data == want.data, (n, s)
 
 
 # (3/2, 1/2) is outside the physical cone; the last point is the 128-bit
@@ -271,6 +272,58 @@ def test_residue_equals_the_route_through_h_at_n7_n8(delta, t):
             for prof in profiles:
                 assert gefp_residue(n, prof, delta, t).value == reference.coefficient(prof), \
                     (n, prof.r)
+
+
+def _orders(profiles, seed):
+    """Each profile cold on its own, then the table, reversed and a shuffled
+    order, each pass from an empty cache."""
+    shuffled = list(profiles)
+    random.Random(seed).shuffle(shuffled)
+    return [[p] for p in profiles] + [profiles, profiles[::-1], shuffled]
+
+
+@pytest.mark.parametrize("delta, t", ROUTE_POINTS[:4], ids=ROUTE_IDS[:4])
+def test_call_order_does_not_change_values(delta, t):
+    # against the whole-box workspace, whatever box the first profile leaves
+    for n_max, backend in ((6, "exact"), (5, "float")):
+        profiles = [p for n in range(1, n_max + 1) for s in range(1, n + 1)
+                    for p in all_profiles(n, s)]
+        with mp.workprec(128):
+            gefp._workspace_cache.clear()
+            want = {p: residue_workspace(p.N, p.s, delta, t, backend).coefficient(p)
+                    for p in profiles}
+            if backend != "exact":
+                want = {p: to_float(v)._mpf_ for p, v in want.items()}
+            for seq in _orders(profiles, n_max):
+                gefp._workspace_cache.clear()
+                for prof in seq:
+                    value = gefp_residue(prof.N, prof, delta, t, backend).value
+                    assert (value if backend == "exact" else value._mpf_) == want[prof], \
+                        (backend, prof.r)
+
+
+def test_workspace_fills_only_the_box():
+    delta, t = Fraction(1, 3), Fraction(3, 4)
+    gefp._workspace_cache.clear()
+    ws = residue_workspace(7, 4, delta, t, profile=YoungProfile(7, (2, 4, 6, 7)))
+    assert ws.caps == (1, 3, 5, 6) and len(ws.quotient.data) == 2 * 4 * 6 * 7
+    # r = (1, ..., 6) reads the quotient at degree 0 alone
+    ws = residue_workspace(6, 6, delta, t, profile=YoungProfile(6, range(1, 7)))
+    assert [o for o, x in enumerate(ws.quotient.data) if x] == [0]
+    # a blocked profile never widens; the first uncovered one widens in place
+    first = residue_workspace(5, 3, delta, t, profile=YoungProfile(5, (1, 2, 3)))
+    assert first.caps == (0, 1, 2)
+    blocked = YoungProfile(5, (2, 2, 2))
+    assert residue_workspace(5, 3, delta, t, profile=blocked) is first
+    assert first.caps == (0, 1, 2) and gefp_residue(5, blocked, delta, t).value == 0
+    assert residue_workspace(5, 3, delta, t, profile=YoungProfile(5, (2, 3, 5))) is first
+    assert first.caps == (4, 4, 4)
+    # a blocked first profile, then an uncovered one
+    gefp._workspace_cache.clear()
+    first = residue_workspace(5, 3, delta, t, profile=YoungProfile(5, (1, 1, 1)))
+    assert gefp_residue(5, YoungProfile(5, (1, 1, 1)), delta, t).value == 0
+    assert gefp_residue(5, YoungProfile(5, (1, 3, 5)), delta, t).value != 0
+    assert first.caps == (4, 4, 4)
 
 
 def test_strict_sweep_checks_physicality_once(monkeypatch):
