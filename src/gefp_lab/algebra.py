@@ -310,19 +310,6 @@ class TruncatedSeries:
         out.data[0] = value
         return out
 
-    @classmethod
-    def from_univariate(cls, coeffs, var, caps, zero):
-        """Embed a univariate coefficient list (or Jet) into variable ``var``."""
-        if isinstance(coeffs, Jet):
-            coeffs = coeffs.coeffs
-        out = cls(caps, zero)
-        stride = out._strides[var]
-        for m, v in enumerate(coeffs):
-            if m > caps[var]:
-                break
-            out.data[m * stride] = v
-        return out
-
     @property
     def nvars(self):
         return len(self.caps)
@@ -378,27 +365,6 @@ class TruncatedSeries:
             yield tuple(idx), v
 
     # -- arithmetic -----------------------------------------------------------
-    def copy(self):
-        return TruncatedSeries(self.caps, self.zero, list(self.data))
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            if other.caps != self.caps:
-                raise ValueError("cap mismatch")
-            return TruncatedSeries(self.caps, self.zero,
-                                   [a + b for a, b in zip(self.data, other.data)])
-        out = self.copy()
-        out.data[0] = out.data[0] + other
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.caps, self.zero, [-a for a in self.data])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.caps, self.zero, [a * other for a in self.data])

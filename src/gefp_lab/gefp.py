@@ -31,23 +31,26 @@ rounded once.
 
 ``gefp_determinant_jets`` evaluates the s x s determinant of K-polynomial
 operators acting on the omega/rho product, by multivariate jet expansion.
-The block inverse, the K rows and the omega/rho powers depend only on
+The pair block, the K rows and the omega/rho powers depend only on
 (N, lambda, eta), so they are built once per N and shared by every s; the
 pair product depends on s as well, and both are cached.  The engine runs on
 Python integers: each group of mpf inputs is read as the integers it holds
-over one power of two, the pair product keeps ``JETS_GUARD_BITS`` past the
-working precision, and the folds and the contraction are exact, so a
-result is rounded once.  The contraction runs from the last axis, and what
-it builds after axis k depends only on the suffix (r_k, ..., r_s), so the
-workspace keeps each fold and partial tensor and a profile costs only the
-steps for the suffixes not yet met.
+over one power of two.  The pair block is the closed form
+(1 - wt)(1 - ww) / (1 - wt ww), a sum of N rank-one terms, summed exactly
+and rounded once; the pair product keeps ``JETS_GUARD_BITS`` past the
+working precision; the folds and the contraction are exact, so a result is
+rounded once.  The contraction runs from the last axis, and what it builds
+after axis k depends only on the suffix (r_k, ..., r_s), so the workspace
+keeps each fold and partial tensor and a profile costs only the steps for
+the suffixes not yet met.  The fold of r_k vanishes from index r_k on, so
+those partial tensors live on the box [0..r_k - 1]^(k-1) alone.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from operator import gt, mul
+from operator import add, gt, mul, sub
 
 from mpmath import mp
 
@@ -62,10 +65,11 @@ from .params import VertexWeights, weights_from_trig
 
 # Largest pair box N^s the jets engine builds, checked before any work.  The
 # build grows with the box: one cold call at 128 bits, process time on one
-# x86 core, takes about 0.2 s at (8, 4), 0.8 s at (7, 5), and 3 s at the
-# largest boxes under the cap, (6, 6) and (14, 4), most of it in the integer
-# pair product.  6^6 keeps every s <= N <= 6, and since s <= N it refuses
-# every s >= 7.
+# x86 core (best of three), takes about 0.1 s at (8, 4), 0.5 s at (7, 5),
+# 1.6-1.7 s at (14, 4) and 1.8 s at (6, 6), the largest boxes under the cap,
+# nearly all of it in the integer pair product (the closed-form pair block
+# takes 3 ms at N = 14).  6^6 keeps every s <= N <= 6, and since s <= N it
+# refuses every s >= 7.
 JETS_BOX_CAP = 6 ** 6
 
 # Bits past the working precision that the jets pair product keeps in its
@@ -314,6 +318,26 @@ def _shift_to(data, bits):
     return shift
 
 
+def _geometric_rows(w, N):
+    """The coefficients, to degree N-1, of (1 - w) w^l for l < N, the l-th
+    over 2^((l+1) e), and e <= 0.
+
+    The jet w, with w(0) = 0, is read as integers c over 2^e (shifted to
+    e = 0 when e > 0); with p = c^l truncated, (1 - w) w^l is
+    (p << -e) - c^(l+1) over 2^((l+1) e).
+    """
+    c, e = _dyadic(w.coeffs)
+    assert c[0] == 0, "the pair block needs w(0) = 0"
+    if e > 0:
+        c, e = [x << e for x in c], 0
+    power, rows = [1] + [0] * (N - 1), []
+    for _ in range(N):
+        nxt = [sum(map(mul, c[1:d + 1], power[d - 1::-1])) for d in range(N)]
+        rows.append([(x << -e) - y for x, y in zip(power, nxt)])
+        power = nxt
+    return rows, e
+
+
 class _JetsInputs:
     """The s-independent inputs of the operator determinant at
     (N, lambda, eta, prec), built once and shared by every s.
@@ -322,9 +346,10 @@ class _JetsInputs:
     Taylor coefficients of rho^N omega^e, e = 0..N-1, as the integers they
     hold over one power of two (``powers_exp``).  ``pair_block`` is the pair
     block (rt rr (wt ww - 1))^-1 on the (N-1, N-1) box, in the same form,
-    and ``k_row(n)`` is K_n[m] m!, m < N, as mpf; both are built on first
-    use, so the s = 1 workspace of the K-route H table never builds the
-    block.
+    with rt, wt = rho_tilde, omega_tilde of x and rr, ww = rho, omega of y;
+    it is built in closed form from wt and ww alone.  ``k_row(n)`` is
+    K_n[m] m!, m < N, as mpf.  Both are built on first use, so the s = 1
+    workspace of the K-route H table never builds the block.
     """
 
     def __init__(self, N, lam, eta):
@@ -342,15 +367,30 @@ class _JetsInputs:
 
     @cached_property
     def pair_block(self):
-        """(block, exponent): the pair block's integers and their power of two."""
-        fns, n, zero = self.fns, self.N - 1, mp.mpf(0)
-        box = (n, n)
-        rt = TruncatedSeries.from_univariate(fns.rho_tilde(n), 0, box, zero)
-        rr = TruncatedSeries.from_univariate(fns.rho(n), 1, box, zero)
-        wt = TruncatedSeries.from_univariate(fns.omega_tilde(n), 0, box, zero)
-        ww = TruncatedSeries.from_univariate(self.omega, 1, box, zero)
-        data, exponent = _dyadic((rt * rr * (wt * ww - 1)).invert().data)
-        return TruncatedSeries(box, 0, data), exponent
+        """(block, exponent): the pair block's integers and their power of two.
+
+        rt = 1/(1 - wt) and rr = 1/(ww - 1), so the block is
+        (1 - wt(x))(1 - ww(y)) / (1 - wt(x) ww(y)), the sum over l < N of the
+        rank-one terms [(1 - wt) wt^l](x) [(1 - ww) ww^l](y): wt and ww vanish
+        at 0, so wt^l starts at degree l.  With wt and ww read as integers
+        over 2^e1 and 2^e2, e1, e2 <= 0, term l is an integer over
+        2^((l+1)(e1+e2)); each is lifted to 2^(N(e1+e2)), so the sum is
+        exact, and it is rounded once to ``JETS_GUARD_BITS`` past the working
+        precision.
+        """
+        N = self.N
+        (xs, e1), (ys, e2) = (_geometric_rows(w, N)
+                              for w in (self.fns.omega_tilde(N - 1), self.omega))
+        lift = -(e1 + e2)
+        data = [0] * (N * N)
+        for l, (u, v) in enumerate(zip(xs, ys)):
+            shift = (N - 1 - l) * lift
+            for i in range(l, N):
+                x = u[i] << shift
+                for j in range(l, N):
+                    data[i * N + j] += x * v[j]
+        exponent = N * (e1 + e2) + _shift_to(data, mp.prec + JETS_GUARD_BITS)
+        return TruncatedSeries((N - 1, N - 1), 0, data), exponent
 
     def k_row(self, index):
         row = self.k_rows.get(index)
@@ -370,16 +410,19 @@ class JetsWorkspace:
     (zero past the degree); ``powers[e]`` holds the Taylor coefficients of
     rho^N omega^e for e = 0..N-1.  Every contraction is an integer times
     2^``exponent``.  The K rows and the powers are the exact dyadic values of
-    their mpf inputs; ``pair`` is rounded to ``JETS_GUARD_BITS`` past the
-    working precision after each pair pass.
+    their mpf inputs; the pair block is rounded once, and ``pair`` to
+    ``JETS_GUARD_BITS`` past the working precision after each pair pass.
 
     ``folds`` and ``partials`` memoize ``contraction``: the fold of one row
     position r into the K rows, and the partial tensors of each profile
-    suffix (r_k, ..., r_s).  Both hold only what a cold contraction builds
-    anyway.  After every profile of (N, s) has run, ``partials`` holds
-    sum_{m=1..s} C(N+m-1, m) C(s, m) N^(s-m) coefficients: C(N+m-1, m)
-    suffixes of length m, each with C(s, m) sets of used rows on N^(s-m)
-    entries.
+    suffix (r_k, ..., r_s), on the box [0..r_k - 1]^(k-1) that the folds of
+    the profile's first rows reach.  Both hold only what a cold
+    contraction builds anyway.  After every profile of (N, s) has run,
+    ``partials`` holds sum_{m=1..s} C(s, m) sum_{w=1..N} C(N-w+m-1, m-1)
+    w^(s-m) coefficients: C(N-w+m-1, m-1) suffixes of length m start at w,
+    each with C(s, m) sets of used rows on w^(s-m) entries.  That is
+    170,100 at (6, 6) and 81,200 at (14, 4), against 1,007,670 and 310,884
+    on the whole N^(s-m) box.
     """
 
     N: int
@@ -409,30 +452,57 @@ class JetsWorkspace:
         permutation sign gains a factor -1 for each used row below the new
         one.  The partial tensors after axis k depend only on r[k:], so the
         call resumes from the longest suffix already in ``partials`` and
-        stores every level it adds.  Every dot product is exact, so the
-        result is the exact sum at the workspace's integers, rounded once.
+        stores every level it adds.
+
+        v[k][j][m] is 0 for m >= r_k, and r is weakly increasing, so the
+        partial tensors of the suffix r[k:] are read only on the box
+        [0..r_k - 1]^k, and each dot product needs only r_k terms: they are
+        stored and read on that box alone, and P on the whole box, which
+        r = (N, ..., N) reads.  Only exact zeros are left out and every dot
+        product is exact, so the result is the exact sum at the workspace's
+        integers, rounded once.
         """
-        N, s = self.N, self.s
+        s = self.s
         start = next((k for k in range(s) if tuple(r[k:]) in self.partials), s)
-        states = self.partials[tuple(r[start:])] if start < s else {0: self.pair.data}
+        if start < s:
+            states, width = self.partials[tuple(r[start:])], r[start]
+        else:
+            states, width = {0: self.pair.data}, self.N
         for k in reversed(range(start)):
-            v = self.fold(r[k])
+            w = r[k]
+            v = [row[:w] for row in self.fold(w)]
+            bases = _box_offsets(k, w, width)
+            pieces = {prev: [tensor[o:o + w] for o in bases] for prev, tensor in states.items()}
             nxt = {}
-            for used in range(1 << s):
-                if bin(used).count("1") != s - k:
-                    continue
-                rows, tensors = [], []
-                for j in range(s):
-                    if used >> j & 1:
-                        prev = used ^ (1 << j)
-                        odd = bin(prev & ((1 << j) - 1)).count("1") % 2
-                        rows += [-x for x in v[j]] if odd else v[j]
-                        tensors.append(states[prev])
-                nxt[used] = [sum(map(mul, rows, [x for tensor in tensors
-                                                 for x in tensor[o:o + N]]))
-                             for o in range(0, len(tensors[0]), N)]
+            for used, terms in _contraction_plan(s)[k]:
+                total = [0] * len(bases)
+                for j, prev, odd in terms:
+                    dots = [sum(map(mul, v[j], piece)) for piece in pieces[prev]]
+                    total = list(map(sub if odd else add, total, dots))
+                nxt[used] = total
             states = self.partials[tuple(r[k:])] = nxt
+            width = w
         return mp.ldexp(mp.mpf(states[(1 << s) - 1][0]), self.exponent)
+
+
+@lru_cache(maxsize=None)
+def _contraction_plan(s):
+    """For each level k < s, the sets of s - k used K rows, as bitmasks, each
+    with its (j, used set without j, parity of the used rows below j)."""
+    return tuple(tuple((used, tuple((j, used ^ 1 << j, (used & (1 << j) - 1).bit_count() & 1)
+                                    for j in range(s) if used >> j & 1))
+                       for used in range(1 << s) if used.bit_count() == s - k)
+                 for k in range(s))
+
+
+@lru_cache(maxsize=256)
+def _box_offsets(k, w, width):
+    """Flat offsets, in flat order, of the points of [0..w-1]^k in a tensor
+    of k + 1 axes of ``width`` entries each, the last axis at 0."""
+    offsets = [0]
+    for _ in range(k):
+        offsets = [(o + i) * width for o in offsets for i in range(w)]
+    return tuple(offsets)
 
 
 def check_jets_box(N, s):

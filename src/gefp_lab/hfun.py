@@ -42,11 +42,12 @@ from .params import VertexWeights
 
 
 class OmegaRho:
-    """Jet factory at eps = 0 for the four building-block functions.
+    """Jet factory at eps = 0 for the building-block functions.
 
     omega = (a/b) sin(eps) / sin(eps - 2 eta) vanishes at 0; rho is its
-    companion with rho = 1/(omega - 1); the tilde pair is the image under
-    eta -> -eta, expressed rationally through omega and (Delta, t).
+    companion with rho = 1/(omega - 1); omega_tilde is the image of omega
+    under eta -> -eta.  Its companion rho_tilde = 1/(1 - omega_tilde) is
+    never built: the jets pair block uses both rho in closed form.
     """
 
     def __init__(self, lam, eta):
@@ -73,9 +74,6 @@ class OmegaRho:
         num = Jet.sin_offset(mp.mpf(0), order)
         den = Jet.sin_offset(2 * self.eta, order)
         return num * den.invert() * (self.b / self.a)
-
-    def rho_tilde(self, order) -> Jet:
-        return (1 - self.omega_tilde(order)).invert()
 
 
 def boundary_H_table_via_K(N, lam, eta) -> list:

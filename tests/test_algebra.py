@@ -121,7 +121,7 @@ def test_jet_invert_rejects_zero_constant():
 
 def test_series_invert_geometric():
     one = Fraction(1)
-    f = TruncatedSeries.from_univariate([one, -one], 0, (3,), Fraction(0))
+    f = TruncatedSeries((3,), Fraction(0), [one, -one, 0 * one, 0 * one])
     inv = f.invert()
     assert [inv.coeff((m,)) for m in range(4)] == [1, 1, 1, 1]
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -15,7 +16,8 @@ from gefp_lab.hfun import build_h_tables, h_polynomial
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              boundary_distribution_oracle, gefp_oracle)
 from gefp_lab.params import VertexWeights, delta_t_from_trig
-from jets_reference import exact_contraction
+from jets_reference import (exact_contraction, exact_pair_block, full_box_contraction,
+                            mpf_pair_block)
 from residue_reference import _w_series, _z_series
 
 D0, T0 = Fraction(1, 2), Fraction(1)
@@ -425,8 +427,62 @@ def test_jets_contraction_is_the_exact_sum_rounded_once(prec):
             assert value._mpf_ == to_float((-1) ** p.s * exact)._mpf_, p.r
 
 
+TRIG_POINTS = ((mp.mpf("1.1"), mp.mpf("0.35")), (mp.mpf("1.45"), mp.mpf("0.62")))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_jets_folds_vanish_past_the_row_position(prec):
+    # the box the contraction reads: u = rho^N omega^(N-r) starts at degree
+    # N - r and each K row has N entries, so fold(r)[j][m] = 0 for m >= r
+    with mp.workprec(prec):
+        for (lam, eta), N in product(TRIG_POINTS, range(1, 7)):
+            inputs = gefp.jets_inputs(N, lam, eta)
+            for s in range(1, N + 1):
+                flat, _ = gefp._dyadic([x for j in range(s) for x in inputs.k_row(N - s + j)])
+                weights = [flat[o:o + N] for o in range(0, s * N, N)]
+                ws = gefp.JetsWorkspace(N, s, None, weights, inputs.powers, 0)
+                for r in range(1, N + 1):
+                    v = ws.fold(r)
+                    assert any(any(row[:r]) for row in v), (N, s, r)
+                    assert all(x == 0 for row in v for x in row[r:]), (N, s, r)
+
+
+def test_jets_contraction_on_the_box_equals_the_full_box_one():
+    boxes = [(N, s) for N in range(1, 7) for s in range(1, min(N, 4) + 1)] + [(7, 3)]
+    with mp.workprec(128):
+        for (lam, eta), (N, s) in product(TRIG_POINTS, boxes):
+            ws = jets_workspace(N, s, lam, eta)
+            profiles = all_profiles(N, s)
+            memo = {}
+            want = {p.r: full_box_contraction(ws, p.r, memo)._mpf_ for p in profiles}
+            for p in profiles:
+                ws.partials.clear()
+                assert ws.contraction(p.r)._mpf_ == want[p.r], p.r
+            ws.partials.clear()
+            random.Random(N * 10 + s).shuffle(profiles)
+            assert {p.r: ws.contraction(p.r)._mpf_ for p in profiles} == want
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_pair_block_is_the_exact_block_rounded_once(prec):
+    with mp.workprec(prec):
+        for (lam, eta), N in product(TRIG_POINTS, range(1, 9)):
+            inputs = gefp.jets_inputs(N, lam, eta)
+            block, exponent = inputs.pair_block
+            exact = exact_pair_block(inputs)
+            scale = Fraction(2) ** -exponent
+            assert block.data == [math.floor(x * scale + Fraction(1, 2)) for x in exact.data]
+            if N > 1:    # rounded where the smallest entry keeps prec + 16 bits
+                assert min(x.bit_length() for x in block.data if x) == prec + gefp.JETS_GUARD_BITS
+            # and the mpf route through rho_tilde and rho agrees
+            bound = mp.mpf(2) ** (8 - prec)
+            for x, y in zip(block.data, mpf_pair_block(inputs).data, strict=True):
+                x = mp.ldexp(mp.mpf(x), exponent)
+                assert abs(x - y) <= bound * abs(x), (N, x, y)
+
+
 def test_jets_shared_inputs_built_once_per_n(monkeypatch):
-    # the block inverse, the K rows and the powers do not depend on s
+    # the pair block, the K rows and the powers do not depend on s
     calls = {"OmegaRho": [], "k_polynomial": []}
     for name, log in calls.items():
         real = getattr(gefp, name)
