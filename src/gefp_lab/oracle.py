@@ -23,17 +23,20 @@ partition function carries one overall factor c^N.  Probabilities are ratios
 of these reduced sums and never need c itself, which keeps the exact backend
 closed over the rationals even when c^2 has no rational square root.
 
-The transfer engine crosses each row vertex by vertex on Python ints and
-returns one exact ratio of integers, float weights entering as the dyadic
-rationals they hold.  So every float result is that ratio rounded once.
-Constraints (GEFP marks, the frozen corner, a cut corner) sit in rows
-1..s only, so the N - s rows below are swept, turned by 180 degrees, and
-each constrained sum is a short sweep of the s top rows contracted with
-that one vector.  Neither that bottom sweep nor the unconstrained sum Z
-depends on the profile: both are memoized once per parameter point, keyed
-by the grid's integer weights, so every grid at one point (fresh or not,
-exact or float at the same dyadic weights) shares them.  A deliberately
-naive ice-rule filter (N <= 3) double-checks it from scratch.
+The transfer engine crosses each row column by column on Python ints,
+with the states split by the horizontal edge into two dicts so that each
+output is written once, and returns one exact ratio of integers, float
+weights entering as the dyadic rationals they hold.  So every float result
+is that ratio rounded once.  Constraints (GEFP marks, the frozen corner, a
+cut corner) sit in rows 1..s only, so the N - s rows below are swept,
+turned by 180 degrees, and each constrained sum is a short sweep of the s
+top rows contracted with that one vector.  Neither that bottom sweep nor
+the unconstrained sum Z depends on the profile: both are memoized per
+parameter point, keyed by the grid's integer weights, so every grid at one
+point (fresh or not, exact or float at the same dyadic weights) shares
+them.  The bottom sweeps of one point are prefixes of each other, so the
+turned rows are swept once to the deepest level any call has asked for.  A
+deliberately naive ice-rule filter (N <= 3) double-checks it from scratch.
 """
 
 from dataclasses import dataclass
@@ -52,7 +55,7 @@ DEFAULT_ORACLE_CAP = 8
 NAIVE_CAP = 3
 _MEMO_MAX = 64
 
-_sweeps = {}    # {(transfer weights, rows): bottom sweep, (transfer weights, "Z"): Z}
+_sweeps = {}    # keyed by (transfer weights, rows | "levels" | "Z"), see _bottom
 
 
 def _cached(cache, key, build):
@@ -173,7 +176,8 @@ class WeightGrid:
         here have equal transfer sums, whatever their backend.
         """
         rows = {id(r): r for r in self.a + self.b}
-        exact = {id(x): to_exact(x) for x in (self.c2, *chain(*rows.values()))}
+        distinct = {id(x): x for x in (self.c2, *chain(*rows.values()))}
+        exact = {k: to_exact(x) for k, x in distinct.items()}
         den = lcm(*(x.denominator for x in exact.values()))
         scaled = {k: x.numerator * (den // x.denominator) for k, x in exact.items()}
         ints = {k: tuple(scaled[id(x)] for x in r) for k, r in rows.items()}
@@ -182,31 +186,42 @@ class WeightGrid:
 
 
 def _row(a, b, c2, states, width, mark=None, frozen=None):
-    """Carry {v_in: weight} across one row, vertex by vertex from the right.
+    """Carry {v_in: weight} across one row, column by column from the right.
 
-    Before column k a key is v << 1 | h: v has the bottom states of the
-    columns crossed and the top states of the rest, h is the edge right of
-    column k.  mark: the edge left of that column points left.  frozen: the
-    vertices at columns > frozen are of type 2.
+    Before column k the states sit in two dicts keyed by v, which holds the
+    bottom states of the columns crossed and the top states of the rest:
+    ``lo`` where the edge right of column k points right (h = 0), ``hi``
+    where it points left.  With v_top the bit of column k, a ``lo`` state
+    with v_top = 1 (type 3 or turned as 5) and the ``hi`` state v ^ bit
+    (type 4 or turned as 6) feed the same two outputs, so the pair writes
+    both at once; types 1 and 2 keep their key.  Each output is written
+    once.  mark: the edge left of that column points left.  frozen: the
+    vertices at columns > frozen are of type 2.  Returns ``hi`` after the
+    last column, where the left boundary points left.
     """
-    cur = {v << 1: w for v, w in states.items()}
+    lo, hi = states, {}
     for k in range(width):
-        bit, ak, bk = 2 << k, a[k], b[k]
+        bit, ak, bk = 1 << k, a[k], b[k]
         if frozen is not None and k >= frozen:
-            cur = {key: w for key, w in cur.items() if key & 1 and key & bit}
-        nxt = {}
-        get = nxt.get
-        for key, w in cur.items():
-            if (key >> k + 1 ^ key) & 1:    # v_top != h: type 3 or 4, or turn as 5 or 6
-                turned = key ^ bit ^ 1
-                nxt[key] = get(key, 0) + w * bk
-                nxt[turned] = get(turned, 0) + (w * c2 if key & 1 else w)
-            else:                           # type 1 or 2
-                nxt[key] = get(key, 0) + w * ak
-        if mark == k + 1:
-            nxt = {key: w for key, w in nxt.items() if key & 1}
-        cur = nxt
-    return {key >> 1: w for key, w in cur.items() if key & 1}
+            lo, hi = {}, {v: w for v, w in hi.items() if v & bit}
+        nlo, nhi = {}, {}
+        for v, w in lo.items():
+            if v & bit:
+                u = v ^ bit
+                x = hi.get(u)
+                if x is None:
+                    nlo[v], nhi[u] = w * bk, w
+                else:
+                    nlo[v], nhi[u] = w * bk + x * c2, x * bk + w
+            else:
+                nlo[v] = w * ak
+        for v, w in hi.items():
+            if v & bit:
+                nhi[v] = w * ak
+            elif v | bit not in lo:     # a pair whose lo partner is missing
+                nlo[v | bit], nhi[v] = w * c2, w * bk
+        lo, hi = ({} if mark == k + 1 else nlo), nhi
+    return hi
 
 
 def _bottom(grid: WeightGrid, rows) -> dict:
@@ -216,18 +231,23 @@ def _bottom(grid: WeightGrid, rows) -> dict:
     (types 5 and 6 map to themselves, 1 to 2, 3 to 4), so the bottom rows
     are swept forward as the top rows of the turned grid.  A turned state
     reads back as its bit-reversed complement.  ``rows = 0`` gives {0: 1},
-    the all-up state below row N.  Memoized per point; callers only read it.
+    the all-up state below row N.  The sweep for fewer rows is a prefix of
+    the sweep for more, so each point keeps its turned levels as one memo
+    entry and a deeper request resumes from the deepest level held; each
+    level is read back once and memoized.  Callers only read the result.
     """
-    def sweep():
-        n = grid.N
-        a, b, c2, _ = grid._transfer_weights
-        full = (1 << n) - 1
-        states = {full: 1}
-        for j in range(n - 1, n - 1 - rows, -1):
-            states = _row(a[j][::-1], b[j][::-1], c2, states, n)
-        return {full ^ int(f"{u:0{n}b}"[::-1], 2): w for u, w in states.items()}
+    weights = grid._transfer_weights
 
-    return _cached(_sweeps, (grid._transfer_weights, rows), sweep)
+    def read_back():
+        n = grid.N
+        a, b, c2, _ = weights
+        full = (1 << n) - 1
+        levels = _cached(_sweeps, (weights, "levels"), lambda: [{full: 1}])
+        for j in range(n - len(levels), n - 1 - rows, -1):
+            levels.append(_row(a[j][::-1], b[j][::-1], c2, levels[-1], n))
+        return {full ^ int(f"{u:0{n}b}"[::-1], 2): w for u, w in levels[rows].items()}
+
+    return _cached(_sweeps, (weights, rows), read_back)
 
 
 def _transfer(grid: WeightGrid, top, bottom, marks=(), frozen=(), widths=()) -> Fraction:
@@ -302,9 +322,10 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
     The equivalent characterization (a frozen corner of type-2 vertices with
     diagram shape mu) is evaluated as well and must agree exactly, on both
     backends; a mismatch means a bug, so it raises.  Z and the bottom sweep
-    of rows s+1..N are swept once per parameter point and shared by every
-    grid there; the marked and the frozen sum each add a sweep of rows
-    1..s on every call.
+    of rows s+1..N are memoized per parameter point and shared by every
+    grid there, the latter read from the turned levels that any earlier
+    call at the point swept; the marked and the frozen sum each add a sweep
+    of rows 1..s on every call.
     """
     _check_cap(grid.N, cap)
     if profile.N != grid.N:

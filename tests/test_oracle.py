@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, prod
 
 import pytest
@@ -7,7 +8,7 @@ from mpmath import mp
 from mpmath.libmp import to_rational
 
 from gefp_lab import oracle
-from gefp_lab.backends import EXACT, FLOAT, to_float
+from gefp_lab.backends import EXACT, FLOAT, to_exact, to_float
 from gefp_lab.errors import BadIndex, DivisionByZero, TooLarge, Unsupported
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              boundary_distribution_oracle,
@@ -18,6 +19,7 @@ from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              reduced_partition_oracle)
 from gefp_lab.params import SpectralData, VertexWeights
 from gefp_lab.verify import EXACT_POINTS
+from oracle_reference import vertex_row
 
 ICE = VertexWeights.from_abc(Fraction(1), Fraction(1), Fraction(1))
 
@@ -106,6 +108,22 @@ def test_homogeneous_grid_shares_one_row():
     assert all(row is grid.b[0] for row in grid.b)
     with pytest.raises(TooLarge):
         boundary_distribution_oracle(grid)
+
+
+def test_transfer_weights_convert_each_weight_once(monkeypatch):
+    converted = []
+
+    def counted(x):
+        converted.append(x)
+        return to_exact(x)
+
+    monkeypatch.setattr(oracle, "to_exact", counted)
+    with mp.workprec(128):
+        w = VertexWeights.from_delta_t(mp.mpf(1) / 3, mp.mpf(3) / 4)
+        ints = WeightGrid.from_weights(8, w)._transfer_weights
+    assert len(converted) == 3
+    a, b, c2, den = ints
+    assert Fraction(a[7][0], den) == to_exact(w.a) and Fraction(c2, den ** 2) == to_exact(w.c2)
 
 
 def test_oracle_cap():
@@ -201,10 +219,10 @@ def asm(n):
 
 def test_boundary_distribution_closed_forms():
     free_fermion = VertexWeights.from_delta_t(Fraction(0), Fraction(1))
-    for n in range(1, 11):
-        dist = boundary_distribution_oracle(WeightGrid.from_weights(n, ICE), cap=10)
+    for n in range(1, 15):
+        dist = boundary_distribution_oracle(WeightGrid.from_weights(n, ICE), cap=14)
         assert dist == [refined_asm(n, r) / asm(n) for r in range(1, n + 1)]
-        dist = boundary_distribution_oracle(WeightGrid.from_weights(n, free_fermion), cap=10)
+        dist = boundary_distribution_oracle(WeightGrid.from_weights(n, free_fermion), cap=14)
         assert dist == [Fraction(comb(n - 1, r - 1), 2 ** (n - 1)) for r in range(1, n + 1)]
 
 
@@ -276,6 +294,36 @@ def test_split_transfer_matches_the_unsplit_sweep_on_spectral_grids():
             split_matches_unsplit(random_spectral_grid(rng, n))
 
 
+def random_row_case(rng, n, integers):
+    """Row weights and input states for ``_row``: rational or integer
+    weights, and states keyed up to two bits above the row."""
+    if integers:
+        grid = random_spectral_grid(rng, n)
+        a, b, c2, _ = grid._transfer_weights
+        a, b = a[rng.randrange(n)], b[rng.randrange(n)]
+    else:
+        a, b = ([Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n)]
+                for _ in range(2))
+        c2 = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+    keys = rng.sample(range(1 << n + 2), rng.randint(1, min(40, 1 << n + 2)))
+    return a, b, c2, {v: rng.randint(-50, 50) for v in keys}
+
+
+@pytest.mark.parametrize("integers", [False, True], ids=["rational", "dyadic"])
+def test_row_equals_the_vertex_by_vertex_row(integers):
+    rng = random.Random(16 + integers)
+    with mp.workprec(128):
+        for n in range(1, 8):
+            for _ in range(3):
+                a, b, c2, states = random_row_case(rng, n, integers)
+                before = dict(states)
+                for width in range(n + 1):
+                    for mark, frozen in product([None, *range(1, width + 1)], repeat=2):
+                        args = a, b, c2, states, width, mark, frozen
+                        assert oracle._row(*args) == vertex_row(*args), (n, width, mark, frozen)
+                assert states == before
+
+
 def test_edge_vs_frozen_cross_check_fires(monkeypatch, cold_oracle):
     # a _row that ignores the frozen corner makes the frozen sum Z, on a cold
     # memo and again on the warm one that the first call left
@@ -290,21 +338,46 @@ def test_edge_vs_frozen_cross_check_fires(monkeypatch, cold_oracle):
             gefp_oracle(WeightGrid.from_weights(4, ICE), YoungProfile(4, (2, 3)))
 
 
-@pytest.mark.parametrize("r", [(3,), (3, 5)])
-def test_gefp_oracle_sweeps_the_unconstrained_rows_once(monkeypatch, cold_oracle, r):
-    n, s, calls = 8, len(r), []
-    row = oracle._row
+@pytest.fixture
+def row_calls(monkeypatch, cold_oracle):
+    """One entry per ``_row`` call on a cold memo."""
+    calls, row = [], oracle._row
 
     def counted(*args, **kwargs):
         calls.append(1)
         return row(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "_row", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r", [(3,), (3, 5)])
+def test_gefp_oracle_sweeps_the_unconstrained_rows_once(row_calls, r):
+    n, s, calls = 8, len(r), row_calls
     # cold: the bottom rows, then Z, the marked and the frozen sum over the
     # s top rows; a fresh grid at the same point sweeps only the last two
     for expected in ((n - s) + 3 * s, 2 * s):
         calls.clear()
         gefp_oracle(WeightGrid.from_weights(n, rational_weights(4)), YoungProfile(n, r))
+        assert len(calls) == expected
+
+
+@pytest.mark.parametrize("r", [(3,), (3, 5), (2, 4, 8)])
+def test_bottom_sweeps_resume_from_the_deepest_level(row_calls, r):
+    n, s, w, calls = 8, len(r), rational_weights(4), row_calls
+    # row 1, then the N - 1 turned rows below it
+    boundary_distribution_oracle(WeightGrid.from_weights(n, w))
+    assert len(calls) == n
+    # every shallower bottom sweep is a level already held
+    calls.clear()
+    for k in range(n):
+        oracle._bottom(WeightGrid.from_weights(n, w), k)
+    assert not calls
+    # so a GEFP on a fresh grid sweeps only its top rows: Z, the marked and
+    # the frozen sum on the first call, the last two after
+    for expected in (3 * s, 2 * s):
+        calls.clear()
+        gefp_oracle(WeightGrid.from_weights(n, w), YoungProfile(n, r))
         assert len(calls) == expected
 
 
