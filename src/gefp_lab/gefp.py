@@ -22,12 +22,12 @@ depend on the box are cached per (N, s, parameters); the first profile
 there sets the box, a later one that reaches past it widens the workspace
 once to the whole (N-1)^s box, and each profile costs one convolution.
 
-The engine runs on Python integers: with Delta = p/q, t = u/v in lowest
-terms and B = q v^2, both series are integer in w = z / B once each H table
-is scaled by the lcm of its denominators (D the product of the scales), and
-a profile costs one integer convolution and one ``Fraction``.  A float
-(Delta, t) enters as the dyadic rationals it holds, and the result is
-rounded once.
+The engine runs on Python integers: with B the least integer that makes
+(t^2 - 2 Delta t) B, 2 Delta t B and t^2 B^2 integers, both series are
+integer in w = z / B once each H table is scaled by the lcm of its
+denominators (D the product of the scales), and a profile costs one integer
+convolution and one ``Fraction``.  A float (Delta, t) enters as the dyadic
+rationals it holds, and the result is rounded once.
 
 ``gefp_determinant_jets`` evaluates the s x s determinant of K-polynomial
 operators acting on the omega/rho product, by multivariate jet expansion.
@@ -56,7 +56,7 @@ from mpmath import mp
 
 from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs
 from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
-from .errors import BadIndex, NotInvertible, TooLarge, Unsupported
+from .errors import BadIndex, NonphysicalWeights, NotInvertible, TooLarge, Unsupported
 from .hfun import (OmegaRho, _columns, _minors, build_h_tables, h_polynomial,
                    reflect_substitute)
 from .ik import PhiJet, k_polynomial
@@ -211,15 +211,22 @@ _physical_points = {}
 
 def _residue_point(delta, t, backend, allow_nonphysical):
     """(delta, t) as ``Fraction`` after the parameter checks; a float input
-    is rounded once and read as the dyadic rational it holds."""
+    is rounded once and read as the dyadic rational it holds.  Physicality
+    is decided on those rationals; a float point is refused with its
+    weights in the float format, as the oracle engine shows them."""
     if backend != EXACT:
         delta, t = to_float(delta), to_float(t)
     elif not (is_exact_scalar(delta) and is_exact_scalar(t)):
         raise Unsupported("the exact residue engine needs rational delta and t")
-    delta, t = to_exact(delta), to_exact(t)
-    if not allow_nonphysical:                           # raises NonphysicalWeights
-        _cached(_physical_points, (delta, t), lambda: VertexWeights.from_delta_t(delta, t))
-    return delta, t
+    point = to_exact(delta), to_exact(t)
+    if not allow_nonphysical:
+        try:
+            _cached(_physical_points, point, lambda: VertexWeights.from_delta_t(*point))
+        except NonphysicalWeights:
+            if backend != EXACT:
+                VertexWeights.from_delta_t(delta, t)    # the same refusal, in floats
+            raise
+    return point
 
 
 def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
@@ -247,18 +254,28 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
 
 
 def _build_exact_series(N, s, delta, t):
-    """The box-independent inputs in w = z / B, B = q v^2 for Delta = p/q,
-    t = u/v; A and G are left for ``IntegrandSeries.fill``."""
-    p, q, u, v = delta.numerator, delta.denominator, t.numerator, t.denominator
-    B, D = q * v * v, 1
+    """The box-independent inputs in w = z / B; A and G are left for
+    ``IntegrandSeries.fill``.
+
+    B is the least integer that makes the three coefficients in w integers:
+    lin = (t^2 - 2 Delta t) B, a = 2 Delta t B and b = t^2 B^2.  That is the
+    lcm of the denominators of t^2 - 2 Delta t, 2 Delta t and t, and the
+    last is implied: t^2 = (t^2 - 2 Delta t) + 2 Delta t, so t^2 B and with
+    it t^2 B^2 are integers once the first two are.  Every other entry in w
+    is an integer for any integer B.
+    """
+    lin, a = t * t - 2 * delta * t, 2 * delta * t
+    B, D = math.lcm(lin.denominator, a.denominator), 1
+    lin, a, b = lin * B, a * B, (t * B) ** 2
+    assert lin.denominator == a.denominator == b.denominator == 1, \
+        "a coefficient times B is not an integer"
     tables = build_h_tables(N, s, delta, t)
     for n, table in tables.items():
         scale = math.lcm(*(x.denominator for x in table))
         tables[n] = [int(x * scale) for x in table]
         D *= scale
     return IntegrandSeries(s, (B, D), _alternant_minors(tables, N, s, B),
-                           _factor_coeffs(N, s, B, u * u * q - 2 * p * u * v),
-                           (2 * p * u * v, (u * q * v) ** 2))
+                           _factor_coeffs(N, s, B, lin.numerator), (a.numerator, b.numerator))
 
 
 def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
@@ -273,12 +290,12 @@ def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
     point enters through ``delta_t_from_trig``) runs the same integers at
     the dyadic rationals its rounded inputs hold and rounds the result
     once, so a blocked profile gives exactly 0.  Its cost is integer size:
-    B = q v^2 has up to 3 prec bits, and the entries of G, built on the box
-    of m = r - 1 to total degree |m| - s(s-1)/2, up to that many times
-    3 prec bits, so time grows with the precision.  At N = 7,
-    r = (2, 4, 6, 7) and the trig point (1.1, 0.35), one cold call takes
-    0.03 s at 128 bits, 0.09 s at 256 and 0.33 s at 512 (process time,
-    median of five, one x86 core, pure-Python mpmath).
+    B has up to 2 prec bits, and the entries of G, built on the box of
+    m = r - 1 to total degree |m| - s(s-1)/2, up to that many times 2 prec
+    bits, so time grows with the precision.  At N = 7, r = (2, 4, 6, 7) and
+    the trig point (1.1, 0.35), one cold call takes 0.02 s at 128 bits,
+    0.06 s at 256 and 0.14 s at 512 (process time, median of five to nine,
+    one x86 core, pure-Python mpmath).
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")

@@ -27,10 +27,13 @@ The transfer engine crosses each row column by column on Python ints,
 with the states split by the horizontal edge into two dicts so that each
 output is written once, and returns one exact ratio of integers, float
 weights entering as the dyadic rationals they hold.  So every float result
-is that ratio rounded once.  Constraints (GEFP marks, the frozen corner, a
-cut corner) sit in rows 1..s only, so the N - s rows below are swept,
-turned by 180 degrees, and each constrained sum is a short sweep of the s
-top rows contracted with that one vector.  Neither that bottom sweep nor
+is that ratio rounded once.  The loop reads aD, bD and c^2 D^2, D the
+lcm of the a and b denominators and of the least r with r^2 c^2 an integer:
+c^2 enters only as c^2 D^2, so D need not clear c^2 itself, and on a dyadic
+grid it is the least integer that makes all three integers.  Constraints
+(GEFP marks, the frozen corner, a cut corner) sit in rows 1..s only, so the
+N - s rows below are swept, turned by 180 degrees, and each constrained sum
+is a short sweep of the s top rows contracted with that one vector.  Neither that bottom sweep nor
 the unconstrained sum Z depends on the profile: both are memoized per
 parameter point, keyed by the grid's integer weights, so every grid at one
 point (fresh or not, exact or float at the same dyadic weights) shares
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations_with_replacement, product, zip_longest
-from math import lcm
+from math import isqrt, lcm
 
 from mpmath import mp
 
@@ -166,23 +169,42 @@ class WeightGrid:
 
     @cached_property
     def _transfer_weights(self):
-        """(aD, bD, c^2 D^2, D) with D the weights' least common denominator.
+        """(aD, bD, c^2 D^2, D), D the least common multiple of every a and b
+        denominator and of ``_root_denominator`` of c^2's.
 
+        c^2 enters only as c^2 D^2, so D need not clear c^2 itself: on a
+        dyadic grid D is the least integer that makes all three integers.
         An mpf enters as the dyadic rational it holds, so the loop is exact
         on both backends and a float result is rounded once at the end.
         Each distinct weight object and row tuple is converted once, keyed
-        by identity, so a homogeneous grid costs O(N).  It is all integers
-        in tuples and keys the oracle memo: two grids with equal weights
-        here have equal transfer sums, whatever their backend.
+        by identity, so a homogeneous grid costs O(N); c^2 may be one of
+        those objects, and its denominator as a weight enters D all the
+        same.  It is all integers in tuples and keys the oracle memo: two
+        grids with equal weights here have equal transfer sums, whatever
+        their backend.
         """
         rows = {id(r): r for r in self.a + self.b}
-        distinct = {id(x): x for x in (self.c2, *chain(*rows.values()))}
-        exact = {k: to_exact(x) for k, x in distinct.items()}
-        den = lcm(*(x.denominator for x in exact.values()))
-        scaled = {k: x.numerator * (den // x.denominator) for k, x in exact.items()}
-        ints = {k: tuple(scaled[id(x)] for x in r) for k, r in rows.items()}
+        weights = {id(x): x for x in chain(*rows.values())}
+        exact = {k: to_exact(x) for k, x in {id(self.c2): self.c2, **weights}.items()}
+        c2 = exact[id(self.c2)]
+        den = lcm(_root_denominator(c2.denominator), *(exact[k].denominator for k in weights))
+        scaled = {k: exact[k] * den for k in weights}
+        c2 *= den * den
+        assert all(x.denominator == 1 for x in (c2, *scaled.values())), \
+            "a weight times D is not an integer"
+        ints = {k: tuple(scaled[id(x)].numerator for x in r) for k, r in rows.items()}
         return (tuple(ints[id(r)] for r in self.a), tuple(ints[id(r)] for r in self.b),
-                scaled[id(self.c2)] * den, den)
+                c2.numerator, den)
+
+
+def _root_denominator(q):
+    """An r with q | r^2: 2^ceil(e/2) times sqrt(o) if the odd part o of
+    q = 2^e o is a square, else times o.  So r divides q, and it is the
+    least such r whenever o is a square, as on every dyadic grid."""
+    e = (q & -q).bit_length() - 1
+    o = q >> e
+    root = isqrt(o)
+    return (1 << (e + 1) // 2) * (root if root * root == o else o)
 
 
 def _row(a, b, c2, states, width, mark=None, frozen=None):
@@ -257,8 +279,10 @@ def _transfer(grid: WeightGrid, top, bottom, marks=(), frozen=(), widths=()) -> 
     marks, the frozen corner or the cut-domain ``widths`` of those rows, and
     contracted with ``bottom``, the rows below as given by
     ``_bottom(grid, N - top)``.  ``top = N`` with bottom {0: 1} is the plain
-    forward sweep.  Every row has n5 - n6 = 1, so a row of width n weighs an
-    integer over D^(n-1) and the sum is one integer over a power of D.  It
+    forward sweep.  Every row has n5 - n6 = 1, so a row of width n has
+    n_a + n_b + 2 n6 = n - 1 vertices of weight a, b or c^2 counted with
+    their powers of D (aD, bD, c^2 D^2, type 5 weighs 1): it weighs an
+    integer over D^(n-1), and the sum is one integer over a power of D.  It
     is returned as that exact ``Fraction`` on both backends; callers round
     it once.
     """

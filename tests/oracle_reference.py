@@ -4,7 +4,15 @@
 the horizontal edge, and writes each output once from a pair of inputs.
 ``vertex_row`` keeps one dict keyed by v << 1 | h and adds each vertex's
 contribution to its output key as it comes, case by vertex type.
+``reference_sum`` sweeps whole grids with it, on weights scaled by the lcm
+of every denominator, c^2's included, where the engine scales by the least
+D that clears a, b and c^2 D^2.
 """
+
+from fractions import Fraction
+from math import lcm
+
+from gefp_lab.backends import to_exact
 
 
 def vertex_row(a, b, c2, states, width, mark=None, frozen=None):
@@ -33,3 +41,24 @@ def vertex_row(a, b, c2, states, width, mark=None, frozen=None):
             nxt = {key: w for key, w in nxt.items() if key & 1}
         cur = nxt
     return {key >> 1: w for key, w in cur.items() if key & 1}
+
+
+def lcm_weights(grid):
+    """(aL, bL, c^2 L^2, L), L the lcm of every weight's denominator, c^2's
+    included: a scale that clears each weight on its own."""
+    a, b = ([[to_exact(x) for x in row] for row in rows] for rows in (grid.a, grid.b))
+    c2 = to_exact(grid.c2)
+    den = lcm(c2.denominator, *(x.denominator for row in a + b for x in row))
+    a, b = ([[int(x * den) for x in row] for row in rows] for rows in (a, b))
+    return a, b, int(c2 * den * den), den
+
+
+def reference_sum(grid, marks=()):
+    """The reduced partition sum Z / c^N, or its marked part: every row swept
+    by ``vertex_row`` from the top boundary on the lcm-scaled weights."""
+    n = grid.N
+    a, b, c2, den = lcm_weights(grid)
+    states = {(1 << n) - 1: 1}
+    for j in range(n):
+        states = vertex_row(a[j], b[j], c2, states, n, marks[j] if j < len(marks) else None)
+    return Fraction(states.get(0, 0), den ** (n * (n - 1)))

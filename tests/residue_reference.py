@@ -9,7 +9,9 @@ route through h: the prefactor with the Vandermonde, one factor
 scalars of (delta, t), with no scaling; ``_w_series`` builds the same
 integrand on integers in w = z / B, with its own scaling (the prefactor
 over B^(s(s-1)/2), entry k of h times D B^|k|), which keeps the N = 6
-sweeps affordable.
+sweeps affordable.  Its B is q v^2 for Delta = p/q and t = u/v, not the
+least B that the engine takes, so the engine's scaling is checked against
+one derived apart from it.
 """
 
 import math

@@ -164,6 +164,24 @@ def test_empty_profile_checks_physicality(capsys, argv):
     assert code == 0 and json.loads(out)["value"] == "1/1"
 
 
+@pytest.mark.parametrize("backend, point, shown", [
+    ("float", ["--delta", "0.7", "--t", "-0.3"], "a=1.0, b=-0.3, c^2=1.51"),
+    ("exact", ["--delta", "7/10", "--t", "-3/10"], "a=1, b=-3/10, c^2=151/100"),
+], ids=["float", "exact"])
+def test_nonphysical_residue_shows_the_weights_as_the_oracle_does(capsys, backend, point,
+                                                                   shown):
+    # the residue engine decides on the rationals its inputs hold, and shows
+    # a float point's weights as floats
+    argv = ["gefp", "--N", "5", "--r", "1,3", *point, "--backend", backend]
+    errors = []
+    for engine in ("residue", "oracle"):
+        code, out, err = run_cli(capsys, *argv, "--engine", engine)
+        assert code == 3 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1] == ("error: NonphysicalWeights: weights must be positive "
+                                      f"in physical mode: {shown}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["efp", "--N", "40", "--s", "6", "--r", "3"],
     ["gefp", "--N", "30", "--r", "1,2,3,4,5"],

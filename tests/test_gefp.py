@@ -209,6 +209,49 @@ def test_coefficient_equals_brute_force_convolution():
                                     * B ** (s * (s - 1) // 2), B ** sum(target) * D)
 
 
+def prime_factors(n):
+    out, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | {n} - {1}
+
+
+def residue_coefficients(delta, t, B):
+    """(t^2 - 2 Delta t) B, 2 Delta t B and t^2 B^2: the coefficients in w = z / B."""
+    return (t * t - 2 * delta * t) * B, 2 * delta * t * B, (t * B) ** 2
+
+
+def assert_least_residue_scale(ws, delta, t):
+    # B is the lcm rule (den(t) divides the other two's lcm), the workspace's
+    # coefficients are the integers it gives, and B / p leaves one of them
+    # fractional for every prime p | B
+    B = ws.scale[0]
+    lin, a, b = residue_coefficients(delta, t, B)
+    assert B == math.lcm(*(x.denominator for x in (t * t - 2 * delta * t, 2 * delta * t)))
+    assert B % t.denominator == 0
+    assert ws.pair == (a, b) and lin.denominator == a.denominator == b.denominator == 1
+    sign = (-1) ** ws.s                              # (lin w + 1)^(s-1) (B w - 1)^-s
+    assert ws.factors[0][:2] == [sign, sign * (ws.s * B + (ws.s - 1) * lin)]
+    for p in prime_factors(B):
+        assert any(x.denominator != 1 for x in residue_coefficients(delta, t, B // p)), p
+
+
+@pytest.mark.parametrize("prec", [64, 128, 512])
+def test_residue_scale_is_the_least_at_float_points(prec):
+    # a p-bit point's B has about 2p bits, where q v^2 has about 3p
+    with mp.workprec(prec):
+        points = [delta_t_from_trig(mp.mpf("1.1"), mp.mpf("0.35")),
+                  (to_float(Fraction(1, 3)), to_float(Fraction(3, 4))),
+                  (to_float(Fraction(1, 7)), to_float(Fraction(5, 11)))]
+        for delta, t in points:
+            ws = residue_workspace(3, 2, delta, t, "float")
+            assert_least_residue_scale(ws, to_exact(delta), to_exact(t))
+            assert ws.scale[0].bit_length() <= 2 * prec + 4
+
+
 @pytest.mark.parametrize("delta, t", [(Fraction(1, 3), Fraction(3, 4)),
                                       (Fraction(-5, 7), Fraction(-2, 9)),
                                       (Fraction(5), Fraction(1, 2))])
@@ -219,7 +262,7 @@ def test_exact_workspace_holds_only_ints(delta, t):
         ws = residue_workspace(5, s, delta, t)
         data = ws.alternant.data + ws.quotient.data + list(ws.scale)
         assert all(type(x) is int for x in data)
-        assert ws.scale[0] == delta.denominator * t.denominator ** 2
+        assert_least_residue_scale(ws, delta, t)
         top = s * 4 - s * (s - 1) // 2
         for idx in product(range(5), repeat=s):
             if len(set(idx)) < s:

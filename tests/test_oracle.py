@@ -17,9 +17,9 @@ from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              partition_function_oracle,
                              reduced_modified_domain_partition,
                              reduced_partition_oracle)
-from gefp_lab.params import SpectralData, VertexWeights
+from gefp_lab.params import SpectralData, VertexWeights, delta_t_from_trig
 from gefp_lab.verify import EXACT_POINTS
-from oracle_reference import vertex_row
+from oracle_reference import lcm_weights, reference_sum, vertex_row
 
 ICE = VertexWeights.from_abc(Fraction(1), Fraction(1), Fraction(1))
 
@@ -477,6 +477,70 @@ def test_float_oracle_is_the_exact_ratio_rounded_once():
                 for prof in all_profiles(n):
                     assert (gefp_oracle(grid, prof).value
                             == to_float(gefp_oracle(exact, prof).value)), (n, prof.r)
+
+
+def clears(grid, scale):
+    """aD, bD and c^2 D^2 are all integers at D = scale."""
+    weights = [to_exact(x) * scale for row in grid.a + grid.b for x in row]
+    return all(x.denominator == 1 for x in (*weights, to_exact(grid.c2) * scale ** 2))
+
+
+def scale_cases():
+    """(grid, dyadic): homogeneous float grids at 64, 128 and 256 bits and
+    the exact grids at their dyadic (Delta, t), as the residue engine builds
+    them, spectral grids and random rational grids."""
+    rng = random.Random(18)
+    cases = []
+    for prec in (64, 128, 256):
+        with mp.workprec(prec):
+            for delta, t in ((mp.mpf(1) / 3, mp.mpf(3) / 4),
+                             delta_t_from_trig(mp.mpf("1.1"), mp.mpf("0.35"))):
+                for w in (VertexWeights.from_delta_t(delta, t),
+                          VertexWeights.from_delta_t(to_exact(delta), to_exact(t))):
+                    cases.append((WeightGrid.from_weights(4, w), True))
+            cases += [(random_spectral_grid(rng, n), True) for n in (2, 4)]
+    return cases + [(random_grid(rng, n), False) for n in range(1, 6) for _ in range(4)]
+
+
+def test_transfer_scale_is_the_least_that_clears_every_weight():
+    for grid, dyadic in scale_cases():
+        a, b, c2, den = grid._transfer_weights
+        assert clears(grid, den) and lcm_weights(grid)[3] % den == 0
+        assert [[Fraction(x, den) for x in row] for row in a + b] == \
+            [[to_exact(x) for x in row] for row in grid.a + grid.b]
+        assert Fraction(c2, den * den) == to_exact(grid.c2)
+        if dyadic:
+            assert den > 1 and not clears(grid, Fraction(den, 2))
+
+
+def test_transfer_scale_clears_a_weight_that_is_also_c2():
+    # c^2 is the same object as every a: its denominator as a weight counts
+    x = Fraction(1, 4)
+    grid = WeightGrid([(x,) * 3] * 3, [(Fraction(1, 2),) * 3] * 3, x)
+    assert grid._transfer_weights[3] == 4
+    assert boundary_distribution_oracle(grid) == [Fraction(5, 121), Fraction(36, 121),
+                                                  Fraction(80, 121)]
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+def test_oracle_equals_the_lcm_scaled_vertex_sweep_at_dyadic_points(cold_oracle, prec):
+    # float grids and the exact grids at their dyadic (Delta, t): every H
+    # table and every GEFP at N <= 5, sampled GEFPs at N = 6, 7
+    rng = random.Random(19)
+    with mp.workprec(prec):
+        delta, t = delta_t_from_trig(mp.mpf("1.1"), mp.mpf("0.35"))
+        for w in (VertexWeights.from_delta_t(delta, t),
+                  VertexWeights.from_delta_t(to_exact(delta), to_exact(t))):
+            for n in range(1, 8):
+                grid = WeightGrid.from_weights(n, w)
+                z = reference_sum(grid)
+                marked = [0] + [reference_sum(grid, (r,)) for r in range(1, n + 1)]
+                assert boundary_distribution_oracle(grid) == [
+                    grid.rounded((marked[r] - marked[r - 1]) / z) for r in range(1, n + 1)]
+                profiles = all_profiles(n)
+                for prof in profiles if n <= 5 else rng.sample(profiles, 12):
+                    assert (gefp_oracle(grid, prof).value
+                            == grid.rounded(reference_sum(grid, prof.r) / z)), (n, prof.r)
 
 
 def test_modified_domain_identities():
