@@ -2,8 +2,9 @@
 
 Everything here is backend-generic: coefficients may be ``Fraction`` or
 ``mpmath.mpf`` (or plain ints), and all operations are pure functions of
-their inputs.  Determinants of exact matrices use fraction-free elimination;
-float matrices use partially pivoted elimination.
+their inputs.  Determinants run one partially pivoted elimination, exact
+entries as ``Fraction``; ``signed_subsets`` is the Laplace plan shared by the
+column minors of h and the operator-determinant contraction.
 """
 
 import math
@@ -24,43 +25,18 @@ from .errors import NotInvertible
 def det(rows):
     """Determinant of a square matrix given as a sequence of row sequences.
 
-    Singular matrices return zero; this never raises.
+    Exact entries (int or ``Fraction``) are taken as ``Fraction``; every
+    matrix runs the same partially pivoted elimination.  Singular matrices
+    return zero; this never raises.
     """
     n = len(rows)
     if n == 0:
         return 1
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    if all(is_exact_scalar(x) for r in rows for x in r):
-        return _det_bareiss([[Fraction(x) for x in r] for r in rows])
-    return _det_pivoted([list(r) for r in rows])
-
-
-def _det_bareiss(m):
-    """Fraction-free (Bareiss) elimination; divisions are exact."""
-    n = len(m)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def _det_pivoted(m):
-    n = len(m)
+    exact = all(is_exact_scalar(x) for r in rows for x in r)
+    m = [[Fraction(x) for x in r] if exact else list(r) for r in rows]
+    one = Fraction(1) if exact else mp.mpf(1)
     sign = 1
     for k in range(n - 1):
         piv, best = k, abs(m[k][k])
@@ -68,7 +44,7 @@ def _det_pivoted(m):
             if abs(m[i][k]) > best:
                 piv, best = i, abs(m[i][k])
         if best == 0:
-            return mp.mpf(0)
+            return one * 0
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
@@ -76,10 +52,30 @@ def _det_pivoted(m):
             f = m[i][k] / m[k][k]
             for j in range(k + 1, n):
                 m[i][j] -= f * m[k][j]
-    out = mp.mpf(sign)
+    out = one * sign
     for k in range(n):
         out *= m[k][k]
     return out
+
+
+@lru_cache(maxsize=None)
+def signed_subsets(n):
+    """The Laplace steps over the subsets of range(n), by size.
+
+    Entry k lists every k-subset as a bitmask, in ascending order, each with
+    one term (j, the subset without j, the parity of the members below j)
+    per member j, ascending.  With the subset's members in descending order,
+    that parity is the Laplace sign of member j along the last column.
+    """
+    plan = [[] for _ in range(n + 1)]
+    for used in range(1 << n):
+        terms, rest = [], used
+        while rest:                     # members ascending: the lowest bit left
+            low = rest & -rest
+            terms.append((low.bit_length() - 1, used ^ low, len(terms) & 1))
+            rest ^= low
+        plan[len(terms)].append((used, tuple(terms)))
+    return tuple(map(tuple, plan))
 
 
 def perm_sign(p) -> int:
@@ -199,9 +195,6 @@ class Jet:
         if isinstance(other, Jet):
             return self * other.invert()
         return Jet([a / other for a in self.coeffs], self.order)
-
-    def __rtruediv__(self, other):
-        return self.invert() * other
 
     def __pow__(self, p):
         if p < 0:
@@ -398,12 +391,6 @@ class TruncatedSeries:
                     x = x - b * q[o - sj - sk]
             q[o] = x
         return TruncatedSeries(self.caps, self.zero, q)
-
-    def mul_axis(self, var, coeffs):
-        """``self`` times a univariate coefficient list (or Jet) in variable ``var``."""
-        if isinstance(coeffs, Jet):
-            coeffs = coeffs.coeffs
-        return self._mul_factor((var,), (((m,), v) for m, v in enumerate(coeffs)))
 
     def _mul_factor(self, axes, factor):
         """Product with a factor in the variables ``axes``, by flat offset.

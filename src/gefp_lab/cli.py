@@ -35,7 +35,7 @@ from .oracle import (WeightGrid, YoungProfile, all_profiles,
                      modified_domain_partition, partition_function_oracle)
 from .params import (SpectralData, VertexWeights, delta_t_from_trig,
                      lambda_eta_from_delta_t, weights_from_trig)
-from .verify import CRITERIA, run_acceptance
+from .verify import CRITERIA, run_criterion
 
 SCHEMA = "gefp-lab/1"
 
@@ -345,17 +345,16 @@ def cmd_verify(args):
     t0 = time.perf_counter()
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    numbers = _criteria(args.criteria)
+    jobs = [(args.level, n) for n in _criteria(args.criteria)]
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         # one process per criterion at most: a forking pool starts them all at once
-        with ProcessPoolExecutor(max_workers=min(args.workers, len(numbers))) as pool:
-            chunks = list(pool.map(_verify_job, [(args.level, n) for n in numbers]))
-        records = [rec for chunk in chunks for rec in chunk]
-        ok = all(r["passed"] for r in records)
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(jobs))) as pool:
+            chunks = list(pool.map(_verify_job, jobs))
     else:
-        recs, ok = run_acceptance(args.level, numbers)
-        records = [asdict(r) for r in recs]
+        chunks = map(_verify_job, jobs)
+    records = [rec for chunk in chunks for rec in chunk]
+    ok = all(r["passed"] for r in records)
     ms = (time.perf_counter() - t0) * 1e3
     _log(f"command=verify level={args.level} wall_time_ms={ms:.3f}")
     if args.format == "json":
@@ -374,7 +373,6 @@ def cmd_verify(args):
 
 def _verify_job(payload):
     level, number = payload
-    from .verify import run_criterion
     return [asdict(r) for r in run_criterion(number, level)]
 
 

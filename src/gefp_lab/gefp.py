@@ -54,7 +54,8 @@ from operator import add, gt, mul, sub
 
 from mpmath import mp
 
-from .algebra import Jet, TruncatedSeries, geometric_inverse_coeffs
+from .algebra import (Jet, TruncatedSeries, _convolve, geometric_inverse_coeffs,
+                      signed_subsets)
 from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
 from .errors import BadIndex, NonphysicalWeights, NotInvertible, TooLarge, Unsupported
 from .hfun import (OmegaRho, _columns, _minors, build_h_tables, h_polynomial,
@@ -173,16 +174,11 @@ def _prefactor_series(factors, caps, a, b):
 
 
 def _alternant_minors(tables, N, s, B):
-    """d_S B^|lambda| for every descending exponent set S with entries
-    <= N-1, keyed by the bitmask of S.
-
-    d_S is the minor of the column coefficients on the rows S, and
-    lambda_i = S_i - (s - i).  An extraction reads only exponents <= N-1,
-    so only those minors are taken.
-    """
-    cols = [col.coeffs for col in _columns(tables, N, s)]
-    return {sum(1 << x + s - 1 - i for i, x in enumerate(lam)): d * B ** sum(lam)
-            for lam, d in _minors(cols, N - 1, 0).items()}
+    """The ``_minors`` d_S on the rows e <= N-1, the only exponents an
+    extraction reads, each times B^|lambda|, lambda_i = S_i - (s - i)."""
+    cols, offset = [col.coeffs for col in _columns(tables, N, s)], s * (s - 1) // 2
+    return {S: d * B ** (sum(e for e in range(N) if S >> e & 1) - offset)
+            for S, d in _minors(cols, N - 1, 0).items()}
 
 
 def _alternant(minors, caps):
@@ -349,7 +345,7 @@ def _geometric_rows(w, N):
         c, e = [x << e for x in c], 0
     power, rows = [1] + [0] * (N - 1), []
     for _ in range(N):
-        nxt = [sum(map(mul, c[1:d + 1], power[d - 1::-1])) for d in range(N)]
+        nxt = _convolve(c, power, N, 0)
         rows.append([(x << -e) - y for x, y in zip(power, nxt)])
         power = nxt
     return rows, e
@@ -465,11 +461,11 @@ class JetsWorkspace:
 
         v[k] = ``fold(r_k)`` folds the univariate factor of axis k into the K
         rows.  Axes are contracted from the last one, contiguous in the flat
-        layout, into one partial tensor per set of used K rows; the
-        permutation sign gains a factor -1 for each used row below the new
-        one.  The partial tensors after axis k depend only on r[k:], so the
-        call resumes from the longest suffix already in ``partials`` and
-        stores every level it adds.
+        layout, into one partial tensor per set of used K rows, the Laplace
+        steps of ``signed_subsets``: the permutation sign gains a factor -1
+        for each used row below the new one.  The partial tensors after
+        axis k depend only on r[k:], so the call resumes from the longest
+        suffix already in ``partials`` and stores every level it adds.
 
         v[k][j][m] is 0 for m >= r_k, and r is weakly increasing, so the
         partial tensors of the suffix r[k:] are read only on the box
@@ -491,7 +487,7 @@ class JetsWorkspace:
             bases = _box_offsets(k, w, width)
             pieces = {prev: [tensor[o:o + w] for o in bases] for prev, tensor in states.items()}
             nxt = {}
-            for used, terms in _contraction_plan(s)[k]:
+            for used, terms in signed_subsets(s)[s - k]:
                 total = [0] * len(bases)
                 for j, prev, odd in terms:
                     dots = [sum(map(mul, v[j], piece)) for piece in pieces[prev]]
@@ -500,16 +496,6 @@ class JetsWorkspace:
             states = self.partials[tuple(r[k:])] = nxt
             width = w
         return mp.ldexp(mp.mpf(states[(1 << s) - 1][0]), self.exponent)
-
-
-@lru_cache(maxsize=None)
-def _contraction_plan(s):
-    """For each level k < s, the sets of s - k used K rows, as bitmasks, each
-    with its (j, used set without j, parity of the used rows below j)."""
-    return tuple(tuple((used, tuple((j, used ^ 1 << j, (used & (1 << j) - 1).bit_count() & 1)
-                                    for j in range(s) if used >> j & 1))
-                       for used in range(1 << s) if used.bit_count() == s - k)
-                 for k in range(s))
 
 
 @lru_cache(maxsize=256)
@@ -654,35 +640,30 @@ def pole_deformation_check(N, profile: YoungProfile, delta, t) -> PoleDeformatio
                                  res_match, pole_zero, value == reduced_value)
 
 
-def _pole_contribution_is_zero(h: TruncatedSeries, profile: YoungProfile, j,
-                               delta, t, seed=0):
+def _pole_contribution_is_zero(h: TruncatedSeries, profile: YoungProfile, j, delta, t):
     """Expand the pole-j residue term around z_j = 0 and test low orders.
 
     Spectator variables take distinct generic rational values; the term is a
     univariate Laurent series in z_j after clearing, and every coefficient
     below order r_s must vanish.
     """
-    s = profile.s
-    N = profile.N
-    r = profile.r
-    rs = r[-1]
-    lin = t * t - 2 * delta * t
-    for attempt in range(seed, seed + 5):
+    N, s, r = profile.N, profile.s, profile.r
+    for attempt in range(5):
         spect = {jp: Fraction(3 + 2 * jp + attempt, 17 + attempt)
                  for jp in range(s - 1) if jp != j}
         try:
-            series, shift = _pole_term_series(h, N, s, r, j, spect, delta, t, lin)
+            series, shift = _pole_term_series(h, N, s, r, j, spect, delta, t)
         except (NotInvertible, ZeroDivisionError):
             continue
         # term = z_j^(-shift) * series; orders below r_s are entries < shift + r_s
-        return all(c == 0 for c in series.coeffs[:shift + rs])
+        return all(c == 0 for c in series.coeffs[:shift + r[-1]])
     raise NotInvertible("could not find generic spectator values for the pole check")
 
 
-def _pole_term_series(h, N, s, r, j, spect, delta, t, lin):
+def _pole_term_series(h, N, s, r, j, spect, delta, t):
     """Laurent expansion (as shift + Jet in z_j) of the pole-j term."""
-    two_dt = 2 * delta * t
-    t2 = t * t
+    two_dt, t2 = 2 * delta * t, t * t
+    lin = t2 - two_dt
     cap = (r[j] - 1) + (N + s + 2)
     one = Fraction(1)
 

@@ -29,11 +29,11 @@ downstream engines.
 
 import math
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from mpmath import mp
 
-from .algebra import Jet, TruncatedSeries, UniPoly, det
+from .algebra import Jet, TruncatedSeries, UniPoly, det, signed_subsets
 from .errors import BadIndex, BranchPole, DivisionByZero, DuplicateRapidity
 from .ik import (a_fn, b_fn, homogeneous_partition_jets,
                  partially_inhomogeneous_partition)
@@ -140,29 +140,30 @@ def _columns(tables, N, s):
 
 
 def _minors(cols, top, zero):
-    """Every s x s minor d_lambda of the column-coefficient matrix C[e][k].
+    """Every s x s minor d_S of the column-coefficient matrix C[e][k].
 
-    ``cols[k]`` lists C[e][k] for e = 0, 1, ...; rows run over e <= top.  Rows
-    are descending exponent sets S = (e_1 > ... > e_s), so the minor belongs
-    to the partition lambda_i = e_i - (s - i).  Column k is added by Laplace
-    expansion along it over the (k+1)-row sets, each minor one sum.
+    ``cols[k]`` lists C[e][k] for e = 0, 1, ...; rows run over e <= top.  A
+    row set S is keyed by its bitmask and read in descending order
+    (e_1 > ... > e_s), so the minor belongs to the partition
+    lambda_i = e_i - (s - i).  Column k is added by Laplace expansion along
+    it over the (k+1)-row sets of ``signed_subsets``, each minor one sum
+    from the top row down.
     """
-    s = len(cols)
-    level = {(): zero + 1}
+    plan = signed_subsets(top + 1)
+    level = {0: zero + 1}
     for k, col in enumerate(cols):
         nxt = {}
-        for S in combinations(range(top, -1, -1), k + 1):
+        for S, terms in plan[k + 1]:
             total = zero
-            for i, e in enumerate(S):
+            for e, rest, odd in reversed(terms):
                 x = col[e] if e < len(col) else 0
                 if x != 0:
-                    minor = level[S[:i] + S[i + 1:]]
+                    minor = level[rest]
                     if minor != 0:
-                        total += -x * minor if (i + k) % 2 else x * minor
+                        total += -x * minor if odd else x * minor
             nxt[S] = total
         level = nxt
-    return {tuple(e - (s - 1 - i) for i, e in enumerate(S)): d
-            for S, d in level.items()}
+    return level
 
 
 @lru_cache(maxsize=8)
@@ -219,9 +220,10 @@ def h_polynomial(tables, N, s) -> TruncatedSeries:
     if s > N:
         raise BadIndex(f"s={s} exceeds N={N}")
     zero = tables[N][0] * 0
-    d = _minors([col.coeffs for col in _columns(tables, N, s)], N + s - 2, zero)
-    h = {mu: sum((d[lam] * k for lam, k in row), zero)
-         for mu, row in _kostka(N - 1, s)}
+    kostka = _kostka(N - 1, s)
+    minors = _minors([col.coeffs for col in _columns(tables, N, s)], N + s - 2, zero)
+    d = {lam: minors[sum(1 << x + s - 1 - i for i, x in enumerate(lam))] for lam, _ in kostka}
+    h = {mu: sum((d[lam] * k for lam, k in row), zero) for mu, row in kostka}
     data = [h[tuple(sorted(alpha, reverse=True))]
             for alpha in product(range(N), repeat=s)]
     return TruncatedSeries([N - 1] * s, zero, data)

@@ -206,7 +206,7 @@ def gefp_inhom_recurrence(spec: SpectralData, profile: YoungProfile):
     return _gefp_tilde_recurrence(spec, list(profile.r)) / ik_partition(spec)
 
 
-def gefp_inhom_determinant(spec: SpectralData, profile: YoungProfile, cap=None):
+def gefp_inhom_determinant(spec: SpectralData, profile: YoungProfile):
     """GEFP as an N x N determinant with shift operators in the first s columns.
 
     The shift operators substitute eps_k -> eps_k + lambda_j; expanding over
@@ -216,10 +216,9 @@ def gefp_inhom_determinant(spec: SpectralData, profile: YoungProfile, cap=None):
     columns, whose minors are ordinary determinants computed once per row
     subset.
     """
-    cap = DEFAULT_PERMUTATION_CAP if cap is None else cap
     n = spec.n
-    if n > cap:
-        raise TooLarge(f"N={n} exceeds the permutation cap {cap}")
+    if n > DEFAULT_PERMUTATION_CAP:
+        raise TooLarge(f"N={n} exceeds the permutation cap {DEFAULT_PERMUTATION_CAP}")
     spec.require_distinct()
     if profile.N != n:
         raise ValueError(f"profile N={profile.N} does not match {spec.n} rapidities")

@@ -1,7 +1,7 @@
 """Acceptance and property suites, shared by pytest and the CLI.
 
-Each criterion function returns CheckRecord objects; ``run_acceptance``
-executes either the full desk-scale matrix or a trimmed quick variant.
+Each criterion function returns CheckRecord objects, at either the full
+desk-scale matrix or a trimmed quick variant.
 All tolerances are fixed here, not configurable.
 """
 
@@ -323,11 +323,3 @@ CRITERIA = {
 
 def run_criterion(number, level="desk"):
     return CRITERIA[number](level)
-
-
-def run_acceptance(level="desk", numbers=None):
-    """Run the acceptance suites; returns (records, all_passed)."""
-    records = []
-    for number in sorted(numbers or CRITERIA):
-        records.extend(run_criterion(number, level))
-    return records, all(r.passed for r in records)

@@ -56,6 +56,15 @@ class RouteSeries:
         return Fraction(c * B ** (self.s * (self.s - 1) // 2), B ** sum(m) * D)
 
 
+def mul_axis(f, var, coeffs):
+    """f times the univariate coefficient list ``coeffs`` in variable ``var``:
+    the product with the list embedded on that axis of f's cap box."""
+    g = TruncatedSeries(f.caps, f.zero)
+    for m, v in enumerate(coeffs[:f.caps[var] + 1]):
+        g.set_coeff(tuple(m if i == var else 0 for i in range(f.nvars)), v)
+    return f * g
+
+
 def _route(N, s, tables, B, D, lin, a, b):
     h = h_polynomial(tables, N, s)
     degrees = [0]
@@ -67,9 +76,9 @@ def _route(N, s, tables, B, D, lin, a, b):
     prefactor = TruncatedSeries.constant([N - 1] * s, one, h.zero)
     for j in range(s):
         for _ in range(s - 1 - j):
-            prefactor = prefactor.mul_axis(j, [one, lin])
+            prefactor = mul_axis(prefactor, j, [one, lin])
         geometric = geometric_inverse_coeffs(s - j, N - 1, one)
-        prefactor = prefactor.mul_axis(j, [c * B ** m for m, c in enumerate(geometric)])
+        prefactor = mul_axis(prefactor, j, [c * B ** m for m, c in enumerate(geometric)])
     for j in range(s):
         for k in range(j + 1, s):
             prefactor = pair_ratio(prefactor, j, k, a, b)

@@ -8,6 +8,7 @@ from mpmath import mp
 from gefp_lab.algebra import Jet, TruncatedSeries, UniPoly, det, geometric_inverse_coeffs
 from gefp_lab.errors import NotInvertible
 from gefp_lab.gefp import _factor_coeffs, _prefactor_series
+from residue_reference import mul_axis
 
 
 def det_cofactor(rows):
@@ -45,6 +46,17 @@ def test_det_singular_returns_zero():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert det(m) == 0
     assert det([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]]) == 0
+
+
+def test_det_types_follow_the_entries():
+    # exact entries eliminate as Fraction, even where the pivots divide unevenly
+    got = det([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
+    assert type(got) is Fraction and got == 20
+    got = det([[1, 2], [2, 4]])
+    assert type(got) is Fraction and got == 0
+    with mp.workprec(128):
+        got = det([[mp.mpf(1), mp.mpf(2)], [mp.mpf(2), mp.mpf(4)]])
+        assert type(got) is type(mp.mpf(0)) and got == 0
 
 
 def test_det_needs_row_swap():
@@ -221,7 +233,7 @@ def test_mul_pair_and_mul_axis_equal_brute_force_convolution(ordered):
         coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                   for _ in range(rng.randint(1, 5))]
         want = _brute_product(f, (len(coeffs) - 1,), lambda e: coeffs[e[0]], (var,))
-        got = f.mul_axis(var, coeffs)
+        got = mul_axis(f, var, coeffs)
         assert all(got.coeff(idx) == want.get(idx, 0) for idx in product(
             *[range(c + 1) for c in caps]))
 
@@ -274,8 +286,8 @@ def test_prefactor_equals_product_with_inverse(N):
             want = TruncatedSeries.constant([N - 1] * s, 1, 0)
             for j in range(s):
                 geometric = geometric_inverse_coeffs(s - j, N - 1, 1)
-                want = want.mul_axis(j, Jet([1, lin], N - 1) ** (s - 1 - j))
-                want = want.mul_axis(j, [c * B ** m for m, c in enumerate(geometric)])
+                want = mul_axis(want, j, (Jet([1, lin], N - 1) ** (s - 1 - j)).coeffs)
+                want = mul_axis(want, j, [c * B ** m for m, c in enumerate(geometric)])
             for j, k in combinations(range(s), 2):
                 inverse = _inverse_block(want, j, k, a_w, b_w)
                 assert all(x.denominator == 1 for x in inverse.data)

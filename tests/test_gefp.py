@@ -678,6 +678,19 @@ def test_pole_deformation_reports():
     assert rep.ok and len(rep.pole_contributions_zero) == 2
 
 
+def test_pole_check_fails_on_a_perturbed_h():
+    # moving the constant or the top coefficient of h by 1 leaves a pole
+    # contribution that does not vanish
+    d, t = Fraction(1, 3), Fraction(3, 4)
+    for N, r in ((3, (2, 3)), (4, (2, 3, 4)), (4, (1, 4))):
+        s, prof = len(r), YoungProfile(N, r)
+        for where in (0, -1):
+            h = h_polynomial(build_h_tables(N, s, d, t), N, s)
+            h.data[where] += 1
+            assert not any(gefp._pole_contribution_is_zero(h, prof, j, d, t)
+                           for j in range(s - 1)), (N, r, where)
+
+
 def test_pole_deformation_requires_boundary_profile():
     with pytest.raises(BadIndex):
         pole_deformation_check(3, YoungProfile(3, (2, 2)), D0, T0)

@@ -1,17 +1,17 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from mpmath import mp
 
 from gefp_lab import gefp
-from gefp_lab.algebra import Jet, UniPoly
+from gefp_lab.algebra import Jet, UniPoly, perm_sign
 from gefp_lab.backends import to_float
 from gefp_lab.errors import BadIndex, BranchPole, DivisionByZero, DuplicateRapidity
 from gefp_lab.gefp import gefp_determinant_jets, jets_inputs, jets_workspace
-from gefp_lab.hfun import (OmegaRho, _kostka, boundary_H_table_via_K, build_h_tables,
+from gefp_lab.hfun import (OmegaRho, _kostka, _minors, boundary_H_table_via_K, build_h_tables,
                            h_multivariate, h_polynomial, h_via_inhomogeneous_Z,
                            kfint_check, reflect_substitute)
 from gefp_lab.oracle import WeightGrid, YoungProfile, boundary_distribution_oracle
@@ -321,3 +321,22 @@ def test_float_h_tables_match_exact_at_rational_point():
         tab_e = build_h_tables(3, 1, Fraction(1, 2), Fraction(1))[3]
         for x, y in zip(tab_f, tab_e, strict=True):
             assert abs(x - mp.mpf(y.numerator) / y.denominator) < mp.mpf("1e-30")
+
+
+def test_minors_equal_leibniz_sums_on_descending_rows():
+    # each minor, keyed by its row bitmask, is the determinant of the rows
+    # taken in descending order, summed over permutations
+    rng = random.Random(21)
+    for s in range(1, 5):
+        for top in range(s - 1, 7):
+            cols = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, top + 2))] for _ in range(s)]
+            minors = _minors(cols, top, Fraction(0))
+            assert len(minors) == math.comb(top + 1, s)
+            for mask, d in minors.items():
+                rows = [e for e in range(top, -1, -1) if mask >> e & 1]
+                entry = [[cols[k][e] if e < len(cols[k]) else 0 for k in range(s)]
+                         for e in rows]
+                want = sum(perm_sign(p) * math.prod(entry[i][p[i]] for i in range(s))
+                           for p in permutations(range(s)))
+                assert d == want, (s, top, rows)
