@@ -24,10 +24,10 @@ once to the whole (N-1)^s box, and each profile costs one convolution.
 
 The engine runs on Python integers: with B the least integer that makes
 (t^2 - 2 Delta t) B, 2 Delta t B and t^2 B^2 integers, both series are
-integer in w = z / B once each H table is scaled by the lcm of its
-denominators (D the product of the scales), and a profile costs one integer
-convolution and one ``Fraction``.  A float (Delta, t) enters as the dyadic
-rationals it holds, and the result is rounded once.
+integer in w = z / B once each H table is the oracle's integer sums over
+their gcd (D the product of the totals over the gcds), and a profile costs
+one integer convolution and one ``Fraction``.  A float (Delta, t) enters as
+the dyadic rationals it holds, and the result is rounded once.
 
 ``gefp_determinant_jets`` evaluates the s x s determinant of K-polynomial
 operators acting on the omega/rho product, by multivariate jet expansion.
@@ -61,7 +61,7 @@ from .errors import BadIndex, NonphysicalWeights, NotInvertible, TooLarge, Unsup
 from .hfun import (OmegaRho, _columns, _minors, build_h_tables, h_polynomial,
                    reflect_substitute)
 from .ik import PhiJet, k_polynomial
-from .oracle import CorrelationResult, YoungProfile, _cached
+from .oracle import CorrelationResult, WeightGrid, YoungProfile, _boundary_sums, _cached
 from .params import VertexWeights, weights_from_trig
 
 # Largest pair box N^s the jets engine builds, checked before any work.  The
@@ -258,18 +258,21 @@ def _build_exact_series(N, s, delta, t):
     lcm of the denominators of t^2 - 2 Delta t, 2 Delta t and t, and the
     last is implied: t^2 = (t^2 - 2 Delta t) + 2 Delta t, so t^2 B and with
     it t^2 B^2 are integers once the first two are.  Every other entry in w
-    is an integer for any integer B.
+    is an integer for any integer B.  Table n is the oracle's block sums h
+    over g = gcd(h), signed as z = sum h, and D the product of the z / g,
+    the least scales, as lcm_k den(h_k / z) = z / gcd(z, h) = z / gcd(h).
     """
     lin, a = t * t - 2 * delta * t, 2 * delta * t
     B, D = math.lcm(lin.denominator, a.denominator), 1
     lin, a, b = lin * B, a * B, (t * B) ** 2
     assert lin.denominator == a.denominator == b.denominator == 1, \
         "a coefficient times B is not an integer"
-    tables = build_h_tables(N, s, delta, t)
-    for n, table in tables.items():
-        scale = math.lcm(*(x.denominator for x in table))
-        tables[n] = [int(x * scale) for x in table]
-        D *= scale
+    grid = WeightGrid.from_weights(N, VertexWeights.from_delta_t(delta, t, allow_nonphysical=True))
+    tables = {}
+    for n in range(N, N - s, -1):
+        h, z = _boundary_sums(grid, n)
+        g = math.gcd(*h) if z > 0 else -math.gcd(*h)
+        tables[n], D = [x // g for x in h], D * (z // g)
     return IntegrandSeries(s, (B, D), _alternant_minors(tables, N, s, B),
                            _factor_coeffs(N, s, B, lin.numerator), (a.numerator, b.numerator))
 
@@ -289,9 +292,9 @@ def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
     B has up to 2 prec bits, and the entries of G, built on the box of
     m = r - 1 to total degree |m| - s(s-1)/2, up to that many times 2 prec
     bits, so time grows with the precision.  At N = 7, r = (2, 4, 6, 7) and
-    the trig point (1.1, 0.35), one cold call takes 0.02 s at 128 bits,
-    0.06 s at 256 and 0.14 s at 512 (process time, median of five to nine,
-    one x86 core, pure-Python mpmath).
+    the trig point (1.1, 0.35), one cold call takes 0.018 s at 128 bits,
+    0.032 s at 256 and 0.09 s at 512 (process time, median of seven, one
+    x86 core, pure-Python mpmath).
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")

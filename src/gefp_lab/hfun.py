@@ -28,6 +28,7 @@ downstream engines.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -37,7 +38,7 @@ from .algebra import Jet, TruncatedSeries, UniPoly, det, signed_subsets
 from .errors import BadIndex, BranchPole, DivisionByZero, DuplicateRapidity
 from .ik import (a_fn, b_fn, homogeneous_partition_jets,
                  partially_inhomogeneous_partition)
-from .oracle import WeightGrid, boundary_distribution_oracle
+from .oracle import WeightGrid, _boundary_sums
 from .params import VertexWeights
 
 
@@ -115,15 +116,15 @@ def kfint_check(N, f: UniPoly, lam, eta):
 def build_h_tables(N, s, delta, t):
     """H tables {n: [H_n^(1), ..., H_n^(n)]} for n = N, N-1, ..., N-s+1.
 
-    The weights are built at (Delta, t) in the scalar type given, so both
-    backends take the same one-sweep transfer: float weights enter it as
-    the dyadic rationals they hold and each entry is rounded once.  Sizes
-    run from N down, so N above the oracle's default cap is refused before
-    any transfer.
+    The weights are built at (Delta, t) in the scalar type given; float
+    weights enter the transfer as the dyadic rationals they hold and each
+    entry is rounded once.  Each size is a bottom-left block of one N grid,
+    so the set costs its N - 1 turned rows and one row per size.  N above
+    the oracle's default cap is refused before any transfer.
     """
-    w = VertexWeights.from_delta_t(delta, t, allow_nonphysical=True)
-    return {n: boundary_distribution_oracle(WeightGrid.from_weights(n, w))
-            for n in range(N, N - s, -1)}
+    grid = WeightGrid.from_weights(N, VertexWeights.from_delta_t(delta, t, allow_nonphysical=True))
+    sums = {n: _boundary_sums(grid, n) for n in range(N, N - s, -1)}
+    return {n: [grid.rounded(Fraction(x, z)) for x in h] for n, (h, z) in sums.items()}
 
 
 def _columns(tables, N, s):

@@ -33,19 +33,19 @@ c^2 enters only as c^2 D^2, so D need not clear c^2 itself, and on a dyadic
 grid it is the least integer that makes all three integers.  Constraints
 (GEFP marks, the frozen corner, a cut corner) sit in rows 1..s only, so the
 N - s rows below are swept, turned by 180 degrees, and each constrained sum
-is a short sweep of the s top rows contracted with that one vector.  Neither that bottom sweep nor
-the unconstrained sum Z depends on the profile: both are memoized per
-parameter point, keyed by the grid's integer weights, so every grid at one
-point (fresh or not, exact or float at the same dyadic weights) shares
-them.  The bottom sweeps of one point are prefixes of each other, so the
-turned rows are swept once to the deepest level any call has asked for.  A
-deliberately naive ice-rule filter (N <= 3) double-checks it from scratch.
+is a short sweep of the s top rows contracted with that one vector.  Every
+sweep is memoized per parameter point, keyed by the grid's integer weights
+and shared by every grid there (exact or float at the same dyadic weights),
+so no row is swept twice: the turned rows, swept to the deepest level asked
+for, serve every bottom sweep and the H table of every bottom-left block,
+and the top rows are kept per prefix of r.  A deliberately naive ice-rule
+filter (N <= 3) double-checks it from scratch.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations_with_replacement, product, zip_longest
+from itertools import chain, combinations_with_replacement, product
 from math import isqrt, lcm
 
 from mpmath import mp
@@ -57,16 +57,18 @@ from .params import SpectralData, VertexWeights
 DEFAULT_ORACLE_CAP = 8
 NAIVE_CAP = 3
 _MEMO_MAX = 64
+_PREFIX_MAX = 4096
 
 _sweeps = {}    # keyed by (transfer weights, rows | "levels" | "Z"), see _bottom
+_prefixes = {}  # keyed by (transfer weights, "marks" | "frozen", r), see _top
 
 
-def _cached(cache, key, build):
+def _cached(cache, key, build, bound=_MEMO_MAX):
     """Bounded per-process memo; the oldest entry goes first."""
     hit = cache.get(key)
     if hit is None:
         hit = build()
-        if len(cache) >= _MEMO_MAX:
+        if len(cache) >= bound:
             cache.pop(next(iter(cache)))
         cache[key] = hit
     return hit
@@ -246,58 +248,82 @@ def _row(a, b, c2, states, width, mark=None, frozen=None):
     return hi
 
 
-def _bottom(grid: WeightGrid, rows) -> dict:
-    """{state above the last ``rows`` rows: integer weight of those rows}.
+def _levels(grid: WeightGrid, rows) -> list:
+    """The point's turned levels, one memo entry, swept to ``rows`` deep.
 
     A 180-degree turn keeps domain-wall boundaries and every vertex weight
-    (types 5 and 6 map to themselves, 1 to 2, 3 to 4), so the bottom rows
-    are swept forward as the top rows of the turned grid.  A turned state
-    reads back as its bit-reversed complement.  ``rows = 0`` gives {0: 1},
-    the all-up state below row N.  The sweep for fewer rows is a prefix of
-    the sweep for more, so each point keeps its turned levels as one memo
-    entry and a deeper request resumes from the deepest level held; each
-    level is read back once and memoized.  Callers only read the result.
+    (5 and 6 map to themselves, 1 to 2, 3 to 4), so level j, the turned
+    states above the last j rows with their integer weights, is the sweep
+    of the turned grid's top j rows; a deeper request resumes from it.
     """
-    weights = grid._transfer_weights
+    n, weights = grid.N, grid._transfer_weights
+    a, b, c2, _ = weights
+    levels = _cached(_sweeps, (weights, "levels"), lambda: [{(1 << n) - 1: 1}])
+    for j in range(n - len(levels), n - 1 - rows, -1):
+        levels.append(_row(a[j][::-1], b[j][::-1], c2, levels[-1], n))
+    return levels
 
+
+def _bottom(grid: WeightGrid, rows) -> dict:
+    """{state above the last ``rows`` rows: integer weight of those rows},
+    level ``rows`` of ``_levels`` with each turned state read back once as
+    its bit-reversed complement.  ``rows = 0`` gives {0: 1}, the all-up
+    state below row N.  Callers only read the result."""
     def read_back():
-        n = grid.N
-        a, b, c2, _ = weights
-        full = (1 << n) - 1
-        levels = _cached(_sweeps, (weights, "levels"), lambda: [{full: 1}])
-        for j in range(n - len(levels), n - 1 - rows, -1):
-            levels.append(_row(a[j][::-1], b[j][::-1], c2, levels[-1], n))
-        return {full ^ int(f"{u:0{n}b}"[::-1], 2): w for u, w in levels[rows].items()}
+        n, full = grid.N, (1 << grid.N) - 1
+        return {full ^ int(f"{u:0{n}b}"[::-1], 2): w
+                for u, w in _levels(grid, rows)[rows].items()}
 
-    return _cached(_sweeps, (weights, rows), read_back)
+    return _cached(_sweeps, (grid._transfer_weights, rows), read_back)
 
 
-def _transfer(grid: WeightGrid, top, bottom, marks=(), frozen=(), widths=()) -> Fraction:
-    """Reduced partition sum (without the overall c^N) under constraints.
+def _top(grid: WeightGrid, kind, r) -> dict:
+    """{state below row s: weight of rows 1..s}, s = len(r), under the
+    GEFP marks (``kind`` "marks") or the frozen corner ("frozen") of r.
 
-    Rows 1..top are swept forward from the top boundary, under the GEFP
-    marks, the frozen corner or the cut-domain ``widths`` of those rows, and
-    contracted with ``bottom``, the rows below as given by
-    ``_bottom(grid, N - top)``.  ``top = N`` with bottom {0: 1} is the plain
-    forward sweep.  Every row has n5 - n6 = 1, so a row of width n has
-    n_a + n_b + 2 n6 = n - 1 vertices of weight a, b or c^2 counted with
-    their powers of D (aD, bD, c^2 D^2, type 5 weighs 1): it weighs an
-    integer over D^(n-1), and the sum is one integer over a power of D.  It
-    is returned as that exact ``Fraction`` on both backends; callers round
-    it once.
+    Profiles sharing r[:j] share these j rows, so every prefix is memoized
+    per point and kind, oldest out past ``_PREFIX_MAX``, and a call resumes
+    from the longest one held; with ``kind`` in the key the two chains stay
+    independent.  r = () is the top boundary.  Callers only read it.
+    """
+    n, weights = grid.N, grid._transfer_weights
+    a, b, c2, _ = weights
+    j = next((j for j in range(len(r), 0, -1) if (weights, kind, r[:j]) in _prefixes), 0)
+    states = _prefixes[weights, kind, r[:j]] if j else {(1 << n) - 1: 1}
+    for j in range(j, len(r)):
+        mark, frozen = (r[j], None) if kind == "marks" else (None, r[j])
+        states = _cached(_prefixes, (weights, kind, r[:j + 1]),
+                         lambda: _row(a[j], b[j], c2, states, n, mark, frozen), _PREFIX_MAX)
+    return states
+
+
+def _contract(grid: WeightGrid, states, bottom, power) -> Fraction:
+    """The top states against the bottom ones, over D^power, exactly."""
+    return Fraction(sum(w * bottom.get(v, 0) for v, w in states.items()),
+                    grid._transfer_weights[3] ** power)
+
+
+def _transfer(grid: WeightGrid, top, bottom, widths=()) -> Fraction:
+    """Reduced partition sum (without the overall c^N), unconstrained or on
+    the cut domain of ``widths``: rows 1..top swept forward from the top
+    boundary and contracted with ``bottom = _bottom(grid, N - top)``.
+
+    Every row has n5 - n6 = 1, so a row of width n has n - 1 vertices of
+    weight aD, bD or c^2 D^2 (type 6 counted twice, type 5 weighs 1): the
+    sum is one integer over a power of D, returned as that exact
+    ``Fraction`` on both backends; callers round it once.
     """
     n = grid.N
-    a, b, c2, den = grid._transfer_weights
+    a, b, c2, _ = grid._transfer_weights
     widths = list(widths) + [n] * (top - len(widths))
     states, prev = {0: 1}, 0
-    rows = zip_longest(a[:top], b[:top], widths, marks, frozen)
-    for a_row, b_row, width, mark, froz in rows:
+    for a_row, b_row, width in zip(a, b, widths):
         # the top boundary and the edges entering a wider row from outside point down
         states = {v | (1 << width) - (1 << prev): w for v, w in states.items()}
-        states, prev = _row(a_row, b_row, c2, states, width, mark, froz), width
+        states, prev = _row(a_row, b_row, c2, states, width), width
     wider = (1 << n) - (1 << prev)
-    total = sum(w * bottom.get(v | wider, 0) for v, w in states.items())
-    return Fraction(total, den ** (sum(widths) + n * (n - top) - n))
+    return _contract(grid, {v | wider: w for v, w in states.items()}, bottom,
+                     sum(widths) + n * (n - top) - n)
 
 
 def _reduced_z(grid: WeightGrid, s):
@@ -345,42 +371,52 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
     Edge j sits in row j between columns r_j and r_j + 1 from the right.
     The equivalent characterization (a frozen corner of type-2 vertices with
     diagram shape mu) is evaluated as well and must agree exactly, on both
-    backends; a mismatch means a bug, so it raises.  Z and the bottom sweep
-    of rows s+1..N are memoized per parameter point and shared by every
-    grid there, the latter read from the turned levels that any earlier
-    call at the point swept; the marked and the frozen sum each add a sweep
-    of rows 1..s on every call.
+    backends; a mismatch means a bug, so it raises.  Z, the bottom rows
+    s+1..N (read from the point's turned levels) and the marked and the
+    frozen rows 1..s (resumed from the longest prefix of r swept before)
+    are memoized per parameter point and shared by every grid there.
     """
     _check_cap(grid.N, cap)
     if profile.N != grid.N:
         raise BadIndex(f"profile N={profile.N} does not match grid N={grid.N}")
-    s = profile.s
-    bottom = _bottom(grid, grid.N - s)
-    z = _nonzero(_reduced_z(grid, s), grid.N)
-    marked = _transfer(grid, s, bottom, marks=profile.r)
-    frozen = _transfer(grid, s, bottom, frozen=profile.r)
+    n, s = grid.N, profile.s
+    bottom = _bottom(grid, n - s)
+    z = _nonzero(_reduced_z(grid, s), n)
+    marked, frozen = (_contract(grid, _top(grid, kind, profile.r), bottom, n * (n - 1))
+                      for kind in ("marks", "frozen"))
     if marked != frozen:
         raise AssertionError(
             f"edge-based and frozen-region GEFP disagree: {marked / z} vs {frozen / z}")
     return CorrelationResult(grid.rounded(marked / z), "oracle", grid.backend)
 
 
+def _boundary_sums(grid: WeightGrid, n, cap=None):
+    """The integers h_k (k < n) of H for the bottom-left n x n block and
+    their sum, refused if it vanishes; the cap is checked before any sweep.
+
+    The block's row 1 is swept from its top boundary.  By interlacing, a
+    state at turned level n - 1 with bits n..N-1 all set has every vertex
+    right of the block of type 1, so ``extra | 1 << (n-1-k)`` holds the
+    block's rows below a c-vertex at column k times an a-weight product
+    that is the same for every k and cancels in H.
+    """
+    _check_cap(grid.N, cap)
+    N, full = grid.N, (1 << n) - 1
+    a, b, c2, _ = grid._transfer_weights
+    first = _row(a[N - n][N - n:], b[N - n][N - n:], c2, {full: 1}, n)
+    rest, extra = _levels(grid, n - 1)[n - 1], (1 << N) - 1 ^ full
+    h = [first.get(full ^ 1 << k, 0) * rest.get(extra | 1 << n - 1 - k, 0) for k in range(n)]
+    return h, _nonzero(sum(h), n)
+
+
 def boundary_distribution_oracle(grid: WeightGrid, cap=None):
     """The full boundary distribution (H^(1), ..., H^(N)) in one sweep.
 
     Row 1 has a single c-vertex, at column r, so the state below it is all
-    down but for column r.  That row is swept once from the top boundary
-    and contracted entry-wise with the N - 1 rows below it (``_bottom``).
-    Every entry is one ratio of integers, so a float entry is rounded once.
+    down but for column r: ``_boundary_sums`` at n = N.  Every entry is one
+    ratio of integers, so a float entry is rounded once.
     """
-    _check_cap(grid.N, cap)
-    n = grid.N
-    a, b, c2, _ = grid._transfer_weights
-    full = (1 << n) - 1
-    first = _row(a[0], b[0], c2, {full: 1}, n)
-    rest = _bottom(grid, n - 1)
-    h = [first.get(full ^ 1 << k, 0) * rest.get(full ^ 1 << k, 0) for k in range(n)]
-    z = _nonzero(sum(h), n)
+    h, z = _boundary_sums(grid, grid.N, cap)
     return [grid.rounded(Fraction(x, z)) for x in h]
 
 

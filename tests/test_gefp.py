@@ -295,6 +295,26 @@ with mp.workprec(128):
 ROUTE_IDS = ["1/3,3/4", "1/7,5/11", "-5/7,2/9", "3/2,1/2", "1/3,3/4@128"]
 
 
+# Z_4 < 0 at (3, 1) and Z_6 < 0 at (5, 1/2), so a table's gcd takes its sign
+@pytest.mark.parametrize("delta, t", ROUTE_POINTS[:4] + [(Fraction(3), Fraction(1)),
+                                                         (Fraction(5), Fraction(1, 2))],
+                         ids=ROUTE_IDS[:4] + ["3,1", "5,1/2"])
+def test_residue_tables_and_scale_are_the_lcm_route(monkeypatch, delta, t):
+    # the route replaced: each H table as Fractions, scaled by the lcm of its
+    # denominators, and D the product of the scales
+    seen, minors = [], gefp._alternant_minors
+    monkeypatch.setattr(gefp, "_alternant_minors",
+                        lambda tables, *args: seen.append(dict(tables)) or minors(tables, *args))
+    for n in range(1, 7):
+        for s in range(1, n + 1):
+            series = gefp._build_exact_series(n, s, delta, t)
+            tables, scale = {}, 1
+            for m, table in build_h_tables(n, s, delta, t).items():
+                lcm = math.lcm(*(x.denominator for x in table))
+                tables[m], scale = [int(x * lcm) for x in table], scale * lcm
+            assert seen.pop() == tables and series.scale[1] == scale, (n, s)
+
+
 @pytest.mark.parametrize("delta, t", ROUTE_POINTS, ids=ROUTE_IDS)
 def test_residue_equals_the_route_through_h(delta, t):
     # every profile with N <= 6

@@ -10,6 +10,7 @@ from mpmath.libmp import to_rational
 from gefp_lab import oracle
 from gefp_lab.backends import EXACT, FLOAT, to_exact, to_float
 from gefp_lab.errors import BadIndex, DivisionByZero, TooLarge, Unsupported
+from gefp_lab.hfun import build_h_tables
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              boundary_distribution_oracle,
                              enumerate_naive, gefp_oracle,
@@ -19,7 +20,8 @@ from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              reduced_partition_oracle)
 from gefp_lab.params import SpectralData, VertexWeights, delta_t_from_trig
 from gefp_lab.verify import EXACT_POINTS
-from oracle_reference import lcm_weights, reference_sum, vertex_row
+from oracle_reference import (block, forward_sum, grid_distribution, lcm_weights, reference_sum,
+                              vertex_row)
 
 ICE = VertexWeights.from_abc(Fraction(1), Fraction(1), Fraction(1))
 
@@ -228,7 +230,7 @@ def test_boundary_distribution_closed_forms():
 
 def unsplit(grid, **constraints):
     """The plain forward sweep of all N rows: the reference for the split."""
-    return oracle._transfer(grid, grid.N, {0: 1}, **constraints)
+    return forward_sum(grid, **constraints)
 
 
 def first_row_increments(grid):
@@ -276,9 +278,11 @@ def split_matches_unsplit(grid):
         assert oracle._transfer(grid, top, oracle._bottom(grid, n - top)) == unsplit(grid)
     for prof in all_profiles(n):
         bottom = oracle._bottom(grid, n - prof.s)
-        for kind in ("marks", "frozen", "widths"):
-            split = oracle._transfer(grid, prof.s, bottom, **{kind: prof.r})
+        for kind in ("marks", "frozen"):
+            split = oracle._contract(grid, oracle._top(grid, kind, prof.r), bottom, n * (n - 1))
             assert split == unsplit(grid, **{kind: prof.r}), (n, prof.r, kind)
+        split = oracle._transfer(grid, prof.s, bottom, widths=prof.r)
+        assert split == unsplit(grid, widths=prof.r), (n, prof.r, "widths")
 
 
 def test_split_transfer_matches_the_unsplit_sweep_on_rational_grids():
@@ -355,8 +359,8 @@ def row_calls(monkeypatch, cold_oracle):
 def test_gefp_oracle_sweeps_the_unconstrained_rows_once(row_calls, r):
     n, s, calls = 8, len(r), row_calls
     # cold: the bottom rows, then Z, the marked and the frozen sum over the
-    # s top rows; a fresh grid at the same point sweeps only the last two
-    for expected in ((n - s) + 3 * s, 2 * s):
+    # s top rows; a fresh grid at the same point reads them all from the memo
+    for expected in ((n - s) + 3 * s, 0):
         calls.clear()
         gefp_oracle(WeightGrid.from_weights(n, rational_weights(4)), YoungProfile(n, r))
         assert len(calls) == expected
@@ -374,11 +378,69 @@ def test_bottom_sweeps_resume_from_the_deepest_level(row_calls, r):
         oracle._bottom(WeightGrid.from_weights(n, w), k)
     assert not calls
     # so a GEFP on a fresh grid sweeps only its top rows: Z, the marked and
-    # the frozen sum on the first call, the last two after
-    for expected in (3 * s, 2 * s):
+    # the frozen sum on the first call, none after
+    for expected in (3 * s, 0):
         calls.clear()
         gefp_oracle(WeightGrid.from_weights(n, w), YoungProfile(n, r))
         assert len(calls) == expected
+
+
+def test_h_tables_sweep_the_n_grid_once(row_calls):
+    # every size is a block of the N grid: its N - 1 turned rows, then one
+    # first row per size
+    for n in range(1, 9):
+        for s in range(1, n + 1):
+            clear_memos()
+            row_calls.clear()
+            build_h_tables(n, s, Fraction(1, 3), Fraction(3, 4))
+            assert len(row_calls) == (n - 1) + s, (n, s)
+
+
+def test_gefp_oracle_sweeps_each_prefix_once(row_calls):
+    # in table order every prefix of a profile is a profile met before, so
+    # each adds one marked and one frozen row; the first call also sweeps Z
+    # (one row) and the N - 1 turned rows below it.  All 2 x 923 prefixes fit
+    # under the bound.
+    n, w = 6, rational_weights(4)
+    profiles = all_profiles(n)
+    for prof in profiles:
+        gefp_oracle(WeightGrid.from_weights(n, w), prof)
+    assert len(profiles) == 923
+    assert len(row_calls) == 2 * 923 + 1 + (n - 1)
+    assert len(oracle._prefixes) == 2 * 923 <= oracle._PREFIX_MAX
+
+
+def test_gefp_oracle_on_an_empty_profile_sweeps_no_top_row(row_calls):
+    # the N turned rows hold Z, and both top chains are the top boundary
+    n, w = 5, rational_weights(4)
+    for expected in (n, 0):
+        row_calls.clear()
+        assert gefp_oracle(WeightGrid.from_weights(n, w), YoungProfile(n, ())).value == 1
+        assert len(row_calls) == expected
+    assert not oracle._prefixes
+
+
+@pytest.mark.parametrize("kind", ["rational", "spectral"])
+def test_block_distributions_equal_the_block_as_its_own_grid(kind):
+    # every bottom-left n x n block read off the N grid's turned levels
+    rng = random.Random(20)
+    with mp.workprec(128):
+        for big in range(1, 9):
+            grid = random_grid(rng, big) if kind == "rational" else random_spectral_grid(rng, big)
+            for n in range(1, big + 1):
+                h, z = oracle._boundary_sums(grid, n)
+                assert sum(h) == z
+                dist = [grid.rounded(Fraction(x, z)) for x in h]
+                assert bits(dist) == bits(grid_distribution(block(grid, n))), (big, n)
+
+
+def clear_memos():
+    oracle._sweeps.clear()
+    oracle._prefixes.clear()
+
+
+def memo_keys():
+    return set(oracle._sweeps) | set(oracle._prefixes)
 
 
 def oracle_calls(n, w):
@@ -415,7 +477,7 @@ def test_warm_memo_gives_the_cold_values(cold_oracle, backend, delta, t):
             calls = oracle_calls(n, w)
             cold = []
             for call in calls:
-                oracle._sweeps.clear()
+                clear_memos()
                 cold.append(bits(call()))
             assert [bits(call()) for call in calls] == cold, n
 
@@ -423,13 +485,13 @@ def test_warm_memo_gives_the_cold_values(cold_oracle, backend, delta, t):
 def memo_run(grid):
     """The memo-reading sums on grid, checked against the unsplit sweep; the
     memo keys they added."""
-    before = set(oracle._sweeps)
+    before = memo_keys()
     z = reduced_partition_oracle(grid)
     assert z == unsplit(grid)
     assert boundary_distribution_oracle(grid) == first_row_increments(grid)
     for prof in all_profiles(grid.N):
         assert gefp_oracle(grid, prof).value == unsplit(grid, marks=prof.r) / z
-    return set(oracle._sweeps) - before
+    return memo_keys() - before
 
 
 def test_grids_that_differ_in_one_row_share_no_memo_entry(cold_oracle):
@@ -440,10 +502,10 @@ def test_grids_that_differ_in_one_row_share_no_memo_entry(cold_oracle):
             a = [list(row) for row in grid.a]
             a[j][rng.randrange(n)] += 1
             other = WeightGrid(a, grid.b, grid.c2)
-            oracle._sweeps.clear()
+            clear_memos()
             mine = memo_run(grid)
             memo_run(other)                 # right values next to grid's entries
-            oracle._sweeps.clear()
+            clear_memos()
             assert mine.isdisjoint(memo_run(other)), (n, j)
 
 
@@ -462,6 +524,16 @@ def test_memo_holds_at_most_its_bound(cold_oracle):
         gefp_oracle(grid, YoungProfile(2, (2,)))
         assert len(oracle._sweeps) <= oracle._MEMO_MAX
     assert len(oracle._sweeps) == oracle._MEMO_MAX
+
+
+def test_prefix_memo_holds_at_most_its_bound(cold_oracle):
+    # each grid adds two marked and two frozen prefixes, so 1,099 grids pass 4,096
+    for k in range(1, 1100):
+        grid = WeightGrid.from_weights(2, VertexWeights.from_abc(Fraction(k), Fraction(1),
+                                                                 Fraction(1)))
+        gefp_oracle(grid, YoungProfile(2, (1, 2)))
+        assert len(oracle._prefixes) <= oracle._PREFIX_MAX
+    assert len(oracle._prefixes) == oracle._PREFIX_MAX
 
 
 def test_float_oracle_is_the_exact_ratio_rounded_once():
