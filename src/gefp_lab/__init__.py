@@ -21,9 +21,9 @@ from .gefp import (IntegrandSeries, JetsWorkspace, PoleDeformationReport,
 from .hfun import (OmegaRho, boundary_H_table_via_K, build_h_tables,
                    h_multivariate, h_polynomial, h_via_inhomogeneous_Z,
                    kfint_check, reflect_substitute)
-from .ik import (PhiJet, gefp_inhom_determinant, gefp_inhom_recurrence,
+from .ik import (gefp_inhom_determinant, gefp_inhom_recurrence, hankel_factor,
                  homogeneous_partition_jets, ik_partition, k_polynomial,
-                 partially_inhomogeneous_partition)
+                 partially_inhomogeneous_partition, phi_derivatives)
 from .oracle import (CorrelationResult, NaiveEnumeration, WeightGrid,
                      YoungProfile, all_profiles, boundary_distribution_oracle,
                      enumerate_naive, gefp_oracle, modified_domain_partition,

@@ -35,7 +35,7 @@ class NotInvertible(GefpLabError):
 
 
 class SingularHankel(GefpLabError):
-    """Derivative-matrix determinant vanished; degenerate parameter choice."""
+    """A leading phi-derivative Hankel minor vanished, so some Z_k = 0."""
 
 
 class Unsupported(GefpLabError):

@@ -58,10 +58,10 @@ from .algebra import (Jet, TruncatedSeries, _convolve, geometric_inverse_coeffs,
                       signed_subsets)
 from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
 from .errors import BadIndex, NonphysicalWeights, NotInvertible, TooLarge, Unsupported
-from .hfun import (OmegaRho, _columns, _minors, build_h_tables, h_polynomial,
+from .hfun import (OmegaRho, _block_sums, _columns, _minors, build_h_tables, h_polynomial,
                    reflect_substitute)
-from .ik import PhiJet, k_polynomial
-from .oracle import CorrelationResult, WeightGrid, YoungProfile, _boundary_sums, _cached
+from .ik import k_polynomial, phi_derivatives
+from .oracle import CorrelationResult, YoungProfile, _cached
 from .params import VertexWeights, weights_from_trig
 
 # Largest pair box N^s the jets engine builds, checked before any work.  The
@@ -267,10 +267,8 @@ def _build_exact_series(N, s, delta, t):
     lin, a, b = lin * B, a * B, (t * B) ** 2
     assert lin.denominator == a.denominator == b.denominator == 1, \
         "a coefficient times B is not an integer"
-    grid = WeightGrid.from_weights(N, VertexWeights.from_delta_t(delta, t, allow_nonphysical=True))
     tables = {}
-    for n in range(N, N - s, -1):
-        h, z = _boundary_sums(grid, n)
+    for n, (h, z) in _block_sums(N, s, delta, t)[1].items():
         g = math.gcd(*h) if z > 0 else -math.gcd(*h)
         tables[n], D = [x // g for x in h], D * (z // g)
     return IntegrandSeries(s, (B, D), _alternant_minors(tables, N, s, B),
@@ -378,7 +376,7 @@ class _JetsInputs:
             powers.append(powers[-1] * self.omega)
         flat, self.powers_exp = _dyadic([x for p in powers for x in p.coeffs])
         self.powers = [flat[o:o + N] for o in range(0, N * N, N)]
-        self.phi = PhiJet(lam, eta, 2 * n)
+        self.pd = phi_derivatives(lam, eta, 2 * n)
         self.k_rows = {}
 
     @cached_property
@@ -411,9 +409,8 @@ class _JetsInputs:
     def k_row(self, index):
         row = self.k_rows.get(index)
         if row is None:
-            kc = k_polynomial(index, self.lam, self.eta, self.phi).coeffs
-            row = self.k_rows[index] = [kc[m] * math.factorial(m) if m < len(kc)
-                                        else mp.mpf(0) for m in range(self.N)]
+            k = k_polynomial(index, self.lam, self.eta, self.pd)
+            row = self.k_rows[index] = [k.coeff(m) * math.factorial(m) for m in range(self.N)]
         return row
 
 

@@ -57,7 +57,8 @@ class OmegaRho:
         self.a = a_fn(self.lam, 0, self.eta)
         self.b = b_fn(self.lam, 0, self.eta)
         self.c = mp.sin(2 * self.eta)
-        for name, w in (("a = sin(lambda + eta)", self.a), ("b = sin(lambda - eta)", self.b)):
+        for name, w in (("a = sin(lambda + eta)", self.a), ("b = sin(lambda - eta)", self.b),
+                        ("c = sin(2 eta)", self.c)):
             if w == 0:
                 raise DivisionByZero(f"{name} vanishes at lambda={self.lam}, eta={self.eta}")
 
@@ -122,9 +123,14 @@ def build_h_tables(N, s, delta, t):
     so the set costs its N - 1 turned rows and one row per size.  N above
     the oracle's default cap is refused before any transfer.
     """
-    grid = WeightGrid.from_weights(N, VertexWeights.from_delta_t(delta, t, allow_nonphysical=True))
-    sums = {n: _boundary_sums(grid, n) for n in range(N, N - s, -1)}
+    grid, sums = _block_sums(N, s, delta, t)
     return {n: [grid.rounded(Fraction(x, z)) for x in h] for n, (h, z) in sums.items()}
+
+
+def _block_sums(N, s, delta, t):
+    """The N grid at (Delta, t) and {n: ``_boundary_sums(grid, n)``}, n = N..N-s+1."""
+    grid = WeightGrid.from_weights(N, VertexWeights.from_delta_t(delta, t, allow_nonphysical=True))
+    return grid, {n: _boundary_sums(grid, n) for n in range(N, N - s, -1)}
 
 
 def _columns(tables, N, s):

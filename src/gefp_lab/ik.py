@@ -3,9 +3,10 @@
 The partition function of the fully inhomogeneous model is an N x N
 determinant of phi(lambda, nu) = c / (a(lambda, nu) b(lambda, nu)) dressed
 with weight products and Vandermonde-type denominators.  Its homogeneous
-limit turns determinant entries into derivatives of phi, which are computed
-here by Taylor-jet automatic differentiation (never by finite differences in
-production; a finite-difference rebuild exists only as a test oracle).
+limit turns its entries into derivatives pd_m of phi, by Taylor-jet automatic
+differentiation (finite differences rebuild them only in the tests).  Z_N
+and every K polynomial read one factorisation of the Hankel moments pd_{j+k},
+``hankel_factor`` (Colomo-Pronko, arXiv:0712.1524; Gautschi, OUP 2004, ch. 2).
 
 Two independent inhomogeneous GEFP engines are provided: the row-reduction
 recurrence, and the expansion of an N x N determinant whose first s columns
@@ -55,30 +56,12 @@ def phi_fn(lam, nu, eta):
     return mp.sin(2 * eta) / (a_fn(lam, nu, eta) * b_fn(lam, nu, eta))
 
 
-class PhiJet:
-    """Taylor expansion of phi(lambda) = c / (a(lambda) b(lambda)) at a base point.
-
-    Derivatives up to the jet order come out of exact series arithmetic on
-    sine jets, so they are accurate to working precision.
-    """
-
-    def __init__(self, lam, eta, order):
-        self.lam = mp.mpf(lam)
-        self.eta = mp.mpf(eta)
-        self.order = order
-        c = mp.sin(2 * self.eta)
-        ja = Jet.sin_offset(self.lam + self.eta, order)
-        jb = Jet.sin_offset(self.lam - self.eta, order)
-        self.jet = (ja * jb).invert() * c
-
-    def derivative(self, m):
-        """d^m phi / d lambda^m at the base point."""
-        return self.jet.derivative(m)
-
-    def derivatives(self, top):
-        if top > self.order:
-            raise ValueError(f"jet order {self.order} too small for derivative {top}")
-        return [self.derivative(m) for m in range(top + 1)]
+def phi_derivatives(lam, eta, top):
+    """[d^m phi / d lambda^m for m = 0..top], phi = c / (a b), from sine-jet arithmetic."""
+    lam, eta = mp.mpf(lam), mp.mpf(eta)
+    ab = Jet.sin_offset(lam + eta, top) * Jet.sin_offset(lam - eta, top)
+    jet = ab.invert() * mp.sin(2 * eta)
+    return [jet.derivative(m) for m in range(top + 1)]
 
 
 def ik_partition(spec: SpectralData):
@@ -117,7 +100,7 @@ def partially_inhomogeneous_partition(lambdas, eta):
             if lambdas[i] == lambdas[j]:
                 raise DuplicateRapidity(f"coincident lambdas at {i + 1}, {j + 1}")
     eta = mp.mpf(eta)
-    jets = [PhiJet(x, eta, n - 1) for x in lambdas]
+    cols = [phi_derivatives(x, eta, n - 1) for x in lambdas]
     num = mp.mpf(1)
     for k, x in enumerate(lambdas):
         num *= (a_fn(x, 0, eta) * b_fn(x, 0, eta)) ** n
@@ -127,44 +110,55 @@ def partially_inhomogeneous_partition(lambdas, eta):
     for j in range(n):
         for k in range(j + 1, n):
             den *= d_fn(lambdas[k], lambdas[j])
-    matrix = [[jets[k].derivative(j) for k in range(n)] for j in range(n)]
+    matrix = [[cols[k][j] for k in range(n)] for j in range(n)]
     return num / den * det(matrix)
 
 
+def hankel_factor(pd, n):
+    """(P, d): the monic orthogonal polynomials P_0..P_n of the moments
+    pd[0..2n] (coefficients from degree 0) and their pivots, by monic
+    Gram-Schmidt under <x^a, x^b> = pd[a + b]: P_k = x^k - sum_{i<k}
+    (<x^k, P_i> / d_i) P_i and d_k = <x^k, P_k> = H_k / H_{k-1}, where
+    H_k = det[pd_{i+j}]_{i,j<=k} and H_{-1} = 1.  Exact on ``Fraction``, run
+    alike on mpf; a zero pivot raises ``SingularHankel``."""
+    polys, pivots = [], []
+    for k in range(n + 1):
+        p = [0] * k + [1]
+        for q, d in zip(polys, pivots):
+            f = sum(pd[k + m] * x for m, x in enumerate(q)) / d
+            for m, x in enumerate(q):
+                p[m] -= f * x
+        d = sum(pd[k + m] * x for m, x in enumerate(p))
+        if d == 0:
+            raise SingularHankel(f"the phi-derivative Hankel minor H_{k} vanishes")
+        polys.append(p)
+        pivots.append(d)
+    return polys, pivots
+
+
 def homogeneous_partition_jets(N, lam, eta):
-    """Homogeneous-limit partition function from the phi-derivative Hankel matrix."""
+    """Homogeneous-limit Z_N = (ab)^(N^2) H_{N-1} / prod_{m<N} m!^2, the
+    Hankel determinant H_{N-1} the product of the pivots of ``hankel_factor``."""
     if N == 0:
         return mp.mpf(1)
     lam, eta = mp.mpf(lam), mp.mpf(eta)
-    phi = PhiJet(lam, eta, 2 * N - 2)
-    pd = phi.derivatives(2 * N - 2)
-    matrix = [[pd[j + k] for k in range(N)] for j in range(N)]
-    ab = a_fn(lam, 0, eta) * b_fn(lam, 0, eta)
-    fact = mp.mpf(1)
-    for m in range(N):
-        fact *= math.factorial(m)
-    return ab ** (N * N) * det(matrix) / (fact * fact)
+    pivots = hankel_factor(phi_derivatives(lam, eta, 2 * N - 2), N - 1)[1]
+    fact = math.prod(math.factorial(m) for m in range(N))
+    return (a_fn(lam, 0, eta) * b_fn(lam, 0, eta)) ** (N * N) * mp.fprod(pivots) / fact ** 2
 
 
-def k_polynomial(n, lam, eta, phi: PhiJet = None) -> UniPoly:
-    """The degree-n polynomial built from two phi-derivative determinants.
-
-    K_0 = 1; K_n(x) has a nonzero leading coefficient whenever the Hankel
-    determinant of phi-derivatives is nonzero.
-    """
-    if phi is None:
-        phi = PhiJet(lam, eta, 2 * n)
-    pd = phi.derivatives(2 * n)
-    den = det([[pd[j + k] for k in range(n + 1)] for j in range(n + 1)])
-    if den == 0:
-        raise SingularHankel(f"phi-derivative determinant vanished at order {n}")
-    coeffs = []
-    for j in range(n + 1):
-        rows = [r for r in range(n + 1) if r != j]
-        minor = det([[pd[r + k] for k in range(n)] for r in rows])
-        coeffs.append((-1) ** j * minor)
-    scale = (-1) ** n * math.factorial(n) * pd[0] ** (n + 1) / den
-    return UniPoly([scale * c for c in coeffs])
+def k_polynomial(n, lam, eta, pd=None) -> UniPoly:
+    """K_n = n! pd_0^(n+1) P_n / d_n from row n of ``hankel_factor``, pd the
+    phi derivatives at (lambda, eta) to order 2n unless given; K_0 = 1.  By
+    cofactor expansion this is (-1)^n n! pd_0^(n+1) / H_n sum_j (-1)^j M_j x^j,
+    M_j the minor of [pd_{i+k}], i <= n, k < n, without row j.  A vanishing
+    H_k, k <= n, raises ``SingularHankel`` (that form raised only for H_n);
+    H_k is Z_{k+1} times a nonzero factor, so no physical point raises."""
+    if pd is None:
+        pd = phi_derivatives(lam, eta, 2 * n)
+    polys, pivots = hankel_factor(pd, n)
+    scale = math.factorial(n) * pd[0] ** (n + 1) / pivots[n]
+    return UniPoly([scale * x for x in polys[n]])
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations_with_replacement, product
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 from mpmath import mp
 
@@ -57,18 +57,18 @@ from .params import SpectralData, VertexWeights
 DEFAULT_ORACLE_CAP = 8
 NAIVE_CAP = 3
 _MEMO_MAX = 64
-_PREFIX_MAX = 4096
+_PREFIX_STATES = 4096 * comb(8, 4)   # states in _top's memo: 4,096 entries at N = 8, 310 at 12
 
 _sweeps = {}    # keyed by (transfer weights, rows | "levels" | "Z"), see _bottom
 _prefixes = {}  # keyed by (transfer weights, "marks" | "frozen", r), see _top
 
 
 def _cached(cache, key, build, bound=_MEMO_MAX):
-    """Bounded per-process memo; the oldest entry goes first."""
+    """Bounded per-process memo; the oldest entries go, to make room."""
     hit = cache.get(key)
     if hit is None:
         hit = build()
-        if len(cache) >= bound:
+        while len(cache) >= bound:
             cache.pop(next(iter(cache)))
         cache[key] = hit
     return hit
@@ -281,19 +281,21 @@ def _top(grid: WeightGrid, kind, r) -> dict:
     """{state below row s: weight of rows 1..s}, s = len(r), under the
     GEFP marks (``kind`` "marks") or the frozen corner ("frozen") of r.
 
-    Profiles sharing r[:j] share these j rows, so every prefix is memoized
-    per point and kind, oldest out past ``_PREFIX_MAX``, and a call resumes
-    from the longest one held; with ``kind`` in the key the two chains stay
-    independent.  r = () is the top boundary.  Callers only read it.
+    Profiles sharing r[:j] share these j rows, so every prefix is memoized per
+    point and kind, oldest out past ``_PREFIX_STATES`` / C(N, N // 2) entries
+    of up to C(N, N // 2) states, and a call resumes from the longest held;
+    ``kind`` in the key keeps the chains apart.  r = () is the top boundary.
+    Callers only read it.
     """
     n, weights = grid.N, grid._transfer_weights
     a, b, c2, _ = weights
+    bound = max(1, _PREFIX_STATES // comb(n, n // 2))
     j = next((j for j in range(len(r), 0, -1) if (weights, kind, r[:j]) in _prefixes), 0)
     states = _prefixes[weights, kind, r[:j]] if j else {(1 << n) - 1: 1}
     for j in range(j, len(r)):
         mark, frozen = (r[j], None) if kind == "marks" else (None, r[j])
         states = _cached(_prefixes, (weights, kind, r[:j + 1]),
-                         lambda: _row(a[j], b[j], c2, states, n, mark, frozen), _PREFIX_MAX)
+                         lambda: _row(a[j], b[j], c2, states, n, mark, frozen), bound)
     return states
 
 

@@ -74,11 +74,10 @@ def test_det_float_matches_cofactor():
 
 def test_jet_entries_determinant_matches_cofactor():
     # 2x2 matrix of phi-jet derivatives against direct expansion
-    from gefp_lab.ik import PhiJet
+    from gefp_lab.ik import phi_derivatives
     with mp.workprec(128):
-        phi = PhiJet(mp.mpf("1.2"), mp.mpf("0.4"), 4)
-        entries = [[phi.derivative(0), phi.derivative(1)],
-                   [phi.derivative(1), phi.derivative(2)]]
+        pd = phi_derivatives(mp.mpf("1.2"), mp.mpf("0.4"), 2)
+        entries = [[pd[0], pd[1]], [pd[1], pd[2]]]
         expect = entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
         rel = abs(det(entries) - expect) / max(1, abs(expect))
         assert rel < mp.mpf("1e-35")

@@ -120,6 +120,9 @@ def test_computation_error_exits_3_with_class_name(capsys):
      "DivisionByZero"),
     (["efp", "--N", "3", "--s", "2", "--r", "2", *DEGENERATE, "--engine", "jets"],
      "DivisionByZero"),
+    # eta = 0: c = sin(2 eta) = 0
+    (["gefp", "--engine", "jets", "--N", "4", "--r", "1,2", "--lambda", "1", "--eta", "0",
+      "--backend", "float", "--allow-nonphysical"], "DivisionByZero"),
     # b = sin(lambda - eta) < 0
     (["gefp", "--N", "3", "--r", "2,3", "--lambda", "0", "--eta", "0.3",
       "--engine", "jets", "--backend", "float"], "NonphysicalWeights"),
@@ -132,7 +135,7 @@ def test_computation_error_exits_3_with_class_name(capsys):
     (["partition", "--N", "3", *NONPHYSICAL_TRIG, "--engine", "ik-hom"],
      "NonphysicalWeights"),
 ], ids=["jets-degenerate", "residue-degenerate", "efp-jets-degenerate",
-        "jets-nonphysical", "efp-jets-nonphysical", "ik-vanishing-weight",
+        "jets-vanishing-c", "jets-nonphysical", "efp-jets-nonphysical", "ik-vanishing-weight",
         "kpoly-nonphysical", "ik-hom-nonphysical"])
 def test_bad_weights_exit_3_with_class_name(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)

@@ -6,9 +6,9 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 from mpmath import mp
 
-from gefp_lab import gefp
+from gefp_lab import gefp, oracle
 from gefp_lab.algebra import Jet, UniPoly, perm_sign
-from gefp_lab.backends import to_float
+from gefp_lab.backends import to_exact, to_float
 from gefp_lab.errors import BadIndex, BranchPole, DivisionByZero, DuplicateRapidity
 from gefp_lab.gefp import gefp_determinant_jets, jets_inputs, jets_workspace
 from gefp_lab.hfun import (OmegaRho, _kostka, _minors, boundary_H_table_via_K, build_h_tables,
@@ -52,6 +52,24 @@ def test_boundary_H_via_K_matches_oracle():
             orc = boundary_distribution_oracle(WeightGrid.from_weights(n, w))
             for x, y in zip(via_k, orc, strict=True):
                 assert abs(x - y) <= mp.mpf("1e-20") * max(1, abs(y))
+
+
+@pytest.mark.parametrize("point", ["1.1,0.35", "0.9,0.6", "trig 1/3,3/4"])
+def test_boundary_H_via_K_within_2_to_the_minus_56_at_N_9_to_12(point):
+    # against the exact oracle on the dyadic weights the 128-bit a, b, c hold;
+    # with K rows from n + 2 determinants (0.9, 0.6) fell to 2^-49.1 at N = 11
+    # and 2^-39.3 at N = 12, the Hankel factorisation keeps 2^-65.8 there
+    with mp.workprec(128):
+        if point.startswith("trig"):
+            lam, eta = lambda_eta_from_delta_t(Fraction(1, 3), Fraction(3, 4))
+        else:
+            lam, eta = (mp.mpf(x) for x in point.split(","))
+        a, b, c = (to_exact(x) for x in (mp.sin(lam + eta), mp.sin(lam - eta), mp.sin(2 * eta)))
+        w = VertexWeights.from_abc(a, b, c)
+        for n in range(9, 13):
+            h, z = oracle._boundary_sums(WeightGrid.from_weights(n, w), n, cap=n)
+            for x, hk in zip(boundary_H_table_via_K(n, lam, eta), h, strict=True):
+                assert abs(to_exact(x) - Fraction(hk, z)) <= Fraction(hk, z) / 2 ** 56, (n, x)
 
 
 @pytest.mark.parametrize("prec", [64, 128, 256])

@@ -1,14 +1,18 @@
+import math
+import random
+from fractions import Fraction
+
 import pytest
 from mpmath import mp
 
-from gefp_lab.errors import DuplicateRapidity, TooLarge
-from gefp_lab.ik import (PhiJet, a_fn, b_fn, gefp_inhom_determinant,
-                         gefp_inhom_recurrence, homogeneous_partition_jets,
-                         ik_partition, k_polynomial,
-                         partially_inhomogeneous_partition, phi_fn)
+from gefp_lab.errors import DuplicateRapidity, SingularHankel, TooLarge
+from gefp_lab.ik import (a_fn, b_fn, gefp_inhom_determinant, gefp_inhom_recurrence,
+                         hankel_factor, homogeneous_partition_jets, ik_partition,
+                         k_polynomial, partially_inhomogeneous_partition, phi_fn)
 from gefp_lab.oracle import (WeightGrid, YoungProfile, gefp_oracle,
                              partition_function_oracle)
 from gefp_lab.params import SpectralData
+from ik_reference import hankel_det, k_polynomial_by_minors
 
 LAM3 = ("0.31", "0.73", "1.17")
 NU3 = ("0.11", "0.52", "0.26")
@@ -129,26 +133,47 @@ def test_k2_against_finite_difference_rebuild():
     with mp.workprec(128):
         k2 = k_polynomial(2, lam, eta)
     with mp.workprec(512):
-        import math
-        pd = _fd_phi_derivs(lam, eta, 4)
-        from gefp_lab.algebra import det
-        den = det([[pd[j + k] for k in range(3)] for j in range(3)])
-        coeffs = []
-        for j in range(3):
-            rows = [r for r in range(3) if r != j]
-            minor = det([[pd[r + k] for k in range(2)] for r in rows])
-            coeffs.append((-1) ** j * minor)
-        scale = math.factorial(2) * pd[0] ** 3 / den
-        rebuilt = [scale * c for c in coeffs]
+        rebuilt = k_polynomial_by_minors(2, _fd_phi_derivs(lam, eta, 4))
     for a, b in zip(k2.coeffs, rebuilt):
         assert abs(a - b) <= mp.mpf("1e-25") * max(1, abs(b))
 
 
-def test_phi_jet_order_guard():
-    with mp.workprec(64):
-        phi = PhiJet(mp.mpf("1.1"), mp.mpf("0.4"), 3)
-        with pytest.raises(ValueError):
-            phi.derivatives(4)
+def random_moments(rng, top):
+    return [Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 12))
+            for _ in range(top + 1)]
+
+
+def test_k_polynomial_is_the_determinant_formula_on_rational_moments():
+    # Gram-Schmidt on Fractions is exact, so every K row is == the n + 2
+    # determinant form and the pivots multiply to the Hankel determinant
+    rng = random.Random(28)
+    for n in range(8):
+        for _ in range(6):
+            pd = random_moments(rng, 2 * n)
+            assert all(hankel_det(pd, k) != 0 for k in range(n + 1))
+            assert k_polynomial(n, None, None, pd).coeffs == k_polynomial_by_minors(n, pd)
+            assert math.prod(hankel_factor(pd, n)[1]) == hankel_det(pd, n), (n, pd)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_constant_moments_are_singular(n):
+    # pd = (1, 1, 1, ...) has H_1 = 0, so row 1 has a zero pivot
+    assert hankel_det([1] * 3, 1) == 0
+    with pytest.raises(SingularHankel, match="H_1"):
+        k_polynomial(n, None, None, [Fraction(1)] * (2 * n + 1))
+
+
+def test_vanishing_inner_minor_raises_where_the_determinant_form_did_not():
+    # H_1 = 0 but H_2 = -1: the determinant form returns a K_2 of degree
+    # below 2 (its leading coefficient is a multiple of H_1), the
+    # factorisation needs d_1 = H_1 / H_0 as a divisor and refuses.  H_k is
+    # Z_{k+1} times a nonzero factor, so this needs a vanishing Z.
+    pd = [Fraction(x) for x in (1, 1, 1, 0, 0)]
+    assert hankel_det(pd, 1) == 0 and hankel_det(pd, 2) == -1
+    old = k_polynomial_by_minors(2, pd)
+    assert old[2] == 0 and any(old)
+    with pytest.raises(SingularHankel, match="H_1"):
+        k_polynomial(2, None, None, pd)
 
 
 def test_recurrence_empty_profile_is_one():

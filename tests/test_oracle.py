@@ -400,14 +400,14 @@ def test_gefp_oracle_sweeps_each_prefix_once(row_calls):
     # in table order every prefix of a profile is a profile met before, so
     # each adds one marked and one frozen row; the first call also sweeps Z
     # (one row) and the N - 1 turned rows below it.  All 2 x 923 prefixes fit
-    # under the bound.
+    # under the bound at N = 6.
     n, w = 6, rational_weights(4)
     profiles = all_profiles(n)
     for prof in profiles:
         gefp_oracle(WeightGrid.from_weights(n, w), prof)
     assert len(profiles) == 923
     assert len(row_calls) == 2 * 923 + 1 + (n - 1)
-    assert len(oracle._prefixes) == 2 * 923 <= oracle._PREFIX_MAX
+    assert len(oracle._prefixes) == 2 * 923 <= oracle._PREFIX_STATES // comb(6, 3)
 
 
 def test_gefp_oracle_on_an_empty_profile_sweeps_no_top_row(row_calls):
@@ -526,14 +526,39 @@ def test_memo_holds_at_most_its_bound(cold_oracle):
     assert len(oracle._sweeps) == oracle._MEMO_MAX
 
 
-def test_prefix_memo_holds_at_most_its_bound(cold_oracle):
-    # each grid adds two marked and two frozen prefixes, so 1,099 grids pass 4,096
+def test_prefix_memo_holds_at_most_its_bound(cold_oracle, monkeypatch):
+    # at N = 2 an entry holds at most C(2, 1) states, so 4,096 x 2 states
+    # are 4,096 entries; each grid adds two marked and two frozen prefixes,
+    # so 1,099 grids pass them
+    monkeypatch.setattr(oracle, "_PREFIX_STATES", 4096 * comb(2, 1))
     for k in range(1, 1100):
         grid = WeightGrid.from_weights(2, VertexWeights.from_abc(Fraction(k), Fraction(1),
                                                                  Fraction(1)))
         gefp_oracle(grid, YoungProfile(2, (1, 2)))
-        assert len(oracle._prefixes) <= oracle._PREFIX_MAX
-    assert len(oracle._prefixes) == oracle._PREFIX_MAX
+        assert len(oracle._prefixes) <= 4096
+    assert len(oracle._prefixes) == 4096
+
+
+def test_prefix_memo_bound_shrinks_with_the_entry_size(cold_oracle, monkeypatch):
+    # 3 x C(10, 5) states are 37 entries at N = 6 and 3 at N = 10: a memo
+    # filled at N = 6 is cut to the N = 10 bound by the first N = 10
+    # insertion, and no insertion at N = 10 leaves it above either bound
+    monkeypatch.setattr(oracle, "_PREFIX_STATES", 3 * comb(10, 5))
+    for prof in all_profiles(6, 3)[:40]:
+        gefp_oracle(WeightGrid.from_weights(6, rational_weights(4)), prof)
+    assert len(oracle._prefixes) == 37
+
+    class Watched(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            assert len(self) <= 3
+            assert sum(map(len, self.values())) <= 3 * comb(10, 5)
+
+    monkeypatch.setattr(oracle, "_prefixes", Watched(oracle._prefixes))
+    grid = WeightGrid.from_weights(10, rational_weights(4))
+    for prof in all_profiles(10, 3)[:12]:
+        gefp_oracle(grid, prof, cap=10)
+    assert len(oracle._prefixes) == 3
 
 
 def test_float_oracle_is_the_exact_ratio_rounded_once():
