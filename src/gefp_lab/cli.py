@@ -84,6 +84,8 @@ class ParamSpec:
         rational_given = args.delta is not None or args.t is not None
         if rational_given and (trig_given or lists_given):
             raise UsageError("give either --delta/--t or --lambda/--eta, not both")
+        if lists_given and args.lam is not None:
+            raise UsageError("give either --lambda or --lambdas/--nus, not both")
         if not rational_given and not trig_given and not lists_given:
             raise UsageError("parameters missing: --delta/--t or --lambda/--eta")
         self.backend = args.backend
@@ -327,11 +329,11 @@ def cmd_table(args):
 
 
 def _criteria(text):
-    """Criterion numbers of --criteria in run order; all of them when not given."""
+    """Criterion numbers of --criteria, each once, in run order; all when not given."""
     if not text:
         return sorted(CRITERIA)
     try:
-        numbers = sorted(int(x) for x in text.split(","))
+        numbers = sorted({int(x) for x in text.split(",")})
     except ValueError:
         raise UsageError(f"cannot parse --criteria {text!r}; expected e.g. 1,3")
     for n in numbers:
@@ -488,14 +490,15 @@ COMMANDS = {
 }
 
 
-_SIGNED_FLAGS = ("--delta", "--t", "--lambdas", "--nus", "--r")
+_SIGNED_FLAGS = ("--delta", "--t", "--lambda", "--eta", "--lambdas", "--nus", "--r")
 
 
 def _join_negative_values(argv):
-    """argparse reads a separate "-1/2" or "-0.5,0.3" as a flag; only a plain
-    negative number passes.  So "--delta -1/2" is joined into "--delta=-1/2",
-    and likewise after --t, --lambdas and --nus, and after --r, whose
-    negative entries are then refused as an invalid profile."""
+    """argparse reads a separate "-1/2", "-1e-1" or "-0.5,0.3" as a flag; only
+    a plain negative decimal passes.  So "--delta -1/2" is joined into
+    "--delta=-1/2", and likewise after --t, --lambda, --eta, --lambdas and
+    --nus, and after --r, whose negative entries are then refused as an
+    invalid profile."""
     out = []
     for arg in argv:
         if out and out[-1] in _SIGNED_FLAGS and re.match(r"-\d", arg):

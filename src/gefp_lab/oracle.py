@@ -23,23 +23,25 @@ partition function carries one overall factor c^N.  Probabilities are ratios
 of these reduced sums and never need c itself, which keeps the exact backend
 closed over the rationals even when c^2 has no rational square root.
 
-The transfer engine crosses each row column by column on Python ints,
-with the states split by the horizontal edge into two dicts so that each
-output is written once, and returns one exact ratio of integers, float
-weights entering as the dyadic rationals they hold.  So every float result
-is that ratio rounded once.  The loop reads aD, bD and c^2 D^2, D the
-lcm of the a and b denominators and of the least r with r^2 c^2 an integer:
-c^2 enters only as c^2 D^2, so D need not clear c^2 itself, and on a dyadic
-grid it is the least integer that makes all three integers.  Constraints
-(GEFP marks, the frozen corner, a cut corner) sit in rows 1..s only, so the
-N - s rows below are swept, turned by 180 degrees, and each constrained sum
-is a short sweep of the s top rows contracted with that one vector.  Every
-sweep is memoized per parameter point, keyed by the grid's integer weights
-and shared by every grid there (exact or float at the same dyadic weights),
-so no row is swept twice: the turned rows, swept to the deepest level asked
-for, serve every bottom sweep and the H table of every bottom-left block,
-and the top rows are kept per prefix of r.  A deliberately naive ice-rule
-filter (N <= 3) double-checks it from scratch.
+The transfer engine crosses each row column by column on Python ints, with
+the states split by the horizontal edge into two dicts so that each output
+is written once, and returns one exact ratio of integers, float weights
+entering as the dyadic rationals they hold.  So every float result is that
+ratio rounded once.  The loop reads aD, bD and c^2 D^2, D the lcm of the a
+and b denominators and of the least r with r^2 c^2 an integer: c^2 enters
+only as c^2 D^2, so D need not clear c^2 itself, and on a dyadic grid it is
+the least integer that makes all three integers.  Constraints (GEFP marks,
+the frozen corner) sit in rows 1..s only, so the N - s rows below are
+swept, turned by 180 degrees, and each constrained sum is a short sweep of
+the s top rows contracted with that one vector.  Z is the turned sweep's
+level N against the top boundary, and the cut-corner sum is the frozen one
+over a^{|mu|}: every sum is one forward chain against one turned level.
+Every sweep is memoized per parameter point, keyed by the grid's integer
+weights and shared by every grid there (exact or float at the same dyadic
+weights), so no row is swept twice: the turned rows, swept to the deepest
+level asked for, serve every bottom sweep and the H table of every
+bottom-left block, and the top rows are kept per prefix of r.  A
+deliberately naive ice-rule filter (N <= 3) double-checks it from scratch.
 """
 
 from dataclasses import dataclass
@@ -59,7 +61,7 @@ NAIVE_CAP = 3
 _MEMO_MAX = 64
 _PREFIX_STATES = 4096 * comb(8, 4)   # states in _top's memo: 4,096 entries at N = 8, 310 at 12
 
-_sweeps = {}    # keyed by (transfer weights, rows | "levels" | "Z"), see _bottom
+_sweeps = {}    # keyed by (transfer weights, rows | "levels"), see _bottom
 _prefixes = {}  # keyed by (transfer weights, "marks" | "frozen", r), see _top
 
 
@@ -299,41 +301,24 @@ def _top(grid: WeightGrid, kind, r) -> dict:
     return states
 
 
-def _contract(grid: WeightGrid, states, bottom, power) -> Fraction:
-    """The top states against the bottom ones, over D^power, exactly."""
-    return Fraction(sum(w * bottom.get(v, 0) for v, w in states.items()),
-                    grid._transfer_weights[3] ** power)
+def _contract(grid: WeightGrid, states, bottom) -> Fraction:
+    """The top states against the bottom ones, over D^(N(N-1)), exactly.
 
-
-def _transfer(grid: WeightGrid, top, bottom, widths=()) -> Fraction:
-    """Reduced partition sum (without the overall c^N), unconstrained or on
-    the cut domain of ``widths``: rows 1..top swept forward from the top
-    boundary and contracted with ``bottom = _bottom(grid, N - top)``.
-
-    Every row has n5 - n6 = 1, so a row of width n has n - 1 vertices of
+    Every row has n5 - n6 = 1, so each of the N rows has N - 1 vertices of
     weight aD, bD or c^2 D^2 (type 6 counted twice, type 5 weighs 1): the
-    sum is one integer over a power of D, returned as that exact
+    reduced sum is one integer over D^(N(N-1)), returned as that exact
     ``Fraction`` on both backends; callers round it once.
     """
     n = grid.N
-    a, b, c2, _ = grid._transfer_weights
-    widths = list(widths) + [n] * (top - len(widths))
-    states, prev = {0: 1}, 0
-    for a_row, b_row, width in zip(a, b, widths):
-        # the top boundary and the edges entering a wider row from outside point down
-        states = {v | (1 << width) - (1 << prev): w for v, w in states.items()}
-        states, prev = _row(a_row, b_row, c2, states, width), width
-    wider = (1 << n) - (1 << prev)
-    return _contract(grid, {v | wider: w for v, w in states.items()}, bottom,
-                     sum(widths) + n * (n - top) - n)
+    return Fraction(sum(w * bottom.get(v, 0) for v, w in states.items()),
+                    grid._transfer_weights[3] ** (n * (n - 1)))
 
 
-def _reduced_z(grid: WeightGrid, s):
-    """Z / c^N as one exact ratio, memoized per point.  It is the same for
-    every split, so a cold entry sweeps the s top rows onto the (memoized)
-    bottom sweep of rows s+1..N that the caller needs anyway."""
-    return _cached(_sweeps, (grid._transfer_weights, "Z"),
-                   lambda: _transfer(grid, s, _bottom(grid, grid.N - s)))
+def _reduced_z(grid: WeightGrid):
+    """Z / c^N as one exact ratio: level N of the turned sweep, read back,
+    is the top boundary state weighted by Z D^(N(N-1))."""
+    full = (1 << grid.N) - 1
+    return _contract(grid, {full: 1}, _bottom(grid, grid.N))
 
 
 def _nonzero(z, n):
@@ -364,7 +349,7 @@ def partition_function_oracle(grid: WeightGrid, cap=None):
 def reduced_partition_oracle(grid: WeightGrid, cap=None):
     """The c-reduced sum Z_N / c^N; always available, both backends."""
     _check_cap(grid.N, cap)
-    return grid.rounded(_reduced_z(grid, 0))
+    return grid.rounded(_reduced_z(grid))
 
 
 def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> CorrelationResult:
@@ -373,18 +358,20 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
     Edge j sits in row j between columns r_j and r_j + 1 from the right.
     The equivalent characterization (a frozen corner of type-2 vertices with
     diagram shape mu) is evaluated as well and must agree exactly, on both
-    backends; a mismatch means a bug, so it raises.  Z, the bottom rows
-    s+1..N (read from the point's turned levels) and the marked and the
-    frozen rows 1..s (resumed from the longest prefix of r swept before)
-    are memoized per parameter point and shared by every grid there.
+    backends; a mismatch means a bug, so it raises.  Z (the turned sweep's
+    level N), the bottom rows s+1..N (its level N - s) and the marked and
+    the frozen rows 1..s (resumed from the longest prefix of r swept
+    before) are memoized per parameter point and shared by every grid
+    there; the frozen chain is also the cut-domain numerator of
+    ``reduced_modified_domain_partition``.
     """
     _check_cap(grid.N, cap)
     if profile.N != grid.N:
         raise BadIndex(f"profile N={profile.N} does not match grid N={grid.N}")
     n, s = grid.N, profile.s
     bottom = _bottom(grid, n - s)
-    z = _nonzero(_reduced_z(grid, s), n)
-    marked, frozen = (_contract(grid, _top(grid, kind, profile.r), bottom, n * (n - 1))
+    z = _nonzero(_reduced_z(grid), n)
+    marked, frozen = (_contract(grid, _top(grid, kind, profile.r), bottom)
                       for kind in ("marks", "frozen"))
     if marked != frozen:
         raise AssertionError(
@@ -437,14 +424,19 @@ def modified_domain_partition(grid: WeightGrid, profile: YoungProfile, cap=None)
 
 
 def reduced_modified_domain_partition(grid: WeightGrid, profile: YoungProfile, cap=None):
-    """Cut-corner partition sum without the overall c^N factor."""
+    """Cut-corner partition sum without the overall c^N factor.
+
+    The frozen corner is forced to type 2 and its boundary is the cut
+    domain's, so the frozen chain of ``gefp_oracle`` (shared with it in the
+    memo) is this sum times a^{|mu|}: one exact quotient, rounded once.
+    """
     _check_cap(grid.N, cap)
     if not grid.homogeneous:
         raise Unsupported("the cut-corner domain is defined for homogeneous weights")
     if profile.N != grid.N:
         raise BadIndex(f"profile N={profile.N} does not match grid N={grid.N}")
-    s = profile.s
-    return grid.rounded(_transfer(grid, s, _bottom(grid, grid.N - s), widths=profile.r))
+    frozen = _contract(grid, _top(grid, "frozen", profile.r), _bottom(grid, grid.N - profile.s))
+    return grid.rounded(frozen / to_exact(grid.a[0][0]) ** profile.mu_size)
 
 
 # ---------------------------------------------------------------------------

@@ -568,6 +568,12 @@ def test_verify_pool_is_no_larger_than_the_criteria(capsys, monkeypatch):
     assert sizes == [1]
 
 
+def test_verify_runs_a_repeated_criterion_once(capsys):
+    argv = ["verify", "--level", "quick", "--format", "json", "--criteria"]
+    once = run_cli(capsys, *argv, "8")
+    assert run_cli(capsys, *argv, "8,8")[:2] == once[:2] and once[0] == 0
+
+
 @pytest.mark.parametrize("text", ["x", "1,", "9", "0,2"])
 def test_bad_criteria_exit_2(capsys, text):
     code, out, err = run_cli(capsys, "verify", "--level", "quick", "--criteria", text)
@@ -704,18 +710,30 @@ def test_bad_sizes_exit_2_naming_the_fault(capsys, argv, fault):
 
 
 GEFP_N3 = ["gefp", "--N", "3", "--r", "2", "--allow-nonphysical"]
+JETS_N3 = [*GEFP_N3, "--backend", "float", "--engine", "jets"]
 
 
 @pytest.mark.parametrize("command, values", [
     (GEFP_N3, {"--delta": "-1/2", "--t": "3/4"}),
     (GEFP_N3, {"--delta": "1/3", "--t": "-3/4"}),
     (["partition", "--N", "2", "--engine", "ik", "--backend", "float"],
-     {"--lambdas": "-0.7,0.3", "--nus": "-0.15,0.2", "--eta": "0.4"})])
+     {"--lambdas": "-0.7,0.3", "--nus": "-0.15,0.2", "--eta": "0.4"}),
+    (JETS_N3, {"--lambda": "-1e-1", "--eta": "0.35"}),
+    (JETS_N3, {"--lambda": "1.1", "--eta": "-3.5e-1"})])
 def test_negative_value_as_its_own_argument(capsys, command, values):
     # argparse alone reads "-1/2" or "-0.5,0.3" after a flag as another flag
     separate = run_cli(capsys, *command, *(x for kv in values.items() for x in kv))
     joined = run_cli(capsys, *command, *(f"{k}={v}" for k, v in values.items()))
     assert separate[:2] == joined[:2] and separate[0] == 0   # stderr carries the wall time
+
+
+@pytest.mark.parametrize("engine", ["ik", "ik-hom"])
+def test_lambda_with_rapidity_lists_exit_2(capsys, engine):
+    code, out, err = run_cli(capsys, "partition", "--N", "2", "--engine", engine,
+                             "--lambdas", "0.3,0.7", "--nus", "0.1,0.5", "--eta", "0.4",
+                             "--lambda", "1.0", "--backend", "float")
+    assert code == 2 and out == ""
+    assert "either --lambda or --lambdas/--nus" in err
 
 
 @pytest.mark.parametrize("profile", [["--r", "-1,2"], ["--r=-1,2"]])

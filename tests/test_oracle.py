@@ -274,15 +274,16 @@ def test_turned_sweep_matches_marked_transfer_on_spectral_grids():
 
 def split_matches_unsplit(grid):
     n = grid.N
-    for top in range(n + 1):
-        assert oracle._transfer(grid, top, oracle._bottom(grid, n - top)) == unsplit(grid)
+    assert oracle._reduced_z(grid) == unsplit(grid)
     for prof in all_profiles(n):
         bottom = oracle._bottom(grid, n - prof.s)
-        for kind in ("marks", "frozen"):
-            split = oracle._contract(grid, oracle._top(grid, kind, prof.r), bottom, n * (n - 1))
-            assert split == unsplit(grid, **{kind: prof.r}), (n, prof.r, kind)
-        split = oracle._transfer(grid, prof.s, bottom, widths=prof.r)
-        assert split == unsplit(grid, widths=prof.r), (n, prof.r, "widths")
+        split = {kind: oracle._contract(grid, oracle._top(grid, kind, prof.r), bottom)
+                 for kind in ("marks", "frozen")}
+        for kind, value in split.items():
+            assert value == unsplit(grid, **{kind: prof.r}), (n, prof.r, kind)
+        # the frozen corner's type-2 vertices on top of the cut domain
+        corner = prod(to_exact(grid.a[j][k]) for j, rj in enumerate(prof.r) for k in range(rj, n))
+        assert split["frozen"] == unsplit(grid, widths=prof.r) * corner, (n, prof.r, "widths")
 
 
 def test_split_transfer_matches_the_unsplit_sweep_on_rational_grids():
@@ -358,9 +359,10 @@ def row_calls(monkeypatch, cold_oracle):
 @pytest.mark.parametrize("r", [(3,), (3, 5)])
 def test_gefp_oracle_sweeps_the_unconstrained_rows_once(row_calls, r):
     n, s, calls = 8, len(r), row_calls
-    # cold: the bottom rows, then Z, the marked and the frozen sum over the
-    # s top rows; a fresh grid at the same point reads them all from the memo
-    for expected in ((n - s) + 3 * s, 0):
+    # cold: the N turned rows (the bottom ones, then Z's level N) and the
+    # marked and the frozen s top rows; a fresh grid at the same point reads
+    # them all from the memo
+    for expected in (n + 2 * s, 0):
         calls.clear()
         gefp_oracle(WeightGrid.from_weights(n, rational_weights(4)), YoungProfile(n, r))
         assert len(calls) == expected
@@ -377,9 +379,9 @@ def test_bottom_sweeps_resume_from_the_deepest_level(row_calls, r):
     for k in range(n):
         oracle._bottom(WeightGrid.from_weights(n, w), k)
     assert not calls
-    # so a GEFP on a fresh grid sweeps only its top rows: Z, the marked and
-    # the frozen sum on the first call, none after
-    for expected in (3 * s, 0):
+    # so a GEFP on a fresh grid sweeps the last turned row for Z and its
+    # marked and frozen top rows on the first call, none after
+    for expected in (2 * s + 1, 0):
         calls.clear()
         gefp_oracle(WeightGrid.from_weights(n, w), YoungProfile(n, r))
         assert len(calls) == expected
@@ -398,15 +400,15 @@ def test_h_tables_sweep_the_n_grid_once(row_calls):
 
 def test_gefp_oracle_sweeps_each_prefix_once(row_calls):
     # in table order every prefix of a profile is a profile met before, so
-    # each adds one marked and one frozen row; the first call also sweeps Z
-    # (one row) and the N - 1 turned rows below it.  All 2 x 923 prefixes fit
-    # under the bound at N = 6.
+    # each adds one marked and one frozen row; the first call also sweeps the
+    # N turned rows, the last one for Z.  All 2 x 923 prefixes fit under the
+    # bound at N = 6.
     n, w = 6, rational_weights(4)
     profiles = all_profiles(n)
     for prof in profiles:
         gefp_oracle(WeightGrid.from_weights(n, w), prof)
     assert len(profiles) == 923
-    assert len(row_calls) == 2 * 923 + 1 + (n - 1)
+    assert len(row_calls) == 2 * 923 + n
     assert len(oracle._prefixes) == 2 * 923 <= oracle._PREFIX_STATES // comb(6, 3)
 
 
@@ -651,6 +653,35 @@ def test_modified_domain_identities():
                 zmod = reduced_modified_domain_partition(grid, prof)
                 g = gefp_oracle(grid, prof).value
                 assert zmod * w.a ** prof.mu_size == g * zn
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_cut_domain_is_the_staircase_sweep(backend):
+    # the frozen chain over a^|mu| against the rows of widths r swept
+    # forward; a != 1, so a wrong power of a shows
+    with mp.workprec(128):
+        for seed in (1, 5):
+            w = rational_weights(seed)
+            if backend == FLOAT:
+                w = VertexWeights.from_abc(*(to_float(x) / 3 for x in (w.a, w.b, w.c)))
+            assert w.a != 1
+            for n in range(1, 7):
+                grid = WeightGrid.from_weights(n, w)
+                for prof in all_profiles(n):
+                    assert (bits(reduced_modified_domain_partition(grid, prof))
+                            == bits(grid.rounded(forward_sum(grid, widths=prof.r)))), \
+                        (n, prof.r)
+
+
+def test_cut_domain_after_gefp_oracle_sweeps_no_row(row_calls):
+    # the cut domain reads the frozen chain and the bottom level that the
+    # GEFP of its profile left in the memo
+    n, w = 6, rational_weights(4)
+    for prof in all_profiles(n):
+        gefp_oracle(WeightGrid.from_weights(n, w), prof)
+        row_calls.clear()
+        reduced_modified_domain_partition(WeightGrid.from_weights(n, w), prof)
+        assert not row_calls, prof.r
 
 
 def test_modified_domain_ice_example():
