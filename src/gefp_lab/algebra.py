@@ -479,6 +479,20 @@ def _offsets_to_degree(caps, top):
     return tuple(o for o, d in enumerate(degrees) if d <= top)
 
 
+@lru_cache(maxsize=16)
+def staircase_planes(N, s):
+    """The staircase S(N, s), the points of [0..N-1]^s whose t-th largest
+    entry is at most N - 1 - t, as (rest, tops) planes: (rest, p, q) is in S
+    iff q <= tops[p].  S is symmetric, so this serves every pair of axes."""
+    tops_of = {}
+    for key in set(map(tuple, map(sorted, product(range(N), repeat=s - 2)))):
+        tops_of[key] = tops = []
+        for p, q in product(range(N), repeat=2):
+            if all(map(le, sorted(key + (p, q)), range(N - s, N))):
+                tops[p:] = [q]
+    return [(rest, tops_of[tuple(sorted(rest))]) for rest in product(range(N), repeat=s - 2)]
+
+
 def geometric_inverse_coeffs(p, cap, one):
     """Coefficients of (z - 1)^(-p) as a power series at the origin.
 

@@ -31,54 +31,50 @@ the dyadic rationals it holds, and the result is rounded once.
 
 ``gefp_determinant_jets`` evaluates the s x s determinant of K-polynomial
 operators acting on the omega/rho product, by multivariate jet expansion.
-The pair block, the K rows and the omega/rho powers depend only on
-(N, lambda, eta), so they are built once per N and shared by every s; the
-pair product depends on s as well, and both are cached.  The engine runs on
-Python integers: each group of mpf inputs is read as the integers it holds
-over one power of two.  The pair block is the closed form
-(1 - wt)(1 - ww) / (1 - wt ww), a sum of N rank-one terms, summed exactly
-and rounded once; the pair product keeps ``JETS_GUARD_BITS`` past the
-working precision; the folds and the contraction are exact, so a result is
-rounded once.  The contraction runs from the last axis, and what it builds
-after axis k depends only on the suffix (r_k, ..., r_s), so the workspace
-keeps each fold and partial tensor and a profile costs only the steps for
-the suffixes not yet met.  The fold of r_k vanishes from index r_k on, so
-those partial tensors live on the box [0..r_k - 1]^(k-1) alone.
+The pair block, the K rows (one Hankel factorisation) and the omega/rho
+powers depend only on (N, lambda, eta), so they are built once per N and
+shared by every s; the pair product depends on s as well, and both are
+cached.  The engine runs on Python integers, each group of mpf inputs read
+as the integers it holds over one power of two: the closed-form pair block
+is rounded once, the pair product keeps ``JETS_GUARD_BITS`` past the working
+precision, and the folds and the contraction are exact.  The contraction
+runs from the last axis and keeps each fold and the partial tensors of each
+profile suffix (r_k, ..., r_s).  K row j has degree N - s + j and the fold
+of r_k starts at degree N - r_k, so only the staircase of the pair product
+is filled, and each partial tensor lives on [0..r_k - 1]^(k-1).
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import repeat
 from operator import add, gt, mul, sub
 
 from mpmath import mp
 
 from .algebra import (Jet, TruncatedSeries, _convolve, geometric_inverse_coeffs,
-                      signed_subsets)
+                      signed_subsets, staircase_planes)
 from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
 from .errors import BadIndex, NonphysicalWeights, NotInvertible, TooLarge, Unsupported
 from .hfun import (OmegaRho, _block_sums, _columns, _minors, build_h_tables, h_polynomial,
                    reflect_substitute)
-from .ik import k_polynomial, phi_derivatives
+from .ik import k_polynomials, phi_derivatives
 from .oracle import CorrelationResult, YoungProfile, _cached
 from .params import VertexWeights, weights_from_trig
 
-# Largest pair box N^s the jets engine builds, checked before any work.  The
-# build grows with the box: one cold call at 128 bits, process time on one
-# x86 core (best of three), takes about 0.1 s at (8, 4), 0.5 s at (7, 5),
-# 1.6-1.7 s at (14, 4) and 1.8 s at (6, 6), the largest boxes under the cap,
-# nearly all of it in the integer pair product (the closed-form pair block
-# takes 3 ms at N = 14).  6^6 keeps every s <= N <= 6, and since s <= N it
-# refuses every s >= 7.
+# Largest pair box N^s the jets engine builds, checked before any work.  One
+# cold call at 128 bits, process time on one x86 core, takes about 0.08 s at
+# (8, 4), 0.3 s at (7, 5), 1.3-1.5 s at (14, 4) and 0.6 s at (6, 6), the
+# largest boxes under the cap, nearly all of it in the integer pair product
+# on its staircase.  6^6 keeps every s <= N <= 6 and refuses every s >= 7.
 JETS_BOX_CAP = 6 ** 6
 
 # Bits past the working precision that the jets pair product keeps in its
-# smallest nonzero entry after each pair pass.  Without the shift the entries
-# grow by one block's bit size per pass (to 1,960 bits at (6, 6), 128 bits).
-# The nonzero entries of one pair tensor span at most 57 bits at (6, 6) and
-# 86 at (14, 4) (at the trig point (1.1, 0.35)), so after the shift none is
-# longer than about prec + 100.
+# smallest nonzero staircase entry after each pair pass.  Without the shift
+# the entries grow by one block's bit size per pass (to 1,960 bits at (6, 6),
+# 128 bits); with it none is longer than about prec + 100, since the entries
+# of one pair tensor span at most 86 bits at (14, 4) and (1.1, 0.35).
 JETS_GUARD_BITS = 16
 
 
@@ -361,9 +357,9 @@ class _JetsInputs:
     hold over one power of two (``powers_exp``).  ``pair_block`` is the pair
     block (rt rr (wt ww - 1))^-1 on the (N-1, N-1) box, in the same form,
     with rt, wt = rho_tilde, omega_tilde of x and rr, ww = rho, omega of y;
-    it is built in closed form from wt and ww alone.  ``k_row(n)`` is
-    K_n[m] m!, m < N, as mpf.  Both are built on first use, so the s = 1
-    workspace of the K-route H table never builds the block.
+    it is built in closed form from wt and ww alone, on first use, so the
+    s = 1 workspace of the K-route H table never builds it.  ``k_rows[n]``
+    is K_n[m] m!, m < N, as mpf, every row n < N from one factorisation.
     """
 
     def __init__(self, N, lam, eta):
@@ -376,8 +372,8 @@ class _JetsInputs:
             powers.append(powers[-1] * self.omega)
         flat, self.powers_exp = _dyadic([x for p in powers for x in p.coeffs])
         self.powers = [flat[o:o + N] for o in range(0, N * N, N)]
-        self.pd = phi_derivatives(lam, eta, 2 * n)
-        self.k_rows = {}
+        self.k_rows = [[k.coeff(m) * math.factorial(m) for m in range(N)]
+                       for k in k_polynomials(phi_derivatives(lam, eta, 2 * n), n)]
 
     @cached_property
     def pair_block(self):
@@ -406,41 +402,34 @@ class _JetsInputs:
         exponent = N * (e1 + e2) + _shift_to(data, mp.prec + JETS_GUARD_BITS)
         return TruncatedSeries((N - 1, N - 1), 0, data), exponent
 
-    def k_row(self, index):
-        row = self.k_rows.get(index)
-        if row is None:
-            k = k_polynomial(index, self.lam, self.eta, self.pd)
-            row = self.k_rows[index] = [k.coeff(m) * math.factorial(m) for m in range(self.N)]
-        return row
-
 
 @dataclass
 class JetsWorkspace:
     """Profile-independent parts of the operator determinant at (N, s, lambda, eta).
 
     All three parts are Python integers: ``pair`` is P = prod_{j<k}
-    block_jk^-1 on the (N-1)^s box; ``weights[j][m]`` is K_{N-s+j}[m] m!
-    (zero past the degree); ``powers[e]`` holds the Taylor coefficients of
-    rho^N omega^e for e = 0..N-1.  Every contraction is an integer times
-    2^``exponent``.  The K rows and the powers are the exact dyadic values of
-    their mpf inputs; the pair block is rounded once, and ``pair`` to
-    ``JETS_GUARD_BITS`` past the working precision after each pair pass.
+    block_jk^-1, flat on the N^s box, filled on the staircase that profiles
+    read (``staircase_planes``) and 0 off it; ``weights[j][m]`` is
+    K_{N-s+j}[m] m! (zero past the degree); ``powers[e]`` holds the Taylor
+    coefficients of rho^N omega^e for e = 0..N-1.  Every contraction is an
+    integer times 2^``exponent``.  The K rows and the powers are the exact
+    dyadic values of their mpf inputs; the pair block is rounded once, and
+    ``pair`` to ``JETS_GUARD_BITS`` past the working precision after each
+    pair pass.
 
     ``folds`` and ``partials`` memoize ``contraction``: the fold of one row
     position r into the K rows, and the partial tensors of each profile
-    suffix (r_k, ..., r_s), on the box [0..r_k - 1]^(k-1) that the folds of
-    the profile's first rows reach.  Both hold only what a cold
-    contraction builds anyway.  After every profile of (N, s) has run,
-    ``partials`` holds sum_{m=1..s} C(s, m) sum_{w=1..N} C(N-w+m-1, m-1)
-    w^(s-m) coefficients: C(N-w+m-1, m-1) suffixes of length m start at w,
-    each with C(s, m) sets of used rows on w^(s-m) entries.  That is
-    170,100 at (6, 6) and 81,200 at (14, 4), against 1,007,670 and 310,884
-    on the whole N^(s-m) box.
+    suffix (r_k, ..., r_s) and set of used rows with a live term, on the box
+    [0..r_k - 1]^(k-1) that the folds of the profile's first rows reach.
+    Both hold only what a cold contraction builds anyway: after every
+    profile of (N, s), 138,855 coefficients at (6, 6) and 80,629 at (14, 4),
+    against 170,100 and 81,200 with every set of used rows and 1,007,670 and
+    310,884 on the whole N^(s-m) box.
     """
 
     N: int
     s: int
-    pair: TruncatedSeries
+    pair: list
     weights: list
     powers: list
     exponent: int
@@ -467,35 +456,33 @@ class JetsWorkspace:
         axis k depend only on r[k:], so the call resumes from the longest
         suffix already in ``partials`` and stores every level it adds.
 
-        v[k][j][m] is 0 for m >= r_k, and r is weakly increasing, so the
-        partial tensors of the suffix r[k:] are read only on the box
-        [0..r_k - 1]^k, and each dot product needs only r_k terms: they are
-        stored and read on that box alone, and P on the whole box, which
-        r = (N, ..., N) reads.  Only exact zeros are left out and every dot
-        product is exact, so the result is the exact sum at the workspace's
-        integers, rounded once.
+        v[k][j][m] is 0 for m > r_k - s + j, so a dot product on axis k
+        needs r_k - s + j + 1 terms of row j, and none if that is <= 0; a set
+        of used rows with no live term is not stored, so a blocked profile
+        (some r_j < j) runs out of terms and is 0.  The partial tensors of
+        r[k:] are read only on [0..r_k - 1]^k, and P only on its staircase.
+        Only exact zeros are left out and every dot product is exact, so the
+        result is the exact sum at the workspace's integers, rounded once.
         """
         s = self.s
         start = next((k for k in range(s) if tuple(r[k:]) in self.partials), s)
-        if start < s:
-            states, width = self.partials[tuple(r[start:])], r[start]
-        else:
-            states, width = {0: self.pair.data}, self.N
+        states, width = ({0: self.pair}, self.N) if start == s else \
+            (self.partials[tuple(r[start:])], r[start])
         for k in reversed(range(start)):
             w = r[k]
-            v = [row[:w] for row in self.fold(w)]
+            v = [row[:max(w - s + j + 1, 0)] for j, row in enumerate(self.fold(w))]
             bases = _box_offsets(k, w, width)
             pieces = {prev: [tensor[o:o + w] for o in bases] for prev, tensor in states.items()}
             nxt = {}
             for used, terms in signed_subsets(s)[s - k]:
-                total = [0] * len(bases)
                 for j, prev, odd in terms:
-                    dots = [sum(map(mul, v[j], piece)) for piece in pieces[prev]]
-                    total = list(map(sub if odd else add, total, dots))
-                nxt[used] = total
+                    if v[j] and prev in pieces:
+                        dots = [sum(map(mul, v[j], piece)) for piece in pieces[prev]]
+                        total = nxt.get(used, [0] * len(bases))
+                        nxt[used] = list(map(sub if odd else add, total, dots))
             states = self.partials[tuple(r[k:])] = nxt
             width = w
-        return mp.ldexp(mp.mpf(states[(1 << s) - 1][0]), self.exponent)
+        return mp.ldexp(mp.mpf(sum(states.get((1 << s) - 1, ()))), self.exponent)
 
 
 @lru_cache(maxsize=256)
@@ -532,16 +519,38 @@ def jets_inputs(N, lam, eta) -> _JetsInputs:
                    lambda: _JetsInputs(N, lam, eta))
 
 
+def _pair_pass(data, N, s, j, k, block):
+    """``data`` times block(x_j, x_k) on the staircase S(N, s) alone, both
+    flat on the N^s box and 0 off S.  S is closed downward, so each entry of
+    a plane of ``staircase_planes`` is the dot products of the source rows
+    0..p, trailing zeros dropped, with the block rows p..0 read backwards."""
+    strides = [N ** (s - 1 - a) for a in range(s)]
+    sj, sk, others = strides[j], strides[k], [strides[a] for a in range(s) if a not in (j, k)]
+    cols = [[block[a * N:(a + 1) * N][q::-1] for a in range(N)] for q in range(N)]
+    out = [0] * len(data)
+    for rest, tops in staircase_planes(N, s):
+        base = sum(map(mul, rest, others))
+        rows = [data[base + p * sj:base + p * sj + (q + 1) * sk:sk] for p, q in enumerate(tops)]
+        for row in rows:
+            while row and not row[-1]:
+                row.pop()
+        if any(rows):
+            for p, top in enumerate(tops):
+                down, o = rows[p::-1], base + p * sj
+                out[o:o + (top + 1) * sk:sk] = [sum(map(sum, map(map, repeat(mul), down, cols[q])))
+                                                for q in range(top + 1)]
+    return out
+
+
 def _build_jets_workspace(N, s, lam, eta):
     inputs = jets_inputs(N, lam, eta)
-    pair = TruncatedSeries.constant([N - 1] * s, 1, 0)
-    exponent = 0
+    pair, exponent = [1] + [0] * (N ** s - 1), 0
     for j in range(s):
         for k in range(j + 1, s):
             block, block_exp = inputs.pair_block
-            pair = pair.mul_pair(j, k, block)
-            exponent += block_exp + _shift_to(pair.data, mp.prec + JETS_GUARD_BITS)
-    flat, weights_exp = _dyadic([x for j in range(s) for x in inputs.k_row(N - s + j)])
+            pair = _pair_pass(pair, N, s, j, k, block.data)
+            exponent += block_exp + _shift_to(pair, mp.prec + JETS_GUARD_BITS)
+    flat, weights_exp = _dyadic([x for row in inputs.k_rows[N - s:] for x in row])
     weights = [flat[o:o + N] for o in range(0, s * N, N)]
     exponent += s * (weights_exp + inputs.powers_exp)
     return JetsWorkspace(N, s, pair, weights, inputs.powers, exponent)

@@ -105,7 +105,7 @@ def kfint_check(N, f: UniPoly, lam, eta):
     comp = Jet.constant(mp.mpf(f.coeffs[-1]), N - 1)
     for c in reversed(f.coeffs[:-1]):
         comp = comp * inputs.omega + mp.mpf(c)
-    lhs = sum(k * x for k, x in zip(inputs.k_row(N - 1), comp.coeffs))
+    lhs = sum(k * x for k, x in zip(inputs.k_rows[N - 1], comp.coeffs))
     zm1 = UniPoly([mp.mpf((-1) ** (N - 1 - k) * math.comb(N - 1, k)) for k in range(N)])
     rhs = (zm1 * UniPoly(boundary_H_table_via_K(N, lam, eta)) * f).coeff(N - 1)
     return lhs, rhs

@@ -13,8 +13,8 @@ recurrence, and the expansion of an N x N determinant whose first s columns
 carry shift operators acting on a trailing trigonometric function of
 auxiliary variables eps_1..eps_s.  The homogeneous GEFP is not computed
 here: its one operator-determinant engine is the s x s K-polynomial form,
-``gefp.gefp_determinant_jets``, which takes ``k_polynomial`` from this
-module.
+``gefp.gefp_determinant_jets``, which takes every K row it needs from one
+``k_polynomials`` call.
 
 Convention note, validated against the enumeration oracle: in the operator
 determinant the pair factor coupling eps_j and eps_k (j < k) reads
@@ -147,18 +147,20 @@ def homogeneous_partition_jets(N, lam, eta):
     return (a_fn(lam, 0, eta) * b_fn(lam, 0, eta)) ** (N * N) * mp.fprod(pivots) / fact ** 2
 
 
-def k_polynomial(n, lam, eta, pd=None) -> UniPoly:
-    """K_n = n! pd_0^(n+1) P_n / d_n from row n of ``hankel_factor``, pd the
-    phi derivatives at (lambda, eta) to order 2n unless given; K_0 = 1.  By
-    cofactor expansion this is (-1)^n n! pd_0^(n+1) / H_n sum_j (-1)^j M_j x^j,
-    M_j the minor of [pd_{i+k}], i <= n, k < n, without row j.  A vanishing
-    H_k, k <= n, raises ``SingularHankel`` (that form raised only for H_n);
-    H_k is Z_{k+1} times a nonzero factor, so no physical point raises."""
-    if pd is None:
-        pd = phi_derivatives(lam, eta, 2 * n)
+def k_polynomials(pd, n):
+    """[K_0, ..., K_n], K_m = m! pd_0^(m+1) P_m / d_m, from one ``hankel_factor``."""
     polys, pivots = hankel_factor(pd, n)
-    scale = math.factorial(n) * pd[0] ** (n + 1) / pivots[n]
-    return UniPoly([scale * x for x in polys[n]])
+    scales = [math.factorial(m) * pd[0] ** (m + 1) / d for m, d in enumerate(pivots)]
+    return [UniPoly([c * x for x in p]) for c, p in zip(scales, polys)]
+
+
+def k_polynomial(n, lam, eta, pd=None) -> UniPoly:
+    """K_n, row n of ``k_polynomials`` (pd the phi derivatives to order 2n
+    unless given), by cofactor expansion (-1)^n n! pd_0^(n+1) / H_n sum_j
+    (-1)^j M_j x^j, M_j the minor of [pd_{i+k}], i <= n, k < n, without row j.
+    A vanishing H_k, k <= n, raises ``SingularHankel`` (that form raised only
+    for H_n); H_k is Z_{k+1} times a nonzero factor: no physical point raises."""
+    return k_polynomials(pd or phi_derivatives(lam, eta, 2 * n), n)[n]
 
 
 # ---------------------------------------------------------------------------

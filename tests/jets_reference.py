@@ -3,10 +3,16 @@
 ``JetsWorkspace.contraction`` contracts one axis at a time and keeps the
 partial tensors of every profile suffix on the box its folds reach.
 ``exact_contraction`` sums sgn(p) P[i] prod_k v[k][p(k)][i_k] over every
-permutation p and every index i instead, in integers, from the workspace's
-own ``pair``, ``weights`` and ``powers``, with no memo: the engine must give
-this sum, rounded once.  ``full_box_contraction`` is the same axis-by-axis
-contraction with every partial tensor on the whole N^k box.
+permutation p and every index i of the N^s box instead, in integers, from the
+workspace's ``weights`` and ``powers`` and a pair product of its own, with no
+memo: the engine must give this sum, rounded once.  That P is
+``full_box_pair``: the generic series product of the pair blocks on the
+whole box, each pass rounded by ``_shift_to`` over the whole box, so the sum
+also reads every entry that the engine leaves out as one no profile can
+reach.  (The engine's shift reads its staircase alone; where the box's
+smallest entry lies off it, the reference keeps more guard bits.)
+``full_box_contraction`` is the engine's axis-by-axis contraction with every
+partial tensor on the whole N^k box and every dot product over N terms.
 
 ``exact_pair_block`` builds (1 - wt)(1 - ww)(1 - wt ww)^-1 with the generic
 series product and inverse on ``Fraction``s, from the dyadic values of the
@@ -22,22 +28,40 @@ from mpmath import mp
 
 from gefp_lab.algebra import TruncatedSeries, perm_sign
 from gefp_lab.backends import to_exact
+from gefp_lab.gefp import JETS_GUARD_BITS, _dyadic, _shift_to
 
 
-def exact_contraction(ws, r):
+def full_box_pair(inputs, s):
+    """(P, exponent): prod_{j<k} block(x_j, x_k) on the whole N^s box, by
+    ``mul_pair`` on every entry, each pass rounded by ``_shift_to`` to
+    ``JETS_GUARD_BITS`` past the working precision."""
+    pair, exponent = TruncatedSeries.constant([inputs.N - 1] * s, 1, 0), 0
+    for j in range(s):
+        for k in range(j + 1, s):
+            block, block_exp = inputs.pair_block
+            pair = pair.mul_pair(j, k, block)
+            exponent += block_exp + _shift_to(pair.data, mp.prec + JETS_GUARD_BITS)
+    return pair, exponent
+
+
+def exact_contraction(ws, r, inputs):
     """The contraction of the jets workspace ``ws`` at the profile r, as the
-    exact dyadic ``Fraction``."""
+    exact dyadic ``Fraction``, with P from ``full_box_pair`` of ``inputs``,
+    the workspace's shared inputs."""
     N, s = ws.N, ws.s
+    pair, exponent = full_box_pair(inputs, s)
+    weights_exp = _dyadic([x for row in inputs.k_rows[N - s:] for x in row])[1]
+    exponent += s * (weights_exp + inputs.powers_exp)
     folds = [[[sum(ws.powers[N - rk][d] * w[m + d] for d in range(N - m))
                for m in range(N)] for w in ws.weights] for rk in r]
     total = 0
     for p in permutations(range(s)):
         for i in product(range(N), repeat=s):
-            term = perm_sign(p) * ws.pair.coeff(i)
+            term = perm_sign(p) * pair.coeff(i)
             for k in range(s):
                 term *= folds[k][p[k]][i[k]]
             total += term
-    return Fraction(total) * Fraction(2) ** ws.exponent
+    return Fraction(total) * Fraction(2) ** exponent
 
 
 def full_box_contraction(ws, r, partials):
@@ -46,7 +70,7 @@ def full_box_contraction(ws, r, partials):
     in ``partials``."""
     N, s = ws.N, ws.s
     start = next((k for k in range(s) if tuple(r[k:]) in partials), s)
-    states = partials[tuple(r[start:])] if start < s else {0: ws.pair.data}
+    states = partials[tuple(r[start:])] if start < s else {0: ws.pair}
     for k in reversed(range(start)):
         v = ws.fold(r[k])
         nxt = {}

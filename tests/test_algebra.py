@@ -5,7 +5,8 @@ from itertools import combinations, product
 import pytest
 from mpmath import mp
 
-from gefp_lab.algebra import Jet, TruncatedSeries, UniPoly, det, geometric_inverse_coeffs
+from gefp_lab.algebra import (Jet, TruncatedSeries, UniPoly, det, geometric_inverse_coeffs,
+                              staircase_planes)
 from gefp_lab.errors import NotInvertible
 from gefp_lab.gefp import _factor_coeffs, _prefactor_series
 from residue_reference import mul_axis
@@ -407,3 +408,22 @@ def test_unipoly_taylor_jet():
     jet = p.taylor_jet(Fraction(2), 2)
     # p(2 + e) = 9 + 10 e + 3 e^2
     assert jet.coeffs == [9, 10, 3]
+
+
+def test_staircase_planes_list_the_staircase_for_every_pair_of_axes():
+    # S(N, s): the t-th largest index at most N - 1 - t, (N-s+1)(N+1)^(s-1) points
+    for N in range(2, 8):
+        for s in range(2, min(N, 5) + 1):
+            want = {i for i in product(range(N), repeat=s)
+                    if all(x <= N - 1 - t for t, x in enumerate(sorted(i, reverse=True)))}
+            assert len(want) == (N - s + 1) * (N + 1) ** (s - 1)
+            for j, k in combinations(range(s), 2):
+                got = []
+                for rest, tops in staircase_planes(N, s):
+                    for p, top in enumerate(tops):
+                        for q in range(top + 1):
+                            i = list(rest)
+                            i.insert(j, p)
+                            i.insert(k, q)
+                            got.append(tuple(i))
+                assert len(got) == len(want) and set(got) == want, (N, s, j, k)

@@ -8,7 +8,7 @@ from mpmath import mp
 
 from gefp_lab.backends import to_exact, to_float
 from gefp_lab.errors import BadIndex, NonphysicalWeights, TooLarge, Unsupported
-from gefp_lab import gefp, hfun
+from gefp_lab import gefp, hfun, ik
 from gefp_lab.algebra import TruncatedSeries
 from gefp_lab.gefp import (gefp_determinant_jets, gefp_residue, jets_workspace,
                            pole_deformation_check, residue_workspace)
@@ -480,13 +480,16 @@ def test_jets_second_sweep_reads_the_memo(monkeypatch):
 
 @pytest.mark.parametrize("prec", [64, 128, 256])
 def test_jets_contraction_is_the_exact_sum_rounded_once(prec):
+    # the engine's pair product holds the staircase alone, the reference's
+    # the whole N^s box: the entries left out never reach a value
     with mp.workprec(prec):
         lam, eta = mp.mpf("1.1"), mp.mpf("0.35")
         profiles = [p for n in (1, 2, 3, 4) for p in all_profiles(n)]
         profiles += [p for p in all_profiles(5) if p.s <= 3]
         for p in profiles:
             value = gefp_determinant_jets(p.N, p, lam, eta).value
-            exact = exact_contraction(jets_workspace(p.N, p.s, lam, eta), p.r)
+            exact = exact_contraction(jets_workspace(p.N, p.s, lam, eta), p.r,
+                                      gefp.jets_inputs(p.N, lam, eta))
             assert value._mpf_ == to_float((-1) ** p.s * exact)._mpf_, p.r
 
 
@@ -495,19 +498,35 @@ TRIG_POINTS = ((mp.mpf("1.1"), mp.mpf("0.35")), (mp.mpf("1.45"), mp.mpf("0.62"))
 
 @pytest.mark.parametrize("prec", [64, 128, 256])
 def test_jets_folds_vanish_past_the_row_position(prec):
-    # the box the contraction reads: u = rho^N omega^(N-r) starts at degree
-    # N - r and each K row has N entries, so fold(r)[j][m] = 0 for m >= r
+    # the terms the contraction reads: u = rho^N omega^(N-r) starts at degree
+    # N - r and K row j has degree N - s + j, so fold(r)[j][m] = 0 exactly
+    # for m > r - s + j, and the last term before that bound is not 0
     with mp.workprec(prec):
         for (lam, eta), N in product(TRIG_POINTS, range(1, 7)):
             inputs = gefp.jets_inputs(N, lam, eta)
             for s in range(1, N + 1):
-                flat, _ = gefp._dyadic([x for j in range(s) for x in inputs.k_row(N - s + j)])
+                flat, _ = gefp._dyadic([x for row in inputs.k_rows[N - s:] for x in row])
                 weights = [flat[o:o + N] for o in range(0, s * N, N)]
                 ws = gefp.JetsWorkspace(N, s, None, weights, inputs.powers, 0)
                 for r in range(1, N + 1):
-                    v = ws.fold(r)
-                    assert any(any(row[:r]) for row in v), (N, s, r)
-                    assert all(x == 0 for row in v for x in row[r:]), (N, s, r)
+                    for j, row in enumerate(ws.fold(r)):
+                        last = r - s + j
+                        assert all(x == 0 for x in row[max(last + 1, 0):]), (N, s, r, j)
+                        assert last < 0 or row[last] != 0, (N, s, r, j)
+
+
+def test_jets_blocked_profiles_are_exact_zeros_with_no_partial_tensor():
+    # r_j < j leaves some axis no K row with a live term, so the contraction
+    # runs out of terms: the value is exact 0 and the profile stores nothing
+    with mp.workprec(128):
+        for (lam, eta), N in product(TRIG_POINTS, range(2, 7)):
+            blocked = [p for p in all_profiles(N) if any(x < j for j, x in enumerate(p.r, 1))]
+            assert blocked
+            for p in blocked:
+                ws = jets_workspace(N, p.s, lam, eta)
+                ws.partials.clear()
+                assert gefp_determinant_jets(N, p, lam, eta).value._mpf_ == mp.zero._mpf_, p.r
+                assert ws.partials[p.r] == {}, p.r
 
 
 def test_jets_contraction_on_the_box_equals_the_full_box_one():
@@ -545,23 +564,26 @@ def test_pair_block_is_the_exact_block_rounded_once(prec):
 
 
 def test_jets_shared_inputs_built_once_per_n(monkeypatch):
-    # the pair block, the K rows and the powers do not depend on s
-    calls = {"OmegaRho": [], "k_polynomial": []}
-    for name, log in calls.items():
-        real = getattr(gefp, name)
-        monkeypatch.setattr(gefp, name, lambda *a, real=real, log=log: log.append(a) or real(*a))
+    # the pair block, the K rows and the powers do not depend on s, and every
+    # K row comes from one Hankel factorisation per (N, lambda, eta, prec)
+    calls = {(gefp, "OmegaRho"): [], (ik, "hankel_factor"): []}
+    for (module, name), log in calls.items():
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, log=log: log.append(a) or real(*a))
+    lam, eta = mp.mpf("1.45"), mp.mpf("0.62")
+    gefp._jets_cache.clear()
+    for prec in (64, 128):
+        with mp.workprec(prec):
+            warm = [jets_workspace(5, s, lam, eta) for s in (3, 1, 5, 2, 4)]
+    assert [len(log) for log in calls.values()] == [2, 2]
+    assert [a[1] for a in calls[ik, "hankel_factor"]] == [4, 4]
     with mp.workprec(128):
-        lam, eta = mp.mpf("1.45"), mp.mpf("0.62")
-        gefp._jets_cache.clear()
-        warm = [jets_workspace(5, s, lam, eta) for s in (3, 1, 5, 2, 4)]
-        assert len(calls["OmegaRho"]) == 1
-        assert sorted(a[0] for a in calls["k_polynomial"]) == [0, 1, 2, 3, 4]
         for ws in warm:
             gefp._jets_cache.clear()
             cold = jets_workspace(5, ws.s, lam, eta)
             assert cold is not ws
-            assert (cold.pair.data, cold.weights, cold.powers, cold.exponent) == \
-                (ws.pair.data, ws.weights, ws.powers, ws.exponent)
+            assert (cold.pair, cold.weights, cold.powers, cold.exponent) == \
+                (ws.pair, ws.weights, ws.powers, ws.exponent)
             for p in all_profiles(5, ws.s):
                 assert cold.contraction(p.r)._mpf_ == ws.contraction(p.r)._mpf_, p.r
 

@@ -79,7 +79,8 @@ def test_boundary_H_via_K_is_the_s1_contraction_differenced_and_rounded_once(pre
         for lam, eta in ((mp.mpf(LAM), mp.mpf(ETA)), (mp.pi / 2, mp.pi / 6)):
             for n in range(1, 9):
                 ws = jets_workspace(n, 1, lam, eta)
-                c = [0] + [exact_contraction(ws, (r,)) for r in range(1, n + 1)]
+                inputs = jets_inputs(n, lam, eta)
+                c = [0] + [exact_contraction(ws, (r,), inputs) for r in range(1, n + 1)]
                 expect = [to_float(c[r - 1] - c[r])._mpf_ for r in range(1, n + 1)]
                 assert [x._mpf_ for x in boundary_H_table_via_K(n, lam, eta)] == expect, n
 
