@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Commands: partition, gefp, efp, hfun, cutdomain, table, verify.  Results go
-to stdout as JSON (default), CSV, or text; log lines, including wall time,
-go to stderr.  Identical configurations produce byte-identical stdout: float
-formatting is fixed by the working precision, summation orders are fixed,
-and the wall-time field stays null unless --timing is passed.
+to stdout as JSON (default), CSV, or text; each command writes one log
+line, with its wall time, to stderr.  Identical configurations produce
+byte-identical stdout: float formatting is fixed by the working precision,
+summation orders are fixed, and the wall-time field stays null unless
+--timing is passed.
 
 Exit codes: 0 success, 2 argument/configuration errors (including
 non-monotone profiles, sizes below their minimum and engine/backend
@@ -18,7 +19,7 @@ import re
 import sys
 import time
 from dataclasses import asdict
-from functools import cached_property
+from functools import cached_property, partial
 
 from mpmath import mp
 
@@ -39,8 +40,9 @@ from .verify import CRITERIA, run_criterion
 
 SCHEMA = "gefp-lab/1"
 
-CSV_COLUMNS = ["schema", "command", "engine", "backend", "N", "r", "delta", "t",
-               "lambda", "eta", "precision_bits", "value", "wall_time_ms"]
+CSV_COLUMNS = ["schema", "command", "engine", "backend", "N", "r", "s", "mu", "delta",
+               "t", "lambda", "eta", "lambdas", "nus", "precision_bits", "value",
+               "wall_time_ms"]
 
 
 class UsageError(Exception):
@@ -88,7 +90,8 @@ class ParamSpec:
             raise UsageError("give either --lambda or --lambdas/--nus, not both")
         if not rational_given and not trig_given and not lists_given:
             raise UsageError("parameters missing: --delta/--t or --lambda/--eta")
-        self.backend = args.backend
+        self.backend, self.N = args.backend, args.N
+        self.allow_nonphysical = args.allow_nonphysical
         self.delta = self.t = self.lam = self.eta = None
         self.lambdas = self.nus = None
         if rational_given:
@@ -120,12 +123,17 @@ class ParamSpec:
                 self.lam = _number("--lambda", args.lam, parse_float)
                 self.eta = _number("--eta", args.eta, parse_float)
 
-    def weights(self, allow_nonphysical):
+    @cached_property
+    def grid(self):
+        """The weight grid, built once for every row of a command."""
+        return WeightGrid.from_weights(self.N, self.weights())
+
+    def weights(self):
         if self.delta is not None:
-            return VertexWeights.from_delta_t(self.delta, self.t, allow_nonphysical)
+            return VertexWeights.from_delta_t(self.delta, self.t, self.allow_nonphysical)
         if self.lam is None:
             raise UsageError("this command needs homogeneous parameters")
-        return weights_from_trig(self.lam, 0, self.eta, allow_nonphysical)
+        return weights_from_trig(self.lam, 0, self.eta, self.allow_nonphysical)
 
     @cached_property
     def delta_t(self):
@@ -167,9 +175,25 @@ def _record(command, engine, backend, inputs, value, args, elapsed_ms):
     }
 
 
+def _run(args, spec, engine, rows):
+    """One record per row (inputs, call) of a result command: ``call()``
+    computes the row's value and is timed alone, and the inputs gain N and
+    the parameters.  One log line goes to stderr for the whole command."""
+    given = {"N": args.N, **spec.echo()}
+    t0 = time.perf_counter()
+    records = []
+    for inputs, call in rows:
+        t1 = time.perf_counter()
+        value = call()
+        ms = (time.perf_counter() - t1) * 1e3
+        records.append(_record(args.command, engine, spec.backend, {**inputs, **given},
+                               value, args, ms))
+    ms = (time.perf_counter() - t0) * 1e3
+    _log(f"command={args.command} rows={len(records)} wall_time_ms={ms:.3f}")
+    return records
+
+
 def _emit(records, args):
-    if isinstance(records, dict):
-        records = [records]
     if args.format == "json":
         payload = records[0] if len(records) == 1 else records
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -202,130 +226,80 @@ def _log(message):
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# result commands: each checks its inputs and returns its engine's name and
+# its rows (inputs, call) for ``_run``
 
-def cmd_partition(args):
-    spec = ParamSpec(args)
-    t0 = time.perf_counter()
-    if args.engine == "oracle":
-        grid = WeightGrid.from_weights(args.N, spec.weights(args.allow_nonphysical))
-        value = partition_function_oracle(grid, cap=args.oracle_cap)
-        backend = spec.backend
-    elif args.engine == "ik":
-        if spec.lambdas is None:
-            raise UsageError("--engine ik needs --lambdas/--nus/--eta")
-        value = ik_partition(SpectralData(spec.lambdas, spec.nus, spec.eta))
-        backend = FLOAT
-    elif args.engine == "ik-hom":
+def cmd_partition(args, spec):
+    def call():
+        if args.engine == "oracle":
+            return partition_function_oracle(spec.grid, cap=args.oracle_cap)
+        if args.engine == "ik":
+            if spec.lambdas is None:
+                raise UsageError("--engine ik needs --lambdas/--nus/--eta")
+            return ik_partition(SpectralData(spec.lambdas, spec.nus, spec.eta))
         if spec.lam is None:
             raise UsageError("--engine ik-hom needs --lambda/--eta")
-        spec.weights(args.allow_nonphysical)            # raises NonphysicalWeights
-        value = homogeneous_partition_jets(args.N, spec.lam, spec.eta)
-        backend = FLOAT
-    else:
-        raise UsageError(f"unknown partition engine {args.engine!r}")
-    ms = (time.perf_counter() - t0) * 1e3
-    _log(f"command=partition engine={args.engine} wall_time_ms={ms:.3f}")
-    inputs = {"N": args.N, **spec.echo()}
-    return [_record("partition", args.engine, backend, inputs, value, args, ms)]
+        spec.weights()  # raises NonphysicalWeights
+        return homogeneous_partition_jets(args.N, spec.lam, spec.eta)
+    return args.engine, [({}, call)]
 
 
-def _run_gefp_engine(args, spec, profile):
+def _gefp_value(args, spec, profile):
     """One profile on the engine of ``gefp``, ``efp`` and ``table``."""
     if args.engine == "residue":
         return gefp_residue(args.N, profile, *spec.delta_t, spec.backend,
-                            allow_nonphysical=args.allow_nonphysical)
+                            allow_nonphysical=args.allow_nonphysical).value
     if args.engine == "jets":
         if spec.backend == EXACT:
             raise UsageError("--engine jets runs in the float backend")
         return gefp_determinant_jets(args.N, profile, *spec.lambda_eta,
-                                     allow_nonphysical=args.allow_nonphysical)
-    if args.engine == "oracle":
-        grid = WeightGrid.from_weights(args.N, spec.weights(args.allow_nonphysical))
-        return gefp_oracle(grid, profile, cap=args.oracle_cap)
-    raise UsageError(f"unknown gefp engine {args.engine!r}")
+                                     allow_nonphysical=args.allow_nonphysical).value
+    return gefp_oracle(spec.grid, profile, cap=args.oracle_cap).value
 
 
-def cmd_gefp(args):
-    spec = ParamSpec(args)
+def cmd_gefp(args, spec):
     profile = _parse_profile(args.r, args.N)
-    t0 = time.perf_counter()
-    res = _run_gefp_engine(args, spec, profile)
-    ms = (time.perf_counter() - t0) * 1e3
-    _log(f"command=gefp engine={res.engine} wall_time_ms={ms:.3f}")
-    inputs = {"N": args.N, "r": list(profile.r), **spec.echo()}
-    return [_record("gefp", res.engine, res.backend, inputs, res.value, args, ms)]
+    return args.engine, [({"r": list(profile.r)}, partial(_gefp_value, args, spec, profile))]
 
 
-def cmd_efp(args):
+def cmd_efp(args, spec):
     """The EFP is the GEFP of the rectangular profile (r, ..., r), s times."""
-    spec = ParamSpec(args)
     if not 1 <= args.r <= args.N:
         raise UsageError(f"--r {args.r} outside 1..{args.N}")
     profile = _profile(args.N, (args.r,) * args.s)
-    t0 = time.perf_counter()
-    res = _run_gefp_engine(args, spec, profile)
-    ms = (time.perf_counter() - t0) * 1e3
-    engine = f"efp/{res.engine}"
-    _log(f"command=efp engine={engine} wall_time_ms={ms:.3f}")
-    inputs = {"N": args.N, "r": args.r, "s": args.s, **spec.echo()}
-    return [_record("efp", engine, res.backend, inputs, res.value, args, ms)]
+    return f"efp/{args.engine}", [({"r": args.r, "s": args.s},
+                                   partial(_gefp_value, args, spec, profile))]
 
 
-def cmd_hfun(args):
-    spec = ParamSpec(args)
-    t0 = time.perf_counter()
-    if args.engine == "oracle":
-        grid = WeightGrid.from_weights(args.N, spec.weights(args.allow_nonphysical))
-        table = boundary_distribution_oracle(grid, cap=args.oracle_cap)
-    elif args.engine == "kpoly":
-        if spec.backend == EXACT:
-            raise UsageError("--engine kpoly runs in the float backend")
-        spec.weights(args.allow_nonphysical)            # raises NonphysicalWeights
-        table = boundary_H_table_via_K(args.N, *spec.lambda_eta)
-    else:
-        raise UsageError(f"unknown hfun engine {args.engine!r}")
-    ms = (time.perf_counter() - t0) * 1e3
-    _log(f"command=hfun engine={args.engine} wall_time_ms={ms:.3f}")
-    inputs = {"N": args.N, **spec.echo()}
-    value = {
-        "H": [format_scalar(x) for x in table],
-        "h_poly_coeffs": [format_scalar(c) for c in UniPoly(table).coeffs],
-    }
-    return [_record("hfun", args.engine, spec.backend, inputs, value, args, ms)]
+def cmd_hfun(args, spec):
+    def call():
+        if args.engine == "oracle":
+            table = boundary_distribution_oracle(spec.grid, cap=args.oracle_cap)
+        else:
+            if spec.backend == EXACT:
+                raise UsageError("--engine kpoly runs in the float backend")
+            spec.weights()  # raises NonphysicalWeights
+            table = boundary_H_table_via_K(args.N, *spec.lambda_eta)
+        return {"H": [format_scalar(x) for x in table],
+                "h_poly_coeffs": [format_scalar(c) for c in UniPoly(table).coeffs]}
+    return args.engine, [({}, call)]
 
 
-def cmd_cutdomain(args):
-    spec = ParamSpec(args)
+def cmd_cutdomain(args, spec):
     profile = _parse_profile(args.r, args.N)
-    t0 = time.perf_counter()
-    grid = WeightGrid.from_weights(args.N, spec.weights(args.allow_nonphysical))
-    value = modified_domain_partition(grid, profile, cap=args.oracle_cap)
-    ms = (time.perf_counter() - t0) * 1e3
-    _log(f"command=cutdomain wall_time_ms={ms:.3f}")
-    inputs = {"N": args.N, "r": list(profile.r), "mu": list(profile.mu), **spec.echo()}
-    return [_record("cutdomain", "oracle", spec.backend, inputs, value, args, ms)]
+    return "oracle", [({"r": list(profile.r), "mu": list(profile.mu)},
+                       lambda: modified_domain_partition(spec.grid, profile,
+                                                         cap=args.oracle_cap))]
 
 
-def cmd_table(args):
-    spec = ParamSpec(args)
+def cmd_table(args, spec):
     if args.s is not None and args.s > args.N:
         raise UsageError(f"--s {args.s} exceeds N={args.N}")
     sizes = range(1, args.N + 1) if args.s is None else [args.s]
     if args.engine == "jets" and spec.backend == FLOAT:
         check_jets_box(args.N, max(sizes))      # before any row is computed
-    t0 = time.perf_counter()
-    records = []
-    for profile in (p for s in sizes for p in all_profiles(args.N, s)):
-        t1 = time.perf_counter()
-        res = _run_gefp_engine(args, spec, profile)
-        ms = (time.perf_counter() - t1) * 1e3
-        inputs = {"N": args.N, "r": list(profile.r), **spec.echo()}
-        records.append(_record("table", res.engine, res.backend, inputs,
-                               res.value, args, ms))
-    ms = (time.perf_counter() - t0) * 1e3
-    _log(f"command=table rows={len(records)} wall_time_ms={ms:.3f}")
-    return records
+    return args.engine, (({"r": list(p.r)}, partial(_gefp_value, args, spec, p))
+                         for s in sizes for p in all_profiles(args.N, s))
 
 
 def _criteria(text):
@@ -515,8 +489,8 @@ def main(argv=None):
         _apply_precision(args)
         if args.command == "verify":
             return cmd_verify(args)
-        records = COMMANDS[args.command](args)
-        _emit(records, args)
+        spec = ParamSpec(args)
+        _emit(_run(args, spec, *COMMANDS[args.command](args, spec)), args)
         return 0
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

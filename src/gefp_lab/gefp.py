@@ -422,7 +422,7 @@ class JetsWorkspace:
     suffix (r_k, ..., r_s) and set of used rows with a live term, on the box
     [0..r_k - 1]^(k-1) that the folds of the profile's first rows reach.
     Both hold only what a cold contraction builds anyway: after every
-    profile of (N, s), 138,855 coefficients at (6, 6) and 80,629 at (14, 4),
+    profile of (N, s), 79,052 coefficients at (6, 6) and 79,090 at (14, 4),
     against 170,100 and 81,200 with every set of used rows and 1,007,670 and
     310,884 on the whole N^(s-m) box.
     """
@@ -459,10 +459,14 @@ class JetsWorkspace:
         v[k][j][m] is 0 for m > r_k - s + j, so a dot product on axis k
         needs r_k - s + j + 1 terms of row j, and none if that is <= 0; a set
         of used rows with no live term is not stored, so a blocked profile
-        (some r_j < j) runs out of terms and is 0.  The partial tensors of
-        r[k:] are read only on [0..r_k - 1]^k, and P only on its staircase.
-        Only exact zeros are left out and every dot product is exact, so the
-        result is the exact sum at the workspace's integers, rounded once.
+        (some r_j < j) runs out of terms and is 0.  Row j is live on an axis
+        i < k only if j >= s - r_i >= s - r_k, so a set of used rows that
+        lacks some row j < s - r_k cannot be completed and is dropped; the
+        test reads r_k alone, so the suffix key stays valid.  The partial
+        tensors of r[k:] are read only on [0..r_k - 1]^k, and P only on its
+        staircase.  Only exact zeros are left out and every dot product is
+        exact, so the result is the exact sum at the workspace's integers,
+        rounded once.
         """
         s = self.s
         start = next((k for k in range(s) if tuple(r[k:]) in self.partials), s)
@@ -473,8 +477,11 @@ class JetsWorkspace:
             v = [row[:max(w - s + j + 1, 0)] for j, row in enumerate(self.fold(w))]
             bases = _box_offsets(k, w, width)
             pieces = {prev: [tensor[o:o + w] for o in bases] for prev, tensor in states.items()}
+            need = (1 << max(s - w, 0)) - 1
             nxt = {}
             for used, terms in signed_subsets(s)[s - k]:
+                if used & need != need:
+                    continue
                 for j, prev, odd in terms:
                     if v[j] and prev in pieces:
                         dots = [sum(map(mul, v[j], piece)) for piece in pieces[prev]]

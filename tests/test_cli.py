@@ -258,13 +258,13 @@ def test_table_timing_times_each_row(capsys):
     assert all(row["wall_time_ms"] > 0 for row in json.loads(out))
     _, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert out == (
-        "schema,command,engine,backend,N,r,delta,t,lambda,eta,precision_bits,"
-        "value,wall_time_ms\n"
-        "gefp-lab/1,table,residue,exact,2,1,1/3,3/4,,,,16/25,\n"
-        "gefp-lab/1,table,residue,exact,2,2,1/3,3/4,,,,1/1,\n"
-        "gefp-lab/1,table,residue,exact,2,1 1,1/3,3/4,,,,0/1,\n"
-        "gefp-lab/1,table,residue,exact,2,1 2,1/3,3/4,,,,16/25,\n"
-        "gefp-lab/1,table,residue,exact,2,2 2,1/3,3/4,,,,1/1,\n")
+        "schema,command,engine,backend,N,r,s,mu,delta,t,lambda,eta,lambdas,nus,"
+        "precision_bits,value,wall_time_ms\n"
+        "gefp-lab/1,table,residue,exact,2,1,,,1/3,3/4,,,,,,16/25,\n"
+        "gefp-lab/1,table,residue,exact,2,2,,,1/3,3/4,,,,,,1/1,\n"
+        "gefp-lab/1,table,residue,exact,2,1 1,,,1/3,3/4,,,,,,0/1,\n"
+        "gefp-lab/1,table,residue,exact,2,1 2,,,1/3,3/4,,,,,,16/25,\n"
+        "gefp-lab/1,table,residue,exact,2,2 2,,,1/3,3/4,,,,,,1/1,\n")
     _, out, _ = run_cli(capsys, *argv)
     assert all(row["wall_time_ms"] is None for row in json.loads(out))
 
@@ -284,7 +284,7 @@ def test_csv_quotes_a_structured_value(capsys):
     code, out, _ = run_cli(capsys, "hfun", "--N", "3", *RATIONAL_POINT, "--format", "csv")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 1 and len(rows[0]) == 13 and None not in rows[0]
+    assert len(rows) == 1 and len(rows[0]) == 17 and None not in rows[0]
     _, out_json, _ = run_cli(capsys, "hfun", "--N", "3", *RATIONAL_POINT)
     assert json.loads(rows[0]["value"])["H"] == json.loads(out_json)["value"]["H"]
 
@@ -647,6 +647,7 @@ def test_non_finite_float_parameter_exits_2(capsys, flag, argv):
     ("abc", [], "GEFP_LAB_PRECISION"),
     (None, ["--precision", "0"], "--precision"),
     (None, ["--precision", "7"], "--precision"),
+    ("4", [], "GEFP_LAB_PRECISION"),
 ])
 def test_bad_precision_exits_2(capsys, monkeypatch, env, argv, flag):
     if env is not None:
@@ -698,11 +699,18 @@ FLOAT_LISTS = ["--engine", "ik", "--eta", "0.4", "--backend", "float"]
      "equal length"),
     (["partition", "--N", "5", "--lambdas", "0.3,0.4", "--nus", "0.1,0.5", *FLOAT_LISTS],
      "--N 5 does not match"),
+    (["gefp", "--N", "3", "--r", "2,x", *RATIONAL], "cannot parse profile '2,x'"),
+    (["gefp", "--N", "3", "--r", "2", "--delta", "1/2"], "--delta and --t"),
+    (["partition", "--N", "2", "--engine", "ik", "--backend", "float",
+      "--lambdas", "0.3,0.7", "--nus", "0.1,0.5"], "--lambdas, --nus and --eta"),
+    (["gefp", "--N", "3", "--r", "2", "--lambda", "1.1", "--engine", "jets",
+      "--backend", "float"], "--lambda and --eta"),
 ], ids=["partition-N", "ik-hom-N", "table-N", "hfun-N", "kpoly-N", "table-s-negative",
         "table-s-above-N", "efp-s-negative", "efp-s-above-N", "efp-r-above-N",
         "efp-r-zero", "efp-unknown-engine", "oracle-cap-zero", "oracle-cap-negative",
         "gefp-profile-too-long",
-        "ik-unequal-lists", "ik-N-mismatch"])
+        "ik-unequal-lists", "ik-N-mismatch", "profile-not-integer", "delta-without-t",
+        "lists-without-eta", "lambda-without-eta"])
 def test_bad_sizes_exit_2_naming_the_fault(capsys, argv, fault):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from gefp_lab.errors import DuplicateRapidity, SingularHankel, TooLarge
+from gefp_lab import ik
+from gefp_lab.errors import BadIndex, DuplicateRapidity, SingularHankel, TooLarge
 from gefp_lab.ik import (a_fn, b_fn, gefp_inhom_determinant, gefp_inhom_recurrence,
                          hankel_factor, homogeneous_partition_jets, ik_partition,
                          k_polynomial, partially_inhomogeneous_partition, phi_fn)
@@ -215,3 +216,23 @@ def test_determinant_permutation_cap():
         spec = SpectralData(lams, nus, mp.mpf("0.29"))
         with pytest.raises(TooLarge):
             gefp_inhom_determinant(spec, YoungProfile(8, (4,)))
+
+
+def test_recurrence_refuses_above_the_permutation_cap_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(ik, "ik_partition", no_work)
+    with mp.workprec(64):
+        lams = [mp.mpf("0.2") + k * mp.mpf("0.137") for k in range(8)]
+        nus = [mp.mpf("0.05") + k * mp.mpf("0.113") for k in range(8)]
+        spec = SpectralData(lams, nus, mp.mpf("0.29"))
+        with pytest.raises(TooLarge, match="permutation cap 7"):
+            gefp_inhom_recurrence(spec, YoungProfile(8, (8,) * 8))
+
+
+@pytest.mark.parametrize("engine", [gefp_inhom_recurrence, gefp_inhom_determinant])
+def test_inhom_engines_refuse_a_profile_of_another_N(engine):
+    with mp.workprec(128):
+        with pytest.raises(BadIndex, match="profile N=4 does not match 3 rapidities"):
+            engine(spectral(3), YoungProfile(4, (2,)))
