@@ -15,12 +15,11 @@ from .backends import EXACT, FLOAT, default_precision_bits
 from .errors import (BadIndex, BranchPole, DivisionByZero, DuplicateRapidity,
                      GefpLabError, NonphysicalWeights, NotInvertible,
                      SingularHankel, TooLarge, Unsupported)
-from .gefp import (IntegrandSeries, JetsWorkspace, PoleDeformationReport,
-                   gefp_determinant_jets, gefp_residue, jets_workspace,
-                   pole_deformation_check, residue_workspace)
-from .hfun import (OmegaRho, boundary_H_table_via_K, build_h_tables,
+from .gefp import (IntegrandSeries, JetsWorkspace, OmegaRho, gefp_determinant_jets,
+                   gefp_residue, jets_workspace, residue_workspace)
+from .hfun import (PoleDeformationReport, boundary_H_table_via_K, build_h_tables,
                    h_multivariate, h_polynomial, h_via_inhomogeneous_Z,
-                   kfint_check, reflect_substitute)
+                   kfint_check, pole_deformation_check, reflect_substitute)
 from .ik import (gefp_inhom_determinant, gefp_inhom_recurrence, hankel_factor,
                  homogeneous_partition_jets, ik_partition, k_polynomial,
                  partially_inhomogeneous_partition, phi_derivatives)

@@ -4,7 +4,7 @@ Everything here is backend-generic: coefficients may be ``Fraction`` or
 ``mpmath.mpf`` (or plain ints), and all operations are pure functions of
 their inputs.  Determinants run one partially pivoted elimination, exact
 entries as ``Fraction``; ``signed_subsets`` is the Laplace plan shared by the
-column minors of h and the operator-determinant contraction.
+column minors ``_minors`` and the operator-determinant contraction.
 """
 
 import math
@@ -76,6 +76,33 @@ def signed_subsets(n):
             rest ^= low
         plan[len(terms)].append((used, tuple(terms)))
     return tuple(map(tuple, plan))
+
+
+def _minors(cols, top, zero):
+    """Every s x s minor d_S of the column-coefficient matrix C[e][k].
+
+    ``cols[k]`` lists C[e][k] for e = 0, 1, ...; rows run over e <= top.  A
+    row set S is keyed by its bitmask and read in descending order
+    (e_1 > ... > e_s), so the minor belongs to the partition
+    lambda_i = e_i - (s - i).  Column k is added by Laplace expansion along
+    it over the (k+1)-row sets of ``signed_subsets``, each minor one sum
+    from the top row down.
+    """
+    plan = signed_subsets(top + 1)
+    level = {0: zero + 1}
+    for k, col in enumerate(cols):
+        nxt = {}
+        for S, terms in plan[k + 1]:
+            total = zero
+            for e, rest, odd in reversed(terms):
+                x = col[e] if e < len(col) else 0
+                if x != 0:
+                    minor = level[rest]
+                    if minor != 0:
+                        total += -x * minor if odd else x * minor
+            nxt[S] = total
+        level = nxt
+    return level
 
 
 def perm_sign(p) -> int:

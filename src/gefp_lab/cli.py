@@ -28,7 +28,7 @@ from .algebra import UniPoly
 from .backends import (EXACT, FLOAT, MIN_PRECISION_BITS, default_precision_bits,
                        format_scalar, parse_exact, parse_float)
 from .errors import BadIndex, GefpLabError, Unsupported
-from .gefp import check_jets_box, gefp_determinant_jets, gefp_residue
+from .gefp import check_jets_box, check_residue_box, gefp_determinant_jets, gefp_residue
 from .hfun import boundary_H_table_via_K
 from .ik import homogeneous_partition_jets, ik_partition
 from .oracle import (WeightGrid, YoungProfile, all_profiles,
@@ -53,7 +53,7 @@ def _parse_profile(text, N):
     try:
         parts = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise UsageError(f"cannot parse profile {text!r}; expected e.g. 2,3,3")
+        raise UsageError(f"cannot parse --r {text!r}; expected e.g. 2,3,3")
     return _profile(N, parts)
 
 
@@ -296,8 +296,10 @@ def cmd_table(args, spec):
     if args.s is not None and args.s > args.N:
         raise UsageError(f"--s {args.s} exceeds N={args.N}")
     sizes = range(1, args.N + 1) if args.s is None else [args.s]
-    if args.engine == "jets" and spec.backend == FLOAT:
-        check_jets_box(args.N, max(sizes))      # before any row is computed
+    if args.engine == "jets" and spec.backend == FLOAT:    # before any row is computed
+        check_jets_box(args.N, max(sizes))
+    elif args.engine == "residue":
+        check_residue_box((args.N - 1,) * max(sizes))
     return args.engine, (({"r": list(p.r)}, partial(_gefp_value, args, spec, p))
                          for s in sizes for p in all_profiles(args.N, s))
 

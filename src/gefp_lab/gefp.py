@@ -1,4 +1,5 @@
-"""Homogeneous GEFP engines.
+"""Homogeneous GEFP engines and every input they build (``_columns``,
+``OmegaRho``); ``hfun`` builds h and the pole report on top of them.
 
 ``gefp_residue`` evaluates the multiple-contour-integral representation.
 Since every inverted factor of the integrand is analytic and nonzero at the
@@ -53,14 +54,12 @@ from operator import add, gt, mul, sub
 
 from mpmath import mp
 
-from .algebra import (Jet, TruncatedSeries, _convolve, geometric_inverse_coeffs,
-                      signed_subsets, staircase_planes)
+from .algebra import (Jet, TruncatedSeries, UniPoly, _convolve, _minors,
+                      geometric_inverse_coeffs, signed_subsets, staircase_planes)
 from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
-from .errors import BadIndex, NonphysicalWeights, NotInvertible, TooLarge, Unsupported
-from .hfun import (OmegaRho, _block_sums, _columns, _minors, build_h_tables, h_polynomial,
-                   reflect_substitute)
-from .ik import k_polynomials, phi_derivatives
-from .oracle import CorrelationResult, YoungProfile, _cached
+from .errors import BadIndex, DivisionByZero, NonphysicalWeights, TooLarge, Unsupported
+from .ik import a_fn, b_fn, k_polynomials, phi_derivatives
+from .oracle import CorrelationResult, YoungProfile, _block_sums, _cached
 from .params import VertexWeights, weights_from_trig
 
 # Largest pair box N^s the jets engine builds, checked before any work.  One
@@ -69,6 +68,12 @@ from .params import VertexWeights, weights_from_trig
 # largest boxes under the cap, nearly all of it in the integer pair product
 # on its staircase.  6^6 keeps every s <= N <= 6 and refuses every s >= 7.
 JETS_BOX_CAP = 6 ** 6
+
+# Largest box, in entries, that the residue engine fills, checked before any
+# sweep: a cold exact call at r = (7, ..., 7) takes 2.4 s and 118 MB (process
+# time and peak RSS, one x86 core), and ``table --N 8``, which widens to 8^8,
+# ran about 90 s.  7^7 keeps every N <= 7 and N = 8 with s <= 6.
+RESIDUE_BOX_CAP = 7 ** 7
 
 # Bits past the working precision that the jets pair product keeps in its
 # smallest nonzero staircase entry after each pair pass.  Without the shift
@@ -169,6 +174,19 @@ def _prefactor_series(factors, caps, a, b):
     return out
 
 
+def _columns(tables, N, s):
+    """Column polynomials z^k (z-1)^(s-1-k) h_{N-k}(z) for k = 0..s-1."""
+    zm1 = UniPoly([-1, 1])
+    cols = []
+    for k in range(s):
+        poly = UniPoly([tables[N - k][0] * 0 + 1])
+        for _ in range(s - 1 - k):
+            poly = poly * zm1
+        poly = poly * UniPoly(tables[N - k])
+        cols.append(UniPoly([0] * k + poly.coeffs))
+    return cols
+
+
 def _alternant_minors(tables, N, s, B):
     """The ``_minors`` d_S on the rows e <= N-1, the only exponents an
     extraction reads, each times B^|lambda|, lambda_i = S_i - (s - i)."""
@@ -233,16 +251,29 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
     the whole box (N-1)^s when no profile is given.  A later call whose
     profile has some m_j above the box, or that gives no profile, widens the
     same object in place to the whole box, once.  A blocked profile reads
-    no entry, so it never widens.
+    no entry, so it never widens.  A build or a widening whose box holds
+    more than ``RESIDUE_BOX_CAP`` entries is refused before it starts.
     """
     delta, t = _residue_point(delta, t, backend, allow_nonphysical)
     whole = (N - 1,) * s
     caps = whole if profile is None else tuple(rj - 1 for rj in profile.r)
-    ws = _cached(_workspace_cache, (N, s, delta, t),
-                 lambda: _build_exact_series(N, s, delta, t).fill(caps))
+
+    def build():
+        check_residue_box(caps)
+        return _build_exact_series(N, s, delta, t).fill(caps)
+
+    ws = _cached(_workspace_cache, (N, s, delta, t), build)
     if any(map(gt, caps, ws.caps)) and (profile is None or not profile.blocked):
+        check_residue_box(whole)
         ws.fill(whole)
     return ws
+
+
+def check_residue_box(caps):
+    """Refuse a fill of the box [0..caps] above ``RESIDUE_BOX_CAP`` entries with ``TooLarge``."""
+    if math.prod(c + 1 for c in caps) > RESIDUE_BOX_CAP:
+        raise TooLarge(f"the residue box {'x'.join(str(c + 1) for c in caps)} exceeds "
+                       f"the cap 7^7 = {RESIDUE_BOX_CAP} entries")
 
 
 def _build_exact_series(N, s, delta, t):
@@ -346,6 +377,42 @@ def _geometric_rows(w, N):
         rows.append([(x << -e) - y for x, y in zip(power, nxt)])
         power = nxt
     return rows, e
+
+
+class OmegaRho:
+    """Jet factory at eps = 0 for the building-block functions.
+
+    omega = (a/b) sin(eps) / sin(eps - 2 eta) vanishes at 0; rho is its
+    companion with rho = 1/(omega - 1); omega_tilde is the image of omega
+    under eta -> -eta.  Its companion rho_tilde = 1/(1 - omega_tilde) is
+    never built: the jets pair block uses both rho in closed form.
+    """
+
+    def __init__(self, lam, eta):
+        self.lam = mp.mpf(lam)
+        self.eta = mp.mpf(eta)
+        self.a = a_fn(self.lam, 0, self.eta)
+        self.b = b_fn(self.lam, 0, self.eta)
+        self.c = mp.sin(2 * self.eta)
+        for name, w in (("a = sin(lambda + eta)", self.a), ("b = sin(lambda - eta)", self.b),
+                        ("c = sin(2 eta)", self.c)):
+            if w == 0:
+                raise DivisionByZero(f"{name} vanishes at lambda={self.lam}, eta={self.eta}")
+
+    def omega(self, order) -> Jet:
+        num = Jet.sin_offset(mp.mpf(0), order)
+        den = Jet.sin_offset(-2 * self.eta, order)
+        return num * den.invert() * (self.a / self.b)
+
+    def rho(self, order) -> Jet:
+        num = Jet.sin_offset(-2 * self.eta, order)
+        den = Jet.sin_offset(self.lam - self.eta, order)
+        return num * den.invert() * (self.b / self.c)
+
+    def omega_tilde(self, order) -> Jet:
+        num = Jet.sin_offset(mp.mpf(0), order)
+        den = Jet.sin_offset(2 * self.eta, order)
+        return num * den.invert() * (self.b / self.a)
 
 
 class _JetsInputs:
@@ -585,164 +652,3 @@ def gefp_determinant_jets(N, profile: YoungProfile, lam, eta, *,
         return CorrelationResult(mp.mpf(1), "jets", FLOAT)
     value = (-1) ** s * jets_workspace(N, s, lam, eta).contraction(list(profile.r))
     return CorrelationResult(value, "jets", FLOAT)
-
-
-# ---------------------------------------------------------------------------
-# pole deformation consistency report
-
-@dataclass
-class PoleDeformationReport:
-    """Operational check of the contour-deformation argument for r_s = N."""
-
-    profile: tuple
-    value: object                    # G at the full profile
-    reduced_value: object            # G at the profile without its last row
-    residue_at_one_matches: bool     # z_s = 1 residue reproduces the reduced case
-    pole_contributions_zero: list    # one flag per pole z_s = (2dt z_j - 1)/(t^2 z_j)
-    balanced: bool                   # value == reduced_value
-
-    @property
-    def ok(self):
-        return (self.balanced and self.residue_at_one_matches
-                and all(self.pole_contributions_zero))
-
-
-# z_j - z_k as a block for ``mul_pair``
-_DIFFERENCE = TruncatedSeries((1, 1), 0, [0, -1, 1, 0])
-
-
-def pole_deformation_check(N, profile: YoungProfile, delta, t) -> PoleDeformationReport:
-    """Verify the deformation bookkeeping for a profile ending at r_s = N.
-
-    (i) the z_s = 1 residue of the integrand reproduces the shorter-profile
-    integrand exactly; (ii) each residue at z_s = (2 Delta t z_j - 1) /
-    (t^2 z_j), expanded around z_j = 0 with the remaining variables at
-    generic rational spectator values, has no coefficients below order r_s,
-    so it contributes nothing; together these force the balance
-    G(r_s = N) = G(shorter profile), which is asserted as well.
-
-    Exact backend only.
-    """
-    delta, t = _residue_point(delta, t, EXACT, True)
-    s = profile.s
-    if s == 0 or profile.r[-1] != N:
-        raise BadIndex("the check needs a nonempty profile with r_s = N")
-    reduced = profile.reduced()
-    value = residue_workspace(N, s, delta, t, EXACT).coefficient(profile)
-    h = h_polynomial(build_h_tables(N, s, delta, t), N, s)
-    if s == 1:
-        reduced_value = Fraction(1)
-        res_match = h.substitute_value(0, Fraction(1)).coeff(()) == 1
-        return PoleDeformationReport(tuple(profile.r), value, reduced_value,
-                                     res_match, [], value == reduced_value)
-    reduced_value = residue_workspace(N, s - 1, delta, t, EXACT).coefficient(reduced)
-
-    # (i): coefficient extraction of the z_s = 1 residue vs the shorter profile
-    vandermonde_h = h.substitute_value(s - 1, Fraction(1))
-    for j in range(s - 1):
-        for k in range(j + 1, s - 1):
-            vandermonde_h = vandermonde_h.mul_pair(j, k, _DIFFERENCE)
-    target = tuple(rj - 1 for rj in reduced.r)
-    a, b = 2 * delta * t, t * t
-    prefactor = _prefactor_series(_factor_coeffs(N, s - 1, 1, b - a), (N - 1,) * (s - 1), a, b)
-    c1 = vandermonde_h.product_coeff(prefactor, target)
-    res_match = (-1) ** (s - 1) * c1 == reduced_value
-
-    # (ii): each remaining pole, spectators at generic rationals
-    pole_zero = [_pole_contribution_is_zero(h, profile, j, delta, t)
-                 for j in range(s - 1)]
-
-    return PoleDeformationReport(tuple(profile.r), value, reduced_value,
-                                 res_match, pole_zero, value == reduced_value)
-
-
-def _pole_contribution_is_zero(h: TruncatedSeries, profile: YoungProfile, j, delta, t):
-    """Expand the pole-j residue term around z_j = 0 and test low orders.
-
-    Spectator variables take distinct generic rational values; the term is a
-    univariate Laurent series in z_j after clearing, and every coefficient
-    below order r_s must vanish.
-    """
-    N, s, r = profile.N, profile.s, profile.r
-    for attempt in range(5):
-        spect = {jp: Fraction(3 + 2 * jp + attempt, 17 + attempt)
-                 for jp in range(s - 1) if jp != j}
-        try:
-            series, shift = _pole_term_series(h, N, s, r, j, spect, delta, t)
-        except (NotInvertible, ZeroDivisionError):
-            continue
-        # term = z_j^(-shift) * series; orders below r_s are entries < shift + r_s
-        return all(c == 0 for c in series.coeffs[:shift + r[-1]])
-    raise NotInvertible("could not find generic spectator values for the pole check")
-
-
-def _pole_term_series(h, N, s, r, j, spect, delta, t):
-    """Laurent expansion (as shift + Jet in z_j) of the pole-j term."""
-    two_dt, t2 = 2 * delta * t, t * t
-    lin = t2 - two_dt
-    cap = (r[j] - 1) + (N + s + 2)
-    one = Fraction(1)
-
-    def jet(coeffs):
-        return Jet(coeffs, cap)
-
-    series = Jet.constant(one, cap)
-    shift = 0
-    const = Fraction(1)
-    # ordinary per-variable factors
-    for jp in range(s - 1):
-        e1, e2 = s - 1 - jp, s - jp          # exponents of lin-factor and (z-1)^-1
-        if jp == j:
-            series = series * jet([one, lin]) ** e1
-            series = series * jet(geometric_inverse_coeffs(e2, cap, one))
-        else:
-            v = spect[jp]
-            const *= (lin * v + 1) ** e1
-            const /= (v - 1) ** e2
-    # pairs among the first s-1 variables
-    for a in range(s - 1):
-        for b in range(a + 1, s - 1):
-            if a == j:
-                vb = spect[b]
-                series = series * jet([-vb, one]) / jet([one, t2 * vb - two_dt])
-            elif b == j:
-                va = spect[a]
-                series = series * jet([va, -one]) / jet([one - two_dt * va, t2 * va])
-            else:
-                va, vb = spect[a], spect[b]
-                const *= va - vb
-                const /= t2 * va * vb - two_dt * va + 1
-    # the z_s parts at the pole z_s = (2 Delta t z_j - 1) / (t^2 z_j)
-    shift += 1                                   # residue prefactor 1/(t^2 z_j)
-    const /= t2
-    series = series * jet([one, -two_dt, t2])    # (z_j - pole) * t^2 z_j
-    shift += 1
-    const /= t2
-    # 1/z_s^(r_s): (t^2 z_j)^(r_s) / (2 Delta t z_j - 1)^(r_s)
-    shift -= r[-1]
-    const *= t2 ** r[-1]
-    series = series / jet([-one, two_dt]) ** r[-1]
-    # 1/(z_s - 1): t^2 z_j / ((2 Delta t - t^2) z_j - 1)
-    shift -= 1
-    const *= t2
-    series = series / jet([-one, two_dt - t2])
-    # pairs (j', s): numerator (z_j' - pole), denominator -> (z_j - z_j')/z_j
-    for jp in range(s - 1):
-        if jp == j:
-            continue
-        v = spect[jp]
-        series = series * jet([one, t2 * v - two_dt])
-        shift += 1
-        const /= t2
-        series = series / jet([-v, one])
-        shift -= 1
-    # h with the spectators substituted (descending so indices stay valid),
-    # leaving (z_j, z_s), then z_s at the pole and cleared by z_j^(N-1)
-    hsub = h
-    for jp in sorted(spect, reverse=True):
-        hsub = hsub.substitute_value(jp, spect[jp])
-    shift += N - 1
-    series = series * jet(reflect_substitute(hsub, 0, delta, t).data) * const
-    # with r_s = N the clearings cancel exactly
-    assert shift == N - r[-1]
-    return series, shift

@@ -10,8 +10,9 @@ as weights and Kostka numbers as the Schur coefficients, on the tables' own
 exact scalars; ``h_multivariate`` evaluates the determinant ratio at a
 point, and is the independent check of that expansion.  The residue engine
 does not call h: its Vandermonde cancels in the integrand, and the engine
-expands det[f_k(z_j)] from the same ``_columns`` and ``_minors``.  h serves
-the h-function checks and the pole-deformation report.
+expands det[f_k(z_j)] from the same ``gefp._columns`` and ``algebra._minors``.
+h serves the h-function checks and ``pole_deformation_check``, whose z_s = 1
+half checks h_{N,s}(z', 1) = h_{N,s-1}(z').
 
 Sign convention, pinned against the enumeration oracle: contracting the
 K-polynomial of degree N-1 with the expansion of omega^(N-r) rho^N yields
@@ -28,54 +29,19 @@ downstream engines.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from mpmath import mp
 
-from .algebra import Jet, TruncatedSeries, UniPoly, det, signed_subsets
-from .errors import BadIndex, BranchPole, DivisionByZero, DuplicateRapidity
+from .algebra import Jet, TruncatedSeries, UniPoly, _minors, det, geometric_inverse_coeffs
+from .errors import BadIndex, BranchPole, DuplicateRapidity, NotInvertible
+from .gefp import _columns, gefp_residue, jets_inputs, jets_workspace
 from .ik import (a_fn, b_fn, homogeneous_partition_jets,
                  partially_inhomogeneous_partition)
-from .oracle import WeightGrid, _boundary_sums
-from .params import VertexWeights
-
-
-class OmegaRho:
-    """Jet factory at eps = 0 for the building-block functions.
-
-    omega = (a/b) sin(eps) / sin(eps - 2 eta) vanishes at 0; rho is its
-    companion with rho = 1/(omega - 1); omega_tilde is the image of omega
-    under eta -> -eta.  Its companion rho_tilde = 1/(1 - omega_tilde) is
-    never built: the jets pair block uses both rho in closed form.
-    """
-
-    def __init__(self, lam, eta):
-        self.lam = mp.mpf(lam)
-        self.eta = mp.mpf(eta)
-        self.a = a_fn(self.lam, 0, self.eta)
-        self.b = b_fn(self.lam, 0, self.eta)
-        self.c = mp.sin(2 * self.eta)
-        for name, w in (("a = sin(lambda + eta)", self.a), ("b = sin(lambda - eta)", self.b),
-                        ("c = sin(2 eta)", self.c)):
-            if w == 0:
-                raise DivisionByZero(f"{name} vanishes at lambda={self.lam}, eta={self.eta}")
-
-    def omega(self, order) -> Jet:
-        num = Jet.sin_offset(mp.mpf(0), order)
-        den = Jet.sin_offset(-2 * self.eta, order)
-        return num * den.invert() * (self.a / self.b)
-
-    def rho(self, order) -> Jet:
-        num = Jet.sin_offset(-2 * self.eta, order)
-        den = Jet.sin_offset(self.lam - self.eta, order)
-        return num * den.invert() * (self.b / self.c)
-
-    def omega_tilde(self, order) -> Jet:
-        num = Jet.sin_offset(mp.mpf(0), order)
-        den = Jet.sin_offset(2 * self.eta, order)
-        return num * den.invert() * (self.b / self.a)
+from .oracle import YoungProfile, _block_sums
 
 
 def boundary_H_table_via_K(N, lam, eta) -> list:
@@ -85,7 +51,6 @@ def boundary_H_table_via_K(N, lam, eta) -> list:
     the cumulative distribution, as an integer over 2^exponent (c_0 = 0).  So
     H^(r) = -(c_r - c_{r-1}) 2^exponent is an integer difference, rounded once.
     """
-    from .gefp import jets_workspace
     ws = jets_workspace(N, 1, lam, eta)
     c = [0] + [ws.fold(r)[0][0] for r in range(1, N + 1)]
     return [mp.ldexp(mp.mpf(c[r - 1] - c[r]), ws.exponent) for r in range(1, N + 1)]
@@ -99,7 +64,6 @@ def kfint_check(N, f: UniPoly, lam, eta):
     z = 0 of (z-1)^(N-1) h_N(z) f(z) / z^N, read off as the coefficient of
     z^(N-1) in (z-1)^(N-1) h_N(z) f(z).
     """
-    from .gefp import jets_inputs
     inputs = jets_inputs(N, lam, eta)
     # f(omega) by Horner on jets
     comp = Jet.constant(mp.mpf(f.coeffs[-1]), N - 1)
@@ -125,52 +89,6 @@ def build_h_tables(N, s, delta, t):
     """
     grid, sums = _block_sums(N, s, delta, t)
     return {n: [grid.rounded(Fraction(x, z)) for x in h] for n, (h, z) in sums.items()}
-
-
-def _block_sums(N, s, delta, t):
-    """The N grid at (Delta, t) and {n: ``_boundary_sums(grid, n)``}, n = N..N-s+1."""
-    grid = WeightGrid.from_weights(N, VertexWeights.from_delta_t(delta, t, allow_nonphysical=True))
-    return grid, {n: _boundary_sums(grid, n) for n in range(N, N - s, -1)}
-
-
-def _columns(tables, N, s):
-    """Column polynomials z^k (z-1)^(s-1-k) h_{N-k}(z) for k = 0..s-1."""
-    zm1 = UniPoly([-1, 1])
-    cols = []
-    for k in range(s):
-        poly = UniPoly([tables[N - k][0] * 0 + 1])
-        for _ in range(s - 1 - k):
-            poly = poly * zm1
-        poly = poly * UniPoly(tables[N - k])
-        cols.append(UniPoly([0] * k + poly.coeffs))
-    return cols
-
-
-def _minors(cols, top, zero):
-    """Every s x s minor d_S of the column-coefficient matrix C[e][k].
-
-    ``cols[k]`` lists C[e][k] for e = 0, 1, ...; rows run over e <= top.  A
-    row set S is keyed by its bitmask and read in descending order
-    (e_1 > ... > e_s), so the minor belongs to the partition
-    lambda_i = e_i - (s - i).  Column k is added by Laplace expansion along
-    it over the (k+1)-row sets of ``signed_subsets``, each minor one sum
-    from the top row down.
-    """
-    plan = signed_subsets(top + 1)
-    level = {0: zero + 1}
-    for k, col in enumerate(cols):
-        nxt = {}
-        for S, terms in plan[k + 1]:
-            total = zero
-            for e, rest, odd in reversed(terms):
-                x = col[e] if e < len(col) else 0
-                if x != 0:
-                    minor = level[rest]
-                    if minor != 0:
-                        total += -x * minor if odd else x * minor
-            nxt[S] = total
-        level = nxt
-    return level
 
 
 @lru_cache(maxsize=8)
@@ -337,3 +255,141 @@ def reflect_substitute(hpoly: TruncatedSeries, j, delta, t):
             tgt[j] = idx[j] + (nm1 - d) + q
             out.set_coeff(tuple(tgt), out.coeff(tuple(tgt)) + coeff)
     return out
+
+
+# ---------------------------------------------------------------------------
+# pole deformation consistency report
+
+@dataclass
+class PoleDeformationReport:
+    """Operational check of the contour-deformation argument for r_s = N."""
+
+    profile: tuple
+    value: object                    # G at the full profile
+    reduced_value: object            # G at the profile without its last row
+    residue_at_one_matches: bool     # z_s = 1 residue reproduces the reduced case
+    pole_contributions_zero: list    # one flag per pole z_s = (2dt z_j - 1)/(t^2 z_j)
+    balanced: bool                   # value == reduced_value
+
+    @property
+    def ok(self):
+        return (self.balanced and self.residue_at_one_matches
+                and all(self.pole_contributions_zero))
+
+
+def pole_deformation_check(N, profile: YoungProfile, delta, t) -> PoleDeformationReport:
+    """Verify the deformation bookkeeping for a profile ending at r_s = N.
+
+    (i) the z_s = 1 residue turns the integrand into the shorter one, as
+    h_{N,s}(z', 1) = h_{N,s-1}(z') coefficient by coefficient, both from one
+    set of H tables; (ii) each residue at z_s = (2 Delta t z_j - 1) /
+    (t^2 z_j), expanded around z_j = 0 with the remaining variables at
+    generic rational spectator values, has no coefficients below order r_s,
+    so it contributes nothing; together these force the balance
+    G(r_s = N) = G(shorter profile), which is asserted as well.
+
+    Exact backend only.
+    """
+    s = profile.s
+    if s == 0 or profile.r[-1] != N:
+        raise BadIndex("the check needs a nonempty profile with r_s = N")
+    value = gefp_residue(N, profile, delta, t).value
+    reduced_value = gefp_residue(N, profile.reduced(), delta, t).value
+    tables = build_h_tables(N, s, delta, t)
+    h = h_polynomial(tables, N, s)
+    res_match = h.substitute_value(s - 1, 1).data == h_polynomial(tables, N, s - 1).data
+    pole_zero = [_pole_contribution_is_zero(h, profile, j, delta, t) for j in range(s - 1)]
+    return PoleDeformationReport(tuple(profile.r), value, reduced_value,
+                                 res_match, pole_zero, value == reduced_value)
+
+
+def _pole_contribution_is_zero(h: TruncatedSeries, profile: YoungProfile, j, delta, t):
+    """Expand the pole-j residue term around z_j = 0 and test low orders.
+
+    Spectator variables take distinct generic rational values; the term is a
+    univariate Laurent series in z_j after clearing, and every coefficient
+    below order r_s must vanish.
+    """
+    N, s, r = profile.N, profile.s, profile.r
+    for attempt in range(5):
+        spect = {jp: Fraction(3 + 2 * jp + attempt, 17 + attempt)
+                 for jp in range(s - 1) if jp != j}
+        try:
+            series, shift = _pole_term_series(h, N, s, r, j, spect, delta, t)
+        except (NotInvertible, ZeroDivisionError):
+            continue
+        # term = z_j^(-shift) * series; orders below r_s are entries < shift + r_s
+        return all(c == 0 for c in series.coeffs[:shift + r[-1]])
+    raise NotInvertible("could not find generic spectator values for the pole check")
+
+
+def _pole_term_series(h, N, s, r, j, spect, delta, t):
+    """Laurent expansion (as shift + Jet in z_j) of the pole-j term."""
+    two_dt, t2 = 2 * delta * t, t * t
+    lin = t2 - two_dt
+    cap = (r[j] - 1) + (N + s + 2)
+    one = Fraction(1)
+
+    def jet(coeffs):
+        return Jet(coeffs, cap)
+
+    series = Jet.constant(one, cap)
+    shift = 0
+    const = Fraction(1)
+    # ordinary per-variable factors
+    for jp in range(s - 1):
+        e1, e2 = s - 1 - jp, s - jp          # exponents of lin-factor and (z-1)^-1
+        if jp == j:
+            series = series * jet([one, lin]) ** e1
+            series = series * jet(geometric_inverse_coeffs(e2, cap, one))
+        else:
+            v = spect[jp]
+            const *= (lin * v + 1) ** e1
+            const /= (v - 1) ** e2
+    # pairs among the first s-1 variables
+    for a in range(s - 1):
+        for b in range(a + 1, s - 1):
+            if a == j:
+                vb = spect[b]
+                series = series * jet([-vb, one]) / jet([one, t2 * vb - two_dt])
+            elif b == j:
+                va = spect[a]
+                series = series * jet([va, -one]) / jet([one - two_dt * va, t2 * va])
+            else:
+                va, vb = spect[a], spect[b]
+                const *= va - vb
+                const /= t2 * va * vb - two_dt * va + 1
+    # the z_s parts at the pole z_s = (2 Delta t z_j - 1) / (t^2 z_j)
+    shift += 1                                   # residue prefactor 1/(t^2 z_j)
+    const /= t2
+    series = series * jet([one, -two_dt, t2])    # (z_j - pole) * t^2 z_j
+    shift += 1
+    const /= t2
+    # 1/z_s^(r_s): (t^2 z_j)^(r_s) / (2 Delta t z_j - 1)^(r_s)
+    shift -= r[-1]
+    const *= t2 ** r[-1]
+    series = series / jet([-one, two_dt]) ** r[-1]
+    # 1/(z_s - 1): t^2 z_j / ((2 Delta t - t^2) z_j - 1)
+    shift -= 1
+    const *= t2
+    series = series / jet([-one, two_dt - t2])
+    # pairs (j', s): numerator (z_j' - pole), denominator -> (z_j - z_j')/z_j
+    for jp in range(s - 1):
+        if jp == j:
+            continue
+        v = spect[jp]
+        series = series * jet([one, t2 * v - two_dt])
+        shift += 1
+        const /= t2
+        series = series / jet([-v, one])
+        shift -= 1
+    # h with the spectators substituted (descending so indices stay valid),
+    # leaving (z_j, z_s), then z_s at the pole and cleared by z_j^(N-1)
+    hsub = h
+    for jp in sorted(spect, reverse=True):
+        hsub = hsub.substitute_value(jp, spect[jp])
+    shift += N - 1
+    series = series * jet(reflect_substitute(hsub, 0, delta, t).data) * const
+    # with r_s = N the clearings cancel exactly
+    assert shift == N - r[-1]
+    return series, shift

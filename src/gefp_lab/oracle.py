@@ -398,6 +398,12 @@ def _boundary_sums(grid: WeightGrid, n, cap=None):
     return h, _nonzero(sum(h), n)
 
 
+def _block_sums(N, s, delta, t):
+    """The N grid at (Delta, t) and {n: ``_boundary_sums(grid, n)``}, n = N..N-s+1."""
+    grid = WeightGrid.from_weights(N, VertexWeights.from_delta_t(delta, t, allow_nonphysical=True))
+    return grid, {n: _boundary_sums(grid, n) for n in range(N, N - s, -1)}
+
+
 def boundary_distribution_oracle(grid: WeightGrid, cap=None):
     """The full boundary distribution (H^(1), ..., H^(N)) in one sweep.
 

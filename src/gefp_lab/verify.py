@@ -11,9 +11,9 @@ from fractions import Fraction
 from mpmath import mp
 
 from .backends import EXACT
-from .gefp import gefp_residue, pole_deformation_check
+from .gefp import gefp_residue
 from .hfun import (boundary_H_table_via_K, build_h_tables, h_multivariate,
-                   h_polynomial, kfint_check, reflect_substitute)
+                   h_polynomial, kfint_check, pole_deformation_check, reflect_substitute)
 from .ik import (gefp_inhom_determinant, gefp_inhom_recurrence,
                  homogeneous_partition_jets, ik_partition)
 from .algebra import UniPoly

@@ -489,6 +489,19 @@ def test_table_jets_refuses_the_largest_box_before_any_row(capsys, monkeypatch):
     assert err.startswith("error: TooLarge:") and "9^9" in err
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_table_residue_refuses_the_largest_box_before_any_row(capsys, monkeypatch, backend):
+    # s = 1..6 fit under the cap at N = 8, s = 7 and 8 do not
+    def no_workspace(*args, **kwargs):
+        raise AssertionError("a residue workspace was built")
+
+    monkeypatch.setattr(gefp, "residue_workspace", no_workspace)
+    code, out, err = run_cli(capsys, "table", "--N", "8", "--delta", "1/3", "--t", "3/4",
+                             "--engine", "residue", "--backend", backend)
+    assert code == 3 and out == ""
+    assert err.startswith("error: TooLarge:") and "cap 7^7" in err
+
+
 @pytest.mark.parametrize("engine, point, conversion", [
     ("jets", ["--delta", "1/3", "--t", "3/4", "--backend", "float"], "lambda_eta_from_delta_t"),
     ("residue", TRIG_POINT, "delta_t_from_trig")])
@@ -699,7 +712,7 @@ FLOAT_LISTS = ["--engine", "ik", "--eta", "0.4", "--backend", "float"]
      "equal length"),
     (["partition", "--N", "5", "--lambdas", "0.3,0.4", "--nus", "0.1,0.5", *FLOAT_LISTS],
      "--N 5 does not match"),
-    (["gefp", "--N", "3", "--r", "2,x", *RATIONAL], "cannot parse profile '2,x'"),
+    (["gefp", "--N", "3", "--r", "2,x", *RATIONAL], "cannot parse --r '2,x'"),
     (["gefp", "--N", "3", "--r", "2", "--delta", "1/2"], "--delta and --t"),
     (["partition", "--N", "2", "--engine", "ik", "--backend", "float",
       "--lambdas", "0.3,0.7", "--nus", "0.1,0.5"], "--lambdas, --nus and --eta"),

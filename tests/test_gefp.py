@@ -10,9 +10,8 @@ from gefp_lab.backends import to_exact, to_float
 from gefp_lab.errors import BadIndex, NonphysicalWeights, TooLarge, Unsupported
 from gefp_lab import gefp, hfun, ik
 from gefp_lab.algebra import TruncatedSeries
-from gefp_lab.gefp import (gefp_determinant_jets, gefp_residue, jets_workspace,
-                           pole_deformation_check, residue_workspace)
-from gefp_lab.hfun import build_h_tables, h_polynomial
+from gefp_lab.gefp import gefp_determinant_jets, gefp_residue, jets_workspace, residue_workspace
+from gefp_lab.hfun import build_h_tables, h_polynomial, pole_deformation_check
 from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
                              boundary_distribution_oracle, gefp_oracle)
 from gefp_lab.params import VertexWeights, delta_t_from_trig
@@ -522,9 +521,14 @@ def test_jets_blocked_profiles_are_exact_zeros_with_no_partial_tensor():
         for (lam, eta), N in product(TRIG_POINTS, range(2, 7)):
             blocked = [p for p in all_profiles(N) if any(x < j for j, x in enumerate(p.r, 1))]
             assert blocked
+            # each workspace starts cold; a blocked r is a full profile, so
+            # only its own call writes partials[r]
+            cold = set()
             for p in blocked:
                 ws = jets_workspace(N, p.s, lam, eta)
-                ws.partials.clear()
+                if p.s not in cold:
+                    cold.add(p.s)
+                    ws.partials.clear()
                 assert gefp_determinant_jets(N, p, lam, eta).value._mpf_ == mp.zero._mpf_, p.r
                 assert ws.partials[p.r] == {}, p.r
 
@@ -729,7 +733,7 @@ def test_pole_check_fails_on_a_perturbed_h():
         for where in (0, -1):
             h = h_polynomial(build_h_tables(N, s, d, t), N, s)
             h.data[where] += 1
-            assert not any(gefp._pole_contribution_is_zero(h, prof, j, d, t)
+            assert not any(hfun._pole_contribution_is_zero(h, prof, j, d, t)
                            for j in range(s - 1)), (N, r, where)
 
 
@@ -738,6 +742,29 @@ def test_pole_deformation_requires_boundary_profile():
         pole_deformation_check(3, YoungProfile(3, (2, 2)), D0, T0)
     with pytest.raises(Unsupported):
         pole_deformation_check(3, YoungProfile(3, (2, 3)), 0.5, 1.0)
+
+
+def _no_work(*args):
+    raise AssertionError("the residue box was built")
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("r", [(8,) * 7, (8,) * 8, (2, 2) + (8,) * 6],
+                         ids=["8^7", "8^8", "blocked"])
+def test_residue_refuses_a_box_above_the_cap_before_any_work(monkeypatch, backend, r):
+    monkeypatch.setattr(gefp, "_build_exact_series", _no_work)
+    with pytest.raises(TooLarge, match=r"cap 7\^7"):
+        gefp_residue(8, YoungProfile(8, r), D0, T0, backend)
+
+
+def test_residue_refuses_to_widen_past_the_cap_before_the_fill(monkeypatch):
+    # N = 8 with s <= 6 stays allowed; at s = 7 a small first box is built,
+    # and the widening to the whole 8^7 box is refused before it starts
+    assert gefp_residue(8, YoungProfile(8, (8,) * 6), D0, T0).value == 1
+    assert gefp_residue(8, YoungProfile(8, (1,) * 7), D0, T0).value == 0
+    monkeypatch.setattr(gefp.IntegrandSeries, "fill", _no_work)
+    with pytest.raises(TooLarge, match=r"box 8x8x8x8x8x8x8 exceeds"):
+        gefp_residue(8, YoungProfile(8, (1, 2, 3, 4, 5, 6, 7)), D0, T0)
 
 
 def test_workspace_cache_reuse():

@@ -7,11 +7,11 @@ import pytest
 from mpmath import mp
 
 from gefp_lab import gefp, oracle
-from gefp_lab.algebra import Jet, UniPoly, perm_sign
+from gefp_lab.algebra import Jet, UniPoly, _minors, perm_sign
 from gefp_lab.backends import to_exact, to_float
 from gefp_lab.errors import BadIndex, BranchPole, DivisionByZero, DuplicateRapidity
-from gefp_lab.gefp import gefp_determinant_jets, jets_inputs, jets_workspace
-from gefp_lab.hfun import (OmegaRho, _kostka, _minors, boundary_H_table_via_K, build_h_tables,
+from gefp_lab.gefp import OmegaRho, gefp_determinant_jets, jets_inputs, jets_workspace
+from gefp_lab.hfun import (_kostka, boundary_H_table_via_K, build_h_tables,
                            h_multivariate, h_polynomial, h_via_inhomogeneous_Z,
                            kfint_check, reflect_substitute)
 from gefp_lab.oracle import WeightGrid, YoungProfile, boundary_distribution_oracle

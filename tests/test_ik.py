@@ -209,12 +209,20 @@ def test_determinant_matches_recurrence_and_oracle():
         assert abs(detv - orc) <= mp.mpf("1e-20") * max(1, abs(orc))
 
 
-def test_determinant_permutation_cap():
+def test_determinant_permutation_cap(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a determinant was computed")
+
+    monkeypatch.setattr(ik, "det", no_work)
     with mp.workprec(64):
-        lams = [mp.mpf("0.2") + k * mp.mpf("0.13") for k in range(8)]
-        nus = [mp.mpf("0.05") + k * mp.mpf("0.11") for k in range(8)]
-        spec = SpectralData(lams, nus, mp.mpf("0.29"))
-        with pytest.raises(TooLarge):
+        lams = [mp.mpf("0.2") + k * mp.mpf("0.137") for k in range(8)]
+        nus = [mp.mpf("0.05") + k * mp.mpf("0.113") for k in range(8)]
+        eta = mp.mpf("0.29")
+        # no weight vanishes, so only the cap can refuse
+        assert min(abs(w(lam, nu, eta)) for w in (a_fn, b_fn)
+                   for lam in lams for nu in nus) > mp.mpf("1e-3")
+        spec = SpectralData(lams, nus, eta)
+        with pytest.raises(TooLarge, match="permutation cap 7"):
             gefp_inhom_determinant(spec, YoungProfile(8, (4,)))
 
 
