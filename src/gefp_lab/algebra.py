@@ -123,14 +123,15 @@ def _convolve(a, b, size, zero):
     """The first ``size`` coefficients of the product of coefficient lists.
 
     Each coefficient is summed over the nonzero entries of ``a`` in order,
-    skipping zero entries of ``b``.
+    skipping zero entries of ``b``.  Zeros are found by truth value, which
+    on an mpf reads its tuple where ``== 0`` runs a context comparison.
     """
     out = [zero] * size
     for i, x in enumerate(a[:size]):
-        if x == 0:
+        if not x:
             continue
         for j, y in enumerate(b[:size - i]):
-            if y != 0:
+            if y:
                 out[i + j] += x * y
     return out
 

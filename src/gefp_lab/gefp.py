@@ -20,8 +20,10 @@ term of A has total degree at least s(s-1)/2, so the extraction at
 m = r - 1 reads A and G only on the box [0..m], G only up to total degree
 |m| - s(s-1)/2, and both are filled on a box alone.  The inputs that do not
 depend on the box are cached per (N, s, parameters); the first profile
-there sets the box, a later one that reaches past it widens the workspace
-once to the whole (N-1)^s box, and each profile costs one convolution.
+there sets the box, a later one that reaches past it refills the workspace
+on the whole (N-1)^s box, once, or, where the whole one is above the cap,
+on the union of the two boxes or its own, and each profile costs one
+convolution.
 
 The engine runs on Python integers: with B the least integer that makes
 (t^2 - 2 Delta t) B, 2 Delta t B and t^2 B^2 integers, both series are
@@ -34,11 +36,14 @@ the dyadic rationals it holds, and the result is rounded once.
 operators acting on the omega/rho product, by multivariate jet expansion.
 The pair block, the K rows (one Hankel factorisation) and the omega/rho
 powers depend only on (N, lambda, eta), so they are built once per N and
-shared by every s; the pair product depends on s as well, and both are
-cached.  The engine runs on Python integers, each group of mpf inputs read
-as the integers it holds over one power of two: the closed-form pair block
-is rounded once, the pair product keeps ``JETS_GUARD_BITS`` past the working
-precision, and the folds and the contraction are exact.  The contraction
+shared by every s.  The pair product P_s = prod_{j<k} block(x_j, x_k)
+depends on s as well: it is grown one axis at a time, P_s from P_(s-1) and
+the s - 1 pairs that touch the new axis, and every P_s is cached.  The
+engine runs on Python integers, each group of mpf inputs read as the
+integers it holds over one power of two: the closed-form pair block is
+rounded once, the pair product keeps ``JETS_GUARD_BITS`` past the working
+precision after each pass, and the folds and the contraction are exact,
+the result rounded once.  The contraction
 runs from the last axis and keeps each fold and the partial tensors of each
 profile suffix (r_k, ..., r_s).  K row j has degree N - s + j and the fold
 of r_k starts at degree N - r_k, so only the staircase of the pair product
@@ -53,6 +58,7 @@ from itertools import repeat
 from operator import add, gt, mul, sub
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .algebra import (Jet, TruncatedSeries, UniPoly, _convolve, _minors,
                       geometric_inverse_coeffs, signed_subsets, staircase_planes)
@@ -63,10 +69,13 @@ from .oracle import CorrelationResult, YoungProfile, _block_sums, _cached
 from .params import VertexWeights, weights_from_trig
 
 # Largest pair box N^s the jets engine builds, checked before any work.  One
-# cold call at 128 bits, process time on one x86 core, takes about 0.08 s at
-# (8, 4), 0.3 s at (7, 5), 1.3-1.5 s at (14, 4) and 0.6 s at (6, 6), the
-# largest boxes under the cap, nearly all of it in the integer pair product
-# on its staircase.  6^6 keeps every s <= N <= 6 and refuses every s >= 7.
+# cold call at 128 bits, (1.1, 0.35), process time on one x86 core, median
+# of three, takes about 0.2 s at (7, 5), 0.9-1.2 s at (14, 4) and 0.35 s at
+# (6, 6), the largest boxes under the cap, the workspaces of every smaller s
+# included, since each grows from the one below it.  Nearly all of it is the
+# integer pair passes on the staircase, s - 1 per s (C(s, 2) if P_s were
+# built from the unit), most of them the last s - 1 on the N^s box.  6^6
+# keeps every s <= N <= 6 and refuses every s >= 7.
 JETS_BOX_CAP = 6 ** 6
 
 # Largest box, in entries, that the residue engine fills, checked before any
@@ -249,10 +258,14 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
 
     The first call at a point fills the box of its profile, m = r - 1, or
     the whole box (N-1)^s when no profile is given.  A later call whose
-    profile has some m_j above the box, or that gives no profile, widens the
-    same object in place to the whole box, once.  A blocked profile reads
-    no entry, so it never widens.  A build or a widening whose box holds
-    more than ``RESIDUE_BOX_CAP`` entries is refused before it starts.
+    profile has some m_j above the box, or that gives no profile, refills
+    the same object in place: on the whole box, once, when that holds at
+    most ``RESIDUE_BOX_CAP`` entries; otherwise on the least box that holds
+    both the old box and the profile's, or, when that is above the cap too,
+    on the profile's own box.  A blocked profile reads no entry, so it never
+    refills.  Every box built holds at most ``RESIDUE_BOX_CAP`` entries, so a
+    profile is refused, before any build or fill, exactly when its own box
+    holds more: the answer does not depend on the calls before it.
     """
     delta, t = _residue_point(delta, t, backend, allow_nonphysical)
     whole = (N - 1,) * s
@@ -263,9 +276,12 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
         return _build_exact_series(N, s, delta, t).fill(caps)
 
     ws = _cached(_workspace_cache, (N, s, delta, t), build)
-    if any(map(gt, caps, ws.caps)) and (profile is None or not profile.blocked):
-        check_residue_box(whole)
-        ws.fill(whole)
+    if any(map(gt, caps, ws.caps)):
+        check_residue_box(caps)
+        if profile is None or not profile.blocked:
+            union = tuple(map(max, caps, ws.caps))
+            ws.fill(next(box for box in (whole, union, caps)
+                         if math.prod(c + 1 for c in box) <= RESIDUE_BOX_CAP))
     return ws
 
 
@@ -479,10 +495,12 @@ class JetsWorkspace:
     read (``staircase_planes``) and 0 off it; ``weights[j][m]`` is
     K_{N-s+j}[m] m! (zero past the degree); ``powers[e]`` holds the Taylor
     coefficients of rho^N omega^e for e = 0..N-1.  Every contraction is an
-    integer times 2^``exponent``.  The K rows and the powers are the exact
-    dyadic values of their mpf inputs; the pair block is rounded once, and
-    ``pair`` to ``JETS_GUARD_BITS`` past the working precision after each
-    pair pass.
+    integer times 2^``exponent``; ``pair`` alone is over 2^``pair_exponent``,
+    so the workspace at s + 1 can start from it.  The K rows and the powers
+    are the exact dyadic values of their mpf inputs; the pair block is
+    rounded once, and ``pair`` to ``JETS_GUARD_BITS`` past the working
+    precision after each pair pass, in the order (0, 1), (0, 2), (1, 2),
+    (0, 3), ... that growing P one axis at a time gives.
 
     ``folds`` and ``partials`` memoize ``contraction``: the fold of one row
     position r into the K rows, and the partial tensors of each profile
@@ -500,6 +518,7 @@ class JetsWorkspace:
     weights: list
     powers: list
     exponent: int
+    pair_exponent: int
     folds: dict = field(default_factory=dict)
     partials: dict = field(default_factory=dict)
 
@@ -522,6 +541,8 @@ class JetsWorkspace:
         for each used row below the new one.  The partial tensors after
         axis k depend only on r[k:], so the call resumes from the longest
         suffix already in ``partials`` and stores every level it adds.
+        Axis k at row position w reads the Laplace steps of
+        ``_contraction_plan(s, k, w)`` alone, built once per (s, k, w).
 
         v[k][j][m] is 0 for m > r_k - s + j, so a dot product on axis k
         needs r_k - s + j + 1 terms of row j, and none if that is <= 0; a set
@@ -529,11 +550,11 @@ class JetsWorkspace:
         (some r_j < j) runs out of terms and is 0.  Row j is live on an axis
         i < k only if j >= s - r_i >= s - r_k, so a set of used rows that
         lacks some row j < s - r_k cannot be completed and is dropped; the
-        test reads r_k alone, so the suffix key stays valid.  The partial
-        tensors of r[k:] are read only on [0..r_k - 1]^k, and P only on its
-        staircase.  Only exact zeros are left out and every dot product is
-        exact, so the result is the exact sum at the workspace's integers,
-        rounded once.
+        test reads r_k alone, so the suffix key stays valid, and the plan
+        holds only the sets that pass it.  The partial tensors of r[k:] are
+        read only on [0..r_k - 1]^k, and P only on its staircase.  Only exact
+        zeros are left out and every dot product is exact, so the result is
+        the exact sum at the workspace's integers, rounded once.
         """
         s = self.s
         start = next((k for k in range(s) if tuple(r[k:]) in self.partials), s)
@@ -544,19 +565,31 @@ class JetsWorkspace:
             v = [row[:max(w - s + j + 1, 0)] for j, row in enumerate(self.fold(w))]
             bases = _box_offsets(k, w, width)
             pieces = {prev: [tensor[o:o + w] for o in bases] for prev, tensor in states.items()}
-            need = (1 << max(s - w, 0)) - 1
             nxt = {}
-            for used, terms in signed_subsets(s)[s - k]:
-                if used & need != need:
-                    continue
+            for used, terms in _contraction_plan(s, k, w):
                 for j, prev, odd in terms:
-                    if v[j] and prev in pieces:
+                    if prev in pieces:
                         dots = [sum(map(mul, v[j], piece)) for piece in pieces[prev]]
                         total = nxt.get(used, [0] * len(bases))
                         nxt[used] = list(map(sub if odd else add, total, dots))
             states = self.partials[tuple(r[k:])] = nxt
             width = w
-        return mp.ldexp(mp.mpf(sum(states.get((1 << s) - 1, ()))), self.exponent)
+        total = sum(states.get((1 << s) - 1, ()))
+        return mp.make_mpf(from_man_exp(total, self.exponent, mp.prec, round_nearest))
+
+
+@lru_cache(maxsize=256)
+def _contraction_plan(s, k, w):
+    """The Laplace steps of ``signed_subsets(s)[s - k]`` that axis k reads
+    at row position w: the sets of used rows that hold every row j < s - w,
+    each with its terms on the live rows j >= s - w alone, and only the sets
+    that keep such a term."""
+    need, plan = (1 << max(s - w, 0)) - 1, []
+    for used, terms in signed_subsets(s)[s - k]:
+        live = tuple(term for term in terms if term[0] >= s - w)
+        if used & need == need and live:
+            plan.append((used, live))
+    return tuple(plan)
 
 
 @lru_cache(maxsize=256)
@@ -580,7 +613,11 @@ def jets_workspace(N, s, lam, eta) -> JetsWorkspace:
     """Cached profile-independent parts of ``gefp_determinant_jets``, keyed by
     the exact parameter values and the precision the workspace is built at;
     the shared inputs sit in the same cache under (N, lambda, eta, prec)."""
-    lam, eta = mp.mpf(lam), mp.mpf(eta)
+    return _jets_workspace(N, s, mp.mpf(lam), mp.mpf(eta))
+
+
+def _jets_workspace(N, s, lam, eta):
+    """``jets_workspace`` for mpf lambda and eta."""
     return _cached(_jets_cache, (N, s, lam._mpf_, eta._mpf_, mp.prec),
                    lambda: _build_jets_workspace(N, s, lam, eta))
 
@@ -617,17 +654,33 @@ def _pair_pass(data, N, s, j, k, block):
 
 
 def _build_jets_workspace(N, s, lam, eta):
+    """The workspace at (N, s), its pair product grown from the one at
+    (N, s - 1).
+
+    P_s = P_(s-1) prod_{j<s-1} block(x_j, x_(s-1)), and S(N, s - 1) x {0} is
+    the part of S(N, s) at i_(s-1) = 0, so P_(s-1) sits at index 0 of the new
+    last axis and s - 1 pair passes finish P_s, each rounded by ``_shift_to``.
+    P_1 is the unit and P_2 the pair block on S(N, 2), rounded the same way.
+    """
     inputs = jets_inputs(N, lam, eta)
-    pair, exponent = [1] + [0] * (N ** s - 1), 0
-    for j in range(s):
-        for k in range(j + 1, s):
-            block, block_exp = inputs.pair_block
-            pair = _pair_pass(pair, N, s, j, k, block.data)
-            exponent += block_exp + _shift_to(pair, mp.prec + JETS_GUARD_BITS)
+    if s == 1:
+        pair, pair_exp = [1] + [0] * (N - 1), 0
+    elif s == 2:
+        block, pair_exp = inputs.pair_block
+        pair = block.data[:-1] + [0]    # S(N, 2) leaves out (N-1, N-1) alone
+        pair_exp += _shift_to(pair, mp.prec + JETS_GUARD_BITS)
+    else:
+        prev = _jets_workspace(N, s - 1, lam, eta)
+        block, block_exp = inputs.pair_block
+        pair, pair_exp = [0] * N ** s, prev.pair_exponent
+        pair[::N] = prev.pair
+        for j in range(s - 1):
+            pair = _pair_pass(pair, N, s, j, s - 1, block.data)
+            pair_exp += block_exp + _shift_to(pair, mp.prec + JETS_GUARD_BITS)
     flat, weights_exp = _dyadic([x for row in inputs.k_rows[N - s:] for x in row])
     weights = [flat[o:o + N] for o in range(0, s * N, N)]
-    exponent += s * (weights_exp + inputs.powers_exp)
-    return JetsWorkspace(N, s, pair, weights, inputs.powers, exponent)
+    exponent = pair_exp + s * (weights_exp + inputs.powers_exp)
+    return JetsWorkspace(N, s, pair, weights, inputs.powers, exponent, pair_exp)
 
 
 def gefp_determinant_jets(N, profile: YoungProfile, lam, eta, *,
@@ -650,5 +703,5 @@ def gefp_determinant_jets(N, profile: YoungProfile, lam, eta, *,
         weights_from_trig(lam, 0, eta)                  # raises NonphysicalWeights
     if s == 0:
         return CorrelationResult(mp.mpf(1), "jets", FLOAT)
-    value = (-1) ** s * jets_workspace(N, s, lam, eta).contraction(list(profile.r))
-    return CorrelationResult(value, "jets", FLOAT)
+    value = _jets_workspace(N, s, lam, eta).contraction(profile.r)
+    return CorrelationResult(-value if s % 2 else value, "jets", FLOAT)

@@ -196,9 +196,8 @@ def criterion_5(level="desk"):
                     value = value.substitute_value(v, z[v])
                 if value.coeff(()) != h_multivariate(tables, n, s, z):
                     value_ok = False
-            # specialization at z_s = 1
-            tables_red = build_h_tables(n, s - 1, delta, t)
-            h_red = h_polynomial(tables_red, n, s - 1)
+            # specialization at z_s = 1; h_{n,s-1} reads sizes n..n-s+2 of the same tables
+            h_red = h_polynomial(tables, n, s - 1)
             spec = h.substitute_value(s - 1, Fraction(1))
             for idx, val in h_red.items():
                 if spec.coeff(idx) != val:

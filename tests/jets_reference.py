@@ -10,7 +10,10 @@ memo: the engine must give this sum, rounded once.  That P is
 whole box, each pass rounded by ``_shift_to`` over the whole box, so the sum
 also reads every entry that the engine leaves out as one no profile can
 reach.  (The engine's shift reads its staircase alone; where the box's
-smallest entry lies off it, the reference keeps more guard bits.)
+smallest entry lies off it, the reference keeps more guard bits.  The
+reference also takes the pairs in (j, k) order, (0, 1), (0, 2), (0, 3),
+(1, 2), ..., where the engine grows P one axis at a time, (0, 1), (0, 2),
+(1, 2), (0, 3), ...: from s = 4 on, the two round in a different order.)
 ``full_box_contraction`` is the engine's axis-by-axis contraction with every
 partial tensor on the whole N^k box and every dot product over N terms.
 

@@ -5,8 +5,8 @@ from itertools import combinations, product
 import pytest
 from mpmath import mp
 
-from gefp_lab.algebra import (Jet, TruncatedSeries, UniPoly, det, geometric_inverse_coeffs,
-                              staircase_planes)
+from gefp_lab.algebra import (Jet, TruncatedSeries, UniPoly, _convolve, det,
+                              geometric_inverse_coeffs, staircase_planes)
 from gefp_lab.errors import NotInvertible
 from gefp_lab.gefp import _factor_coeffs, _prefactor_series
 from residue_reference import mul_axis
@@ -123,6 +123,37 @@ def test_jet_arithmetic_roundtrip():
         for c in (j * j.invert()).coeffs[1:]:
             assert abs(c) < mp.mpf("1e-32")
         assert ((j ** 3) * (j.invert() ** 3)).coeffs[0] - 1 < mp.mpf("1e-30")
+
+
+def _schoolbook(a, b, size, zero):
+    """Coefficient n of the product, every a[i] b[n - i] added in i order."""
+    return [sum((a[i] * b[n - i] for i in range(n + 1) if i < len(a) and n - i < len(b)), zero)
+            for n in range(size)]
+
+
+def test_convolve_skips_zeros_without_changing_a_coefficient():
+    # adding an exact zero product leaves an mpf sum unchanged, so skipping
+    # zero entries gives the schoolbook sums bit for bit, in mpf and in int
+    rng = random.Random(13)
+    with mp.workprec(128):
+        sines = [Jet.sin_offset(mp.mpf(0), n) for n in (1, 4, 7)]
+        assert all(x._mpf_ == mp.zero._mpf_ for x in sines[-1].coeffs[::2])
+        pairs = [(u.coeffs, v.coeffs) for u, v in product(sines, repeat=2)]
+        pairs += [([mp.mpf(rng.choice((0, rng.uniform(-2, 2)))) for _ in range(rng.randint(1, 8))],
+                   [mp.mpf(rng.choice((0, rng.uniform(-2, 2)))) for _ in range(rng.randint(1, 8))])
+                  for _ in range(40)]
+        for a, b in pairs:
+            for size in (1, len(a), len(a) + len(b) - 1):
+                want = _schoolbook(a, b, size, mp.zero)
+                assert [x._mpf_ for x in _convolve(a, b, size, mp.zero)] == [x._mpf_ for x in want]
+        for u, v in product(sines, repeat=2):
+            want = _schoolbook(u.coeffs, v.coeffs, u.order + 1, mp.zero)
+            assert [x._mpf_ for x in (u * v).coeffs] == [x._mpf_ for x in want]
+    for _ in range(40):
+        a, b = ([rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(rng.randint(1, 8))]
+                for _ in range(2))
+        size = rng.randint(1, len(a) + len(b))
+        assert _convolve(a, b, size, 0) == _schoolbook(a, b, size, 0)
 
 
 def test_jet_invert_rejects_zero_constant():

@@ -506,7 +506,7 @@ def test_jets_folds_vanish_past_the_row_position(prec):
             for s in range(1, N + 1):
                 flat, _ = gefp._dyadic([x for row in inputs.k_rows[N - s:] for x in row])
                 weights = [flat[o:o + N] for o in range(0, s * N, N)]
-                ws = gefp.JetsWorkspace(N, s, None, weights, inputs.powers, 0)
+                ws = gefp.JetsWorkspace(N, s, None, weights, inputs.powers, 0, 0)
                 for r in range(1, N + 1):
                     for j, row in enumerate(ws.fold(r)):
                         last = r - s + j
@@ -590,6 +590,38 @@ def test_jets_shared_inputs_built_once_per_n(monkeypatch):
                 (ws.pair, ws.weights, ws.powers, ws.exponent)
             for p in all_profiles(5, ws.s):
                 assert cold.contraction(p.r)._mpf_ == ws.contraction(p.r)._mpf_, p.r
+        # each s grows from s - 1, so no build order changes a workspace
+        spaces = []
+        for order in ((5, 1, 3), range(1, 6)):
+            gefp._jets_cache.clear()
+            spaces.append({s: jets_workspace(5, s, lam, eta) for s in order})
+        for s in (5, 1, 3):
+            one, other = (space[s] for space in spaces)
+            assert one is not other
+            assert (one.pair, one.weights, one.exponent, one.pair_exponent) == \
+                (other.pair, other.weights, other.exponent, other.pair_exponent)
+
+
+def test_jets_pair_product_grows_one_axis_at_a_time(monkeypatch):
+    # a cold (N, s) build starts from the (N, s - 1) pair product and runs
+    # only the s - 1 passes that touch the new axis; s <= 2 runs none
+    log = []
+    real = gefp._pair_pass
+    monkeypatch.setattr(gefp, "_pair_pass", lambda data, N, s, j, k, block:
+                        log.append((len(data), s, j, k)) or real(data, N, s, j, k, block))
+    lam, eta = mp.mpf("1.1"), mp.mpf("0.35")
+    with mp.workprec(64):
+        for N in range(1, 6):
+            gefp._jets_cache.clear()
+            for s in range(1, N + 1):
+                log.clear()
+                jets_workspace(N, s, lam, eta)
+                assert log == [(N ** s, s, j, s - 1) for j in range(s - 1) if s > 2], (N, s)
+            # from an empty cache the build runs the chain s = 3..N once
+            gefp._jets_cache.clear()
+            log.clear()
+            jets_workspace(N, N, lam, eta)
+            assert log == [(N ** s, s, j, s - 1) for s in range(3, N + 1) for j in range(s - 1)]
 
 
 def test_workspaces_keyed_by_precision_and_exact_value():
@@ -759,12 +791,42 @@ def test_residue_refuses_a_box_above_the_cap_before_any_work(monkeypatch, backen
 
 def test_residue_refuses_to_widen_past_the_cap_before_the_fill(monkeypatch):
     # N = 8 with s <= 6 stays allowed; at s = 7 a small first box is built,
-    # and the widening to the whole 8^7 box is refused before it starts
+    # the whole 8^7 box is above the cap, so a profile past the box refills
+    # on its own box, and one whose own box is above the cap is refused
+    # before the fill
     assert gefp_residue(8, YoungProfile(8, (8,) * 6), D0, T0).value == 1
     assert gefp_residue(8, YoungProfile(8, (1,) * 7), D0, T0).value == 0
+    profile = YoungProfile(8, (1, 2, 3, 4, 5, 6, 7))
+    assert residue_workspace(8, 7, D0, T0, profile=profile).caps == (0, 1, 2, 3, 4, 5, 6)
     monkeypatch.setattr(gefp.IntegrandSeries, "fill", _no_work)
-    with pytest.raises(TooLarge, match=r"box 8x8x8x8x8x8x8 exceeds"):
-        gefp_residue(8, YoungProfile(8, (1, 2, 3, 4, 5, 6, 7)), D0, T0)
+    with pytest.raises(TooLarge, match=r"box 6x7x8x8x8x8x8 exceeds"):
+        gefp_residue(8, YoungProfile(8, (6, 7, 8, 8, 8, 8, 8)), D0, T0)
+
+
+def test_residue_refusal_and_value_do_not_depend_on_call_order(monkeypatch):
+    # at N = 8, s = 7 the profile's own box decides: after a profile whose
+    # box does not cover it, the same call refills, on the union of the two
+    # boxes where that is under the cap, and gives the cold value
+    first, later = YoungProfile(8, (2, 3, 4, 5, 6, 7, 7)), YoungProfile(8, (1, 2, 3, 4, 5, 6, 8))
+    gefp._workspace_cache.clear()
+    cold = gefp_residue(8, later, D0, T0).value
+    gefp._workspace_cache.clear()
+    gefp_residue(8, first, D0, T0)
+    assert gefp_residue(8, later, D0, T0).value == cold
+    assert residue_workspace(8, 7, D0, T0, profile=later).caps == (1, 2, 3, 4, 5, 6, 7)
+    # a union above the cap (6^3 x 8^4 entries) refills the profile's own box
+    gefp._workspace_cache.clear()
+    gefp_residue(8, YoungProfile(8, (1, 2, 3, 8, 8, 8, 8)), D0, T0)
+    boxes = []
+
+    def record(self, caps):
+        boxes.append(caps)
+        raise StopIteration
+
+    monkeypatch.setattr(gefp.IntegrandSeries, "fill", record)
+    with pytest.raises(StopIteration):
+        gefp_residue(8, YoungProfile(8, (6,) * 6 + (7,)), D0, T0)
+    assert boxes == [(5,) * 6 + (6,)]
 
 
 def test_workspace_cache_reuse():
