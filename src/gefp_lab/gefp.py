@@ -22,8 +22,7 @@ m = r - 1 reads A and G only on the box [0..m], G only up to total degree
 depend on the box are cached per (N, s, parameters); the first profile
 there sets the box, a later one that reaches past it refills the workspace
 on the whole (N-1)^s box, once, or, where the whole one is above the cap,
-on the union of the two boxes or its own, and each profile costs one
-convolution.
+on its own box, and each profile costs one convolution.
 
 The engine runs on Python integers: with B the least integer that makes
 (t^2 - 2 Delta t) B, 2 Delta t B and t^2 B^2 integers, both series are
@@ -73,9 +72,9 @@ from .params import VertexWeights, weights_from_trig
 # of three, takes about 0.2 s at (7, 5), 0.9-1.2 s at (14, 4) and 0.35 s at
 # (6, 6), the largest boxes under the cap, the workspaces of every smaller s
 # included, since each grows from the one below it.  Nearly all of it is the
-# integer pair passes on the staircase, s - 1 per s (C(s, 2) if P_s were
-# built from the unit), most of them the last s - 1 on the N^s box.  6^6
-# keeps every s <= N <= 6 and refuses every s >= 7.
+# integer pair passes on the staircase, s - 1 per s, most of them the last
+# s - 1 on the N^s box.  6^6 keeps every s <= N <= 6 and refuses every
+# s >= 7.
 JETS_BOX_CAP = 6 ** 6
 
 # Largest box, in entries, that the residue engine fills, checked before any
@@ -260,12 +259,11 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
     the whole box (N-1)^s when no profile is given.  A later call whose
     profile has some m_j above the box, or that gives no profile, refills
     the same object in place: on the whole box, once, when that holds at
-    most ``RESIDUE_BOX_CAP`` entries; otherwise on the least box that holds
-    both the old box and the profile's, or, when that is above the cap too,
-    on the profile's own box.  A blocked profile reads no entry, so it never
-    refills.  Every box built holds at most ``RESIDUE_BOX_CAP`` entries, so a
-    profile is refused, before any build or fill, exactly when its own box
-    holds more: the answer does not depend on the calls before it.
+    most ``RESIDUE_BOX_CAP`` entries, and otherwise on the profile's own
+    box.  A blocked profile reads no entry, so it never refills.  Every box
+    built holds at most ``RESIDUE_BOX_CAP`` entries, so a profile is
+    refused, before any build or fill, exactly when its own box holds more:
+    the answer does not depend on the calls before it.
     """
     delta, t = _residue_point(delta, t, backend, allow_nonphysical)
     whole = (N - 1,) * s
@@ -279,9 +277,7 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
     if any(map(gt, caps, ws.caps)):
         check_residue_box(caps)
         if profile is None or not profile.blocked:
-            union = tuple(map(max, caps, ws.caps))
-            ws.fill(next(box for box in (whole, union, caps)
-                         if math.prod(c + 1 for c in box) <= RESIDUE_BOX_CAP))
+            ws.fill(whole if math.prod(c + 1 for c in whole) <= RESIDUE_BOX_CAP else caps)
     return ws
 
 

@@ -10,10 +10,7 @@ memo: the engine must give this sum, rounded once.  That P is
 whole box, each pass rounded by ``_shift_to`` over the whole box, so the sum
 also reads every entry that the engine leaves out as one no profile can
 reach.  (The engine's shift reads its staircase alone; where the box's
-smallest entry lies off it, the reference keeps more guard bits.  The
-reference also takes the pairs in (j, k) order, (0, 1), (0, 2), (0, 3),
-(1, 2), ..., where the engine grows P one axis at a time, (0, 1), (0, 2),
-(1, 2), (0, 3), ...: from s = 4 on, the two round in a different order.)
+smallest entry lies off it, the reference keeps more guard bits.)
 ``full_box_contraction`` is the engine's axis-by-axis contraction with every
 partial tensor on the whole N^k box and every dot product over N terms.
 
@@ -36,11 +33,12 @@ from gefp_lab.gefp import JETS_GUARD_BITS, _dyadic, _shift_to
 
 def full_box_pair(inputs, s):
     """(P, exponent): prod_{j<k} block(x_j, x_k) on the whole N^s box, by
-    ``mul_pair`` on every entry, each pass rounded by ``_shift_to`` to
+    ``mul_pair`` on every entry, in the engine's order (0, 1), (0, 2),
+    (1, 2), (0, 3), ..., each pass rounded by ``_shift_to`` to
     ``JETS_GUARD_BITS`` past the working precision."""
     pair, exponent = TruncatedSeries.constant([inputs.N - 1] * s, 1, 0), 0
-    for j in range(s):
-        for k in range(j + 1, s):
+    for k in range(s):
+        for j in range(k):
             block, block_exp = inputs.pair_block
             pair = pair.mul_pair(j, k, block)
             exponent += block_exp + _shift_to(pair.data, mp.prec + JETS_GUARD_BITS)
