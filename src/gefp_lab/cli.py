@@ -18,7 +18,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict
 from functools import cached_property, partial
 
 from mpmath import mp
@@ -31,7 +30,7 @@ from .errors import BadIndex, GefpLabError, Unsupported
 from .gefp import check_jets_box, check_residue_box, gefp_determinant_jets, gefp_residue
 from .hfun import boundary_H_table_via_K
 from .ik import homogeneous_partition_jets, ik_partition
-from .oracle import (WeightGrid, YoungProfile, all_profiles,
+from .oracle import (WeightGrid, YoungProfile, _check_cap, all_profiles,
                      boundary_distribution_oracle, gefp_oracle,
                      modified_domain_partition, partition_function_oracle)
 from .params import (SpectralData, VertexWeights, delta_t_from_trig,
@@ -90,7 +89,7 @@ class ParamSpec:
             raise UsageError("give either --lambda or --lambdas/--nus, not both")
         if not rational_given and not trig_given and not lists_given:
             raise UsageError("parameters missing: --delta/--t or --lambda/--eta")
-        self.backend, self.N = args.backend, args.N
+        self.backend, self.N, self.oracle_cap = args.backend, args.N, args.oracle_cap
         self.allow_nonphysical = args.allow_nonphysical
         self.delta = self.t = self.lam = self.eta = None
         self.lambdas = self.nus = None
@@ -125,8 +124,11 @@ class ParamSpec:
 
     @cached_property
     def grid(self):
-        """The weight grid, built once for every row of a command."""
-        return WeightGrid.from_weights(self.N, self.weights())
+        """The weight grid, built once for every row of a command; it holds
+        O(N) row tuples, so the oracle cap is checked first."""
+        weights = self.weights()
+        _check_cap(self.N, self.oracle_cap)
+        return WeightGrid.from_weights(self.N, weights)
 
     def weights(self):
         if self.delta is not None:
@@ -240,6 +242,7 @@ def cmd_partition(args, spec):
         if spec.lam is None:
             raise UsageError("--engine ik-hom needs --lambda/--eta")
         spec.weights()  # raises NonphysicalWeights
+        check_jets_box(args.N, 1)   # the K route's N cap
         return homogeneous_partition_jets(args.N, spec.lam, spec.eta)
     return args.engine, [({}, call)]
 
@@ -351,7 +354,7 @@ def cmd_verify(args):
 
 def _verify_job(payload):
     level, number = payload
-    return [asdict(r) for r in run_criterion(number, level)]
+    return [r._asdict() for r in run_criterion(number, level)]
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ is filled, and each partial tensor lives on [0..r_k - 1]^(k-1).
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import repeat
@@ -77,6 +76,14 @@ from .params import VertexWeights, weights_from_trig
 # s >= 7.
 JETS_BOX_CAP = 6 ** 6
 
+# Largest N of the K route (the jets engine, the K-route H table and the
+# homogeneous Z_N), checked with ``JETS_BOX_CAP`` before any phi derivative:
+# the box cap alone admits N = 46,656 at s = 1.  A cold CLI call's
+# wall_time_ms at 128 bits and (1.1, 0.35), one x86 core, at N = 50 / 64 /
+# 100: 0.13-0.38 / 0.25-0.78 / 0.9-1.7 s on the s = 1 routes, and 0.9 / 1.9
+# / 11 s, about N^4, at s = 2.
+K_ROUTE_N_CAP = 64
+
 # Largest box, in entries, that the residue engine fills, checked before any
 # sweep: a cold exact call at r = (7, ..., 7) takes 2.4 s and 118 MB (process
 # time and peak RSS, one x86 core), and ``table --N 8``, which widens to 8^8,
@@ -91,7 +98,6 @@ RESIDUE_BOX_CAP = 7 ** 7
 JETS_GUARD_BITS = 16
 
 
-@dataclass
 class IntegrandSeries:
     """Analytic-at-origin part of the integral representation, expanded.
 
@@ -111,13 +117,9 @@ class IntegrandSeries:
     1 - a w_j + b w_j w_k.  ``fill`` rebuilds A and G on a new box from them.
     """
 
-    s: int
-    scale: tuple
-    minors: dict = field(repr=False)
-    factors: list = field(repr=False)
-    pair: tuple = field(repr=False)
-    alternant: TruncatedSeries = field(default=None, repr=False)
-    quotient: TruncatedSeries = field(default=None, repr=False)
+    def __init__(self, s, scale, minors, factors, pair):
+        self.s, self.scale, self.minors, self.factors, self.pair = s, scale, minors, factors, pair
+        self.alternant = self.quotient = None
 
     @property
     def caps(self):
@@ -482,7 +484,6 @@ class _JetsInputs:
         return TruncatedSeries((N - 1, N - 1), 0, data), exponent
 
 
-@dataclass
 class JetsWorkspace:
     """Profile-independent parts of the operator determinant at (N, s, lambda, eta).
 
@@ -508,15 +509,10 @@ class JetsWorkspace:
     310,884 on the whole N^(s-m) box.
     """
 
-    N: int
-    s: int
-    pair: list
-    weights: list
-    powers: list
-    exponent: int
-    pair_exponent: int
-    folds: dict = field(default_factory=dict)
-    partials: dict = field(default_factory=dict)
+    def __init__(self, N, s, pair, weights, powers, exponent, pair_exponent):
+        self.N, self.s, self.pair, self.weights, self.powers = N, s, pair, weights, powers
+        self.exponent, self.pair_exponent = exponent, pair_exponent
+        self.folds, self.partials = {}, {}
 
     def fold(self, rk):
         """v[j][m] = sum_d u[d] W_j[m + d], u = rho^N omega^(N - rk), in integers."""
@@ -599,7 +595,10 @@ def _box_offsets(k, w, width):
 
 
 def check_jets_box(N, s):
-    """Refuse the pair box N^s above ``JETS_BOX_CAP`` with ``TooLarge``."""
+    """Refuse N above ``K_ROUTE_N_CAP`` or the pair box N^s above
+    ``JETS_BOX_CAP`` with ``TooLarge``."""
+    if N > K_ROUTE_N_CAP:
+        raise TooLarge(f"N={N} exceeds the K-route cap {K_ROUTE_N_CAP}")
     if N ** s > JETS_BOX_CAP:
         raise TooLarge(f"the pair box N^s = {N}^{s} exceeds the operator-determinant "
                        f"cap {JETS_BOX_CAP}")
@@ -686,7 +685,7 @@ def gefp_determinant_jets(N, profile: YoungProfile, lam, eta, *,
     Operators acting on distinct eps variables commute, so the determinant
     contracts the K rows, each folded with its univariate factor, against one
     shared multivariate jet of the trailing omega/rho product, one axis at a
-    time (see ``JetsWorkspace.contraction``).  Boxes above ``JETS_BOX_CAP``
+    time (see ``JetsWorkspace.contraction``).  N and boxes above their caps
     are refused before any work, and physicality is checked before the
     workspace lookup and before the empty profile's 1.
     """

@@ -29,16 +29,16 @@ downstream engines.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from mpmath import mp
 
 from .algebra import Jet, TruncatedSeries, UniPoly, _minors, det, geometric_inverse_coeffs
 from .errors import BadIndex, BranchPole, DuplicateRapidity, NotInvertible
-from .gefp import _columns, gefp_residue, jets_inputs, jets_workspace
+from .gefp import _columns, check_jets_box, gefp_residue, jets_inputs, jets_workspace
 from .ik import (a_fn, b_fn, homogeneous_partition_jets,
                  partially_inhomogeneous_partition)
 from .oracle import YoungProfile, _block_sums
@@ -50,7 +50,9 @@ def boundary_H_table_via_K(N, lam, eta) -> list:
     Its fold c_r of row position r is K_{N-1}(d) omega^(N-r) rho^N |_0, minus
     the cumulative distribution, as an integer over 2^exponent (c_0 = 0).  So
     H^(r) = -(c_r - c_{r-1}) 2^exponent is an integer difference, rounded once.
+    N above ``K_ROUTE_N_CAP`` is refused first.
     """
+    check_jets_box(N, 1)
     ws = jets_workspace(N, 1, lam, eta)
     c = [0] + [ws.fold(r)[0][0] for r in range(1, N + 1)]
     return [mp.ldexp(mp.mpf(c[r - 1] - c[r]), ws.exponent) for r in range(1, N + 1)]
@@ -260,8 +262,7 @@ def reflect_substitute(hpoly: TruncatedSeries, j, delta, t):
 # ---------------------------------------------------------------------------
 # pole deformation consistency report
 
-@dataclass
-class PoleDeformationReport:
+class PoleDeformationReport(NamedTuple):
     """Operational check of the contour-deformation argument for r_s = N."""
 
     profile: tuple

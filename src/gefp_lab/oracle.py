@@ -44,17 +44,17 @@ bottom-left block, and the top rows are kept per prefix of r.  A
 deliberately naive ice-rule filter (N <= 3) double-checks it from scratch.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations_with_replacement, product
 from math import comb, isqrt, lcm
+from typing import NamedTuple
 
 from mpmath import mp
 
 from .backends import EXACT, FLOAT, to_exact, to_float
 from .errors import BadIndex, DivisionByZero, TooLarge, Unsupported
-from .params import SpectralData, VertexWeights
+from .params import Frozen, SpectralData, VertexWeights
 
 DEFAULT_ORACLE_CAP = 8
 NAIVE_CAP = 3
@@ -76,20 +76,17 @@ def _cached(cache, key, build, bound=_MEMO_MAX):
     return hit
 
 
-@dataclass(frozen=True)
-class YoungProfile:
+class YoungProfile(Frozen):
     """Edge positions 1 <= r_1 <= ... <= r_s <= N, one per row from the top.
 
     The complementary diagram mu = (N - r_1, ..., N - r_s) is the frozen
     corner shape; r_j < j forces the correlation to vanish.
     """
 
-    N: int
-    r: tuple
+    __slots__ = ("N", "r")
 
     def __init__(self, N, r):
-        object.__setattr__(self, "N", int(N))
-        object.__setattr__(self, "r", tuple(int(x) for x in r))
+        super().__init__(int(N), tuple(int(x) for x in r))
         if self.N < 1:
             raise BadIndex(f"N must be positive, got {N}")
         if len(self.r) > self.N:
@@ -123,8 +120,7 @@ class YoungProfile:
         return YoungProfile(self.N, self.r[:-1])
 
 
-@dataclass
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     """A computed GEFP value, the engine that computed it and its backend."""
 
     value: object
@@ -399,8 +395,11 @@ def _boundary_sums(grid: WeightGrid, n, cap=None):
 
 
 def _block_sums(N, s, delta, t):
-    """The N grid at (Delta, t) and {n: ``_boundary_sums(grid, n)``}, n = N..N-s+1."""
-    grid = WeightGrid.from_weights(N, VertexWeights.from_delta_t(delta, t, allow_nonphysical=True))
+    """The N grid at (Delta, t) and {n: ``_boundary_sums(grid, n)``}, n = N..N-s+1,
+    the cap checked before the grid's O(N) rows are built."""
+    weights = VertexWeights.from_delta_t(delta, t, allow_nonphysical=True)
+    _check_cap(N, None)
+    grid = WeightGrid.from_weights(N, weights)
     return grid, {n: _boundary_sums(grid, n) for n in range(N, N - s, -1)}
 
 
@@ -448,8 +447,7 @@ def reduced_modified_domain_partition(grid: WeightGrid, profile: YoungProfile, c
 # ---------------------------------------------------------------------------
 # naive filter: the oracle's own oracle
 
-@dataclass
-class NaiveEnumeration:
+class NaiveEnumeration(NamedTuple):
     """Statistics from brute-force enumeration of all edge assignments."""
 
     reduced_sum: object          # Z / c^N

@@ -18,7 +18,6 @@ drift apart on conventions.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -38,21 +37,54 @@ def exact_sqrt(x: Fraction):
     return None
 
 
-@dataclass(frozen=True)
-class VertexWeights:
+class Frozen:
+    """An immutable value over its ``__slots__``, set in order by
+    ``Frozen.__init__``: equal by type and fields, hashed by its fields,
+    shown as ``Name(field=value, ...)``, and ``AttributeError`` on assignment.
+    A copy or a pickle rebuilds it through its own ``__init__``."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class VertexWeights(Frozen):
     """Boltzmann weights of the six vertex types (a, a, b, b, c, c).
 
     ``c`` may be None in the exact backend when only c^2 is rational; all
     probability computations work through ``c2``.
     """
 
-    a: object
-    b: object
-    c2: object
-    c: object = None
-    allow_nonphysical: bool = False
+    __slots__ = ("a", "b", "c2", "c", "allow_nonphysical")
 
-    def __post_init__(self):
+    def __init__(self, a, b, c2, c=None, allow_nonphysical=False):
+        super().__init__(a, b, c2, c, allow_nonphysical)
         if self.a == 0 or self.b == 0:
             raise DivisionByZero("vertex weights a and b must be nonzero")
         if self.c2 == 0:
@@ -76,27 +108,19 @@ class VertexWeights:
         a = 1, b = t, c^2 = 1 + t^2 - 2*t*Delta.  In the exact backend c is
         filled in whenever c^2 is a perfect square.
         """
-        exact = is_exact_scalar(delta) and is_exact_scalar(t)
-        if exact:
-            delta, t = Fraction(delta), Fraction(t)
-            one = Fraction(1)
+        if is_exact_scalar(delta) and is_exact_scalar(t):
+            delta, t, one, root = Fraction(delta), Fraction(t), Fraction(1), exact_sqrt
         else:
-            delta, t = mp.mpf(delta), mp.mpf(t)
-            one = mp.mpf(1)
+            delta, t, one, root = mp.mpf(delta), mp.mpf(t), mp.mpf(1), mp.sqrt
         c2 = one + t * t - 2 * t * delta
-        if exact:
-            c = exact_sqrt(c2) if c2 > 0 else None
-        else:
-            c = mp.sqrt(c2) if c2 > 0 else None
-        return cls(one, t, c2, c, allow_nonphysical)
+        return cls(one, t, c2, root(c2) if c2 > 0 else None, allow_nonphysical)
 
     @property
     def backend(self):
         return EXACT if is_exact_scalar(self.a) else FLOAT
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(Frozen):
     """Rapidities and crossing parameter of the inhomogeneous model.
 
     lambdas[k] is attached to the (k+1)-th lattice column counting from the
@@ -104,14 +128,11 @@ class SpectralData:
     the vertex in row j, column k is a(lambda_k, nu_j) etc.
     """
 
-    lambdas: tuple
-    nus: tuple
-    eta: object
+    __slots__ = ("lambdas", "nus", "eta")
 
     def __init__(self, lambdas, nus, eta):
-        object.__setattr__(self, "lambdas", tuple(mp.mpf(x) for x in lambdas))
-        object.__setattr__(self, "nus", tuple(mp.mpf(x) for x in nus))
-        object.__setattr__(self, "eta", mp.mpf(eta))
+        super().__init__(tuple(mp.mpf(x) for x in lambdas), tuple(mp.mpf(x) for x in nus),
+                         mp.mpf(eta))
         if len(self.lambdas) != len(self.nus):
             raise ValueError("lambdas and nus must have equal length")
 

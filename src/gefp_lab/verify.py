@@ -5,8 +5,8 @@ desk-scale matrix or a trimmed quick variant.
 All tolerances are fixed here, not configurable.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -39,8 +39,7 @@ SPECTRAL_SETS = (
 )
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     criterion: str
     name: str
     passed: bool
@@ -66,16 +65,13 @@ def criterion_1(level="desk"):
     records = []
     for delta, t in points:
         w = VertexWeights.from_delta_t(delta, t, allow_nonphysical=True)
-        bad = 0
-        total = 0
+        bad = total = 0
         for n in range(1, n_max + 1):
             grid = WeightGrid.from_weights(n, w)
             for prof in all_profiles(n):
                 total += 1
-                lhs = gefp_residue(n, prof, delta, t, EXACT).value
-                rhs = gefp_oracle(grid, prof).value
-                if lhs != rhs:
-                    bad += 1
+                lhs, rhs = gefp_residue(n, prof, delta, t, EXACT), gefp_oracle(grid, prof)
+                bad += lhs.value != rhs.value
         records.append(CheckRecord(
             "criterion-1", f"residue == oracle (exact) at delta={delta}, t={t}, "
             f"N<={n_max} ({total} profiles)", bad == 0, f"{bad} mismatches"))
@@ -194,23 +190,16 @@ def criterion_5(level="desk"):
                 value = h
                 for v in reversed(range(s)):
                     value = value.substitute_value(v, z[v])
-                if value.coeff(()) != h_multivariate(tables, n, s, z):
-                    value_ok = False
+                value_ok &= value.coeff(()) == h_multivariate(tables, n, s, z)
             # specialization at z_s = 1; h_{n,s-1} reads sizes n..n-s+2 of the same tables
             h_red = h_polynomial(tables, n, s - 1)
             spec = h.substitute_value(s - 1, Fraction(1))
-            for idx, val in h_red.items():
-                if spec.coeff(idx) != val:
-                    at1_ok = False
-            for idx, val in spec.items():
-                if h_red.coeff(idx) != val:
-                    at1_ok = False
+            at1_ok &= (all(spec.coeff(idx) == val for idx, val in h_red.items())
+                       and all(h_red.coeff(idx) == val for idx, val in spec.items()))
             # simple zero under the reflection substitution
             for j in range(s - 1):
                 refl = reflect_substitute(h, j, delta, t)
-                low = [idx for idx, v in refl.items() if idx[j] <= n - 1 and v != 0]
-                if low:
-                    zero_ok = False
+                zero_ok &= not any(idx[j] <= n - 1 and v != 0 for idx, v in refl.items())
     records.append(CheckRecord(
         "criterion-5", f"h polynomial == det[f_k(z_j)] / Vandermonde at distinct "
         f"and coincident arguments, N<={n_max}", value_ok))
@@ -233,17 +222,13 @@ def criterion_6(level="desk"):
     n_max_pole = 4 if level == "desk" else 3
     records = []
     delta, t = Fraction(1, 2), Fraction(1)
-    vanish_ok = True
-    reduce_ok = True
+    vanish_ok = reduce_ok = True
     for n in range(1, n_max_vanish + 1):
         for prof in all_profiles(n):
             val = gefp_residue(n, prof, delta, t, EXACT).value
-            if prof.blocked != (val == 0):
-                vanish_ok = False
+            vanish_ok &= prof.blocked == (val == 0)
             if prof.r[-1] == n:
-                red = gefp_residue(n, prof.reduced(), delta, t, EXACT).value
-                if val != red:
-                    reduce_ok = False
+                reduce_ok &= val == gefp_residue(n, prof.reduced(), delta, t, EXACT).value
     records.append(CheckRecord(
         "criterion-6", f"G == 0 exactly iff some r_j < j, N<={n_max_vanish}",
         vanish_ok))
@@ -254,11 +239,8 @@ def criterion_6(level="desk"):
     delta2, t2 = Fraction(1, 3), Fraction(3, 4)
     for n in range(1, n_max_pole + 1):
         for prof in all_profiles(n):
-            if prof.r[-1] != n:
-                continue
-            rep = pole_deformation_check(n, prof, delta2, t2)
-            if not rep.ok:
-                pole_ok = False
+            if prof.r[-1] == n:
+                pole_ok &= pole_deformation_check(n, prof, delta2, t2).ok
     records.append(CheckRecord(
         "criterion-6", f"pole deformation balanced for all r_s = N profiles, "
         f"N<={n_max_pole}", pole_ok))
@@ -278,9 +260,7 @@ def criterion_7(level="desk"):
             zn = partition_function_oracle(grid)
             for prof in all_profiles(n):
                 zmod = modified_domain_partition(grid, prof)
-                g = gefp_oracle(grid, prof).value
-                if zmod * w.a ** prof.mu_size != g * zn:
-                    ok = False
+                ok &= zmod * w.a ** prof.mu_size == gefp_oracle(grid, prof).value * zn
         records.append(CheckRecord(
             "criterion-7", f"Z_mod * a^|mu| == G * Z_N at a={w.a}, b={w.b}, "
             f"c={w.c}, N<={n_max}", ok))
@@ -292,13 +272,10 @@ def criterion_8(level="desk"):
     n_max = 5 if level == "desk" else 3
     expected = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429}
     w = VertexWeights.from_abc(Fraction(1), Fraction(1), Fraction(1))
-    ok = True
-    detail = []
-    for n in range(1, n_max + 1):
-        z = reduced_partition_oracle(WeightGrid.from_weights(n, w))
-        detail.append(f"Z_{n}={z}")
-        if z != expected[n]:
-            ok = False
+    counts = {n: reduced_partition_oracle(WeightGrid.from_weights(n, w))
+              for n in range(1, n_max + 1)}
+    ok = all(counts[n] == expected[n] for n in counts)
+    detail = [f"Z_{n}={z}" for n, z in counts.items()]
     wanted = ", ".join(str(expected[n]) for n in range(1, n_max + 1))
     records = [CheckRecord(
         "criterion-8", f"configuration counts {wanted} for N = 1..{n_max}",
@@ -306,8 +283,7 @@ def criterion_8(level="desk"):
     naive_ok = True
     for n in range(1, 4):
         stats = enumerate_naive(WeightGrid.from_weights(n, w))
-        if stats.config_count != expected[n] or not stats.parity_ok:
-            naive_ok = False
+        naive_ok &= stats.config_count == expected[n] and stats.parity_ok
     records.append(CheckRecord(
         "criterion-8", "naive ice-rule filter confirms 1, 2, 7 and the "
         "c-vertex parity", naive_ok))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from gefp_lab import cli, gefp, oracle
+from gefp_lab import cli, gefp, ik, oracle
 from gefp_lab.backends import format_scalar
 from gefp_lab.cli import main
 from gefp_lab.gefp import gefp_residue
@@ -199,6 +199,48 @@ def test_jets_box_cap_exits_3_before_compute(capsys, monkeypatch, argv):
                              "--engine", "jets", "--backend", "float")
     assert code == 3 and out == ""
     assert err.startswith("error: TooLarge:")
+
+
+OVERSIZE = ["--N", "99999999999", "--delta", "1/3", "--t", "3/4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gefp", "--r", "1"],
+    ["gefp", "--r", "1", "--engine", "oracle"],
+    ["efp", "--s", "1", "--r", "1"],
+    ["efp", "--s", "1", "--r", "1", "--engine", "oracle"],
+    ["partition"],
+    ["hfun"],
+    ["cutdomain", "--r", "1"],
+])
+def test_oversize_n_is_refused_before_the_grid(capsys, monkeypatch, argv):
+    def no_grid(*args):
+        raise AssertionError("the O(N) weight grid was built")
+
+    monkeypatch.setattr(oracle.WeightGrid, "from_weights", no_grid)
+    code, out, err = run_cli(capsys, *argv, *OVERSIZE)
+    assert code == 3 and out == ""
+    assert err.startswith("error: TooLarge: N=99999999999 exceeds the enumeration cap")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gefp", "--N", "40000", "--r", "1", "--engine", "jets"],
+    ["gefp", "--N", "65", "--r", "65,65", "--engine", "jets"],
+    ["efp", "--N", "40000", "--s", "1", "--r", "1", "--engine", "jets"],
+    ["table", "--N", "40000", "--s", "1", "--engine", "jets"],
+    ["hfun", "--N", "99999999999", "--engine", "kpoly"],
+    ["partition", "--N", "40000", "--engine", "ik-hom"],
+])
+def test_k_route_refuses_n_above_its_cap_before_any_input(capsys, monkeypatch, argv):
+    def no_build(*args):
+        raise AssertionError("a K-route input was built")
+
+    for target in (gefp, "_JetsInputs"), (gefp, "phi_derivatives"), (ik, "phi_derivatives"):
+        monkeypatch.setattr(*target, no_build)
+    code, out, err = run_cli(capsys, *argv, "--lambda", "1.1", "--eta", "0.35",
+                             "--backend", "float")
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: TooLarge: N={argv[2]} exceeds the K-route cap")
 
 
 def test_nonphysical_jets_agrees_with_residue(capsys):
@@ -542,6 +584,18 @@ def test_verify_quick_subset(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_verify_records_keep_their_fields_in_order(capsys):
+    rows = cli._verify_job(("quick", 8))
+    assert [list(rec) for rec in rows] == [["criterion", "name", "passed", "detail"]] * 2
+    assert rows[0]["detail"] == "Z_1=1 Z_2=2 Z_3=7" and rows[1]["detail"] == ""
+    code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--criteria", "8",
+                           "--format", "json")
+    assert code == 0
+    checks = dict(json.loads(out, object_pairs_hook=list))["checks"]
+    assert [[key for key, _ in rec] for rec in checks] == [["criterion", "detail", "name",
+                                                             "passed"]] * 2
 
 
 def test_verify_worker_pool_matches_serial(capsys):

@@ -728,6 +728,39 @@ def test_jets_s_cap():
                                   mp.mpf("0.35"))
 
 
+def test_k_route_refuses_n_above_its_cap_before_any_input(monkeypatch):
+    # N^s under JETS_BOX_CAP at s = 1 and 2, yet N above K_ROUTE_N_CAP
+    def no_build(*args):
+        raise AssertionError("a K-route input was built")
+
+    for target in (gefp, "_JetsInputs"), (gefp, "phi_derivatives"):
+        monkeypatch.setattr(*target, no_build)
+    N = gefp.K_ROUTE_N_CAP + 1
+    assert N ** 2 <= gefp.JETS_BOX_CAP
+    with mp.workprec(64):
+        for r in ((N,), (N, N)):
+            with pytest.raises(TooLarge, match=f"N={N} exceeds the K-route cap"):
+                gefp_determinant_jets(N, YoungProfile(N, r), mp.mpf("1.1"), mp.mpf("0.35"))
+        with pytest.raises(TooLarge, match=f"N={N} exceeds the K-route cap"):
+            hfun.boundary_H_table_via_K(N, mp.mpf("1.1"), mp.mpf("0.35"))
+    gefp.check_jets_box(gefp.K_ROUTE_N_CAP, 1)
+
+
+def test_jets_workspaces_share_no_memo():
+    with mp.workprec(64):
+        lam, eta = mp.mpf("1.1"), mp.mpf("0.35")
+        spaces = [jets_workspace(3, s, lam, eta) for s in (1, 2, 3)]
+        inputs = gefp.jets_inputs(3, lam, eta)
+        spaces += [gefp.JetsWorkspace(3, 1, None, [[1]], inputs.powers, 0, 0)
+                   for _ in range(2)]
+        for name in ("folds", "partials"):
+            memos = [getattr(ws, name) for ws in spaces]
+            assert len({id(memo) for memo in memos}) == len(spaces), name
+        assert spaces[-1].folds == spaces[-1].partials == {}
+        spaces[-2].folds[0] = spaces[-2].partials[0] = None
+        assert spaces[-1].folds == spaces[-1].partials == {}
+
+
 def test_jets_physicality_is_checked_before_the_workspace():
     with mp.workprec(64):
         prof, lam, eta = YoungProfile(3, (2, 3)), mp.mpf(0), mp.mpf("0.3")

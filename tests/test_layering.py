@@ -1,8 +1,13 @@
 """The package imports one way: algebra, oracle and ik, then gefp, then hfun,
 then verify and cli.  Every package import sits at the top of its module,
-so the order is read off the import statements alone."""
+so the order is read off the import statements alone.  Past mpmath, the
+package and its CLI import no ``dataclasses`` and nothing it pulls in."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gefp_lab
@@ -57,3 +62,21 @@ def test_no_package_module_is_imported_inside_a_function():
 def test_the_engines_import_nothing_from_hfun():
     assert "hfun" not in READS["gefp"]
     assert "gefp" in READS["hfun"]
+
+
+# dataclasses imports inspect, which imports ast, dis, tokenize and linecache:
+# about 9 ms of every cold process
+SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache"}
+
+
+def test_the_package_imports_no_dataclasses_past_mpmath():
+    script = ("import json, sys, mpmath\n"
+              "before = set(sys.modules)\n"
+              "import gefp_lab, gefp_lab.cli\n"
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            check=True, env=env)
+    added = set(json.loads(result.stdout))
+    assert "gefp_lab.cli" in added
+    assert added & SLOW_IMPORTS == set()

@@ -1,12 +1,16 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from gefp_lab.errors import DivisionByZero, NonphysicalWeights, Unsupported
-from gefp_lab.params import (VertexWeights, delta_t_from_trig, delta_t_from_weights,
-                             exact_sqrt, lambda_eta_from_delta_t, weights_from_trig)
+from gefp_lab.errors import BadIndex, DivisionByZero, NonphysicalWeights, Unsupported
+from gefp_lab.oracle import YoungProfile
+from gefp_lab.params import (SpectralData, VertexWeights, delta_t_from_trig,
+                             delta_t_from_weights, exact_sqrt, lambda_eta_from_delta_t,
+                             weights_from_trig)
 
 
 def test_delta_t_direct_substitution():
@@ -115,3 +119,73 @@ def test_lambda_eta_takes_rational_delta_t():
     with mp.workprec(128):
         assert (lambda_eta_from_delta_t(Fraction(1, 3), Fraction(3, 4))
                 == lambda_eta_from_delta_t(mp.mpf(1) / 3, mp.mpf(3) / 4))
+
+
+# the frozen value classes as they were when they were frozen dataclasses
+VALUES = [
+    (lambda: YoungProfile(4, [2, 3]), "YoungProfile(N=4, r=(2, 3))", (4, (2, 3))),
+    (lambda: VertexWeights.from_delta_t(Fraction(1, 3), Fraction(3, 4)),
+     "VertexWeights(a=Fraction(1, 1), b=Fraction(3, 4), c2=Fraction(17, 16), c=None, "
+     "allow_nonphysical=False)",
+     (1, Fraction(3, 4), Fraction(17, 16), None, False)),
+    (lambda: VertexWeights.from_abc(Fraction(2), Fraction(1), Fraction(2)),
+     "VertexWeights(a=Fraction(2, 1), b=Fraction(1, 1), c2=Fraction(4, 1), c=Fraction(2, 1), "
+     "allow_nonphysical=False)",
+     (2, 1, 4, 2, False)),
+    (lambda: SpectralData(["0.5", 1], ["0.25", 0], "0.125"),
+     "SpectralData(lambdas=(mpf('0.5'), mpf('1.0')), nus=(mpf('0.25'), mpf('0.0')), "
+     "eta=mpf('0.125'))",
+     ((0.5, 1), (0.25, 0), 0.125)),
+]
+
+
+@pytest.mark.parametrize("make, text, fields", VALUES, ids=["profile", "weights", "abc",
+                                                           "spectral"])
+def test_frozen_values_compare_hash_and_show_like_frozen_dataclasses(make, text, fields):
+    value = make()
+    assert not hasattr(value, "__dict__")       # the fields live in slots
+    assert repr(value) == text
+    assert value == make() and hash(value) == hash(make()) == hash(fields)
+    assert value != fields and value.__eq__(fields) is NotImplemented
+    assert copy.copy(value) == copy.deepcopy(value) == pickle.loads(pickle.dumps(value)) == value
+    name = text.split("(", 1)[1].split("=", 1)[0]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(value, name, 0)
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        value.extra = 0
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(value, name)
+    assert value == make()
+
+
+def test_frozen_values_differ_by_type_and_field():
+    w = VertexWeights(Fraction(1), Fraction(1), Fraction(1))
+    assert w != VertexWeights(Fraction(1), Fraction(1), Fraction(1), allow_nonphysical=True)
+    assert YoungProfile(3, [1]) != YoungProfile(4, [1])
+    assert len({YoungProfile(3, [1]), YoungProfile(3, (1,)), YoungProfile(3, [2])}) == 2
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: YoungProfile(0, []), BadIndex, "N must be positive, got 0"),
+    (lambda: YoungProfile(2, [1, 2, 2]), BadIndex, "profile length 3 exceeds N=2"),
+    (lambda: YoungProfile(3, [2, 1]), BadIndex,
+     "profile must satisfy 1 <= r_1 <= ... <= r_s <= N, got r=(2, 1)"),
+    (lambda: YoungProfile(3, [4]), BadIndex,
+     "profile must satisfy 1 <= r_1 <= ... <= r_s <= N, got r=(4,)"),
+    (lambda: VertexWeights(Fraction(0), Fraction(1), Fraction(1)), DivisionByZero,
+     "vertex weights a and b must be nonzero"),
+    (lambda: VertexWeights(Fraction(1), Fraction(0), Fraction(1), allow_nonphysical=True),
+     DivisionByZero, "vertex weights a and b must be nonzero"),
+    (lambda: VertexWeights(Fraction(1), Fraction(1), Fraction(0), allow_nonphysical=True),
+     NonphysicalWeights, "weight c must be nonzero"),
+    (lambda: VertexWeights(Fraction(1), Fraction(-1), Fraction(1)), NonphysicalWeights,
+     "weights must be positive in physical mode: a=1, b=-1, c^2=1"),
+    (lambda: VertexWeights(Fraction(1), Fraction(1), Fraction(1), Fraction(-1)),
+     NonphysicalWeights, "weight c=-1 must be positive"),
+    (lambda: SpectralData([1], [1, 2], "0.1"), ValueError,
+     "lambdas and nus must have equal length"),
+])
+def test_frozen_values_refuse_the_same_inputs(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert type(caught.value) is error and str(caught.value) == message
