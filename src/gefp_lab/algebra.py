@@ -324,13 +324,6 @@ class TruncatedSeries:
             data = [zero] * size
         self.data = data
 
-    # -- construction helpers ------------------------------------------------
-    @classmethod
-    def constant(cls, caps, value, zero):
-        out = cls(caps, zero)
-        out.data[0] = value
-        return out
-
     @property
     def nvars(self):
         return len(self.caps)
@@ -350,29 +343,6 @@ class TruncatedSeries:
     def set_coeff(self, idx, value):
         self.data[self._offset(idx)] = value
 
-    def product_coeff(self, other, idx):
-        """Coefficient at ``idx`` of ``self * other``, without the product.
-
-        Equal caps give equal strides, so the partner of the entry at flat
-        offset ``o`` sits at ``offset(idx) - o``.  Terms are added in flat
-        order over the box below ``idx``, skipping zero entries of ``self``.
-        """
-        if other.caps != self.caps:
-            raise ValueError("cap mismatch")
-        if any(i < 0 or i > c for i, c in zip(idx, self.caps)):
-            raise ValueError(f"index {tuple(idx)} outside caps {self.caps}")
-        box = [0]
-        for m, stride in zip(idx, self._strides):
-            box = [o + i * stride for o in box for i in range(m + 1)]
-        top = self._offset(idx)
-        a, b = self.data, other.data
-        total = self.zero
-        for off in box:
-            v = a[off]
-            if v != 0:
-                total = total + v * b[top - off]
-        return total
-
     def items(self):
         """Yield (index_tuple, coefficient) for nonzero coefficients."""
         for flat, v in enumerate(self.data):
@@ -387,17 +357,24 @@ class TruncatedSeries:
 
     # -- arithmetic -----------------------------------------------------------
     def __mul__(self, other):
+        """The truncated product; a scalar scales every entry.  Each nonzero
+        entry of ``self`` in flat order meets each nonzero entry of ``other``
+        in flat order and adds their product, from ``zero``, at the summed
+        index when it lies in the caps."""
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.caps, self.zero, [a * other for a in self.data])
         if other.caps != self.caps:
             raise ValueError("cap mismatch")
-        return self._mul_factor(range(self.nvars), other.items())
+        out = TruncatedSeries(self.caps, self.zero)
+        theirs = [(self._offset(idx), idx, y) for idx, y in other.items()]
+        for idx, x in self.items():
+            o, room = self._offset(idx), [c - i for c, i in zip(self.caps, idx)]
+            for shift, exps, y in theirs:
+                if all(map(le, exps, room)):
+                    out.data[o + shift] += x * y
+        return out
 
     __rmul__ = __mul__
-
-    def mul_pair(self, j, k, block):
-        """``self`` times a 2-variable series whose axes 0, 1 are axes j, k here."""
-        return self._mul_factor((j, k), block.items())
 
     def div_pair(self, j, k, a, b, top):
         """``self`` divided by 1 - a z_j + b z_j z_k, to total degree ``top``.
@@ -419,37 +396,6 @@ class TruncatedSeries:
                     x = x - b * q[o - sj - sk]
             q[o] = x
         return TruncatedSeries(self.caps, self.zero, q)
-
-    def _mul_factor(self, axes, factor):
-        """Product with a factor in the variables ``axes``, by flat offset.
-
-        ``factor`` yields (exponents, coefficient) pairs; the result is
-        ``self`` times the factor embedded in this cap box.  Each coefficient
-        starts at ``zero`` and adds its terms over the operand with fewer
-        nonzeros (this series on a tie), in that operand's flat order.  The
-        partners of one target run in opposite flat orders, so walking this
-        series' nonzeros backwards gives the factor's order.
-        """
-        caps = [self.caps[a] for a in axes]
-        strides = [self._strides[a] for a in axes]
-        terms = [(sum(e * st for e, st in zip(exps, strides)), exps, v)
-                 for exps, v in factor
-                 if v != 0 and all(e <= c for e, c in zip(exps, caps))]
-        items = [(o, x) for o, x in enumerate(self.data) if x != 0]
-        if len(terms) < len(items):
-            items.reverse()
-        partners = {}        # room left on axes -> the factor terms that fit there
-        out = TruncatedSeries(self.caps, self.zero)
-        data = out.data
-        for o, x in items:
-            room = tuple(c - o // st % (c + 1) for st, c in zip(strides, caps))
-            fits = partners.get(room)
-            if fits is None:
-                fits = partners[room] = [(shift, v) for shift, exps, v in terms
-                                         if all(map(le, exps, room))]
-            for shift, v in fits:
-                data[o + shift] = data[o + shift] + x * v
-        return out
 
     def invert(self):
         """Multiplicative inverse; requires nonzero constant coefficient.

@@ -247,14 +247,27 @@ def cmd_partition(args, spec):
     return args.engine, [({}, call)]
 
 
+def _check_engine(args, spec, s):
+    """Refuse, in O(1) and before any profile is built or listed, what the
+    engine refuses at N and profile length s: the oracle's weights and cap
+    (the residue engine's H tables keep the default cap), or the jets
+    backend, N and box."""
+    if args.engine == "jets":
+        if spec.backend == EXACT:
+            raise UsageError("--engine jets runs in the float backend")
+        check_jets_box(args.N, s)
+    elif args.engine == "oracle":
+        spec.grid                   # checks the weights, then the cap, then builds
+    else:
+        _check_cap(args.N, None)
+
+
 def _gefp_value(args, spec, profile):
     """One profile on the engine of ``gefp``, ``efp`` and ``table``."""
     if args.engine == "residue":
         return gefp_residue(args.N, profile, *spec.delta_t, spec.backend,
                             allow_nonphysical=args.allow_nonphysical).value
     if args.engine == "jets":
-        if spec.backend == EXACT:
-            raise UsageError("--engine jets runs in the float backend")
         return gefp_determinant_jets(args.N, profile, *spec.lambda_eta,
                                      allow_nonphysical=args.allow_nonphysical).value
     return gefp_oracle(spec.grid, profile, cap=args.oracle_cap).value
@@ -262,6 +275,7 @@ def _gefp_value(args, spec, profile):
 
 def cmd_gefp(args, spec):
     profile = _parse_profile(args.r, args.N)
+    _check_engine(args, spec, profile.s)
     return args.engine, [({"r": list(profile.r)}, partial(_gefp_value, args, spec, profile))]
 
 
@@ -269,6 +283,9 @@ def cmd_efp(args, spec):
     """The EFP is the GEFP of the rectangular profile (r, ..., r), s times."""
     if not 1 <= args.r <= args.N:
         raise UsageError(f"--r {args.r} outside 1..{args.N}")
+    if args.s > args.N:             # before the s-tuple is built
+        raise UsageError(f"profile length {args.s} exceeds N={args.N}")
+    _check_engine(args, spec, args.s)
     profile = _profile(args.N, (args.r,) * args.s)
     return f"efp/{args.engine}", [({"r": args.r, "s": args.s},
                                    partial(_gefp_value, args, spec, profile))]
@@ -299,10 +316,9 @@ def cmd_table(args, spec):
     if args.s is not None and args.s > args.N:
         raise UsageError(f"--s {args.s} exceeds N={args.N}")
     sizes = range(1, args.N + 1) if args.s is None else [args.s]
-    if args.engine == "jets" and spec.backend == FLOAT:    # before any row is computed
-        check_jets_box(args.N, max(sizes))
-    elif args.engine == "residue":
-        check_residue_box((args.N - 1,) * max(sizes))
+    _check_engine(args, spec, sizes[-1])        # before any row is listed
+    if args.engine == "residue":                # N is at most the oracle cap here
+        check_residue_box((args.N - 1,) * sizes[-1])
     return args.engine, (({"r": list(p.r)}, partial(_gefp_value, args, spec, p))
                          for s in sizes for p in all_profiles(args.N, s))
 

@@ -61,7 +61,7 @@ from mpmath.libmp import from_man_exp, round_nearest
 from .algebra import (Jet, TruncatedSeries, UniPoly, _convolve, _minors,
                       geometric_inverse_coeffs, signed_subsets, staircase_planes)
 from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
-from .errors import BadIndex, DivisionByZero, NonphysicalWeights, TooLarge, Unsupported
+from .errors import BadIndex, DivisionByZero, TooLarge, Unsupported
 from .ik import a_fn, b_fn, k_polynomials, phi_derivatives
 from .oracle import CorrelationResult, YoungProfile, _block_sums, _cached
 from .params import VertexWeights, weights_from_trig
@@ -233,19 +233,18 @@ def _residue_point(delta, t, backend, allow_nonphysical):
     """(delta, t) as ``Fraction`` after the parameter checks; a float input
     is rounded once and read as the dyadic rational it holds.  Physicality
     is decided on those rationals; a float point is refused with its
-    weights in the float format, as the oracle engine shows them."""
+    weights in the float format, as the oracle engine shows them, and its
+    rationals are never formatted: their digits can pass Python's limit."""
     if backend != EXACT:
         delta, t = to_float(delta), to_float(t)
     elif not (is_exact_scalar(delta) and is_exact_scalar(t)):
         raise Unsupported("the exact residue engine needs rational delta and t")
     point = to_exact(delta), to_exact(t)
-    if not allow_nonphysical:
-        try:
-            _cached(_physical_points, point, lambda: VertexWeights.from_delta_t(*point))
-        except NonphysicalWeights:
-            if backend != EXACT:
-                VertexWeights.from_delta_t(delta, t)    # the same refusal, in floats
-            raise
+    if not allow_nonphysical and point not in _physical_points:
+        weights = VertexWeights.from_delta_t(*point, allow_nonphysical=backend != EXACT)
+        if not weights.physical:
+            raise VertexWeights.from_delta_t(delta, t, allow_nonphysical=True).refusal()
+        _cached(_physical_points, point, lambda: weights)
     return point
 
 
@@ -328,12 +327,15 @@ def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
     point enters through ``delta_t_from_trig``) runs the same integers at
     the dyadic rationals its rounded inputs hold and rounds the result
     once, so a blocked profile gives exactly 0.  Its cost is integer size:
-    B has up to 2 prec bits, and the entries of G, built on the box of
-    m = r - 1 to total degree |m| - s(s-1)/2, up to that many times 2 prec
-    bits, so time grows with the precision.  At N = 7, r = (2, 4, 6, 7) and
-    the trig point (1.1, 0.35), one cold call takes 0.018 s at 128 bits,
-    0.032 s at 256 and 0.09 s at 512 (process time, median of seven, one
-    x86 core, pure-Python mpmath).
+    B grows with the precision and with the binary exponents of Delta and t,
+    and the entries of G, built on the box of m = r - 1 to total degree
+    |m| - s(s-1)/2, with up to that many times B's bits.  At N = 7,
+    r = (2, 4, 6, 7) and the trig point (1.1, 0.35), one cold call takes
+    0.018 s at 128 bits, 0.032 s at 256 and 0.09 s at 512 (process time,
+    median of seven, one x86 core, pure-Python mpmath).  At 128 bits, N = 4,
+    r = (2, 3, 4) and Delta = 0.3, t = 1e-10 / 1e-1000 / 1e-10000 give B of
+    323 / 6,893 / 66,691 bits and a cold call of 0.6 ms / 28 ms / 2.0 s
+    (one run each); the oracle's exact sums grow alike (1.0 s at 1e-10000).
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
@@ -458,7 +460,8 @@ class _JetsInputs:
 
     @cached_property
     def pair_block(self):
-        """(block, exponent): the pair block's integers and their power of two.
+        """(block, exponent): the pair block's integers, flat on the N^2 box,
+        and their power of two.
 
         rt = 1/(1 - wt) and rr = 1/(ww - 1), so the block is
         (1 - wt(x))(1 - ww(y)) / (1 - wt(x) ww(y)), the sum over l < N of the
@@ -481,7 +484,7 @@ class _JetsInputs:
                 for j in range(l, N):
                     data[i * N + j] += x * v[j]
         exponent = N * (e1 + e2) + _shift_to(data, mp.prec + JETS_GUARD_BITS)
-        return TruncatedSeries((N - 1, N - 1), 0, data), exponent
+        return data, exponent
 
 
 class JetsWorkspace:
@@ -655,22 +658,18 @@ def _build_jets_workspace(N, s, lam, eta):
     P_s = P_(s-1) prod_{j<s-1} block(x_j, x_(s-1)), and S(N, s - 1) x {0} is
     the part of S(N, s) at i_(s-1) = 0, so P_(s-1) sits at index 0 of the new
     last axis and s - 1 pair passes finish P_s, each rounded by ``_shift_to``.
-    P_1 is the unit and P_2 the pair block on S(N, 2), rounded the same way.
+    P_1 is the unit.
     """
     inputs = jets_inputs(N, lam, eta)
     if s == 1:
         pair, pair_exp = [1] + [0] * (N - 1), 0
-    elif s == 2:
-        block, pair_exp = inputs.pair_block
-        pair = block.data[:-1] + [0]    # S(N, 2) leaves out (N-1, N-1) alone
-        pair_exp += _shift_to(pair, mp.prec + JETS_GUARD_BITS)
     else:
         prev = _jets_workspace(N, s - 1, lam, eta)
         block, block_exp = inputs.pair_block
         pair, pair_exp = [0] * N ** s, prev.pair_exponent
         pair[::N] = prev.pair
         for j in range(s - 1):
-            pair = _pair_pass(pair, N, s, j, s - 1, block.data)
+            pair = _pair_pass(pair, N, s, j, s - 1, block)
             pair_exp += block_exp + _shift_to(pair, mp.prec + JETS_GUARD_BITS)
     flat, weights_exp = _dyadic([x for row in inputs.k_rows[N - s:] for x in row])
     weights = [flat[o:o + N] for o in range(0, s * N, N)]

@@ -155,11 +155,10 @@ def k_polynomials(pd, n):
 
 
 def k_polynomial(n, lam, eta, pd=None) -> UniPoly:
-    """K_n, row n of ``k_polynomials`` (pd the phi derivatives to order 2n
-    unless given), by cofactor expansion (-1)^n n! pd_0^(n+1) / H_n sum_j
-    (-1)^j M_j x^j, M_j the minor of [pd_{i+k}], i <= n, k < n, without row j.
-    A vanishing H_k, k <= n, raises ``SingularHankel`` (that form raised only
-    for H_n); H_k is Z_{k+1} times a nonzero factor: no physical point raises."""
+    """K_n: row n of ``k_polynomials(pd, n)``, pd the phi derivatives to
+    order 2n unless given.  A vanishing H_k, k <= n, raises
+    ``SingularHankel``; H_k is Z_{k+1} times a nonzero factor, so no
+    physical point raises."""
     return k_polynomials(pd or phi_derivatives(lam, eta, 2 * n), n)[n]
 
 

@@ -89,13 +89,20 @@ class VertexWeights(Frozen):
             raise DivisionByZero("vertex weights a and b must be nonzero")
         if self.c2 == 0:
             raise NonphysicalWeights("weight c must be nonzero")
-        if not self.allow_nonphysical:
-            if not (self.a > 0 and self.b > 0 and self.c2 > 0):
-                raise NonphysicalWeights(
-                    f"weights must be positive in physical mode: "
-                    f"a={self.a}, b={self.b}, c^2={self.c2}")
-            if self.c is not None and not self.c > 0:
-                raise NonphysicalWeights(f"weight c={self.c} must be positive")
+        if not (self.allow_nonphysical or self.physical):
+            raise self.refusal()
+
+    @property
+    def physical(self):
+        """a, b, c^2 and c, where given, are all positive."""
+        return self.a > 0 and self.b > 0 and self.c2 > 0 and (self.c is None or self.c > 0)
+
+    def refusal(self):
+        """The ``NonphysicalWeights`` of physical mode, showing these weights."""
+        if self.a > 0 and self.b > 0 and self.c2 > 0 and self.c is not None and not self.c > 0:
+            return NonphysicalWeights(f"weight c={self.c} must be positive")
+        return NonphysicalWeights(f"weights must be positive in physical mode: "
+                                  f"a={self.a}, b={self.b}, c^2={self.c2}")
 
     @classmethod
     def from_abc(cls, a, b, c, allow_nonphysical=False):

@@ -29,6 +29,7 @@ from mpmath import mp
 from gefp_lab.algebra import TruncatedSeries, perm_sign
 from gefp_lab.backends import to_exact
 from gefp_lab.gefp import JETS_GUARD_BITS, _dyadic, _shift_to
+from residue_reference import constant, mul_pair
 
 
 def full_box_pair(inputs, s):
@@ -36,11 +37,12 @@ def full_box_pair(inputs, s):
     ``mul_pair`` on every entry, in the engine's order (0, 1), (0, 2),
     (1, 2), (0, 3), ..., each pass rounded by ``_shift_to`` to
     ``JETS_GUARD_BITS`` past the working precision."""
-    pair, exponent = TruncatedSeries.constant([inputs.N - 1] * s, 1, 0), 0
+    n = inputs.N - 1
+    pair, exponent = constant([n] * s, 1, 0), 0
     for k in range(s):
         for j in range(k):
             block, block_exp = inputs.pair_block
-            pair = pair.mul_pair(j, k, block)
+            pair = mul_pair(pair, j, k, TruncatedSeries((n, n), 0, block))
             exponent += block_exp + _shift_to(pair.data, mp.prec + JETS_GUARD_BITS)
     return pair, exponent
 

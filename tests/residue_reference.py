@@ -12,6 +12,10 @@ over B^(s(s-1)/2), entry k of h times D B^|k|), which keeps the N = 6
 sweeps affordable.  Its B is q v^2 for Delta = p/q and t = u/v, not the
 least B that the engine takes, so the engine's scaling is checked against
 one derived apart from it.
+
+``TruncatedSeries`` keeps only the plain product ``*``, so the embeddings of
+a univariate or a pair factor, the constant series and the single product
+coefficient that these references and the series tests read live here.
 """
 
 import math
@@ -51,9 +55,34 @@ class RouteSeries:
     def coefficient(self, profile):
         """(-1)^s [w^m] prefactor * h at m = r - 1, times B^(s(s-1)/2) / (B^|m| D)."""
         m = [rj - 1 for rj in profile.r]
-        c = (-1) ** self.s * self.prefactor.product_coeff(self.h, m)
+        c = (-1) ** self.s * product_coeff(self.prefactor, self.h, m)
         B, D = self.scale
         return Fraction(c * B ** (self.s * (self.s - 1) // 2), B ** sum(m) * D)
+
+
+def constant(caps, value, zero):
+    """The series on the cap box whose only nonzero entry is ``value`` at 0."""
+    out = TruncatedSeries(caps, zero)
+    out.data[0] = value
+    return out
+
+
+def product_coeff(f, g, idx):
+    """Coefficient at ``idx`` of f * g, without the product.
+
+    Equal caps give equal strides, so the partner of the entry at flat
+    offset ``o`` sits at ``offset(idx) - o``.  Terms are added in flat order
+    over the box below ``idx``, skipping zero entries of f.
+    """
+    assert f.caps == g.caps and all(0 <= i <= c for i, c in zip(idx, f.caps))
+    box = [0]
+    for m, stride in zip(idx, f._strides):
+        box = [o + i * stride for o in box for i in range(m + 1)]
+    top, total = f._offset(idx), f.zero
+    for off in box:
+        if f.data[off] != 0:
+            total = total + f.data[off] * g.data[top - off]
+    return total
 
 
 def mul_axis(f, var, coeffs):
@@ -65,6 +94,21 @@ def mul_axis(f, var, coeffs):
     return f * g
 
 
+def mul_pair(f, j, k, block):
+    """f times the two-variable series ``block`` whose axes 0, 1 are axes j, k
+    of f: each nonzero entry of f in flat order meets each nonzero entry of
+    the block and adds their product where the shifted index fits the caps."""
+    (sj, sk), (cj, ck) = (f._strides[j], f._strides[k]), (f.caps[j], f.caps[k])
+    out, terms = TruncatedSeries(f.caps, f.zero), list(block.items())
+    for o, x in enumerate(f.data):
+        if x != 0:
+            ij, ik = o // sj % (cj + 1), o // sk % (ck + 1)
+            for (a, b), v in terms:
+                if ij + a <= cj and ik + b <= ck:
+                    out.data[o + a * sj + b * sk] += x * v
+    return out
+
+
 def _route(N, s, tables, B, D, lin, a, b):
     h = h_polynomial(tables, N, s)
     degrees = [0]
@@ -73,7 +117,7 @@ def _route(N, s, tables, B, D, lin, a, b):
     powers = [B ** d for d in range(s * (N - 1) + 1)]
     h.data = [x * powers[d] for x, d in zip(h.data, degrees)]
     one = h.zero + 1
-    prefactor = TruncatedSeries.constant([N - 1] * s, one, h.zero)
+    prefactor = constant([N - 1] * s, one, h.zero)
     for j in range(s):
         for _ in range(s - 1 - j):
             prefactor = mul_axis(prefactor, j, [one, lin])

@@ -2,6 +2,10 @@ import concurrent.futures
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -134,9 +138,17 @@ def test_computation_error_exits_3_with_class_name(capsys):
     (["hfun", "--N", "3", *NONPHYSICAL_TRIG, "--engine", "kpoly"], "NonphysicalWeights"),
     (["partition", "--N", "3", *NONPHYSICAL_TRIG, "--engine", "ik-hom"],
      "NonphysicalWeights"),
+    # a float point past 10^4300, whose exact digits Python will not print
+    (["gefp", "--N", "4", "--r", "2", "--delta", "1e5000", "--t", "3/4", "--backend", "float"],
+     "NonphysicalWeights"),
+    (["gefp", "--N", "4", "--r", "2", "--delta", "1/3", "--t", "-1e5000", "--backend", "float"],
+     "NonphysicalWeights"),
+    (["table", "--N", "3", "--delta", "1e5000", "--t", "0.75", "--backend", "float"],
+     "NonphysicalWeights"),
 ], ids=["jets-degenerate", "residue-degenerate", "efp-jets-degenerate",
         "jets-vanishing-c", "jets-nonphysical", "efp-jets-nonphysical", "ik-vanishing-weight",
-        "kpoly-nonphysical", "ik-hom-nonphysical"])
+        "kpoly-nonphysical", "ik-hom-nonphysical", "residue-huge-delta", "residue-huge-t",
+        "table-huge-delta"])
 def test_bad_weights_exit_3_with_class_name(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
@@ -212,6 +224,8 @@ OVERSIZE = ["--N", "99999999999", "--delta", "1/3", "--t", "3/4"]
     ["partition"],
     ["hfun"],
     ["cutdomain", "--r", "1"],
+    ["efp", "--s", "99999999999", "--r", "1"],
+    ["efp", "--s", "99999999999", "--r", "1", "--engine", "oracle"],
 ])
 def test_oversize_n_is_refused_before_the_grid(capsys, monkeypatch, argv):
     def no_grid(*args):
@@ -221,6 +235,28 @@ def test_oversize_n_is_refused_before_the_grid(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv, *OVERSIZE)
     assert code == 3 and out == ""
     assert err.startswith("error: TooLarge: N=99999999999 exceeds the enumeration cap")
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("engine, code, refusal", [
+    (["--engine", "residue"], 3, "TooLarge: N=99999999999 exceeds the enumeration cap 8"),
+    (["--engine", "oracle"], 3, "TooLarge: N=99999999999 exceeds the enumeration cap 8"),
+    (["--engine", "jets", "--backend", "float"], 3,
+     "TooLarge: N=99999999999 exceeds the K-route cap"),
+    (["--engine", "jets"], 2, "--engine jets runs in the float backend"),
+], ids=["residue", "oracle", "jets", "jets-exact"])
+def test_oversize_table_is_refused_before_any_profile(engine, code, refusal):
+    # listing the N profiles of length 1, or walking range(1, N + 1), would
+    # spin or fill memory; a child process with 1 GiB and 20 s ends either
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-m", "gefp_lab.cli", "table", *OVERSIZE, *engine],
+                            capture_output=True, text=True, env=env, timeout=20,
+                            preexec_fn=_limit_memory)
+    assert result.returncode == code and result.stdout == ""
+    assert result.stderr.startswith(f"error: {refusal}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -753,6 +789,8 @@ FLOAT_LISTS = ["--engine", "ik", "--eta", "0.4", "--backend", "float"]
     (["table", "--N", "3", "--s", "4", *RATIONAL], "--s 4 exceeds N=3"),
     (["efp", "--N", "3", "--s", "-1", "--r", "2", *RATIONAL], "--s"),
     (["efp", "--N", "3", "--s", "4", "--r", "2", *RATIONAL], "length 4 exceeds N=3"),
+    (["efp", "--N", "5", "--s", "99999999999", "--r", "2", *RATIONAL],
+     "length 99999999999 exceeds N=5"),
     (["efp", "--N", "3", "--s", "2", "--r", "4", *RATIONAL], "--r 4 outside 1..3"),
     (["efp", "--N", "3", "--s", "0", "--r", "0", *RATIONAL], "--r 0 outside 1..3"),
     (["efp", "--N", "3", "--s", "2", "--r", "2", *RATIONAL, "--engine", "quadrature"],
@@ -773,7 +811,8 @@ FLOAT_LISTS = ["--engine", "ik", "--eta", "0.4", "--backend", "float"]
     (["gefp", "--N", "3", "--r", "2", "--lambda", "1.1", "--engine", "jets",
       "--backend", "float"], "--lambda and --eta"),
 ], ids=["partition-N", "ik-hom-N", "table-N", "hfun-N", "kpoly-N", "table-s-negative",
-        "table-s-above-N", "efp-s-negative", "efp-s-above-N", "efp-r-above-N",
+        "table-s-above-N", "efp-s-negative", "efp-s-above-N",
+        "efp-s-far-above-N", "efp-r-above-N",
         "efp-r-zero", "efp-unknown-engine", "oracle-cap-zero", "oracle-cap-negative",
         "gefp-profile-too-long",
         "ik-unequal-lists", "ik-N-mismatch", "profile-not-integer", "delta-without-t",

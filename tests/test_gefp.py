@@ -17,7 +17,7 @@ from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
 from gefp_lab.params import VertexWeights, delta_t_from_trig
 from jets_reference import (exact_contraction, exact_pair_block, full_box_contraction,
                             mpf_pair_block)
-from residue_reference import _w_series, _z_series
+from residue_reference import _w_series, _z_series, mul_pair
 
 D0, T0 = Fraction(1, 2), Fraction(1)
 
@@ -280,7 +280,7 @@ def test_alternant_is_h_times_the_vandermonde():
                 want = h_polynomial(tables, n, s)
                 for j in range(s):
                     for k in range(j + 1, s):
-                        want = want.mul_pair(j, k, difference)
+                        want = mul_pair(want, j, k, difference)
                 minors = gefp._alternant_minors(tables, n, s, 1)
                 assert gefp._alternant(minors, (n - 1,) * s).data == want.data, (n, s)
 
@@ -557,12 +557,12 @@ def test_pair_block_is_the_exact_block_rounded_once(prec):
             block, exponent = inputs.pair_block
             exact = exact_pair_block(inputs)
             scale = Fraction(2) ** -exponent
-            assert block.data == [math.floor(x * scale + Fraction(1, 2)) for x in exact.data]
+            assert block == [math.floor(x * scale + Fraction(1, 2)) for x in exact.data]
             if N > 1:    # rounded where the smallest entry keeps prec + 16 bits
-                assert min(x.bit_length() for x in block.data if x) == prec + gefp.JETS_GUARD_BITS
+                assert min(x.bit_length() for x in block if x) == prec + gefp.JETS_GUARD_BITS
             # and the mpf route through rho_tilde and rho agrees
             bound = mp.mpf(2) ** (8 - prec)
-            for x, y in zip(block.data, mpf_pair_block(inputs).data, strict=True):
+            for x, y in zip(block, mpf_pair_block(inputs).data, strict=True):
                 x = mp.ldexp(mp.mpf(x), exponent)
                 assert abs(x - y) <= bound * abs(x), (N, x, y)
 
@@ -604,7 +604,7 @@ def test_jets_shared_inputs_built_once_per_n(monkeypatch):
 
 def test_jets_pair_product_grows_one_axis_at_a_time(monkeypatch):
     # a cold (N, s) build starts from the (N, s - 1) pair product and runs
-    # only the s - 1 passes that touch the new axis; s <= 2 runs none
+    # only the s - 1 passes that touch the new axis; s = 1 runs none
     log = []
     real = gefp._pair_pass
     monkeypatch.setattr(gefp, "_pair_pass", lambda data, N, s, j, k, block:
@@ -616,12 +616,12 @@ def test_jets_pair_product_grows_one_axis_at_a_time(monkeypatch):
             for s in range(1, N + 1):
                 log.clear()
                 jets_workspace(N, s, lam, eta)
-                assert log == [(N ** s, s, j, s - 1) for j in range(s - 1) if s > 2], (N, s)
-            # from an empty cache the build runs the chain s = 3..N once
+                assert log == [(N ** s, s, j, s - 1) for j in range(s - 1)], (N, s)
+            # from an empty cache the build runs the chain s = 2..N once
             gefp._jets_cache.clear()
             log.clear()
             jets_workspace(N, N, lam, eta)
-            assert log == [(N ** s, s, j, s - 1) for s in range(3, N + 1) for j in range(s - 1)]
+            assert log == [(N ** s, s, j, s - 1) for s in range(2, N + 1) for j in range(s - 1)]
 
 
 def test_workspaces_keyed_by_precision_and_exact_value():
