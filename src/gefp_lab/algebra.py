@@ -443,10 +443,11 @@ class TruncatedSeries:
         return f"TruncatedSeries(caps={self.caps}, nonzero={nz})"
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=32)
 def _offsets_to_degree(caps, top):
     """Flat offsets, ascending, of the entries of total degree <= top in the
-    cap box."""
+    cap box.  The residue quotient reads one key per suffix box, 26 in a
+    ``table`` sweep at N = 6, which 32 entries keep for the next point."""
     degrees = [0]
     for c in caps:
         degrees = [d + i for d in degrees for i in range(c + 1)]

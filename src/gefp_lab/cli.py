@@ -39,6 +39,12 @@ from .verify import CRITERIA, run_criterion
 
 SCHEMA = "gefp-lab/1"
 
+# Largest --oracle-cap accepted.  The transfer keeps up to 2^N states a row:
+# a cold `hfun --engine oracle --delta 1/3 --t 3/4` (CPython 3.11, one x86
+# core) took 0.5 / 1.0 / 2.7 / 5.6 / 16 s and 35 / 51 / 86 / 159 / 293 MB
+# peak RSS at N = 16 .. 20, about 2.8x the time and 1.8x the memory a step.
+ORACLE_CAP_CEILING = 20
+
 CSV_COLUMNS = ["schema", "command", "engine", "backend", "N", "r", "s", "mu", "delta",
                "t", "lambda", "eta", "lambdas", "nus", "precision_bits", "value",
                "wall_time_ms"]
@@ -376,12 +382,15 @@ def _verify_job(payload):
 # ---------------------------------------------------------------------------
 # parser
 
-def _at_least(low):
-    """argparse type: an integer of at least ``low``."""
+def _at_least(low, most=None):
+    """argparse type: an integer of at least ``low`` and, when given, at most
+    ``most``."""
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     parse.__name__ = "int"          # argparse names the type in its messages
     return parse
@@ -406,10 +415,11 @@ def _add_common(p, profile_flag=True, engines=None, default_engine=None):
     p.add_argument("--allow-nonphysical", action="store_true",
                    dest="allow_nonphysical",
                    help="accept weights outside the physical cone")
-    p.add_argument("--oracle-cap", type=_at_least(1), default=None, dest="oracle_cap",
-                   help="override the enumeration size cap (default 8) of the "
-                        "oracle engines; the H tables of the residue engine, "
-                        "both backends, keep the default")
+    p.add_argument("--oracle-cap", type=_at_least(1, ORACLE_CAP_CEILING), default=None,
+                   dest="oracle_cap",
+                   help="override the enumeration size cap (default 8, at most "
+                        f"{ORACLE_CAP_CEILING}) of the oracle engines; the H tables "
+                        "of the residue engine, both backends, keep the default")
     p.add_argument("--timing", action="store_true",
                    help="include wall time in the stdout record "
                         "(off by default so output is byte-reproducible)")

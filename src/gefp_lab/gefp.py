@@ -18,11 +18,15 @@ A = det[f_k(z_j)], sparse since it vanishes wherever two exponents agree,
 and G, the univariate factors over the pair denominators.  Every nonzero
 term of A has total degree at least s(s-1)/2, so the extraction at
 m = r - 1 reads A and G only on the box [0..m], G only up to total degree
-|m| - s(s-1)/2, and both are filled on a box alone.  The inputs that do not
-depend on the box are cached per (N, s, parameters); the first profile
-there sets the box, a later one that reaches past it refills the workspace
-on the whole (N-1)^s box, once, or, where the whole one is above the cap,
-on its own box, and each profile costs one convolution.
+|m| - s(s-1)/2, and both are filled on a box alone.  The factor of axis j
+depends on s - j alone, so G is grown from the last axis: each axis is put
+in front of the ones after it and divided by its own pairs on that suffix
+box.  The inputs that do not depend on the box are cached per (N, s,
+parameters); the first profile there sets the box, a later one that
+reaches past it refills the workspace on the whole (N-1)^s box, once, or,
+where the whole one is above the cap, on its own box, and each profile
+costs one convolution, whose terms on the first s - 1 axes are kept for
+the next profile with the same r[:-1].
 
 The engine runs on Python integers: with B the least integer that makes
 (t^2 - 2 Delta t) B, 2 Delta t B and t^2 B^2 integers, both series are
@@ -85,9 +89,9 @@ JETS_BOX_CAP = 6 ** 6
 K_ROUTE_N_CAP = 64
 
 # Largest box, in entries, that the residue engine fills, checked before any
-# sweep: a cold exact call at r = (7, ..., 7) takes 2.4 s and 118 MB (process
-# time and peak RSS, one x86 core), and ``table --N 8``, which widens to 8^8,
-# ran about 90 s.  7^7 keeps every N <= 7 and N = 8 with s <= 6.
+# sweep: a cold exact call at r = (7, ..., 7) takes 1.2-1.6 s and 119 MB
+# (wall time and peak RSS, one x86 core), and ``table --N 8``, which widens
+# to 8^8, ran about 90 s.  7^7 keeps every N <= 7 and N = 8 with s <= 6.
 RESIDUE_BOX_CAP = 7 ** 7
 
 # Bits past the working precision that the jets pair product keeps in its
@@ -115,20 +119,25 @@ class IntegrandSeries:
     ``factors`` lists each axis' univariate factor coefficients to degree
     N-1, and ``pair`` = (a, b) gives the pair denominators
     1 - a w_j + b w_j w_k.  ``fill`` rebuilds A and G on a new box from them.
+    ``head`` memoizes ``coefficient``: the m[:-1] of its last profile, and
+    that profile's terms on those axes as (flat offset, mask of the entries
+    used) pairs; ``fill`` drops it.
     """
 
     def __init__(self, s, scale, minors, factors, pair):
         self.s, self.scale, self.minors, self.factors, self.pair = s, scale, minors, factors, pair
-        self.alternant = self.quotient = None
+        self.alternant = self.quotient = self.head = None
 
     @property
     def caps(self):
         return self.quotient.caps
 
     def fill(self, caps):
-        """A and G on the box [0..caps], in place."""
+        """A and G on the box [0..caps], in place; ``head`` holds offsets on
+        the old box, so it is dropped."""
         self.quotient = _prefactor_series(self.factors, caps, *self.pair)
         self.alternant = _alternant(self.minors, caps)
+        self.head = None
         return self
 
     def coefficient(self, profile: YoungProfile):
@@ -137,18 +146,26 @@ class IntegrandSeries:
 
         A vanishes where alpha repeats an entry, so c runs over the alpha <= m
         with distinct entries alone, grown axis by axis with a mask of the
-        entries used.  The box must cover m unless the profile is blocked:
-        then no such alpha exists, no entry is read, and c = 0.
+        entries used.  The alpha of the first s - 1 axes are kept in ``head``
+        for the next profile with the same m[:-1], so in ``table`` order a
+        profile enumerates only its last axis, which is contiguous in the
+        flat layout.  The box must cover m unless the profile is blocked:
+        then no such alpha exists, the mask on the last axis admits no entry,
+        no entry is read, and c = 0.
         """
-        m = [rj - 1 for rj in profile.r]
-        terms = [(0, 0)]
-        for mj, stride in zip(m, self.alternant._strides):
-            terms = [(o + e * stride, used | 1 << e) for o, used in terms
-                     for e in range(mj + 1) if not used >> e & 1]
-        a, g, top = self.alternant.data, self.quotient.data, self.quotient._offset(m)
-        c = (-1) ** self.s * sum(a[o] * g[top - o] for o, _ in terms)
+        *head, last = [rj - 1 for rj in profile.r]
+        if self.head is None or self.head[0] != head:
+            terms = [(0, 0)]
+            for mj, stride in zip(head, self.alternant._strides):
+                terms = [(o + e * stride, used | 1 << e) for o, used in terms
+                         for e in range(mj + 1) if not used >> e & 1]
+            self.head = head, terms
+        a, g = self.alternant.data, self.quotient.data
+        top = self.quotient._offset(head) + last
+        c = (-1) ** self.s * sum(a[o + e] * g[top - o - e] for o, used in self.head[1]
+                                 for e in range(last + 1) if not used >> e & 1)
         B, D = self.scale
-        return Fraction(c * B ** (self.s * (self.s - 1) // 2), B ** sum(m) * D)
+        return Fraction(c * B ** (self.s * (self.s - 1) // 2), B ** (sum(head) + last) * D)
 
 
 def _factor_coeffs(N, s, B, lin):
@@ -164,24 +181,31 @@ def _prefactor_series(factors, caps, a, b):
     """G, every integrand factor except A, on the box [0..caps].
 
     G is the product of the univariate ``factors`` over the pair factors
-    1 - a w_j + b w_j w_k, a = 2 Delta t B and b = t^2 B^2, one ``div_pair``
-    pass each.  Every nonzero term of the alternant has total degree at
-    least s(s-1)/2, so an extraction inside the box reads G only up to
-    top = |caps| - s(s-1)/2; entries above it are zero.  An entry depends
-    only on entries below it, so it is the same on every box that holds it.
+    1 - a w_j + b w_j w_k, a = 2 Delta t B and b = t^2 B^2.  Every nonzero
+    term of the alternant has total degree at least s(s-1)/2, so an
+    extraction inside the box reads G only up to top = |caps| - s(s-1)/2;
+    entries above it are zero.  An entry depends only on entries below it,
+    so it is the same on every box that holds it.
+
+    The factor of axis j depends on s - j alone, so G is grown from the last
+    axis: axis j goes in front of the suffix G on caps[j:], and only its
+    passes (0, k), k = 1..s-1-j, run, on that box and to the same ``top``.
+    The terms dropped, outside the box or above ``top``, are closed upward,
+    so every entry is the integer that all C(s, 2) passes on the box give.
     """
     s = len(caps)
     top = sum(caps) - s * (s - 1) // 2
     degrees, data = [0], [1]
-    for u, c in zip(factors, caps):
-        data = [x * y if d + m <= top else 0
-                for d, x in zip(degrees, data) for m, y in enumerate(u[:c + 1])]
-        degrees = [d + m for d in degrees for m in range(c + 1)]
-    out = TruncatedSeries(caps, 0, data)
-    for j in range(s):
-        for k in range(j + 1, s):
-            out = out.div_pair(j, k, a, b, top)
-    return out
+    for j in reversed(range(s)):
+        c = caps[j]
+        data = [x * y if m + d <= top else 0
+                for m, x in enumerate(factors[j][:c + 1]) for d, y in zip(degrees, data)]
+        degrees = [m + d for m in range(c + 1) for d in degrees]
+        suffix = TruncatedSeries(caps[j:], 0, data)
+        for k in range(1, s - j):
+            suffix = suffix.div_pair(0, k, a, b, top)
+        data = suffix.data
+    return TruncatedSeries(caps, 0, data)
 
 
 def _columns(tables, N, s):

@@ -16,6 +16,9 @@ one derived apart from it.
 ``TruncatedSeries`` keeps only the plain product ``*``, so the embeddings of
 a univariate or a pair factor, the constant series and the single product
 coefficient that these references and the series tests read live here.
+``all_pairs_prefactor`` builds the engine's quotient G with every
+``div_pair`` pass on the whole box, the reference for growing it one axis at
+a time.
 """
 
 import math
@@ -106,6 +109,24 @@ def mul_pair(f, j, k, block):
             for (a, b), v in terms:
                 if ij + a <= cj and ik + b <= ck:
                     out.data[o + a * sj + b * sk] += x * v
+    return out
+
+
+def all_pairs_prefactor(factors, caps, a, b):
+    """G on the box [0..caps] from the product of the univariate ``factors``
+    on the whole box, zero above top = |caps| - s(s-1)/2, and all C(s, 2)
+    ``div_pair`` passes on that box, (0, 1), (0, 2), ..., (s-2, s-1)."""
+    s = len(caps)
+    top = sum(caps) - s * (s - 1) // 2
+    degrees, data = [0], [1]
+    for u, c in zip(factors, caps):
+        data = [x * y if d + m <= top else 0
+                for d, x in zip(degrees, data) for m, y in enumerate(u[:c + 1])]
+        degrees = [d + m for d in degrees for m in range(c + 1)]
+    out = TruncatedSeries(caps, 0, data)
+    for j in range(s):
+        for k in range(j + 1, s):
+            out = out.div_pair(j, k, a, b, top)
     return out
 
 

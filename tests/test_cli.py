@@ -237,6 +237,23 @@ def test_oversize_n_is_refused_before_the_grid(capsys, monkeypatch, argv):
     assert err.startswith("error: TooLarge: N=99999999999 exceeds the enumeration cap")
 
 
+@pytest.mark.parametrize("cap, code, refusal", [
+    ("99999999999", 2, "argument --oracle-cap: must be at most 20, got 99999999999"),
+    ("21", 2, "argument --oracle-cap: must be at most 20, got 21"),
+    ("20", 3, "error: TooLarge: N=99999999999 exceeds the enumeration cap 20"),
+])
+def test_oracle_cap_above_the_ceiling_exits_2_before_the_grid(capsys, monkeypatch, cap, code,
+                                                             refusal):
+    def no_grid(*args):
+        raise AssertionError("the O(N) weight grid was built")
+
+    monkeypatch.setattr(oracle.WeightGrid, "from_weights", no_grid)
+    for argv in (["gefp", "--r", "1"], ["hfun"], ["partition"]):
+        got, out, err = run_cli(capsys, *argv, *OVERSIZE, "--engine", "oracle",
+                                "--oracle-cap", cap)
+        assert (got, out) == (code, "") and refusal in err, argv
+
+
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -799,6 +816,8 @@ FLOAT_LISTS = ["--engine", "ik", "--eta", "0.4", "--backend", "float"]
       "--oracle-cap", "0"], "--oracle-cap"),
     (["gefp", "--N", "4", "--r", "2,3", *RATIONAL, "--engine", "oracle",
       "--oracle-cap", "-3"], "--oracle-cap"),
+    (["gefp", "--N", "4", "--r", "2,3", *RATIONAL, "--engine", "oracle",
+      "--oracle-cap", "21"], "--oracle-cap: must be at most 20"),
     (["gefp", "--N", "3", "--r", "1,2,3,3", *RATIONAL], "length 4 exceeds N=3"),
     (["partition", "--N", "1", "--lambdas", "0.3", "--nus", "0.1,0.5", *FLOAT_LISTS],
      "equal length"),
@@ -814,6 +833,7 @@ FLOAT_LISTS = ["--engine", "ik", "--eta", "0.4", "--backend", "float"]
         "table-s-above-N", "efp-s-negative", "efp-s-above-N",
         "efp-s-far-above-N", "efp-r-above-N",
         "efp-r-zero", "efp-unknown-engine", "oracle-cap-zero", "oracle-cap-negative",
+        "oracle-cap-above-ceiling",
         "gefp-profile-too-long",
         "ik-unequal-lists", "ik-N-mismatch", "profile-not-integer", "delta-without-t",
         "lists-without-eta", "lambda-without-eta"])

@@ -17,7 +17,7 @@ from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
 from gefp_lab.params import VertexWeights, delta_t_from_trig
 from jets_reference import (exact_contraction, exact_pair_block, full_box_contraction,
                             mpf_pair_block)
-from residue_reference import _w_series, _z_series, mul_pair
+from residue_reference import _w_series, _z_series, all_pairs_prefactor, mul_pair
 
 D0, T0 = Fraction(1, 2), Fraction(1)
 
@@ -388,6 +388,63 @@ def test_workspace_fills_only_the_box():
     assert gefp_residue(5, YoungProfile(5, (1, 1, 1)), delta, t).value == 0
     assert gefp_residue(5, YoungProfile(5, (1, 3, 5)), delta, t).value != 0
     assert first.caps == (4, 4, 4)
+
+
+@pytest.mark.parametrize("delta, t", ROUTE_POINTS, ids=ROUTE_IDS)
+def test_quotient_grown_one_axis_at_a_time_equals_all_pairs(delta, t):
+    # the whole box for N <= 6 and for N = 7 with s <= 5, and three sampled
+    # profile boxes at every s <= N <= 7
+    rng = random.Random(36)
+    for n in range(1, 8):
+        for s in range(1, n + 1):
+            series = gefp._build_exact_series(n, s, delta, t)
+            profiles = all_profiles(n, s)
+            boxes = [tuple(rj - 1 for rj in p.r)
+                     for p in rng.sample(profiles, min(3, len(profiles)))]
+            if n ** s <= 6 ** 6:
+                boxes.append((n - 1,) * s)
+            for caps in boxes:
+                want = all_pairs_prefactor(series.factors, caps, *series.pair)
+                assert series.fill(caps).quotient.data == want.data, (n, caps)
+
+
+def test_prefactor_runs_each_axis_passes_on_its_suffix_box(monkeypatch):
+    # t - 1 passes (0, k) on each suffix box caps[s-t:], shortest first
+    seen, div_pair = [], TruncatedSeries.div_pair
+
+    def spy(self, j, k, a, b, top):
+        seen.append((self.caps, j, k, top))
+        return div_pair(self, j, k, a, b, top)
+
+    monkeypatch.setattr(TruncatedSeries, "div_pair", spy)
+    series = gefp._build_exact_series(7, 4, Fraction(1, 3), Fraction(3, 4))
+    for caps in ((1, 3, 5, 6), (6, 6, 6, 6), (0, 0, 0, 0), (4, 2)):
+        seen.clear()
+        s, top = len(caps), sum(caps) - len(caps) * (len(caps) - 1) // 2
+        gefp._prefactor_series(series.factors[4 - s:], caps, *series.pair)
+        assert seen == [(caps[s - t:], 0, k, top) for t in range(2, s + 1) for k in range(1, t)]
+
+
+def test_refill_between_profiles_with_one_head_reads_the_new_box():
+    # (1, 2, 3) and (1, 2, 5) share m[:-1] = (0, 1); the second refills the
+    # box, so the enumeration of the first s - 1 axes is taken again on it
+    delta, t = Fraction(-5, 7), Fraction(2, 9)
+    whole = {r: residue_workspace(5, 3, delta, t).coefficient(YoungProfile(5, r))
+             for r in ((1, 2, 3), (1, 2, 5), (2, 2, 5))}
+    gefp._workspace_cache.clear()
+    ws = residue_workspace(5, 3, delta, t, profile=YoungProfile(5, (1, 2, 3)))
+    assert ws.caps == (0, 1, 2)
+    assert gefp_residue(5, YoungProfile(5, (1, 2, 3)), delta, t).value == whole[(1, 2, 3)]
+    head = ws.head
+    assert gefp_residue(5, YoungProfile(5, (1, 2, 5)), delta, t).value == whole[(1, 2, 5)]
+    assert ws.caps == (4, 4, 4) and ws.head[0] == head[0] and ws.head[1] != head[1]
+    # a profile with the same m[:-1] on the same box reads the kept enumeration
+    head = ws.head
+    assert gefp_residue(5, YoungProfile(5, (1, 2, 4)), delta, t).value == \
+        gefp_oracle(WeightGrid.from_weights(5, VertexWeights.from_delta_t(delta, t)),
+                    YoungProfile(5, (1, 2, 4))).value
+    assert ws.head is head
+    assert gefp_residue(5, YoungProfile(5, (2, 2, 5)), delta, t).value == whole[(2, 2, 5)]
 
 
 def test_strict_sweep_checks_physicality_once(monkeypatch):
