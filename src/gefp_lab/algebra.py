@@ -376,8 +376,10 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def div_pair(self, j, k, a, b, top):
-        """``self`` divided by 1 - a z_j + b z_j z_k, to total degree ``top``.
+    def div_pair(self, j, k, a, b, offsets):
+        """``self`` divided by 1 - a z_j + b z_j z_k, filled on the flat
+        ``offsets`` alone: ascending, those of the entries of total degree
+        <= some top.
 
         The quotient q of D = self is filled in flat order by
         q[o] = D[o] + a q[o - e_j] - b q[o - e_j - e_k], summed left to right
@@ -388,7 +390,7 @@ class TruncatedSeries:
         sj, sk = self._strides[j], self._strides[k]
         nj, nk = self.caps[j] + 1, self.caps[k] + 1
         d, q = self.data, [self.zero] * len(self.data)
-        for o in _offsets_to_degree(self.caps, top):
+        for o in offsets:
             x = d[o]
             if o // sj % nj:
                 x = x + a * q[o - sj]
@@ -441,17 +443,6 @@ class TruncatedSeries:
     def __repr__(self):
         nz = sum(1 for v in self.data if v != 0)
         return f"TruncatedSeries(caps={self.caps}, nonzero={nz})"
-
-
-@lru_cache(maxsize=32)
-def _offsets_to_degree(caps, top):
-    """Flat offsets, ascending, of the entries of total degree <= top in the
-    cap box.  The residue quotient reads one key per suffix box, 26 in a
-    ``table`` sweep at N = 6, which 32 entries keep for the next point."""
-    degrees = [0]
-    for c in caps:
-        degrees = [d + i for d in degrees for i in range(c + 1)]
-    return tuple(o for o, d in enumerate(degrees) if d <= top)
 
 
 @lru_cache(maxsize=16)

@@ -81,10 +81,10 @@ def to_float(x):
 
 
 def to_exact(x) -> Fraction:
-    """The rational x holds, an mpf read as its dyadic value; nan and
-    infinities raise ``Unsupported``."""
+    """The rational x holds, an mpf read as its dyadic value and a
+    ``Fraction`` returned as it is; nan and infinities raise ``Unsupported``."""
     if is_exact_scalar(x):
-        return Fraction(x)
+        return x if isinstance(x, Fraction) else Fraction(x)
     if not mp.isfinite(x):
         raise Unsupported(f"{x} is not a finite number")
     return Fraction(*to_rational(x._mpf_)) if isinstance(x, mpf) else Fraction(x)

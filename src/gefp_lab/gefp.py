@@ -21,8 +21,12 @@ m = r - 1 reads A and G only on the box [0..m], G only up to total degree
 |m| - s(s-1)/2, and both are filled on a box alone.  The factor of axis j
 depends on s - j alone, so G is grown from the last axis: each axis is put
 in front of the ones after it and divided by its own pairs on that suffix
-box.  The inputs that do not depend on the box are cached per (N, s,
-parameters); the first profile there sets the box, a later one that
+box.  Every cache of the engine is keyed by the integers of the point,
+the numerators and denominators of Delta and t.  What every s shares at
+(N, Delta, t) sits in one point record: B and the pair coefficients, the
+N weight grid, each reduced H table and each univariate factor, each
+built on first use.  The workspace of each s keeps the minors and the box
+on top of it; the first profile there sets the box, a later one that
 reaches past it refills the workspace on the whole (N-1)^s box, once, or,
 where the whole one is above the cap, on its own box, and each profile
 costs one convolution, whose terms on the first s - 1 axes are kept for
@@ -67,7 +71,7 @@ from .algebra import (Jet, TruncatedSeries, UniPoly, _convolve, _minors,
 from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
 from .errors import BadIndex, DivisionByZero, TooLarge, Unsupported
 from .ik import a_fn, b_fn, k_polynomials, phi_derivatives
-from .oracle import CorrelationResult, YoungProfile, _block_sums, _cached
+from .oracle import CorrelationResult, YoungProfile, _block_grid, _boundary_sums, _cached
 from .params import VertexWeights, weights_from_trig
 
 # Largest pair box N^s the jets engine builds, checked before any work.  One
@@ -115,10 +119,11 @@ class IntegrandSeries:
     filled on a cap box ``caps`` alone, G to total degree
     |caps| - s(s-1)/2, the highest that an extraction inside the box reads.
     The inputs that do not depend on the box are kept: ``minors`` maps each
-    exponent set S, as the bitmask of its entries, to d_S B^|lambda|,
-    ``factors`` lists each axis' univariate factor coefficients to degree
-    N-1, and ``pair`` = (a, b) gives the pair denominators
-    1 - a w_j + b w_j w_k.  ``fill`` rebuilds A and G on a new box from them.
+    exponent set S, as the bitmask of its entries, to d_S B^|lambda|, and
+    from the point record, shared by every s, ``factors`` lists each axis'
+    univariate factor coefficients to degree N-1 and ``pair`` = (a, b)
+    gives the pair denominators 1 - a w_j + b w_j w_k.  ``fill`` rebuilds A
+    and G on a new box from them.
     ``head`` memoizes ``coefficient``: the m[:-1] of its last profile, and
     that profile's terms on those axes as (flat offset, mask of the entries
     used) pairs; ``fill`` drops it.
@@ -168,13 +173,12 @@ class IntegrandSeries:
         return Fraction(c * B ** (self.s * (self.s - 1) // 2), B ** (sum(head) + last) * D)
 
 
-def _factor_coeffs(N, s, B, lin):
-    """Coefficients, to degree N-1, of the univariate factors
-    [lin w_j + 1]^(s-1-j) (B w_j - 1)^-(s-j) of axis j, in w = z / B with
-    lin = (t^2 - 2 Delta t) B; B = 1 gives the factors in z."""
-    return [(Jet([1, lin], N - 1) ** (s - 1 - j) * Jet(
-        [c * B ** m for m, c in enumerate(geometric_inverse_coeffs(s - j, N - 1, 1))])).coeffs
-            for j in range(s)]
+def _factor_coeffs(N, p, B, lin):
+    """Coefficients, to degree N-1, of the univariate factor
+    F_p = [lin w + 1]^(p-1) (B w - 1)^-p, that of axis s - p at every s, in
+    w = z / B with lin = (t^2 - 2 Delta t) B; B = 1 gives it in z."""
+    return (Jet([1, lin], N - 1) ** (p - 1) * Jet(
+        [c * B ** m for m, c in enumerate(geometric_inverse_coeffs(p, N - 1, 1))])).coeffs
 
 
 def _prefactor_series(factors, caps, a, b):
@@ -189,9 +193,11 @@ def _prefactor_series(factors, caps, a, b):
 
     The factor of axis j depends on s - j alone, so G is grown from the last
     axis: axis j goes in front of the suffix G on caps[j:], and only its
-    passes (0, k), k = 1..s-1-j, run, on that box and to the same ``top``.
-    The terms dropped, outside the box or above ``top``, are closed upward,
-    so every entry is the integer that all C(s, 2) passes on the box give.
+    passes (0, k), k = 1..s-1-j, run, on that box and to the same ``top``,
+    each on the offsets of degree <= top that the degree list of the box
+    gives.  The terms dropped, outside the box or above ``top``, are closed
+    upward, so every entry is the integer that all C(s, 2) passes on the
+    box give.
     """
     s = len(caps)
     top = sum(caps) - s * (s - 1) // 2
@@ -202,8 +208,9 @@ def _prefactor_series(factors, caps, a, b):
                 for m, x in enumerate(factors[j][:c + 1]) for d, y in zip(degrees, data)]
         degrees = [m + d for m in range(c + 1) for d in degrees]
         suffix = TruncatedSeries(caps[j:], 0, data)
+        offsets = [o for o, d in enumerate(degrees) if d <= top]
         for k in range(1, s - j):
-            suffix = suffix.div_pair(0, k, a, b, top)
+            suffix = suffix.div_pair(0, k, a, b, offsets)
         data = suffix.data
     return TruncatedSeries(caps, 0, data)
 
@@ -248,37 +255,87 @@ def _alternant(minors, caps):
     return out
 
 
-_workspace_cache = {}
+_workspace_cache = {}    # residue workspaces, keyed by (N, s, point key)
+_point_records = {}      # residue point records, keyed by (N, point key)
 _jets_cache = {}
+# points that passed the physicality check: residue point keys, and
+# (lambda, eta, prec) as mpf tuples for the jets engine
 _physical_points = {}
 
 
 def _residue_point(delta, t, backend, allow_nonphysical):
-    """(delta, t) as ``Fraction`` after the parameter checks; a float input
-    is rounded once and read as the dyadic rational it holds.  Physicality
-    is decided on those rationals; a float point is refused with its
-    weights in the float format, as the oracle engine shows them, and its
-    rationals are never formatted: their digits can pass Python's limit."""
+    """(delta, t) as ``Fraction`` after the parameter checks, and the key of
+    every residue cache, their numerators and denominators; an exact
+    ``Fraction`` is used as it is, and a float input is rounded once and
+    read as the dyadic rational it holds.  Physicality is decided on those
+    rationals; a float point is refused with its weights in the float
+    format, as the oracle engine shows them, and its rationals are never
+    formatted: their digits can pass Python's limit."""
     if backend != EXACT:
         delta, t = to_float(delta), to_float(t)
     elif not (is_exact_scalar(delta) and is_exact_scalar(t)):
         raise Unsupported("the exact residue engine needs rational delta and t")
     point = to_exact(delta), to_exact(t)
-    if not allow_nonphysical and point not in _physical_points:
+    key = point[0].numerator, point[0].denominator, point[1].numerator, point[1].denominator
+    if not allow_nonphysical and key not in _physical_points:
         weights = VertexWeights.from_delta_t(*point, allow_nonphysical=backend != EXACT)
         if not weights.physical:
             raise VertexWeights.from_delta_t(delta, t, allow_nonphysical=True).refusal()
-        _cached(_physical_points, point, lambda: weights)
-    return point
+        _cached(_physical_points, key, lambda: weights)
+    return point, key
+
+
+class _PointRecord:
+    """What every s shares at (N, Delta, t), in w = z / B.
+
+    B is the least integer that makes the three coefficients in w integers:
+    ``lin`` = (t^2 - 2 Delta t) B, a = 2 Delta t B and b = t^2 B^2, with
+    ``pair`` = (a, b).  That is the lcm of the denominators of
+    t^2 - 2 Delta t, 2 Delta t and t, and the last is implied:
+    t^2 = (t^2 - 2 Delta t) + 2 Delta t, so t^2 B and with it t^2 B^2 are
+    integers once the first two are.  Every other entry in w is an integer
+    for any integer B.  ``grid`` is the one N weight grid whose bottom-left
+    blocks give every H table; ``tables`` and ``factors`` hold what
+    ``table`` and ``factor_list`` have built.
+    """
+
+    def __init__(self, N, delta, t):
+        lin, a = t * t - 2 * delta * t, 2 * delta * t
+        B = math.lcm(lin.denominator, a.denominator)
+        lin, a, b = lin * B, a * B, (t * B) ** 2
+        assert lin.denominator == a.denominator == b.denominator == 1, \
+            "a coefficient times B is not an integer"
+        self.N, self.B, self.lin, self.pair = N, B, lin.numerator, (a.numerator, b.numerator)
+        self.grid = _block_grid(N, delta, t)
+        self.tables, self.factors = {}, []
+
+    def table(self, n):
+        """Table n and its scale, built on first use: the oracle's block sums
+        h over g = gcd(h), signed as z = sum h, and z / g, the least scale,
+        as lcm_k den(h_k / z) = z / gcd(z, h) = z / gcd(h)."""
+        hit = self.tables.get(n)
+        if hit is None:
+            h, z = _boundary_sums(self.grid, n)
+            g = math.gcd(*h) if z > 0 else -math.gcd(*h)
+            hit = self.tables[n] = [x // g for x in h], z // g
+        return hit
+
+    def factor_list(self, s):
+        """The factors of axes 0..s-1, F_s, ..., F_1; the F_p not built yet
+        are built, so no F_p past the largest s asked is."""
+        for p in range(len(self.factors) + 1, s + 1):
+            self.factors.append(_factor_coeffs(self.N, p, self.B, self.lin))
+        return self.factors[s - 1::-1]
 
 
 def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
                       profile: YoungProfile = None) -> IntegrandSeries:
-    """Cached integer expansion at (N, s) and the ``Fraction`` pair of
+    """Cached integer expansion at (N, s) and the point key of
     ``_residue_point``, one entry for both backends, filled on the box the
-    profile reads.  Physicality is checked before the cache lookup, so a
-    strict call cannot read an entry that a permissive call built at the
-    same point.
+    profile reads and built on the point record of (N, key), which every s
+    shares.  Physicality is checked before the cache lookup, so a strict
+    call cannot read an entry that a permissive call built at the same
+    point.
 
     The first call at a point fills the box of its profile, m = r - 1, or
     the whole box (N-1)^s when no profile is given.  A later call whose
@@ -290,15 +347,16 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
     refused, before any build or fill, exactly when its own box holds more:
     the answer does not depend on the calls before it.
     """
-    delta, t = _residue_point(delta, t, backend, allow_nonphysical)
+    point, key = _residue_point(delta, t, backend, allow_nonphysical)
     whole = (N - 1,) * s
     caps = whole if profile is None else tuple(rj - 1 for rj in profile.r)
 
     def build():
         check_residue_box(caps)
-        return _build_exact_series(N, s, delta, t).fill(caps)
+        record = _cached(_point_records, (N, key), lambda: _PointRecord(N, *point))
+        return _build_exact_series(record, s).fill(caps)
 
-    ws = _cached(_workspace_cache, (N, s, delta, t), build)
+    ws = _cached(_workspace_cache, (N, s, key), build)
     if any(map(gt, caps, ws.caps)):
         check_residue_box(caps)
         if profile is None or not profile.blocked:
@@ -313,30 +371,17 @@ def check_residue_box(caps):
                        f"the cap 7^7 = {RESIDUE_BOX_CAP} entries")
 
 
-def _build_exact_series(N, s, delta, t):
-    """The box-independent inputs in w = z / B; A and G are left for
-    ``IntegrandSeries.fill``.
-
-    B is the least integer that makes the three coefficients in w integers:
-    lin = (t^2 - 2 Delta t) B, a = 2 Delta t B and b = t^2 B^2.  That is the
-    lcm of the denominators of t^2 - 2 Delta t, 2 Delta t and t, and the
-    last is implied: t^2 = (t^2 - 2 Delta t) + 2 Delta t, so t^2 B and with
-    it t^2 B^2 are integers once the first two are.  Every other entry in w
-    is an integer for any integer B.  Table n is the oracle's block sums h
-    over g = gcd(h), signed as z = sum h, and D the product of the z / g,
-    the least scales, as lcm_k den(h_k / z) = z / gcd(z, h) = z / gcd(h).
-    """
-    lin, a = t * t - 2 * delta * t, 2 * delta * t
-    B, D = math.lcm(lin.denominator, a.denominator), 1
-    lin, a, b = lin * B, a * B, (t * B) ** 2
-    assert lin.denominator == a.denominator == b.denominator == 1, \
-        "a coefficient times B is not an integer"
-    tables = {}
-    for n, (h, z) in _block_sums(N, s, delta, t)[1].items():
-        g = math.gcd(*h) if z > 0 else -math.gcd(*h)
-        tables[n], D = [x // g for x in h], D * (z // g)
-    return IntegrandSeries(s, (B, D), _alternant_minors(tables, N, s, B),
-                           _factor_coeffs(N, s, B, lin.numerator), (a.numerator, b.numerator))
+def _build_exact_series(record: _PointRecord, s):
+    """The box-independent inputs at (N, s) in w = z / B, read from the
+    point record: tables N..N-s+1, D the product of their scales, and
+    factors F_s..F_1; only the minors are built here, and A and G are left
+    for ``IntegrandSeries.fill``."""
+    N, D, tables = record.N, 1, {}
+    for n in range(N, N - s, -1):
+        tables[n], scale = record.table(n)
+        D *= scale
+    return IntegrandSeries(s, (record.B, D), _alternant_minors(tables, N, s, record.B),
+                           record.factor_list(s), record.pair)
 
 
 def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
@@ -710,15 +755,18 @@ def gefp_determinant_jets(N, profile: YoungProfile, lam, eta, *,
     shared multivariate jet of the trailing omega/rho product, one axis at a
     time (see ``JetsWorkspace.contraction``).  N and boxes above their caps
     are refused before any work, and physicality is checked before the
-    workspace lookup and before the empty profile's 1.
+    workspace lookup and before the empty profile's 1, once per (lambda,
+    eta, prec) that passes it; a refused point raises on every call.
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")
     s = profile.s
     check_jets_box(N, s)
     lam, eta = mp.mpf(lam), mp.mpf(eta)
-    if not allow_nonphysical:
-        weights_from_trig(lam, 0, eta)                  # raises NonphysicalWeights
+    key = lam._mpf_, eta._mpf_, mp.prec
+    if not allow_nonphysical and key not in _physical_points:
+        weights = weights_from_trig(lam, 0, eta)        # raises NonphysicalWeights
+        _cached(_physical_points, key, lambda: weights)
     if s == 0:
         return CorrelationResult(mp.mpf(1), "jets", FLOAT)
     value = _jets_workspace(N, s, lam, eta).contraction(profile.r)

@@ -41,7 +41,7 @@ from .errors import BadIndex, BranchPole, DuplicateRapidity, NotInvertible
 from .gefp import _columns, check_jets_box, gefp_residue, jets_inputs, jets_workspace
 from .ik import (a_fn, b_fn, homogeneous_partition_jets,
                  partially_inhomogeneous_partition)
-from .oracle import YoungProfile, _block_sums
+from .oracle import YoungProfile, _block_grid, _boundary_sums
 
 
 def boundary_H_table_via_K(N, lam, eta) -> list:
@@ -89,8 +89,11 @@ def build_h_tables(N, s, delta, t):
     so the set costs its N - 1 turned rows and one row per size.  N above
     the oracle's default cap is refused before any transfer.
     """
-    grid, sums = _block_sums(N, s, delta, t)
-    return {n: [grid.rounded(Fraction(x, z)) for x in h] for n, (h, z) in sums.items()}
+    grid, tables = _block_grid(N, delta, t), {}
+    for n in range(N, N - s, -1):
+        h, z = _boundary_sums(grid, n)
+        tables[n] = [grid.rounded(Fraction(x, z)) for x in h]
+    return tables
 
 
 @lru_cache(maxsize=8)

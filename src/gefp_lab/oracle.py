@@ -394,13 +394,11 @@ def _boundary_sums(grid: WeightGrid, n, cap=None):
     return h, _nonzero(sum(h), n)
 
 
-def _block_sums(N, s, delta, t):
-    """The N grid at (Delta, t) and {n: ``_boundary_sums(grid, n)``}, n = N..N-s+1,
-    the cap checked before the grid's O(N) rows are built."""
+def _block_grid(N, delta, t):
+    """The N grid at (Delta, t), the cap checked before its O(N) rows are built."""
     weights = VertexWeights.from_delta_t(delta, t, allow_nonphysical=True)
     _check_cap(N, None)
-    grid = WeightGrid.from_weights(N, weights)
-    return grid, {n: _boundary_sums(grid, n) for n in range(N, N - s, -1)}
+    return WeightGrid.from_weights(N, weights)
 
 
 def boundary_distribution_oracle(grid: WeightGrid, cap=None):

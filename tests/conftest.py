@@ -5,9 +5,10 @@ from gefp_lab import gefp, oracle
 
 @pytest.fixture(autouse=True, scope="module")
 def cold_workspaces():
-    """Start every test module with empty workspace caches and oracle memo,
-    as a CLI call does."""
+    """Start every test module with empty workspace caches, point records
+    and oracle memo, as a CLI call does."""
     gefp._workspace_cache.clear()
+    gefp._point_records.clear()
     gefp._jets_cache.clear()
     gefp._physical_points.clear()
     oracle._sweeps.clear()

@@ -18,12 +18,14 @@ a univariate or a pair factor, the constant series and the single product
 coefficient that these references and the series tests read live here.
 ``all_pairs_prefactor`` builds the engine's quotient G with every
 ``div_pair`` pass on the whole box, the reference for growing it one axis at
-a time.
+a time, on the offsets that ``offsets_to_degree`` lists apart from the
+engine's.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from gefp_lab.algebra import TruncatedSeries, geometric_inverse_coeffs
 from gefp_lab.hfun import build_h_tables, h_polynomial
@@ -112,6 +114,13 @@ def mul_pair(f, j, k, block):
     return out
 
 
+def offsets_to_degree(caps, top):
+    """Flat offsets, ascending, of the entries of total degree <= top in the
+    cap box."""
+    return [o for o, idx in enumerate(product(*(range(c + 1) for c in caps)))
+            if sum(idx) <= top]
+
+
 def all_pairs_prefactor(factors, caps, a, b):
     """G on the box [0..caps] from the product of the univariate ``factors``
     on the whole box, zero above top = |caps| - s(s-1)/2, and all C(s, 2)
@@ -123,10 +132,10 @@ def all_pairs_prefactor(factors, caps, a, b):
         data = [x * y if d + m <= top else 0
                 for d, x in zip(degrees, data) for m, y in enumerate(u[:c + 1])]
         degrees = [d + m for d in degrees for m in range(c + 1)]
-    out = TruncatedSeries(caps, 0, data)
+    out, offsets = TruncatedSeries(caps, 0, data), offsets_to_degree(caps, top)
     for j in range(s):
         for k in range(j + 1, s):
-            out = out.div_pair(j, k, a, b, top)
+            out = out.div_pair(j, k, a, b, offsets)
     return out
 
 

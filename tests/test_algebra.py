@@ -9,7 +9,7 @@ from gefp_lab.algebra import (Jet, TruncatedSeries, UniPoly, _convolve, det,
                               geometric_inverse_coeffs, staircase_planes)
 from gefp_lab.errors import NotInvertible
 from gefp_lab.gefp import _factor_coeffs, _prefactor_series
-from residue_reference import constant, mul_axis, mul_pair
+from residue_reference import constant, mul_axis, mul_pair, offsets_to_degree
 
 
 def det_cofactor(rows):
@@ -296,10 +296,16 @@ def test_div_pair_equals_product_with_inverse():
                 f = _random_series(rng, caps, density)
                 a, b = rng.choice(coeffs), rng.choice(coeffs)
                 want = mul_pair(f, j, k, _inverse_block(f, j, k, a, b))
-                got = f.div_pair(j, k, a, b, sum(caps))
+                got = f.div_pair(j, k, a, b, range(len(f.data)))
                 assert (got.caps, got.data) == (want.caps, want.data)
                 top = rng.randint(0, sum(caps))
-                assert f.div_pair(j, k, a, b, top).data == _capped(want, top)
+                assert f.div_pair(j, k, a, b, offsets_to_degree(caps, top)).data == \
+                    _capped(want, top)
+
+
+def _factors(N, s, B, lin):
+    """The univariate factors of axes 0..s-1, F_s, ..., F_1."""
+    return [_factor_coeffs(N, s - j, B, lin) for j in range(s)]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
@@ -325,12 +331,12 @@ def test_prefactor_equals_product_with_inverse(N):
                 inverse.data = [x.numerator for x in inverse.data]
                 want = mul_pair(want, j, k, inverse)
             whole = (N - 1,) * s
-            scaled = _prefactor_series(_factor_coeffs(N, s, B, lin), whole, a_w, b_w)
+            scaled = _prefactor_series(_factors(N, s, B, lin), whole, a_w, b_w)
             assert scaled.data == _capped(want, top)
-            assert _prefactor_series(_factor_coeffs(N, s, 1, b - a), whole, a, b).data == [
+            assert _prefactor_series(_factors(N, s, 1, b - a), whole, a, b).data == [
                 Fraction(x, B ** sum(idx)) for idx, x in zip(_box(want.caps), scaled.data)]
             for caps in rng.sample(_box(whole), min(8, N ** s)):
-                sub = _prefactor_series(_factor_coeffs(N, s, B, lin), caps, a_w, b_w)
+                sub = _prefactor_series(_factors(N, s, B, lin), caps, a_w, b_w)
                 cap = sum(caps) - s * (s - 1) // 2
                 assert sub.data == [scaled.coeff(idx) if sum(idx) <= cap else 0
                                     for idx in _box(caps)]

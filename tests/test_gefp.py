@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -17,7 +18,8 @@ from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
 from gefp_lab.params import VertexWeights, delta_t_from_trig
 from jets_reference import (exact_contraction, exact_pair_block, full_box_contraction,
                             mpf_pair_block)
-from residue_reference import _w_series, _z_series, all_pairs_prefactor, mul_pair
+from residue_reference import (_w_series, _z_series, all_pairs_prefactor, mul_pair,
+                               offsets_to_degree)
 
 D0, T0 = Fraction(1, 2), Fraction(1)
 
@@ -305,8 +307,9 @@ def test_residue_tables_and_scale_are_the_lcm_route(monkeypatch, delta, t):
     monkeypatch.setattr(gefp, "_alternant_minors",
                         lambda tables, *args: seen.append(dict(tables)) or minors(tables, *args))
     for n in range(1, 7):
+        record = gefp._PointRecord(n, delta, t)
         for s in range(1, n + 1):
-            series = gefp._build_exact_series(n, s, delta, t)
+            series = gefp._build_exact_series(record, s)
             tables, scale = {}, 1
             for m, table in build_h_tables(n, s, delta, t).items():
                 lcm = math.lcm(*(x.denominator for x in table))
@@ -396,8 +399,9 @@ def test_quotient_grown_one_axis_at_a_time_equals_all_pairs(delta, t):
     # profile boxes at every s <= N <= 7
     rng = random.Random(36)
     for n in range(1, 8):
+        record = gefp._PointRecord(n, delta, t)
         for s in range(1, n + 1):
-            series = gefp._build_exact_series(n, s, delta, t)
+            series = gefp._build_exact_series(record, s)
             profiles = all_profiles(n, s)
             boxes = [tuple(rj - 1 for rj in p.r)
                      for p in rng.sample(profiles, min(3, len(profiles)))]
@@ -409,20 +413,22 @@ def test_quotient_grown_one_axis_at_a_time_equals_all_pairs(delta, t):
 
 
 def test_prefactor_runs_each_axis_passes_on_its_suffix_box(monkeypatch):
-    # t - 1 passes (0, k) on each suffix box caps[s-t:], shortest first
+    # t - 1 passes (0, k) on each suffix box caps[s-t:], shortest first,
+    # each on the offsets of that box up to the whole box's top degree
     seen, div_pair = [], TruncatedSeries.div_pair
 
-    def spy(self, j, k, a, b, top):
-        seen.append((self.caps, j, k, top))
-        return div_pair(self, j, k, a, b, top)
+    def spy(self, j, k, a, b, offsets):
+        seen.append((self.caps, j, k, list(offsets)))
+        return div_pair(self, j, k, a, b, offsets)
 
     monkeypatch.setattr(TruncatedSeries, "div_pair", spy)
-    series = gefp._build_exact_series(7, 4, Fraction(1, 3), Fraction(3, 4))
+    series = gefp._build_exact_series(gefp._PointRecord(7, Fraction(1, 3), Fraction(3, 4)), 4)
     for caps in ((1, 3, 5, 6), (6, 6, 6, 6), (0, 0, 0, 0), (4, 2)):
         seen.clear()
         s, top = len(caps), sum(caps) - len(caps) * (len(caps) - 1) // 2
         gefp._prefactor_series(series.factors[4 - s:], caps, *series.pair)
-        assert seen == [(caps[s - t:], 0, k, top) for t in range(2, s + 1) for k in range(1, t)]
+        assert seen == [(caps[s - t:], 0, k, offsets_to_degree(caps[s - t:], top))
+                        for t in range(2, s + 1) for k in range(1, t)]
 
 
 def test_refill_between_profiles_with_one_head_reads_the_new_box():
@@ -463,6 +469,48 @@ def test_strict_sweep_checks_physicality_once(monkeypatch):
     for prof in profiles:
         gefp_residue(6, prof, Fraction(1, 3), Fraction(3, 4), allow_nonphysical=False)
     assert calls == [(Fraction(1, 3), Fraction(3, 4))]
+
+
+def test_warm_sweep_hashes_no_fraction(monkeypatch):
+    # every cache is keyed by the integers of the point, so a second pass of
+    # the 209 profiles at N = 6 hashes no Fraction
+    delta, t = Fraction(1, 3), Fraction(3, 4)
+    profiles = [p for s in range(1, 5) for p in all_profiles(6, s)]
+    first = [gefp_residue(6, p, delta, t, allow_nonphysical=False).value for p in profiles]
+    calls, fraction_hash = [], Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(x) or fraction_hash(x))
+    again = [gefp_residue(6, p, delta, t, allow_nonphysical=False).value for p in profiles]
+    assert calls == [] and again == first
+
+
+def test_sweep_over_s_builds_the_grid_and_each_table_once(monkeypatch):
+    # one point record serves every s: over s = 1..4 at N = 6, one transfer
+    # weight computation and one block sweep per table n = 6..3
+    seen, sums = [], gefp._boundary_sums
+    monkeypatch.setattr(gefp, "_boundary_sums", lambda grid, n: seen.append(n) or sums(grid, n))
+    computed, weights = [], WeightGrid._transfer_weights.func
+    counted = cached_property(lambda grid: computed.append(grid) or weights(grid))
+    counted.__set_name__(WeightGrid, "_transfer_weights")
+    monkeypatch.setattr(WeightGrid, "_transfer_weights", counted)
+    monkeypatch.setattr(gefp, "_workspace_cache", {})
+    monkeypatch.setattr(gefp, "_point_records", {})
+    for s in range(1, 5):
+        residue_workspace(6, s, Fraction(1, 3), Fraction(3, 4))
+    assert seen == [6, 5, 4, 3] and len(computed) == 1
+
+
+def test_factors_grow_only_to_the_largest_s_asked(monkeypatch):
+    seen, factor = [], gefp._factor_coeffs
+    monkeypatch.setattr(gefp, "_factor_coeffs",
+                        lambda N, p, B, lin: seen.append(p) or factor(N, p, B, lin))
+    monkeypatch.setattr(gefp, "_workspace_cache", {})
+    monkeypatch.setattr(gefp, "_point_records", {})
+    delta, t = Fraction(1, 3), Fraction(3, 4)
+    gefp_residue(7, YoungProfile(7, (2, 4, 6, 7)), delta, t)
+    assert seen == [1, 2, 3, 4]
+    gefp_residue(7, YoungProfile(7, (3, 5)), delta, t)
+    gefp_residue(7, YoungProfile(7, (1, 2, 3, 4, 5)), delta, t)
+    assert seen == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -834,6 +882,21 @@ def test_jets_physicality_is_checked_before_the_workspace():
         assert gefp_determinant_jets(3, YoungProfile(3, ()), lam, eta).value == 1
 
 
+def test_strict_jets_sweep_checks_physicality_once(monkeypatch):
+    # once per (lambda, eta, prec) that passes
+    calls, check = [], gefp.weights_from_trig
+    monkeypatch.setattr(gefp, "weights_from_trig", lambda *args: calls.append(args) or check(*args))
+    monkeypatch.setattr(gefp, "_physical_points", {})
+    lam, eta = mp.mpf("1.1"), mp.mpf("0.35")
+    profiles = [p for n in (4, 5) for p in all_profiles(n)]
+    for prof in profiles:
+        gefp_determinant_jets(prof.N, prof, lam, eta, allow_nonphysical=False)
+    assert len(calls) == 1
+    with mp.workprec(64):
+        gefp_determinant_jets(4, YoungProfile(4, (2, 3)), lam, eta, allow_nonphysical=False)
+    assert len(calls) == 2
+
+
 def test_pole_deformation_reports():
     d, t = Fraction(1, 3), Fraction(3, 4)
     rep = pole_deformation_check(3, YoungProfile(3, (2, 3)), d, t)
@@ -910,6 +973,12 @@ def test_workspace_cache_reuse():
     ws1 = residue_workspace(4, 2, D0, T0)
     ws2 = residue_workspace(4, 2, D0, T0)
     assert ws1 is ws2
+    assert residue_workspace(4, 2, D0, 1) is ws1 is residue_workspace(4, 2, Fraction(1, 2), T0)
+    # one entry for both backends: a float call at the dyadic rationals it holds
+    with mp.workprec(128):
+        delta, t = to_float(Fraction(1, 3)), to_float(Fraction(3, 4))
+        exact = residue_workspace(4, 2, to_exact(delta), to_exact(t))
+        assert residue_workspace(4, 2, delta, t, "float") is exact
 
 
 def test_residue_profile_mismatch():
