@@ -36,17 +36,19 @@ swept, turned by 180 degrees, and each constrained sum is a short sweep of
 the s top rows contracted with that one vector.  Z is the turned sweep's
 level N against the top boundary, and the cut-corner sum is the frozen one
 over a^{|mu|}: every sum is one forward chain against one turned level.
-Every sweep is memoized per parameter point, keyed by the grid's integer
-weights and shared by every grid there (exact or float at the same dyadic
-weights), so no row is swept twice: the turned rows, swept to the deepest
-level asked for, serve every bottom sweep and the H table of every
-bottom-left block, and the top rows are kept per prefix of r.  A
-deliberately naive ice-rule filter (N <= 3) double-checks it from scratch.
+Every sweep is memoized per parameter point under the grid's point key,
+one small integer that names its integer weights and is shared by every
+grid there (exact or float at the same dyadic weights), so no row is swept
+twice: the turned rows, swept to the deepest level asked for, serve every
+bottom sweep and the H table of every bottom-left block, and the top rows
+are kept per prefix of r.  The sums stay integers times D^(N(N-1)) until a
+caller's one ``Fraction``.  A deliberately naive ice-rule filter (N <= 3)
+double-checks it from scratch.
 """
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, count, product
 from math import comb, isqrt, lcm
 from typing import NamedTuple
 
@@ -61,8 +63,10 @@ NAIVE_CAP = 3
 _MEMO_MAX = 64
 _PREFIX_STATES = 4096 * comb(8, 4)   # states in _top's memo: 4,096 entries at N = 8, 310 at 12
 
-_sweeps = {}    # keyed by (transfer weights, rows | "levels"), see _bottom
-_prefixes = {}  # keyed by (transfer weights, "marks" | "frozen", r), see _top
+_point_keys = {}  # transfer weights -> point key, see WeightGrid._point_key
+_sweeps = {}      # keyed by (point key, rows | "levels"), see _bottom
+_prefixes = {}    # keyed by (point key, "marks" | "frozen", r), see _top
+_new_point_key = count().__next__
 
 
 def _cached(cache, key, build, bound=_MEMO_MAX):
@@ -188,13 +192,24 @@ class WeightGrid:
         exact = {k: to_exact(x) for k, x in {id(self.c2): self.c2, **weights}.items()}
         c2 = exact[id(self.c2)]
         den = lcm(_root_denominator(c2.denominator), *(exact[k].denominator for k in weights))
-        scaled = {k: exact[k] * den for k in weights}
-        c2 *= den * den
-        assert all(x.denominator == 1 for x in (c2, *scaled.values())), \
-            "a weight times D is not an integer"
-        ints = {k: tuple(scaled[id(x)].numerator for x in r) for k, r in rows.items()}
+        scaled = {k: exact[k].numerator * (den // exact[k].denominator) for k in weights}
+        c2, rest = divmod(c2.numerator * den * den, c2.denominator)
+        assert not rest, "c^2 D^2 is not an integer"
+        ints = {k: tuple(scaled[id(x)] for x in r) for k, r in rows.items()}
         return (tuple(ints[id(r)] for r in self.a), tuple(ints[id(r)] for r in self.b),
-                c2.numerator, den)
+                c2, den)
+
+    @cached_property
+    def _point_key(self):
+        """The small integer that keys this grid's sweeps in the memos.
+
+        Grids with equal ``_transfer_weights`` share it, whatever their
+        backend, so the weights are hashed once per grid and not on every
+        lookup.  Keys come from a counter and are never reused: a point
+        evicted from ``_point_keys`` comes back under a new key, never
+        under another point's.
+        """
+        return _cached(_point_keys, self._transfer_weights, _new_point_key)
 
 
 def _root_denominator(q):
@@ -254,9 +269,9 @@ def _levels(grid: WeightGrid, rows) -> list:
     states above the last j rows with their integer weights, is the sweep
     of the turned grid's top j rows; a deeper request resumes from it.
     """
-    n, weights = grid.N, grid._transfer_weights
-    a, b, c2, _ = weights
-    levels = _cached(_sweeps, (weights, "levels"), lambda: [{(1 << n) - 1: 1}])
+    n = grid.N
+    a, b, c2, _ = grid._transfer_weights
+    levels = _cached(_sweeps, (grid._point_key, "levels"), lambda: [{(1 << n) - 1: 1}])
     for j in range(n - len(levels), n - 1 - rows, -1):
         levels.append(_row(a[j][::-1], b[j][::-1], c2, levels[-1], n))
     return levels
@@ -272,7 +287,7 @@ def _bottom(grid: WeightGrid, rows) -> dict:
         return {full ^ int(f"{u:0{n}b}"[::-1], 2): w
                 for u, w in _levels(grid, rows)[rows].items()}
 
-    return _cached(_sweeps, (grid._transfer_weights, rows), read_back)
+    return _cached(_sweeps, (grid._point_key, rows), read_back)
 
 
 def _top(grid: WeightGrid, kind, r) -> dict:
@@ -285,36 +300,33 @@ def _top(grid: WeightGrid, kind, r) -> dict:
     ``kind`` in the key keeps the chains apart.  r = () is the top boundary.
     Callers only read it.
     """
-    n, weights = grid.N, grid._transfer_weights
-    a, b, c2, _ = weights
+    n, key = grid.N, grid._point_key
+    a, b, c2, _ = grid._transfer_weights
     bound = max(1, _PREFIX_STATES // comb(n, n // 2))
-    j = next((j for j in range(len(r), 0, -1) if (weights, kind, r[:j]) in _prefixes), 0)
-    states = _prefixes[weights, kind, r[:j]] if j else {(1 << n) - 1: 1}
+    j = next((j for j in range(len(r), 0, -1) if (key, kind, r[:j]) in _prefixes), 0)
+    states = _prefixes[key, kind, r[:j]] if j else {(1 << n) - 1: 1}
     for j in range(j, len(r)):
         mark, frozen = (r[j], None) if kind == "marks" else (None, r[j])
-        states = _cached(_prefixes, (weights, kind, r[:j + 1]),
+        states = _cached(_prefixes, (key, kind, r[:j + 1]),
                          lambda: _row(a[j], b[j], c2, states, n, mark, frozen), bound)
     return states
 
 
-def _contract(grid: WeightGrid, states, bottom) -> Fraction:
-    """The top states against the bottom ones, over D^(N(N-1)), exactly.
+def _contract(states, bottom) -> int:
+    """The top states against the bottom ones: a reduced sum times D^(N(N-1)).
 
     Every row has n5 - n6 = 1, so each of the N rows has N - 1 vertices of
     weight aD, bD or c^2 D^2 (type 6 counted twice, type 5 weighs 1): the
-    reduced sum is one integer over D^(N(N-1)), returned as that exact
-    ``Fraction`` on both backends; callers round it once.
+    reduced sum is this integer over D^(N(N-1)) on both backends.  Callers
+    divide, in one ``Fraction``, and round it once.
     """
-    n = grid.N
-    return Fraction(sum(w * bottom.get(v, 0) for v, w in states.items()),
-                    grid._transfer_weights[3] ** (n * (n - 1)))
+    return sum(w * bottom.get(v, 0) for v, w in states.items())
 
 
-def _reduced_z(grid: WeightGrid):
-    """Z / c^N as one exact ratio: level N of the turned sweep, read back,
-    is the top boundary state weighted by Z D^(N(N-1))."""
-    full = (1 << grid.N) - 1
-    return _contract(grid, {full: 1}, _bottom(grid, grid.N))
+def _reduced_z(grid: WeightGrid) -> int:
+    """Z / c^N times D^(N(N-1)), an integer: level N of the turned sweep,
+    read back, weights the top boundary state by it."""
+    return _bottom(grid, grid.N).get((1 << grid.N) - 1, 0)
 
 
 def _nonzero(z, n):
@@ -345,7 +357,8 @@ def partition_function_oracle(grid: WeightGrid, cap=None):
 def reduced_partition_oracle(grid: WeightGrid, cap=None):
     """The c-reduced sum Z_N / c^N; always available, both backends."""
     _check_cap(grid.N, cap)
-    return grid.rounded(_reduced_z(grid))
+    n = grid.N
+    return grid.rounded(Fraction(_reduced_z(grid), grid._transfer_weights[3] ** (n * (n - 1))))
 
 
 def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> CorrelationResult:
@@ -359,7 +372,9 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
     the frozen rows 1..s (resumed from the longest prefix of r swept
     before) are memoized per parameter point and shared by every grid
     there; the frozen chain is also the cut-domain numerator of
-    ``reduced_modified_domain_partition``.
+    ``reduced_modified_domain_partition``.  Both sums and Z are integers
+    over one D^(N(N-1)), compared as they are; the value is their one
+    ``Fraction``.
     """
     _check_cap(grid.N, cap)
     if profile.N != grid.N:
@@ -367,12 +382,12 @@ def gefp_oracle(grid: WeightGrid, profile: YoungProfile, cap=None) -> Correlatio
     n, s = grid.N, profile.s
     bottom = _bottom(grid, n - s)
     z = _nonzero(_reduced_z(grid), n)
-    marked, frozen = (_contract(grid, _top(grid, kind, profile.r), bottom)
+    marked, frozen = (_contract(_top(grid, kind, profile.r), bottom)
                       for kind in ("marks", "frozen"))
     if marked != frozen:
-        raise AssertionError(
-            f"edge-based and frozen-region GEFP disagree: {marked / z} vs {frozen / z}")
-    return CorrelationResult(grid.rounded(marked / z), "oracle", grid.backend)
+        raise AssertionError("edge-based and frozen-region GEFP disagree: "
+                             f"{Fraction(marked, z)} vs {Fraction(frozen, z)}")
+    return CorrelationResult(grid.rounded(Fraction(marked, z)), "oracle", grid.backend)
 
 
 def _boundary_sums(grid: WeightGrid, n, cap=None):
@@ -408,6 +423,8 @@ def boundary_distribution_oracle(grid: WeightGrid, cap=None):
     down but for column r: ``_boundary_sums`` at n = N.  Every entry is one
     ratio of integers, so a float entry is rounded once.
     """
+    if grid.N < 1:
+        raise BadIndex(f"the boundary distribution needs N >= 1, got N={grid.N}")
     h, z = _boundary_sums(grid, grid.N, cap)
     return [grid.rounded(Fraction(x, z)) for x in h]
 
@@ -431,15 +448,18 @@ def reduced_modified_domain_partition(grid: WeightGrid, profile: YoungProfile, c
 
     The frozen corner is forced to type 2 and its boundary is the cut
     domain's, so the frozen chain of ``gefp_oracle`` (shared with it in the
-    memo) is this sum times a^{|mu|}: one exact quotient, rounded once.
+    memo) is this sum times a^{|mu|}: with a = aD / D and |mu| <= N(N-1),
+    one exact quotient of integers, rounded once.
     """
     _check_cap(grid.N, cap)
     if not grid.homogeneous:
         raise Unsupported("the cut-corner domain is defined for homogeneous weights")
     if profile.N != grid.N:
         raise BadIndex(f"profile N={profile.N} does not match grid N={grid.N}")
-    frozen = _contract(grid, _top(grid, "frozen", profile.r), _bottom(grid, grid.N - profile.s))
-    return grid.rounded(frozen / to_exact(grid.a[0][0]) ** profile.mu_size)
+    n, m = grid.N, profile.mu_size
+    frozen = _contract(_top(grid, "frozen", profile.r), _bottom(grid, n - profile.s))
+    a, den = grid._transfer_weights[0][0][0], grid._transfer_weights[3]
+    return grid.rounded(Fraction(frozen, den ** (n * (n - 1) - m) * a ** m))
 
 
 # ---------------------------------------------------------------------------

@@ -273,17 +273,20 @@ def test_turned_sweep_matches_marked_transfer_on_spectral_grids():
 
 
 def split_matches_unsplit(grid):
+    # the split sums are the integers of the reduced sums times D^(N(N-1))
     n = grid.N
-    assert oracle._reduced_z(grid) == unsplit(grid)
+    scale = grid._transfer_weights[3] ** (n * (n - 1))
+    assert oracle._reduced_z(grid) == unsplit(grid) * scale
     for prof in all_profiles(n):
         bottom = oracle._bottom(grid, n - prof.s)
-        split = {kind: oracle._contract(grid, oracle._top(grid, kind, prof.r), bottom)
+        split = {kind: oracle._contract(oracle._top(grid, kind, prof.r), bottom)
                  for kind in ("marks", "frozen")}
         for kind, value in split.items():
-            assert value == unsplit(grid, **{kind: prof.r}), (n, prof.r, kind)
+            assert value == unsplit(grid, **{kind: prof.r}) * scale, (n, prof.r, kind)
         # the frozen corner's type-2 vertices on top of the cut domain
         corner = prod(to_exact(grid.a[j][k]) for j, rj in enumerate(prof.r) for k in range(rj, n))
-        assert split["frozen"] == unsplit(grid, widths=prof.r) * corner, (n, prof.r, "widths")
+        assert split["frozen"] == unsplit(grid, widths=prof.r) * corner * scale, \
+            (n, prof.r, "widths")
 
 
 def test_split_transfer_matches_the_unsplit_sweep_on_rational_grids():
@@ -420,6 +423,53 @@ def test_gefp_oracle_on_an_empty_profile_sweeps_no_top_row(row_calls):
         assert gefp_oracle(WeightGrid.from_weights(n, w), YoungProfile(n, ())).value == 1
         assert len(row_calls) == expected
     assert not oracle._prefixes
+
+
+def test_warm_gefp_oracle_sweeps_no_row_and_builds_one_fraction(row_calls, monkeypatch):
+    # a fresh grid at a warm point reads every sum from the memo, and the
+    # sums stay integers until the value's one Fraction
+    n, w, prof = 8, rational_weights(4), YoungProfile(8, (3, 5))
+    first = gefp_oracle(WeightGrid.from_weights(n, w), prof).value
+    row_calls.clear()
+    built, new = [], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    again = gefp_oracle(WeightGrid.from_weights(n, w), prof).value
+    assert len(built) == 1 and not row_calls and again == first
+
+
+def test_boundary_distribution_refuses_n0_before_any_sweep(row_calls):
+    grid = WeightGrid.from_weights(0, ICE)
+    with pytest.raises(BadIndex, match="N=0"):
+        boundary_distribution_oracle(grid)
+    assert not row_calls
+    assert reduced_partition_oracle(grid) == 1
+
+
+def test_grids_at_one_dyadic_point_share_one_key_and_no_other_point_does(monkeypatch):
+    # float weights and the exact dyadic rationals they hold: one key, so
+    # one set of sweeps; another N or point never gets that key, even once
+    # the key memo has evicted the point and handed out new keys
+    monkeypatch.setattr(oracle, "_point_keys", {})
+    with mp.workprec(128):
+        w = VertexWeights.from_delta_t(mp.mpf(1) / 3, mp.mpf(3) / 4)
+        dyadic = VertexWeights(*(to_exact(x) for x in (w.a, w.b, w.c2)))
+        grids = [WeightGrid.from_weights(8, x) for x in (w, dyadic)]
+    assert [g.backend for g in grids] == [FLOAT, EXACT]
+    key = grids[0]._point_key
+    assert grids[1]._point_key == key
+    others = {WeightGrid.from_weights(7, dyadic)._point_key}
+    for k in range(1, oracle._MEMO_MAX + 1):
+        abc = VertexWeights.from_abc(Fraction(k), Fraction(1), Fraction(1))
+        others.add(WeightGrid.from_weights(8, abc)._point_key)
+    assert len(oracle._point_keys) == oracle._MEMO_MAX
+    assert grids[1]._transfer_weights not in oracle._point_keys
+    others.add(WeightGrid.from_weights(8, dyadic)._point_key)
+    assert len(others) == oracle._MEMO_MAX + 2 and key not in others
 
 
 @pytest.mark.parametrize("kind", ["rational", "spectral"])
