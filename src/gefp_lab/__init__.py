@@ -28,8 +28,7 @@ from .oracle import (CorrelationResult, NaiveEnumeration, WeightGrid,
                      enumerate_naive, gefp_oracle, modified_domain_partition,
                      partition_function_oracle, reduced_partition_oracle,
                      reduced_modified_domain_partition)
-from .params import (SpectralData, VertexWeights, delta_t_from_trig,
-                     delta_t_from_weights, exact_sqrt, lambda_eta_from_delta_t,
-                     weights_from_trig)
+from .params import (SpectralData, VertexWeights, delta_t_from_trig, exact_sqrt,
+                     lambda_eta_from_delta_t, weights_from_trig)
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 Everything here is backend-generic: coefficients may be ``Fraction`` or
 ``mpmath.mpf`` (or plain ints), and all operations are pure functions of
 their inputs.  Determinants run one partially pivoted elimination, exact
-entries as ``Fraction``; ``signed_subsets`` is the Laplace plan shared by the
-column minors ``_minors`` and the operator-determinant contraction.
+entries as ``Fraction``; ``signed_subsets`` is the one Laplace plan, read
+upward by ``signed_supersets``, of the minors, alternants and contractions.
 """
 
 import math
@@ -76,6 +76,18 @@ def signed_subsets(n):
             rest ^= low
         plan[len(terms)].append((used, tuple(terms)))
     return tuple(map(tuple, plan))
+
+
+@lru_cache(maxsize=None)
+def signed_supersets(n, k):
+    """The Laplace steps of ``signed_subsets(n)[k + 1]`` read upward: each
+    k-subset maps to the steps (j, the subset with j added, its parity) that
+    add a member j to it, j ascending."""
+    steps = {}
+    for used, terms in signed_subsets(n)[k + 1]:
+        for j, rest, odd in terms:
+            steps.setdefault(rest, []).append((j, used, odd))
+    return steps
 
 
 def _minors(cols, top, zero):

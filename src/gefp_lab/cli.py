@@ -348,35 +348,26 @@ def cmd_verify(args):
     t0 = time.perf_counter()
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    jobs = [(args.level, n) for n in _criteria(args.criteria)]
+    numbers, run = _criteria(args.criteria), partial(run_criterion, level=args.level)
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         # one process per criterion at most: a forking pool starts them all at once
-        with ProcessPoolExecutor(max_workers=min(args.workers, len(jobs))) as pool:
-            chunks = list(pool.map(_verify_job, jobs))
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(numbers))) as pool:
+            chunks = list(pool.map(run, numbers))
     else:
-        chunks = map(_verify_job, jobs)
+        chunks = map(run, numbers)
     records = [rec for chunk in chunks for rec in chunk]
-    ok = all(r["passed"] for r in records)
+    ok = all(r.passed for r in records)
     ms = (time.perf_counter() - t0) * 1e3
     _log(f"command=verify level={args.level} wall_time_ms={ms:.3f}")
     if args.format == "json":
         payload = {"schema": SCHEMA, "command": "verify", "level": args.level,
-                   "passed": ok, "checks": records}
+                   "passed": ok, "checks": [r._asdict() for r in records]}
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        for rec in records:
-            tag = "PASS" if rec["passed"] else "FAIL"
-            sys.stdout.write(f"[{tag}] {rec['criterion']}: {rec['name']}\n")
-            if rec["detail"] and not rec["passed"]:
-                sys.stdout.write(f"       {rec['detail']}\n")
+        sys.stdout.writelines(rec.line() + "\n" for rec in records)
         sys.stdout.write(f"verify: {'all checks passed' if ok else 'FAILURES'}\n")
     return 0 if ok else 1
-
-
-def _verify_job(payload):
-    level, number = payload
-    return [r._asdict() for r in run_criterion(number, level)]
 
 
 # ---------------------------------------------------------------------------

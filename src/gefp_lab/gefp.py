@@ -14,26 +14,26 @@ prod_j z_j^(r_j - 1) in
 times (-1)^s.  No numerical quadrature is ever performed.  Since
 h_{N,s} = det[f_k(z_j)] / prod_{j<k} (z_j - z_k), the two Vandermonde
 products cancel, and the engine expands A(z) G(z): the alternant
-A = det[f_k(z_j)], sparse since it vanishes wherever two exponents agree,
-and G, the univariate factors over the pair denominators.  Every nonzero
-term of A has total degree at least s(s-1)/2, so the extraction at
-m = r - 1 reads A and G only on the box [0..m], G only up to total degree
-|m| - s(s-1)/2, and both are filled on a box alone.  The factor of axis j
-depends on s - j alone, so G is grown from the last axis: each axis is put
-in front of the ones after it and divided by its own pairs on that suffix
-box.  Every cache of the engine is keyed by the integers of the point,
-the numerators and denominators of Delta and t.  What every s shares at
-(N, Delta, t) sits in one point record: B and the pair coefficients, the
-N weight grid, each reduced H table and each univariate factor, each
-built on first use.  The workspace of each s keeps the minors and the box
-on top of it; the first profile there sets the box, a later one that
-reaches past it refills the workspace on the whole (N-1)^s box, once, or,
-where the whole one is above the cap, on its own box, and each profile
-costs one convolution, whose terms on the first s - 1 axes are kept for
-the next profile with the same r[:-1].
+A = det[f_k(z_j)] and G, the univariate factors over the pair
+denominators.  A[alpha] is fixed by the set of alpha's entries and the
+parity of their order, and is 0 where two agree, so it is kept by exponent
+set, with no box.  Every nonzero term of A has total degree at least
+s(s-1)/2, so the extraction at m = r - 1 reads G only on the box [0..m] and
+to total degree |m| - s(s-1)/2, and G alone is filled on a box.  The factor
+of axis j depends on s - j alone, so G is grown from the last axis: each
+axis is put in front of the ones after it and divided by its own pairs on
+that suffix box.  Every cache of the engine is keyed by the integers of the
+point, the numerators and denominators of Delta and t.  What every s shares
+at (N, Delta, t) sits in one point record: B and the pair coefficients, the
+N weight grid, each reduced H table and each univariate factor, each built
+on first use.  The workspace of each s keeps the rows of A and G's box on
+top of it; the first profile there sets the box, a later one that reaches
+past it refills G on the whole (N-1)^s box, once, or, where the whole one
+is above the cap, on its own box, and each profile costs one convolution,
+its terms on the first s - 1 axes kept for the next with the same r[:-1].
 
 The engine runs on Python integers: with B the least integer that makes
-(t^2 - 2 Delta t) B, 2 Delta t B and t^2 B^2 integers, both series are
+(t^2 - 2 Delta t) B, 2 Delta t B and t^2 B^2 integers, A and G are
 integer in w = z / B once each H table is the oracle's integer sums over
 their gcd (D the product of the totals over the gcds), and a profile costs
 one integer convolution and one ``Fraction``.  A float (Delta, t) enters as
@@ -66,8 +66,8 @@ from operator import add, gt, mul, sub
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .algebra import (Jet, TruncatedSeries, UniPoly, _convolve, _minors,
-                      geometric_inverse_coeffs, signed_subsets, staircase_planes)
+from .algebra import (Jet, TruncatedSeries, UniPoly, _convolve, _minors, geometric_inverse_coeffs,
+                      signed_subsets, signed_supersets, staircase_planes)
 from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
 from .errors import BadIndex, DivisionByZero, TooLarge, Unsupported
 from .ik import a_fn, b_fn, k_polynomials, phi_derivatives
@@ -110,38 +110,36 @@ class IntegrandSeries:
     """Analytic-at-origin part of the integral representation, expanded.
 
     The Vandermonde of h cancels against the pair numerators, so the
-    integrand is A(z) G(z): ``alternant`` holds A = det[f_k(z_j)] and
-    ``quotient`` holds G, the univariate factors over the pair denominators.
-    With ``scale`` = (B, D) both are integer series in w = z / B: A(Bw)
-    times D over B^(s(s-1)/2), and G(Bw).
+    integrand is A(z) G(z), the alternant A = det[f_k(z_j)] and G, the
+    univariate factors over the pair denominators.  With ``scale`` = (B, D)
+    both are integer in w = z / B: A(Bw) times D over B^(s(s-1)/2), and G(Bw).
 
-    The profile m = r - 1 reads A and G only on the box [0..m], so they are
-    filled on a cap box ``caps`` alone, G to total degree
-    |caps| - s(s-1)/2, the highest that an extraction inside the box reads.
-    The inputs that do not depend on the box are kept: ``minors`` maps each
-    exponent set S, as the bitmask of its entries, to d_S B^|lambda|, and
-    from the point record, shared by every s, ``factors`` lists each axis'
-    univariate factor coefficients to degree N-1 and ``pair`` = (a, b)
-    gives the pair denominators 1 - a w_j + b w_j w_k.  ``fill`` rebuilds A
-    and G on a new box from them.
-    ``head`` memoizes ``coefficient``: the m[:-1] of its last profile, and
-    that profile's terms on those axes as (flat offset, mask of the entries
-    used) pairs; ``fill`` drops it.
+    A is kept by exponent set: ``rows[used, odd][e]`` is A at each alpha
+    whose first s - 1 entries form the mask ``used``, with ``odd`` the parity
+    of their pairs j < k with alpha_j < alpha_k, and whose last entry is e.
+    G, ``quotient``, is filled on a cap box ``caps`` alone, to total degree
+    |caps| - s(s-1)/2, the highest that an extraction inside the box reads;
+    ``fill`` rebuilds it on a new box from the point record's inputs, shared
+    by every s: ``factors`` lists each axis' univariate factor coefficients
+    to degree N-1 and ``pair`` = (a, b) gives the pair denominators
+    1 - a w_j + b w_j w_k.  ``head`` memoizes ``coefficient``: the m[:-1] of
+    its last profile, and that profile's terms on those axes as (flat offset
+    in G, mask of the entries used, row of A) triples; ``fill`` drops it.
     """
 
-    def __init__(self, s, scale, minors, factors, pair):
-        self.s, self.scale, self.minors, self.factors, self.pair = s, scale, minors, factors, pair
-        self.alternant = self.quotient = self.head = None
+    def __init__(self, N, s, scale, rows, factors, pair):
+        self.N, self.s, self.scale, self.rows, self.factors, self.pair = \
+            N, s, scale, rows, factors, pair
+        self.quotient = self.head = None
 
     @property
     def caps(self):
         return self.quotient.caps
 
     def fill(self, caps):
-        """A and G on the box [0..caps], in place; ``head`` holds offsets on
-        the old box, so it is dropped."""
+        """G on the box [0..caps], in place; ``head`` holds offsets on the
+        old box, so it is dropped."""
         self.quotient = _prefactor_series(self.factors, caps, *self.pair)
-        self.alternant = _alternant(self.minors, caps)
         self.head = None
         return self
 
@@ -150,24 +148,25 @@ class IntegrandSeries:
         c at m = r - 1 gives c B^(s(s-1)/2) / (B^|m| D).
 
         A vanishes where alpha repeats an entry, so c runs over the alpha <= m
-        with distinct entries alone, grown axis by axis with a mask of the
-        entries used.  The alpha of the first s - 1 axes are kept in ``head``
-        for the next profile with the same m[:-1], so in ``table`` order a
-        profile enumerates only its last axis, which is contiguous in the
-        flat layout.  The box must cover m unless the profile is blocked:
-        then no such alpha exists, the mask on the last axis admits no entry,
-        no entry is read, and c = 0.
+        with distinct entries alone.  Their first s - 1 axes are grown by the
+        Laplace steps of ``signed_supersets``, whose parities pick the row,
+        and kept in ``head`` for the next profile with the same m[:-1]; so in
+        ``table`` order a profile enumerates only its last axis, contiguous
+        in the flat layout.  The box must cover m unless the profile is
+        blocked: then no such alpha exists, the mask on the last axis admits
+        no entry, no entry is read, and c = 0.
         """
         *head, last = [rj - 1 for rj in profile.r]
         if self.head is None or self.head[0] != head:
-            terms = [(0, 0)]
-            for mj, stride in zip(head, self.alternant._strides):
-                terms = [(o + e * stride, used | 1 << e) for o, used in terms
-                         for e in range(mj + 1) if not used >> e & 1]
-            self.head = head, terms
-        a, g = self.alternant.data, self.quotient.data
+            terms = [(0, 0, 0)]
+            for j, (mj, stride) in enumerate(zip(head, self.quotient._strides)):
+                steps = signed_supersets(self.N, j)
+                terms = [(o + e * stride, used, parity ^ odd) for o, rest, parity in terms
+                         for e, used, odd in steps[rest] if e <= mj]
+            self.head = head, [(o, used, self.rows[used, parity]) for o, used, parity in terms]
+        g = self.quotient.data
         top = self.quotient._offset(head) + last
-        c = (-1) ** self.s * sum(a[o + e] * g[top - o - e] for o, used in self.head[1]
+        c = (-1) ** self.s * sum(row[e] * g[top - o - e] for o, used, row in self.head[1]
                                  for e in range(last + 1) if not used >> e & 1)
         B, D = self.scale
         return Fraction(c * B ** (self.s * (self.s - 1) // 2), B ** (sum(head) + last) * D)
@@ -228,31 +227,24 @@ def _columns(tables, N, s):
     return cols
 
 
-def _alternant_minors(tables, N, s, B):
-    """The ``_minors`` d_S on the rows e <= N-1, the only exponents an
-    extraction reads, each times B^|lambda|, lambda_i = S_i - (s - i)."""
-    cols, offset = [col.coeffs for col in _columns(tables, N, s)], s * (s - 1) // 2
-    return {S: d * B ** (sum(e for e in range(N) if S >> e & 1) - offset)
-            for S, d in _minors(cols, N - 1, 0).items()}
-
-
-def _alternant(minors, caps):
-    """A(Bw) / B^(s(s-1)/2) on the box [0..caps], A = det[f_k(z_j)].
+def _alternant_rows(tables, N, s, B):
+    """A(Bw) / B^(s(s-1)/2) by exponent set, the rows of ``IntegrandSeries``.
 
     By Cauchy-Binet, A[alpha] = sgn(p) d_S when alpha_j = S_p(j) for a
-    descending exponent set S, and 0 when alpha repeats an entry.  The alpha
-    with distinct entries are grown axis by axis, like the extraction's, with
-    the mask of the entries used and the parity of the pairs j < k with
-    alpha_j < alpha_k, which is that of p.
+    descending exponent set S, and 0 when alpha repeats an entry.  Each
+    ``_minors`` d_S, on the rows e <= N-1 that an extraction reads, times
+    B^|lambda|, lambda_i = S_i - (s - i), goes to entry e of the rows of
+    ``used`` for each Laplace step (e, used, odd) of S, signed by ``odd``
+    and the row's parity.
     """
-    out = TruncatedSeries(caps, 0)
-    terms = [(0, 0, 0)]
-    for c, stride in zip(caps, out._strides):
-        terms = [(o + e * stride, used | 1 << e, odd ^ (used & (1 << e) - 1).bit_count() & 1)
-                 for o, used, odd in terms for e in range(c + 1) if not used >> e & 1]
-    for o, used, odd in terms:
-        out.data[o] = -minors[used] if odd else minors[used]
-    return out
+    cols = [col.coeffs for col in _columns(tables, N, s)]
+    minors, offset = _minors(cols, N - 1, 0), s * (s - 1) // 2
+    rows = {(used, parity): [0] * N for used, _ in signed_subsets(N)[s - 1] for parity in (0, 1)}
+    for S, terms in signed_subsets(N)[s]:
+        d = minors[S] * B ** (sum(e for e, _, _ in terms) - offset)
+        for e, used, odd in terms:
+            rows[used, odd][e], rows[used, 1 - odd][e] = d, -d
+    return rows
 
 
 _workspace_cache = {}    # residue workspaces, keyed by (N, s, point key)
@@ -333,9 +325,9 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
     """Cached integer expansion at (N, s) and the point key of
     ``_residue_point``, one entry for both backends, filled on the box the
     profile reads and built on the point record of (N, key), which every s
-    shares.  Physicality is checked before the cache lookup, so a strict
-    call cannot read an entry that a permissive call built at the same
-    point.
+    shares; (N, s) outside 1 <= s <= N is refused before it is built.
+    Physicality is checked before the cache lookup, so a strict call cannot
+    read an entry that a permissive call built at the same point.
 
     The first call at a point fills the box of its profile, m = r - 1, or
     the whole box (N-1)^s when no profile is given.  A later call whose
@@ -352,6 +344,7 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
     caps = whole if profile is None else tuple(rj - 1 for rj in profile.r)
 
     def build():
+        check_profile_length(N, s)
         check_residue_box(caps)
         record = _cached(_point_records, (N, key), lambda: _PointRecord(N, *point))
         return _build_exact_series(record, s).fill(caps)
@@ -364,6 +357,12 @@ def residue_workspace(N, s, delta, t, backend=EXACT, *, allow_nonphysical=True,
     return ws
 
 
+def check_profile_length(N, s):
+    """Refuse (N, s) outside 1 <= s <= N with ``BadIndex``."""
+    if not 1 <= s <= N:
+        raise BadIndex(f"(N, s) = ({N}, {s}) needs 1 <= s <= N")
+
+
 def check_residue_box(caps):
     """Refuse a fill of the box [0..caps] above ``RESIDUE_BOX_CAP`` entries with ``TooLarge``."""
     if math.prod(c + 1 for c in caps) > RESIDUE_BOX_CAP:
@@ -374,13 +373,13 @@ def check_residue_box(caps):
 def _build_exact_series(record: _PointRecord, s):
     """The box-independent inputs at (N, s) in w = z / B, read from the
     point record: tables N..N-s+1, D the product of their scales, and
-    factors F_s..F_1; only the minors are built here, and A and G are left
-    for ``IntegrandSeries.fill``."""
+    factors F_s..F_1; only the rows of A are built here, and G is left for
+    ``IntegrandSeries.fill``."""
     N, D, tables = record.N, 1, {}
     for n in range(N, N - s, -1):
         tables[n], scale = record.table(n)
         D *= scale
-    return IntegrandSeries(s, (record.B, D), _alternant_minors(tables, N, s, record.B),
+    return IntegrandSeries(N, s, (record.B, D), _alternant_rows(tables, N, s, record.B),
                            record.factor_list(s), record.pair)
 
 
@@ -727,8 +726,9 @@ def _build_jets_workspace(N, s, lam, eta):
     P_s = P_(s-1) prod_{j<s-1} block(x_j, x_(s-1)), and S(N, s - 1) x {0} is
     the part of S(N, s) at i_(s-1) = 0, so P_(s-1) sits at index 0 of the new
     last axis and s - 1 pair passes finish P_s, each rounded by ``_shift_to``.
-    P_1 is the unit.
+    P_1 is the unit.  (N, s) outside 1 <= s <= N is refused first.
     """
+    check_profile_length(N, s)
     inputs = jets_inputs(N, lam, eta)
     if s == 1:
         pair, pair_exp = [1] + [0] * (N - 1), 0

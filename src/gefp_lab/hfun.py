@@ -38,7 +38,8 @@ from mpmath import mp
 
 from .algebra import Jet, TruncatedSeries, UniPoly, _minors, det, geometric_inverse_coeffs
 from .errors import BadIndex, BranchPole, DuplicateRapidity, NotInvertible
-from .gefp import _columns, check_jets_box, gefp_residue, jets_inputs, jets_workspace
+from .gefp import (_columns, check_jets_box, check_profile_length, gefp_residue, jets_inputs,
+                   jets_workspace)
 from .ik import (a_fn, b_fn, homogeneous_partition_jets,
                  partially_inhomogeneous_partition)
 from .oracle import YoungProfile, _block_grid, _boundary_sums
@@ -81,14 +82,15 @@ def kfint_check(N, f: UniPoly, lam, eta):
 # multivariate h
 
 def build_h_tables(N, s, delta, t):
-    """H tables {n: [H_n^(1), ..., H_n^(n)]} for n = N, N-1, ..., N-s+1.
+    """H tables {n: [H_n^(1), ..., H_n^(n)]} for n = N, ..., N-s+1, 1 <= s <= N.
 
     The weights are built at (Delta, t) in the scalar type given; float
     weights enter the transfer as the dyadic rationals they hold and each
     entry is rounded once.  Each size is a bottom-left block of one N grid,
-    so the set costs its N - 1 turned rows and one row per size.  N above
-    the oracle's default cap is refused before any transfer.
+    so the set costs its N - 1 turned rows and one row per size.  Any other
+    s and N above the oracle's default cap are refused before any transfer.
     """
+    check_profile_length(N, s)
     grid, tables = _block_grid(N, delta, t), {}
     for n in range(N, N - s, -1):
         h, z = _boundary_sums(grid, n)

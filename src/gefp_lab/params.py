@@ -166,11 +166,6 @@ class SpectralData(Frozen):
 # ---------------------------------------------------------------------------
 # conversions
 
-def delta_t_from_weights(w: VertexWeights):
-    """(Delta, t) = ((a^2 + b^2 - c^2) / (2ab), b/a), in the input backend."""
-    return (w.a * w.a + w.b * w.b - w.c2) / (2 * w.a * w.b), w.b / w.a
-
-
 def weights_from_trig(lam, nu, eta, allow_nonphysical=False) -> VertexWeights:
     """Weights a = sin(lam - nu + eta), b = sin(lam - nu - eta), c = sin(2 eta).
 

@@ -19,15 +19,19 @@ coefficient that these references and the series tests read live here.
 ``all_pairs_prefactor`` builds the engine's quotient G with every
 ``div_pair`` pass on the whole box, the reference for growing it one axis at
 a time, on the offsets that ``offsets_to_degree`` lists apart from the
-engine's.
+engine's.  ``dense_alternant`` expands the alternant on a whole box from
+the minors of ``alternant_minors``, its signs from the order of each alpha,
+the reference for the engine's rows by exponent set, which ``rows_on_box``
+lays out on a box.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
-from gefp_lab.algebra import TruncatedSeries, geometric_inverse_coeffs
+from gefp_lab.algebra import TruncatedSeries, _minors, geometric_inverse_coeffs
+from gefp_lab.gefp import _columns
 from gefp_lab.hfun import build_h_tables, h_polynomial
 
 
@@ -136,6 +140,45 @@ def all_pairs_prefactor(factors, caps, a, b):
     for j in range(s):
         for k in range(j + 1, s):
             out = out.div_pair(j, k, a, b, offsets)
+    return out
+
+
+def alternant_minors(tables, N, s, B):
+    """The ``_minors`` d_S on the rows e <= N-1, each times B^|lambda|,
+    lambda_i = S_i - (s - i), keyed by the bitmask of S."""
+    cols, offset = [col.coeffs for col in _columns(tables, N, s)], s * (s - 1) // 2
+    return {S: d * B ** (sum(e for e in range(N) if S >> e & 1) - offset)
+            for S, d in _minors(cols, N - 1, 0).items()}
+
+
+def dense_alternant(minors, caps):
+    """A(Bw) / B^(s(s-1)/2) on the box [0..caps], A = det[f_k(z_j)].
+
+    By Cauchy-Binet, A[alpha] = sgn(p) d_S when alpha_j = S_p(j) for a
+    descending exponent set S, and 0 when alpha repeats an entry.  The alpha
+    with distinct entries are grown axis by axis with the mask of the
+    entries used and the parity of the pairs j < k with alpha_j < alpha_k,
+    which is that of p.
+    """
+    out = TruncatedSeries(caps, 0)
+    terms = [(0, 0, 0)]
+    for c, stride in zip(caps, out._strides):
+        terms = [(o + e * stride, used | 1 << e, odd ^ (used & (1 << e) - 1).bit_count() & 1)
+                 for o, used, odd in terms for e in range(c + 1) if not used >> e & 1]
+    for o, used, odd in terms:
+        out.data[o] = -minors[used] if odd else minors[used]
+    return out
+
+
+def rows_on_box(rows, caps):
+    """The engine's rows of the alternant laid out on the box [0..caps]: the
+    entry at alpha is row (mask of alpha[:-1], parity of its pairs j < k with
+    alpha_j < alpha_k) at alpha[-1], and 0 where alpha[:-1] repeats one."""
+    out = TruncatedSeries(caps, 0)
+    for o, (*head, e) in enumerate(product(*(range(c + 1) for c in caps))):
+        if len(set(head)) == len(head):
+            odd = sum(x < y for x, y in combinations(head, 2)) & 1
+            out.data[o] = rows[sum(1 << x for x in head), odd][e]
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp
 
 from gefp_lab.algebra import (Jet, TruncatedSeries, UniPoly, _convolve, det,
-                              geometric_inverse_coeffs, staircase_planes)
+                              geometric_inverse_coeffs, signed_supersets, staircase_planes)
 from gefp_lab.errors import NotInvertible
 from gefp_lab.gefp import _factor_coeffs, _prefactor_series
 from residue_reference import constant, mul_axis, mul_pair, offsets_to_degree
@@ -25,6 +25,17 @@ def det_cofactor(rows):
         term = (-1) ** j * rows[0][j] * det_cofactor(minor)
         out = term if out is None else out + term
     return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_signed_supersets_add_each_missing_member_with_its_laplace_parity(n):
+    # every k-subset, each j not in it ascending, and the parity of the
+    # members below j
+    for k in range(n):
+        want = {rest: [(j, rest | 1 << j, sum(rest >> i & 1 for i in range(j)) & 1)
+                       for j in range(n) if not rest >> j & 1]
+                for rest in range(1 << n) if rest.bit_count() == k}
+        assert signed_supersets(n, k) == want, k
 
 
 def test_det_small_examples():

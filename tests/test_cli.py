@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from gefp_lab import cli, gefp, ik, oracle
+from gefp_lab import cli, gefp, ik, oracle, verify
 from gefp_lab.backends import format_scalar
 from gefp_lab.cli import main
 from gefp_lab.gefp import gefp_residue
@@ -640,7 +640,7 @@ def test_verify_quick_subset(capsys):
 
 
 def test_verify_records_keep_their_fields_in_order(capsys):
-    rows = cli._verify_job(("quick", 8))
+    rows = [rec._asdict() for rec in verify.run_criterion(8, "quick")]
     assert [list(rec) for rec in rows] == [["criterion", "name", "passed", "detail"]] * 2
     assert rows[0]["detail"] == "Z_1=1 Z_2=2 Z_3=7" and rows[1]["detail"] == ""
     code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--criteria", "8",
@@ -649,6 +649,25 @@ def test_verify_records_keep_their_fields_in_order(capsys):
     checks = dict(json.loads(out, object_pairs_hook=list))["checks"]
     assert [[key for key, _ in rec] for rec in checks] == [["criterion", "detail", "name",
                                                              "passed"]] * 2
+
+
+def test_verify_prints_each_record_by_its_own_line(capsys, monkeypatch):
+    # a failing criterion: text mode prints CheckRecord.line(), the detail in
+    # parentheses on the same line, and json its fields
+    records = [verify.CheckRecord("criterion-8", "holds", True, "kept quiet"),
+               verify.CheckRecord("criterion-8", "breaks", False, "Z_3=8, expected 7")]
+    monkeypatch.setitem(verify.CRITERIA, 8, lambda level: records)
+    code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--criteria", "8")
+    assert code == 1
+    assert out == ("[PASS] criterion-8: holds\n"
+                   "[FAIL] criterion-8: breaks  (Z_3=8, expected 7)\n"
+                   "verify: FAILURES\n")
+    assert out.splitlines()[:2] == [rec.line() for rec in records]
+    code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--criteria", "8",
+                           "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["passed"] is False
+    assert payload["checks"] == [rec._asdict() for rec in records]
 
 
 def test_verify_worker_pool_matches_serial(capsys):

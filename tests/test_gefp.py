@@ -18,8 +18,8 @@ from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles,
 from gefp_lab.params import VertexWeights, delta_t_from_trig
 from jets_reference import (exact_contraction, exact_pair_block, full_box_contraction,
                             mpf_pair_block)
-from residue_reference import (_w_series, _z_series, all_pairs_prefactor, mul_pair,
-                               offsets_to_degree)
+from residue_reference import (_w_series, _z_series, all_pairs_prefactor, alternant_minors,
+                               dense_alternant, mul_pair, offsets_to_degree, rows_on_box)
 
 D0, T0 = Fraction(1, 2), Fraction(1)
 
@@ -36,6 +36,28 @@ def test_residue_vanishes_for_blocked_profiles():
     for r in ((1, 1), (2, 2, 2), (1, 2, 2)):
         prof = YoungProfile(3, r)
         assert gefp_residue(3, prof, D0, T0).value == 0
+
+
+THIRD, THREE_QUARTERS = Fraction(1, 3), Fraction(3, 4)
+
+
+@pytest.mark.parametrize("build, args", [
+    (residue_workspace, (3, 4, THIRD, THREE_QUARTERS)),
+    (residue_workspace, (0, 1, THIRD, THREE_QUARTERS)),
+    (residue_workspace, (3, 0, THIRD, THREE_QUARTERS)),
+    (build_h_tables, (3, 4, THIRD, THREE_QUARTERS)),
+    (build_h_tables, (0, 1, THIRD, THREE_QUARTERS)),
+    (hfun.boundary_H_table_via_K, (0, 1.1, 0.35)),
+    (jets_workspace, (3, 0, 1.1, 0.35)),
+    (jets_workspace, (3, -1, 1.1, 0.35)),
+    (jets_workspace, (3, 4, 1.1, 0.35)),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_builders_refuse_s_outside_one_to_N(build, args):
+    # each once ended in IndexError, RecursionError or a workspace built on
+    # the wrong rows; the refusal names N and s
+    N, s = args[:2] if build is not hfun.boundary_H_table_via_K else (args[0], 1)
+    with pytest.raises(BadIndex, match=rf"\(N, s\) = \({N}, {s}\)"):
+        build(*args)
 
 
 def test_float_residue_is_exactly_zero_on_blocked_profiles():
@@ -205,8 +227,8 @@ def test_coefficient_equals_brute_force_convolution():
             target = tuple(rj - 1 for rj in prof.r)
             want = (-1) ** s * _brute_convolution(zs.prefactor, zs.h, target)
             assert ws.coefficient(prof) == want
-            assert want == Fraction((-1) ** s * _brute_convolution(ws.alternant, ws.quotient,
-                                                                   target)
+            alternant = rows_on_box(ws.rows, ws.caps)
+            assert want == Fraction((-1) ** s * _brute_convolution(alternant, ws.quotient, target)
                                     * B ** (s * (s - 1) // 2), B ** sum(target) * D)
 
 
@@ -261,13 +283,15 @@ def test_exact_workspace_holds_only_ints(delta, t):
     # the alternant is zero on repeated exponents, the quotient above the cap
     for s in range(1, 6):
         ws = residue_workspace(5, s, delta, t)
-        data = ws.alternant.data + ws.quotient.data + list(ws.scale)
+        data = [x for row in ws.rows.values() for x in row] + ws.quotient.data + list(ws.scale)
         assert all(type(x) is int for x in data)
         assert_least_residue_scale(ws, delta, t)
-        top = s * 4 - s * (s - 1) // 2
+        assert all(row[e] == 0 for (used, _), row in ws.rows.items()
+                   for e in range(5) if used >> e & 1)
+        alternant, top = rows_on_box(ws.rows, ws.caps), s * 4 - s * (s - 1) // 2
         for idx in product(range(5), repeat=s):
             if len(set(idx)) < s:
-                assert ws.alternant.coeff(idx) == 0
+                assert alternant.coeff(idx) == 0
             if sum(idx) > top:
                 assert ws.quotient.coeff(idx) == 0
 
@@ -283,8 +307,23 @@ def test_alternant_is_h_times_the_vandermonde():
                 for j in range(s):
                     for k in range(j + 1, s):
                         want = mul_pair(want, j, k, difference)
-                minors = gefp._alternant_minors(tables, n, s, 1)
-                assert gefp._alternant(minors, (n - 1,) * s).data == want.data, (n, s)
+                rows = gefp._alternant_rows(tables, n, s, 1)
+                assert rows_on_box(rows, (n - 1,) * s).data == want.data, (n, s)
+
+
+@pytest.mark.parametrize("delta, t", [(Fraction(1, 3), Fraction(3, 4)),
+                                      (Fraction(-5, 7), Fraction(2, 9))])
+def test_alternant_rows_on_the_box_are_the_dense_alternant(delta, t):
+    # signs from the Laplace steps of signed_subsets against the order of
+    # each alpha, scaled by the point record's B, on the whole box
+    for n in range(1, 7):
+        record = gefp._PointRecord(n, delta, t)
+        tables = {m: record.table(m)[0] for m in range(1, n + 1)}
+        for s in range(1, n + 1):
+            caps = (n - 1,) * s
+            want = dense_alternant(alternant_minors(tables, n, s, record.B), caps)
+            rows = gefp._build_exact_series(record, s).rows
+            assert rows_on_box(rows, caps).data == want.data, (n, s)
 
 
 # (3/2, 1/2) is outside the physical cone; the last point is the 128-bit
@@ -303,9 +342,9 @@ ROUTE_IDS = ["1/3,3/4", "1/7,5/11", "-5/7,2/9", "3/2,1/2", "1/3,3/4@128"]
 def test_residue_tables_and_scale_are_the_lcm_route(monkeypatch, delta, t):
     # the route replaced: each H table as Fractions, scaled by the lcm of its
     # denominators, and D the product of the scales
-    seen, minors = [], gefp._alternant_minors
-    monkeypatch.setattr(gefp, "_alternant_minors",
-                        lambda tables, *args: seen.append(dict(tables)) or minors(tables, *args))
+    seen, rows = [], gefp._alternant_rows
+    monkeypatch.setattr(gefp, "_alternant_rows",
+                        lambda tables, *args: seen.append(dict(tables)) or rows(tables, *args))
     for n in range(1, 7):
         record = gefp._PointRecord(n, delta, t)
         for s in range(1, n + 1):

@@ -8,9 +8,13 @@ from mpmath import mp
 
 from gefp_lab.errors import BadIndex, DivisionByZero, NonphysicalWeights, Unsupported
 from gefp_lab.oracle import YoungProfile
-from gefp_lab.params import (SpectralData, VertexWeights, delta_t_from_trig,
-                             delta_t_from_weights, exact_sqrt, lambda_eta_from_delta_t,
-                             weights_from_trig)
+from gefp_lab.params import (SpectralData, VertexWeights, delta_t_from_trig, exact_sqrt,
+                             lambda_eta_from_delta_t, weights_from_trig)
+
+
+def delta_t_from_weights(w):
+    """(Delta, t) = ((a^2 + b^2 - c^2) / (2ab), b/a), in the input backend."""
+    return (w.a * w.a + w.b * w.b - w.c2) / (2 * w.a * w.b), w.b / w.a
 
 
 def test_delta_t_direct_substitution():
