@@ -346,17 +346,7 @@ def _criteria(text):
 
 def cmd_verify(args):
     t0 = time.perf_counter()
-    if args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    numbers, run = _criteria(args.criteria), partial(run_criterion, level=args.level)
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        # one process per criterion at most: a forking pool starts them all at once
-        with ProcessPoolExecutor(max_workers=min(args.workers, len(numbers))) as pool:
-            chunks = list(pool.map(run, numbers))
-    else:
-        chunks = map(run, numbers)
-    records = [rec for chunk in chunks for rec in chunk]
+    records = [rec for n in _criteria(args.criteria) for rec in run_criterion(n, args.level)]
     ok = all(r.passed for r in records)
     ms = (time.perf_counter() - t0) * 1e3
     _log(f"command=verify level={args.level} wall_time_ms={ms:.3f}")
@@ -459,7 +449,6 @@ def build_parser():
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion numbers (default: all)")
     p.add_argument("--format", choices=["json", "text"], default="text")
-    p.add_argument("--workers", type=int, default=1)
     return parser
 
 

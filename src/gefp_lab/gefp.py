@@ -70,9 +70,9 @@ from .algebra import (Jet, TruncatedSeries, UniPoly, _convolve, _minors, geometr
                       signed_subsets, signed_supersets, staircase_planes)
 from .backends import EXACT, FLOAT, is_exact_scalar, to_exact, to_float
 from .errors import BadIndex, DivisionByZero, TooLarge, Unsupported
-from .ik import a_fn, b_fn, k_polynomials, phi_derivatives
+from .ik import k_polynomials, phi_derivatives
 from .oracle import CorrelationResult, YoungProfile, _block_grid, _boundary_sums, _cached
-from .params import VertexWeights, weights_from_trig
+from .params import VertexWeights, a_fn, b_fn, weights_from_trig
 
 # Largest pair box N^s the jets engine builds, checked before any work.  One
 # cold call at 128 bits, (1.1, 0.35), process time on one x86 core, median
@@ -690,7 +690,9 @@ def _jets_workspace(N, s, lam, eta):
 
 def jets_inputs(N, lam, eta) -> _JetsInputs:
     """Cached s-independent inputs of ``jets_workspace``, keyed by
-    (N, lambda, eta, prec) in the same cache."""
+    (N, lambda, eta, prec) in the same cache; N < 1 raises ``BadIndex``."""
+    if N < 1:
+        raise BadIndex(f"N={N} must be at least 1")
     lam, eta = mp.mpf(lam), mp.mpf(eta)
     return _cached(_jets_cache, (N, lam._mpf_, eta._mpf_, mp.prec),
                    lambda: _JetsInputs(N, lam, eta))

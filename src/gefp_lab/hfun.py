@@ -40,9 +40,9 @@ from .algebra import Jet, TruncatedSeries, UniPoly, _minors, det, geometric_inve
 from .errors import BadIndex, BranchPole, DuplicateRapidity, NotInvertible
 from .gefp import (_columns, check_jets_box, check_profile_length, gefp_residue, jets_inputs,
                    jets_workspace)
-from .ik import (a_fn, b_fn, homogeneous_partition_jets,
-                 partially_inhomogeneous_partition)
+from .ik import homogeneous_partition_jets, partially_inhomogeneous_partition
 from .oracle import YoungProfile, _block_grid, _boundary_sums
+from .params import a_fn, b_fn
 
 
 def boundary_H_table_via_K(N, lam, eta) -> list:

@@ -11,7 +11,9 @@ and every K polynomial read one factorisation of the Hankel moments pd_{j+k},
 Two independent inhomogeneous GEFP engines are provided: the row-reduction
 recurrence, and the expansion of an N x N determinant whose first s columns
 carry shift operators acting on a trailing trigonometric function of
-auxiliary variables eps_1..eps_s.  The homogeneous GEFP is not computed
+auxiliary variables eps_1..eps_s.  Each call reads one ``site_weights``
+table, so every sine is taken once, and the recurrence walks index lists of
+its rows and columns.  The homogeneous GEFP is not computed
 here: its one operator-determinant engine is the s x s K-polynomial form,
 ``gefp.gefp_determinant_jets``, which takes every K row it needs from one
 ``k_polynomials`` call.
@@ -23,37 +25,18 @@ slot of b.
 """
 
 import math
-from itertools import combinations, permutations
+from itertools import permutations
+from operator import lt
 
 from mpmath import mp
 
-from .algebra import Jet, UniPoly, det, perm_sign
+from .algebra import Jet, UniPoly, _minors, det
 from .errors import BadIndex, DivisionByZero, DuplicateRapidity, SingularHankel, TooLarge
 from .oracle import YoungProfile
-from .params import SpectralData
+from .params import SiteWeights, SpectralData, a_fn, b_fn, d_fn, site_weights
 
 DEFAULT_PERMUTATION_CAP = 7
-
-
-# trig building blocks; all float backend
-def a_fn(lam, nu, eta):
-    return mp.sin(lam - nu + eta)
-
-
-def b_fn(lam, nu, eta):
-    return mp.sin(lam - nu - eta)
-
-
-def d_fn(lam, nu):
-    return mp.sin(lam - nu)
-
-
-def e_fn(lam, nu, eta):
-    return mp.sin(lam - nu + 2 * eta)
-
-
-def phi_fn(lam, nu, eta):
-    return mp.sin(2 * eta) / (a_fn(lam, nu, eta) * b_fn(lam, nu, eta))
+_POLE = "a weight a or b vanishes, so its phi entry has a pole"
 
 
 def phi_derivatives(lam, eta, top):
@@ -70,19 +53,19 @@ def ik_partition(spec: SpectralData):
     if n == 0:
         return mp.mpf(1)
     spec.require_distinct()
-    lam, nu, eta = spec.lambdas, spec.nus, spec.eta
-    num = mp.mpf(1)
-    for j in range(n):
-        for k in range(n):
-            num *= a_fn(lam[j], nu[k], eta) * b_fn(lam[j], nu[k], eta)
+    return _partition(site_weights(spec), range(n), range(n))
+
+
+def _partition(w: SiteWeights, rows, cols):
+    """``ik_partition`` on the lambdas ``rows`` and nus ``cols`` of a site table."""
+    n = len(rows)
+    ab =[[w.a[i][k] * w.b[i][k] for k in cols] for i in rows]
+    num = mp.fprod(x for row in ab for x in row)
     if num == 0:
-        raise DivisionByZero("a weight a or b vanishes, so its phi entry has a pole")
-    den = mp.mpf(1)
-    for j in range(n):
-        for k in range(j + 1, n):
-            den *= d_fn(lam[k], lam[j]) * d_fn(nu[j], nu[k])
-    matrix = [[phi_fn(lam[j], nu[k], eta) for k in range(n)] for j in range(n)]
-    return num / den * det(matrix)
+        raise DivisionByZero(_POLE)
+    den = mp.fprod(w.d[rows[k]][rows[j]] * w.dnu[cols[j]][cols[k]]
+                   for j in range(n) for k in range(j + 1, n))
+    return num / den * det([[w.c / x for x in row] for row in ab])
 
 
 def partially_inhomogeneous_partition(lambdas, eta):
@@ -139,6 +122,8 @@ def hankel_factor(pd, n):
 def homogeneous_partition_jets(N, lam, eta):
     """Homogeneous-limit Z_N = (ab)^(N^2) H_{N-1} / prod_{m<N} m!^2, the
     Hankel determinant H_{N-1} the product of the pivots of ``hankel_factor``."""
+    if N < 0:
+        raise BadIndex(f"N={N} must be at least 0")
     if N == 0:
         return mp.mpf(1)
     lam, eta = mp.mpf(lam), mp.mpf(eta)
@@ -149,6 +134,8 @@ def homogeneous_partition_jets(N, lam, eta):
 
 def k_polynomials(pd, n):
     """[K_0, ..., K_n], K_m = m! pd_0^(m+1) P_m / d_m, from one ``hankel_factor``."""
+    if n < 0:
+        raise BadIndex(f"K row n={n} must be at least 0")
     polys, pivots = hankel_factor(pd, n)
     scales = [math.factorial(m) * pd[0] ** (m + 1) / d for m, d in enumerate(pivots)]
     return [UniPoly([c * x for x in p]) for c, p in zip(scales, polys)]
@@ -158,37 +145,37 @@ def k_polynomial(n, lam, eta, pd=None) -> UniPoly:
     """K_n: row n of ``k_polynomials(pd, n)``, pd the phi derivatives to
     order 2n unless given.  A vanishing H_k, k <= n, raises
     ``SingularHankel``; H_k is Z_{k+1} times a nonzero factor, so no
-    physical point raises."""
-    return k_polynomials(pd or phi_derivatives(lam, eta, 2 * n), n)[n]
+    physical point raises.  n < 0 raises ``BadIndex``."""
+    return k_polynomials(pd or phi_derivatives(lam, eta, 2 * max(n, 0)), n)[n]
 
 
 # ---------------------------------------------------------------------------
 # inhomogeneous GEFP engines
 
-def _gefp_tilde_recurrence(spec: SpectralData, r):
-    """Unnormalized GEFP via row reduction; base case is the bare Z."""
+def _gefp_tilde_recurrence(w: SiteWeights, rows, cols, r):
+    """Unnormalized GEFP via row reduction on the lambdas ``rows`` and nus
+    ``cols`` of a site table; base case is the bare Z on them."""
     if not r:
-        return ik_partition(spec)
-    lam, nu, eta = spec.lambdas, spec.nus, spec.eta
-    n = spec.n
-    c = mp.sin(2 * eta)
-    r1 = r[0]
-    pre = c
-    for k in range(r1, n):
-        pre *= a_fn(lam[k], nu[0], eta)
+        return _partition(w, rows, cols)
+    r1, nu0 = r[0], cols[0]
+    pre = w.c
+    for k in rows[r1:]:
+        pre *= w.a[k][nu0]
     total = mp.mpf(0)
     for j in range(r1):
+        lj = rows[j]
         term = mp.mpf(1)
-        for k in range(r1):
-            if k == j:
+        for k in rows[:r1]:
+            if k == lj:
                 continue
-            dd = d_fn(lam[k], lam[j])
+            dd = w.d[k][lj]
             if dd == 0:
-                raise DuplicateRapidity(f"coincident lambdas at {k + 1}, {j + 1}")
-            term *= b_fn(lam[k], nu[0], eta) * e_fn(lam[k], lam[j], eta) / dd
-        for l in range(1, n):
-            term *= a_fn(lam[j], nu[l], eta)
-        term *= _gefp_tilde_recurrence(spec.drop(j, 0), [x - 1 for x in r[1:]])
+                raise DuplicateRapidity(f"coincident lambdas at {k + 1}, {lj + 1}")
+            term *= w.b[k][nu0] * w.e[k][lj] / dd
+        for l in cols[1:]:
+            term *= w.a[lj][l]
+        term *= _gefp_tilde_recurrence(w, rows[:j] + rows[j + 1:], cols[1:],
+                                       [x - 1 for x in r[1:]])
         total += term
     return pre * total
 
@@ -209,71 +196,61 @@ def gefp_inhom_recurrence(spec: SpectralData, profile: YoungProfile):
     bits: 1.1 s at N = 7 and 8.2 s at N = 8, process time, one Xeon core),
     so N is capped as in ``gefp_inhom_determinant``."""
     _check_inhom(spec, profile)
-    return _gefp_tilde_recurrence(spec, list(profile.r)) / ik_partition(spec)
+    w, ids = site_weights(spec), tuple(range(spec.n))
+    return _gefp_tilde_recurrence(w, ids, ids, list(profile.r)) / _partition(w, ids, ids)
 
 
 def gefp_inhom_determinant(spec: SpectralData, profile: YoungProfile):
     """GEFP as an N x N determinant with shift operators in the first s columns.
 
-    The shift operators substitute eps_k -> eps_k + lambda_j; expanding over
-    permutations and setting eps = 0 turns each term into a plain evaluation
-    of the trailing trigonometric function at eps_k = lambda_(row).  The
-    expansion is organized as a Laplace expansion over the last N - s
-    columns, whose minors are ordinary determinants computed once per row
-    subset.
+    The shift operators substitute eps_j -> lambda_(i_j); expanding over
+    permutations and setting eps = 0 leaves one term per ordered tuple
+    (i_0, ..., i_(s-1)) of distinct rows: the complementary minor of the phi
+    columns s..N-1, times a factor f[j][i_j] per column, times the pair
+    factors a(lambda_(i_j), nu_k) b(lambda_(i_k), nu_j) / e(lambda_(i_j),
+    lambda_(i_k)) for j < k.  f[j][i] holds d(lambda_k, lambda_i) for
+    k >= r_j, so only tuples with every i_j < r_j survive.  Every minor
+    comes from one ``_minors`` pass, whose descending rows put
+    (-1)^C(N-s, 2) on the Laplace sign (-1)^(inv + sum(i) + C(s, 2)).
+    A vanishing a or b raises ``DivisionByZero``, and a vanishing
+    e(lambda_i, lambda_k) on a pair that some tuple reads raises
+    ``DuplicateRapidity``: both before the sum.
     """
     _check_inhom(spec, profile)
-    n = spec.n
-    r = list(profile.r)
-    s = len(r)
-    lam, nu, eta = spec.lambdas, spec.nus, spec.eta
-
-    phim = [[phi_fn(lam[j], nu[k], eta) for k in range(n)] for j in range(n)]
-    denom = det(phim)
-    pre = 1 / denom
-    for j in range(s):
-        num = mp.mpf(1)
-        for k in range(j + 1, n):
-            num *= d_fn(nu[j], nu[k])
-        den = mp.mpf(1)
-        for k in range(r[j]):
-            den *= a_fn(lam[k], nu[j], eta)
-        for k in range(r[j], n):
-            den *= b_fn(lam[k], nu[j], eta)
-        pre *= num / den
-
-    def trailing(eps):
-        """The eps-dependent products; eps are the substituted values."""
-        v = mp.mpf(1)
-        for j in range(s):
-            for k in range(j + 1, s):
-                v *= a_fn(eps[j], nu[k], eta) * b_fn(eps[k], nu[j], eta)
-                v /= e_fn(eps[j], eps[k], eta)
-        for j in range(s):
-            for k in range(r[j]):
-                v *= e_fn(lam[k], eps[j], eta)
-            for k in range(r[j], n):
-                v *= d_fn(lam[k], eps[j])
-            for k in range(n):
-                v /= b_fn(eps[j], nu[k], eta)
-        return v
-
+    n, r, s = spec.n, profile.r, len(profile.r)
+    w = site_weights(spec)
+    if not all(map(all, w.a + w.b)):
+        raise DivisionByZero(_POLE)
     if s == 0:
         return mp.mpf(1)
+    tuples = [t for t in permutations(range(r[-1]), s) if all(map(lt, t, r))]
+    for t in tuples:
+        for k in range(s):
+            for j in range(k):
+                if not w.e[t[j]][t[k]]:
+                    raise DuplicateRapidity(f"resonant lambdas at {t[j] + 1}, {t[k] + 1}: "
+                                            f"e(lambda_{t[j] + 1}, lambda_{t[k] + 1}) = 0")
 
+    phim = [[w.c / (w.a[i][k] * w.b[i][k]) for k in range(n)] for i in range(n)]
+    pre = 1 / det(phim)
+    for j, rj in enumerate(r):
+        pre *= mp.fprod(w.dnu[j][j + 1:]) / (mp.fprod(w.a[k][j] for k in range(rj))
+                                             * mp.fprod(w.b[k][j] for k in range(rj, n)))
+    f = [[mp.fprod(w.e[k][i] for k in range(rj)) * mp.fprod(w.d[k][i] for k in range(rj, n))
+          / mp.fprod(w.b[i]) for i in range(rj)] for rj in r]
+
+    minors = _minors([[phim[i][k] for i in range(n)] for k in range(s, n)], n - 1, mp.mpf(0))
+    flip = s * (s - 1) // 2 + (n - s) * (n - s - 1) // 2
     total = mp.mpf(0)
-    # Laplace sign over the first s columns; with 0-based row sums the
-    # row/column 1-based offsets cancel mod 2.
-    col_sign = (-1) ** (s * (s - 1) // 2)
-    for rows in combinations(range(n), s):
-        rest = [i for i in range(n) if i not in rows]
-        minor = det([[phim[i][k] for k in range(s, n)] for i in rest])
-        if minor == 0 and n > s:
+    for t in tuples:
+        minor = minors[(1 << n) - 1 - sum(1 << i for i in t)]
+        if not minor:
             continue
-        sign_rows = (-1) ** sum(rows)
-        sub = mp.mpf(0)
-        for p in permutations(range(s)):
-            eps = [lam[rows[p[k]]] for k in range(s)]
-            sub += perm_sign(list(p)) * trailing(eps)
-        total += sign_rows * col_sign * minor * sub
+        v, odd = minor, flip + sum(t)
+        for k in range(s):
+            v *= f[k][t[k]]
+            for j in range(k):
+                v *= w.a[t[j]][k] * w.b[t[k]][j] / w.e[t[j]][t[k]]
+                odd += t[j] > t[k]
+        total += -v if odd & 1 else v
     return pre * total

@@ -52,11 +52,9 @@ from itertools import chain, combinations_with_replacement, count, product
 from math import comb, isqrt, lcm
 from typing import NamedTuple
 
-from mpmath import mp
-
 from .backends import EXACT, FLOAT, to_exact, to_float
 from .errors import BadIndex, DivisionByZero, TooLarge, Unsupported
-from .params import Frozen, SpectralData, VertexWeights
+from .params import Frozen, SpectralData, VertexWeights, site_weights
 
 DEFAULT_ORACLE_CAP = 8
 NAIVE_CAP = 3
@@ -137,7 +135,7 @@ class WeightGrid:
 
     a[j][k] is the weight at row j+1 (from the top), column k+1 (from the
     right).  The homogeneous constructor repeats one triple; the spectral
-    constructor applies a_jk = sin(lambda_k - nu_j + eta).
+    constructor reads a_jk = a(lambda_k, nu_j) off ``params.site_weights``.
     """
 
     def __init__(self, a_rows, b_rows, c2, c=None, homogeneous=False, backend=EXACT):
@@ -158,14 +156,9 @@ class WeightGrid:
 
     @classmethod
     def from_spectral(cls, spec: SpectralData):
-        n = spec.n
-        eta = spec.eta
-        a = [[mp.sin(spec.lambdas[k] - spec.nus[j] + eta) for k in range(n)]
-             for j in range(n)]
-        b = [[mp.sin(spec.lambdas[k] - spec.nus[j] - eta) for k in range(n)]
-             for j in range(n)]
-        c = mp.sin(2 * eta)
-        return cls(a, b, c * c, c, homogeneous=False, backend=FLOAT)
+        """Row j, column k reads the site table at (lambda_k, nu_j)."""
+        w = site_weights(spec)
+        return cls(zip(*w.a), zip(*w.b), w.c * w.c, w.c, homogeneous=False, backend=FLOAT)
 
     def rounded(self, x: Fraction):
         """An exact transfer ratio in this grid's backend, rounded once if float."""

@@ -14,7 +14,9 @@ Three equivalent descriptions are used throughout:
   c = sin(2 eta), so that Delta = cos(2 eta) at every site.
 
 All conversions between parametrizations live here so the engines cannot
-drift apart on conventions.
+drift apart on conventions.  So do the trig building blocks ``a_fn`` ..
+``phi_fn`` and ``site_weights``, the table of every site weight that an
+inhomogeneous engine builds once per call.
 """
 
 import math
@@ -155,12 +157,47 @@ class SpectralData(Frozen):
                         raise DuplicateRapidity(
                             f"coincident {name} rapidities at positions {i + 1}, {j + 1}")
 
-    def drop(self, lam_index, nu_index):
-        """Spectral data with one lambda and one nu removed."""
-        return SpectralData(
-            [x for i, x in enumerate(self.lambdas) if i != lam_index],
-            [x for i, x in enumerate(self.nus) if i != nu_index],
-            self.eta)
+
+# trig building blocks; all float backend
+def a_fn(lam, nu, eta):
+    return mp.sin(lam - nu + eta)
+
+
+def b_fn(lam, nu, eta):
+    return mp.sin(lam - nu - eta)
+
+
+def d_fn(lam, nu):
+    return mp.sin(lam - nu)
+
+
+def e_fn(lam, nu, eta):
+    return mp.sin(lam - nu + 2 * eta)
+
+
+def phi_fn(lam, nu, eta):
+    return mp.sin(2 * eta) / (a_fn(lam, nu, eta) * b_fn(lam, nu, eta))
+
+
+class SiteWeights(Frozen):
+    """Every trig site weight of a ``SpectralData``, each sine taken once:
+    a[i][k] and b[i][k] at (lambda_i, nu_k), d[i][k] and e[i][k] at
+    (lambda_i, lambda_k), dnu[j][k] = d(nu_j, nu_k), and c = sin(2 eta).
+    It holds values at one working precision, so engines build it per call."""
+
+    __slots__ = ("a", "b", "d", "e", "dnu", "c")
+
+
+def site_weights(spec: SpectralData) -> SiteWeights:
+    """The 5 N^2 + 1 sines of ``SiteWeights`` at the working precision."""
+    lam, nu, eta = spec.lambdas, spec.nus, spec.eta
+
+    def table(f, xs, ys, *args):
+        return tuple(tuple(f(x, y, *args) for y in ys) for x in xs)
+
+    return SiteWeights(table(a_fn, lam, nu, eta), table(b_fn, lam, nu, eta),
+                       table(d_fn, lam, lam), table(e_fn, lam, lam, eta),
+                       table(d_fn, nu, nu), mp.sin(2 * eta))
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +211,8 @@ def weights_from_trig(lam, nu, eta, allow_nonphysical=False) -> VertexWeights:
     if is_exact_scalar(lam) and not isinstance(lam, int):
         raise Unsupported("trigonometric weights require the float backend")
     lam, nu, eta = mp.mpf(lam), mp.mpf(nu), mp.mpf(eta)
-    a = mp.sin(lam - nu + eta)
-    b = mp.sin(lam - nu - eta)
-    c = mp.sin(2 * eta)
-    return VertexWeights.from_abc(a, b, c, allow_nonphysical)
+    return VertexWeights.from_abc(a_fn(lam, nu, eta), b_fn(lam, nu, eta), mp.sin(2 * eta),
+                                  allow_nonphysical)
 
 
 def delta_t_from_trig(lam, eta):

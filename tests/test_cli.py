@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import io
 import json
@@ -670,43 +669,6 @@ def test_verify_prints_each_record_by_its_own_line(capsys, monkeypatch):
     assert payload["checks"] == [rec._asdict() for rec in records]
 
 
-def test_verify_worker_pool_matches_serial(capsys):
-    for criteria in ([], ["--criteria", "1,3"]):
-        argv = ["verify", "--level", "quick", "--format", "json", *criteria]
-        code, serial, _ = run_cli(capsys, *argv)
-        assert code == 0
-        code, parallel, _ = run_cli(capsys, *argv, "--workers", "2")
-        assert code == 0 and serial == parallel
-    checks = json.loads(serial)["checks"]
-    assert {c["criterion"] for c in checks} == {"criterion-1", "criterion-3"}
-
-
-def test_verify_pool_is_no_larger_than_the_criteria(capsys, monkeypatch):
-    # a pool that records its size and runs the jobs in this process
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return list(map(fn, jobs))
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    argv = ["verify", "--level", "quick", "--criteria", "8"]
-    code, serial, _ = run_cli(capsys, *argv)
-    assert code == 0
-    code, pooled, _ = run_cli(capsys, *argv, "--workers", "1000")
-    assert code == 0 and pooled == serial
-    assert sizes == [1]
-
-
 def test_verify_runs_a_repeated_criterion_once(capsys):
     argv = ["verify", "--level", "quick", "--format", "json", "--criteria"]
     once = run_cli(capsys, *argv, "8")
@@ -737,6 +699,11 @@ def test_oracle_cap_exits_3(capsys, argv):
     ["verify", "--level", "quick", "--criteria", "8", "--precision", "64"],
     ["verify", "--level", "quick", "--criteria", "8", "--timing"],
     ["table", "--N", "3", "--delta", "1/2", "--t", "1", "--workers", "2"],
+    ["verify", "--workers=0"],
+    ["verify", "--level", "desk", "--format", "json", "--workers", "-1"],
+    ["verify", "--level", "quick", "--criteria", "8", "--workers", "0"],
+    ["verify", "--level", "quick", "--criteria", "8", "--workers", "-3"],
+    ["verify", "--level", "quick", "--criteria", "8", "--workers", "2"],
 ])
 def test_removed_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -795,18 +762,6 @@ def test_bad_precision_exits_2(capsys, monkeypatch, env, argv, flag):
                              "--t", "1", "--backend", "float", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and flag in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["verify", "--workers=0"],
-    ["verify", "--level", "desk", "--format", "json", "--workers", "-1"],
-    ["verify", "--level", "quick", "--criteria", "8", "--workers", "0"],
-    ["verify", "--level", "quick", "--criteria", "8", "--workers", "-3"],
-])
-def test_workers_below_one_exit_2(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "--workers" in err
 
 
 RATIONAL = ["--delta", "1/2", "--t", "1"]

@@ -6,14 +6,18 @@ import pytest
 from mpmath import mp
 
 from gefp_lab import ik
-from gefp_lab.errors import BadIndex, DuplicateRapidity, SingularHankel, TooLarge
-from gefp_lab.ik import (a_fn, b_fn, gefp_inhom_determinant, gefp_inhom_recurrence,
+from gefp_lab.algebra import UniPoly
+from gefp_lab.errors import BadIndex, DivisionByZero, DuplicateRapidity, SingularHankel, TooLarge
+from gefp_lab.gefp import jets_inputs
+from gefp_lab.hfun import kfint_check
+from gefp_lab.ik import (gefp_inhom_determinant, gefp_inhom_recurrence,
                          hankel_factor, homogeneous_partition_jets, ik_partition,
-                         k_polynomial, partially_inhomogeneous_partition, phi_fn)
-from gefp_lab.oracle import (WeightGrid, YoungProfile, gefp_oracle,
+                         k_polynomial, k_polynomials, partially_inhomogeneous_partition)
+from gefp_lab.oracle import (WeightGrid, YoungProfile, all_profiles, gefp_oracle,
                              partition_function_oracle)
-from gefp_lab.params import SpectralData
-from ik_reference import hankel_det, k_polynomial_by_minors
+from gefp_lab.params import SpectralData, a_fn, b_fn, phi_fn
+from gefp_lab.verify import SPECTRAL_SETS
+from ik_reference import hankel_det, k_polynomial_by_minors, operator_determinant_by_permutations
 
 LAM3 = ("0.31", "0.73", "1.17")
 NU3 = ("0.11", "0.52", "0.26")
@@ -21,9 +25,22 @@ ETA = "0.41"
 
 
 def spectral(n, eta=ETA):
-    lams = [mp.mpf(x) for x in LAM3] + [mp.mpf("0.55")]
-    nus = [mp.mpf(x) for x in NU3] + [mp.mpf("0.91")]
+    lams = [mp.mpf(x) for x in LAM3] + [mp.mpf("0.55"), mp.mpf("1.44")]
+    nus = [mp.mpf(x) for x in NU3] + [mp.mpf("0.91"), mp.mpf("0.71")]
     return SpectralData(lams[:n], nus[:n], mp.mpf(eta))
+
+
+@pytest.fixture
+def sines(monkeypatch):
+    """The arguments of every ``mp.sin`` call made while the test runs."""
+    calls, sin = [], mp.sin
+
+    def counted(x):
+        calls.append(x)
+        return sin(x)
+
+    monkeypatch.setattr(mp, "sin", counted)
+    return calls
 
 
 def test_ik_single_site_collapses_to_c():
@@ -209,7 +226,7 @@ def test_determinant_matches_recurrence_and_oracle():
         assert abs(detv - orc) <= mp.mpf("1e-20") * max(1, abs(orc))
 
 
-def test_determinant_permutation_cap(monkeypatch):
+def test_determinant_permutation_cap(monkeypatch, sines):
     def no_work(*args):
         raise AssertionError("a determinant was computed")
 
@@ -222,11 +239,13 @@ def test_determinant_permutation_cap(monkeypatch):
         assert min(abs(w(lam, nu, eta)) for w in (a_fn, b_fn)
                    for lam in lams for nu in nus) > mp.mpf("1e-3")
         spec = SpectralData(lams, nus, eta)
+        sines.clear()
         with pytest.raises(TooLarge, match="permutation cap 7"):
             gefp_inhom_determinant(spec, YoungProfile(8, (4,)))
+        assert sines == []
 
 
-def test_recurrence_refuses_above_the_permutation_cap_before_any_work(monkeypatch):
+def test_recurrence_refuses_above_the_permutation_cap_before_any_work(monkeypatch, sines):
     def no_work(*args):
         raise AssertionError("the recurrence ran")
 
@@ -237,6 +256,77 @@ def test_recurrence_refuses_above_the_permutation_cap_before_any_work(monkeypatc
         spec = SpectralData(lams, nus, mp.mpf("0.29"))
         with pytest.raises(TooLarge, match="permutation cap 7"):
             gefp_inhom_recurrence(spec, YoungProfile(8, (8,) * 8))
+        assert sines == []
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+@pytest.mark.parametrize("data", SPECTRAL_SETS, ids=["set1", "set2"])
+def test_determinant_is_the_permutation_sum(data, prec):
+    # every profile with N <= 4, blocked ones included (both sides exactly 0)
+    with mp.workprec(prec):
+        tol = mp.mpf(2) ** (8 - prec)
+        for n in range(1, 5):
+            spec = SpectralData(data["lam"][:n], data["nu"][:n], data["eta"])
+            for p in all_profiles(n):
+                want = operator_determinant_by_permutations(spec, p.r)
+                got = gefp_inhom_determinant(spec, p)
+                assert abs(got - want) <= tol * abs(want), (n, p.r)
+
+
+@pytest.mark.parametrize("engine", [
+    ik_partition, WeightGrid.from_spectral,
+    lambda spec: gefp_inhom_recurrence(spec, YoungProfile(5, (5,) * 5)),
+    lambda spec: gefp_inhom_determinant(spec, YoungProfile(5, (5,) * 5)),
+    lambda spec: gefp_inhom_determinant(spec, YoungProfile(5, (2, 3, 5))),
+], ids=["partition", "grid", "recurrence", "determinant", "determinant-2-3-5"])
+def test_inhom_engines_take_each_sine_once(engine, sines):
+    # 5 N^2 + 1 distinct site weights: a, b at (lambda, nu), d, e at
+    # (lambda, lambda), d at (nu, nu), and c
+    with mp.workprec(128):
+        engine(spectral(5))
+    assert 0 < len(sines) <= 5 * 5 ** 2 + 1
+
+
+def test_determinant_refuses_a_vanishing_weight():
+    # a(lambda_1, nu_1) = sin(0.5 - 0.75 + 0.25) = 0: the phi entry has a pole
+    with mp.workprec(128):
+        spec = SpectralData(["0.5", "1.25"], ["0.75", "0.1"], "0.25")
+        p = YoungProfile(2, (1, 2))
+        for engine in (gefp_inhom_determinant, gefp_inhom_recurrence):
+            with pytest.raises(DivisionByZero, match="phi entry has a pole"):
+                engine(spec, p)
+
+
+def test_determinant_refuses_a_resonant_pair_its_tuples_read():
+    # e(lambda_1, lambda_2) = sin(0.5 - 1.0 + 0.5) = 0; the recurrence and the
+    # oracle have no pole there, the operator determinant divides by it
+    with mp.workprec(128):
+        spec = SpectralData(["0.5", "1.0", "0.8"], ["0.1", "0.2", "0.35"], "0.25")
+        grid = WeightGrid.from_spectral(spec)
+        p = YoungProfile(3, (1, 2))
+        rec = gefp_inhom_recurrence(spec, p)
+        assert abs(rec - gefp_oracle(grid, p).value) < mp.mpf("1e-30")
+        assert abs(rec - mp.mpf("0.7174578")) < mp.mpf("1e-7")
+        for p in all_profiles(3):
+            if len(p.r) >= 2 and not p.blocked:
+                with pytest.raises(DuplicateRapidity, match="resonant lambdas at 1, 2"):
+                    gefp_inhom_determinant(spec, p)
+            else:
+                det_value = gefp_inhom_determinant(spec, p)
+                assert abs(det_value - gefp_oracle(grid, p).value) < mp.mpf("1e-30"), p.r
+
+
+@pytest.mark.parametrize("call", [
+    lambda: jets_inputs(0, 1.1, 0.35),
+    lambda: kfint_check(0, UniPoly([1]), 1.1, 0.35),
+    lambda: homogeneous_partition_jets(-1, 1.1, 0.35),
+    lambda: k_polynomial(-1, 1.1, 0.35),
+    lambda: k_polynomials([Fraction(1)], -1),
+], ids=["jets_inputs", "kfint_check", "partition_jets", "k_polynomial", "k_polynomials"])
+def test_out_of_range_order_is_a_bad_index(call):
+    with mp.workprec(128), pytest.raises(BadIndex, match="must be at least"):
+        call()
+    assert homogeneous_partition_jets(0, 1.1, 0.35) == 1
 
 
 @pytest.mark.parametrize("engine", [gefp_inhom_recurrence, gefp_inhom_determinant])
