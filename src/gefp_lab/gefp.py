@@ -30,7 +30,8 @@ on first use.  The workspace of each s keeps the rows of A and G's box on
 top of it; the first profile there sets the box, a later one that reaches
 past it refills G on the whole (N-1)^s box, once, or, where the whole one
 is above the cap, on its own box, and each profile costs one convolution,
-its terms on the first s - 1 axes kept for the next with the same r[:-1].
+its terms on the first s - 1 axes folded into one signed line of G per
+exponent set and kept for the next with the same r[:-1].
 
 The engine runs on Python integers: with B the least integer that makes
 (t^2 - 2 Delta t) B, 2 Delta t B and t^2 B^2 integers, A and G are
@@ -93,9 +94,11 @@ JETS_BOX_CAP = 6 ** 6
 K_ROUTE_N_CAP = 64
 
 # Largest box, in entries, that the residue engine fills, checked before any
-# sweep: a cold exact call at r = (7, ..., 7) takes 1.2-1.6 s and 119 MB
-# (wall time and peak RSS, one x86 core), and ``table --N 8``, which widens
-# to 8^8, ran about 90 s.  7^7 keeps every N <= 7 and N = 8 with s <= 6.
+# sweep: a cold call at r = (7, ..., 7) and (1/3, 3/4) takes 1.3 s and 116 MB
+# exact, and 5.1 s and 437 MB on the float backend at 128 bits (CLI wall
+# time and peak RSS, median of five, one x86 core); ``table --N 8``, which
+# widens to 8^8, ran about 90 s exact.  7^7 keeps every N <= 7 and N = 8
+# with s <= 6.
 RESIDUE_BOX_CAP = 7 ** 7
 
 # Bits past the working precision that the jets pair product keeps in its
@@ -114,17 +117,18 @@ class IntegrandSeries:
     univariate factors over the pair denominators.  With ``scale`` = (B, D)
     both are integer in w = z / B: A(Bw) times D over B^(s(s-1)/2), and G(Bw).
 
-    A is kept by exponent set: ``rows[used, odd][e]`` is A at each alpha
-    whose first s - 1 entries form the mask ``used``, with ``odd`` the parity
-    of their pairs j < k with alpha_j < alpha_k, and whose last entry is e.
-    G, ``quotient``, is filled on a cap box ``caps`` alone, to total degree
-    |caps| - s(s-1)/2, the highest that an extraction inside the box reads;
-    ``fill`` rebuilds it on a new box from the point record's inputs, shared
-    by every s: ``factors`` lists each axis' univariate factor coefficients
-    to degree N-1 and ``pair`` = (a, b) gives the pair denominators
+    A is kept by exponent set: ``rows[used][e]`` is A at each alpha whose
+    first s - 1 entries form the mask ``used`` in descending order and whose
+    last entry is e; another order of those entries negates it when its
+    pairs j < k with alpha_j < alpha_k are odd in number.  G, ``quotient``, is
+    filled on a cap box ``caps`` alone, to total degree |caps| - s(s-1)/2,
+    the highest that an extraction inside the box reads; ``fill`` rebuilds
+    it on a new box from the point record's inputs, shared by every s:
+    ``factors`` lists each axis' univariate factor coefficients to degree
+    N-1 and ``pair`` = (a, b) gives the pair denominators
     1 - a w_j + b w_j w_k.  ``head`` memoizes ``coefficient``: the m[:-1] of
-    its last profile, and that profile's terms on those axes as (flat offset
-    in G, mask of the entries used, row of A) triples; ``fill`` drops it.
+    its last profile, and one (row of A, signed line of G) pair per set of
+    entries used on those axes; ``fill`` drops it.
     """
 
     def __init__(self, N, s, scale, rows, factors, pair):
@@ -137,8 +141,8 @@ class IntegrandSeries:
         return self.quotient.caps
 
     def fill(self, caps):
-        """G on the box [0..caps], in place; ``head`` holds offsets on the
-        old box, so it is dropped."""
+        """G on the box [0..caps], in place; ``head`` holds lines of the old
+        G, so it is dropped."""
         self.quotient = _prefactor_series(self.factors, caps, *self.pair)
         self.head = None
         return self
@@ -149,25 +153,36 @@ class IntegrandSeries:
 
         A vanishes where alpha repeats an entry, so c runs over the alpha <= m
         with distinct entries alone.  Their first s - 1 axes are grown by the
-        Laplace steps of ``signed_supersets``, whose parities pick the row,
-        and kept in ``head`` for the next profile with the same m[:-1]; so in
-        ``table`` order a profile enumerates only its last axis, contiguous
-        in the flat layout.  The box must cover m unless the profile is
-        blocked: then no such alpha exists, the mask on the last axis admits
-        no entry, no entry is read, and c = 0.
+        Laplace steps of ``signed_supersets``, with the parity of each order.
+        A[alpha] is the row of the set of entries at alpha[-1], negated when
+        that parity is odd, so the head's terms of one set fold into one line,
+        the sum of +-G[m[:-1] - alpha[:-1], 0..caps[-1]], and c is the sum over
+        the sets of each row against its line reversed from m[-1]; a row is 0
+        at the entries of its set.  The lines are kept in ``head`` for the
+        next profile with the same m[:-1], so in ``table`` order a profile
+        costs one dot product per set.  The box must cover m unless the
+        profile is blocked, some m_j < j: no alpha <= m has distinct entries
+        then, so c = 0, and nothing is read.  At j = s - 1 that is returned
+        at once; a blocked m[:-1] has no terms, so no line.
         """
         *head, last = [rj - 1 for rj in profile.r]
+        if last < self.s - 1:
+            return Fraction(0)
         if self.head is None or self.head[0] != head:
             terms = [(0, 0, 0)]
             for j, (mj, stride) in enumerate(zip(head, self.quotient._strides)):
                 steps = signed_supersets(self.N, j)
                 terms = [(o + e * stride, used, parity ^ odd) for o, rest, parity in terms
                          for e, used, odd in steps[rest] if e <= mj]
-            self.head = head, [(o, used, self.rows[used, parity]) for o, used, parity in terms]
-        g = self.quotient.data
-        top = self.quotient._offset(head) + last
-        c = (-1) ** self.s * sum(row[e] * g[top - o - e] for o, used, row in self.head[1]
-                                 for e in range(last + 1) if not used >> e & 1)
+            g, base, width = self.quotient.data, self.quotient._offset(head), self.caps[-1] + 1
+            lines = {}
+            for o, used, odd in terms:
+                piece = g[base - o:base - o + width]
+                line = lines.get(used)
+                lines[used] = (list(map(sub if odd else add, line, piece)) if line is not None
+                               else [-x for x in piece] if odd else piece)
+            self.head = head, [(self.rows[used], line) for used, line in lines.items()]
+        c = (-1) ** self.s * sum(sum(map(mul, row, line[last::-1])) for row, line in self.head[1])
         B, D = self.scale
         return Fraction(c * B ** (self.s * (self.s - 1) // 2), B ** (sum(head) + last) * D)
 
@@ -233,17 +248,17 @@ def _alternant_rows(tables, N, s, B):
     By Cauchy-Binet, A[alpha] = sgn(p) d_S when alpha_j = S_p(j) for a
     descending exponent set S, and 0 when alpha repeats an entry.  Each
     ``_minors`` d_S, on the rows e <= N-1 that an extraction reads, times
-    B^|lambda|, lambda_i = S_i - (s - i), goes to entry e of the rows of
-    ``used`` for each Laplace step (e, used, odd) of S, signed by ``odd``
-    and the row's parity.
+    B^|lambda|, lambda_i = S_i - (s - i), goes to entry e of the row of
+    ``used`` for each Laplace step (e, used, odd) of S, signed by ``odd``:
+    the sign of alpha = (used descending, e).
     """
     cols = [col.coeffs for col in _columns(tables, N, s)]
     minors, offset = _minors(cols, N - 1, 0), s * (s - 1) // 2
-    rows = {(used, parity): [0] * N for used, _ in signed_subsets(N)[s - 1] for parity in (0, 1)}
+    rows = {used: [0] * N for used, _ in signed_subsets(N)[s - 1]}
     for S, terms in signed_subsets(N)[s]:
         d = minors[S] * B ** (sum(e for e, _, _ in terms) - offset)
         for e, used, odd in terms:
-            rows[used, odd][e], rows[used, 1 - odd][e] = d, -d
+            rows[used][e] = -d if odd else d
     return rows
 
 
@@ -399,11 +414,13 @@ def gefp_residue(N, profile: YoungProfile, delta, t, backend=EXACT, *,
     and the entries of G, built on the box of m = r - 1 to total degree
     |m| - s(s-1)/2, with up to that many times B's bits.  At N = 7,
     r = (2, 4, 6, 7) and the trig point (1.1, 0.35), one cold call takes
-    0.018 s at 128 bits, 0.032 s at 256 and 0.09 s at 512 (process time,
-    median of seven, one x86 core, pure-Python mpmath).  At 128 bits, N = 4,
-    r = (2, 3, 4) and Delta = 0.3, t = 1e-10 / 1e-1000 / 1e-10000 give B of
-    323 / 6,893 / 66,691 bits and a cold call of 0.6 ms / 28 ms / 2.0 s
-    (one run each); the oracle's exact sums grow alike (1.0 s at 1e-10000).
+    0.010-0.018 s at 128 bits, 0.027-0.050 s at 256 and 0.09-0.14 s at 512
+    (process time, medians of seven in four runs on a loaded 2-core x86
+    host, pure-Python mpmath).  At 128 bits, N = 4, r = (2, 3, 4) and
+    Delta = 0.3, t = 1e-10 / 1e-1000 / 1e-10000 give B of 323 / 6,893 /
+    66,691 bits and a cold call of 0.7-1.1 ms / 43-47 ms / 2.4-2.8 s
+    (medians of seven, seven and three); the oracle's GEFP there takes
+    0.17-0.23 s at 1e-10000.
     """
     if profile.N != N:
         raise BadIndex(f"profile N={profile.N} does not match N={N}")

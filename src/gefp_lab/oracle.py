@@ -41,15 +41,18 @@ one small integer that names its integer weights and is shared by every
 grid there (exact or float at the same dyadic weights), so no row is swept
 twice: the turned rows, swept to the deepest level asked for, serve every
 bottom sweep and the H table of every bottom-left block, and the top rows
-are kept per prefix of r.  The sums stay integers times D^(N(N-1)) until a
-caller's one ``Fraction``.  A deliberately naive ice-rule filter (N <= 3)
-double-checks it from scratch.
+are kept per prefix of r.  Each turned level is kept over the common
+power of two of its weights, which a long dyadic D makes large; a bottom
+sweep shifts it back, and the H sums, read as ratios, leave it out.  The
+sums stay integers times D^(N(N-1)) until a caller's one ``Fraction``.  A
+deliberately naive ice-rule filter (N <= 3) double-checks it from scratch.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations_with_replacement, count, product
 from math import comb, isqrt, lcm
+from operator import or_
 from typing import NamedTuple
 
 from .backends import EXACT, FLOAT, to_exact, to_float
@@ -261,24 +264,41 @@ def _levels(grid: WeightGrid, rows) -> list:
     (5 and 6 map to themselves, 1 to 2, 3 to 4), so level j, the turned
     states above the last j rows with their integer weights, is the sweep
     of the turned grid's top j rows; a deeper request resumes from it.
+    Level j is kept as (weights, e), the weights over their common power of
+    two 2^e: when every weight of a new level is even, all are shifted right
+    by the 2-adic valuation of their OR.  Where D is a large power of two,
+    as on a spectral float grid or on the residue engine's grid at the
+    dyadic rationals of a float (Delta, t), so is much of this factor: at
+    N = 7 and 128-bit (1/3, 3/4) it is 2^1152 at level 6, whose weights
+    drop from 2,351 bits to 1,199.  The test stops at the first odd weight, so where there is one it
+    costs little: at exact (1/3, 3/4) it is the first weight of every
+    level, and e stays 0.
     """
     n = grid.N
     a, b, c2, _ = grid._transfer_weights
-    levels = _cached(_sweeps, (grid._point_key, "levels"), lambda: [{(1 << n) - 1: 1}])
+    levels = _cached(_sweeps, (grid._point_key, "levels"), lambda: [({(1 << n) - 1: 1}, 0)])
     for j in range(n - len(levels), n - 1 - rows, -1):
-        levels.append(_row(a[j][::-1], b[j][::-1], c2, levels[-1], n))
+        states, e = levels[-1]
+        states = _row(a[j][::-1], b[j][::-1], c2, states, n)
+        if not any(w & 1 for w in states.values()):
+            bits = reduce(or_, states.values(), 0)
+            shift = (bits & -bits).bit_length() - 1
+            if shift > 0:
+                states, e = {v: w >> shift for v, w in states.items()}, e + shift
+        levels.append((states, e))
     return levels
 
 
 def _bottom(grid: WeightGrid, rows) -> dict:
     """{state above the last ``rows`` rows: integer weight of those rows},
     level ``rows`` of ``_levels`` with each turned state read back once as
-    its bit-reversed complement.  ``rows = 0`` gives {0: 1}, the all-up
-    state below row N.  Callers only read the result."""
+    its bit-reversed complement and its weight shifted back by the level's
+    power of two.  ``rows = 0`` gives {0: 1}, the all-up state below row N.
+    Callers only read the result."""
     def read_back():
         n, full = grid.N, (1 << grid.N) - 1
-        return {full ^ int(f"{u:0{n}b}"[::-1], 2): w
-                for u, w in _levels(grid, rows)[rows].items()}
+        states, e = _levels(grid, rows)[rows]
+        return {full ^ int(f"{u:0{n}b}"[::-1], 2): w << e for u, w in states.items()}
 
     return _cached(_sweeps, (grid._point_key, rows), read_back)
 
@@ -391,13 +411,15 @@ def _boundary_sums(grid: WeightGrid, n, cap=None):
     state at turned level n - 1 with bits n..N-1 all set has every vertex
     right of the block of type 1, so ``extra | 1 << (n-1-k)`` holds the
     block's rows below a c-vertex at column k times an a-weight product
-    that is the same for every k and cancels in H.
+    that is the same for every k and cancels in H; so does the level's
+    power of two, which is left out: the h_k and their sum share it, and
+    every caller takes their ratios or divides by their gcd.
     """
     _check_cap(grid.N, cap)
     N, full = grid.N, (1 << n) - 1
     a, b, c2, _ = grid._transfer_weights
     first = _row(a[N - n][N - n:], b[N - n][N - n:], c2, {full: 1}, n)
-    rest, extra = _levels(grid, n - 1)[n - 1], (1 << N) - 1 ^ full
+    rest, extra = _levels(grid, n - 1)[n - 1][0], (1 << N) - 1 ^ full
     h = [first.get(full ^ 1 << k, 0) * rest.get(extra | 1 << n - 1 - k, 0) for k in range(n)]
     return h, _nonzero(sum(h), n)
 

@@ -172,13 +172,15 @@ def dense_alternant(minors, caps):
 
 def rows_on_box(rows, caps):
     """The engine's rows of the alternant laid out on the box [0..caps]: the
-    entry at alpha is row (mask of alpha[:-1], parity of its pairs j < k with
-    alpha_j < alpha_k) at alpha[-1], and 0 where alpha[:-1] repeats one."""
+    entry at alpha is the row of the mask of alpha[:-1] at alpha[-1], negated
+    when the pairs j < k of alpha[:-1] with alpha_j < alpha_k are odd in
+    number, and 0 where alpha[:-1] repeats one."""
     out = TruncatedSeries(caps, 0)
     for o, (*head, e) in enumerate(product(*(range(c + 1) for c in caps))):
         if len(set(head)) == len(head):
             odd = sum(x < y for x, y in combinations(head, 2)) & 1
-            out.data[o] = rows[sum(1 << x for x in head), odd][e]
+            x = rows[sum(1 << x for x in head)][e]
+            out.data[o] = -x if odd else x
     return out
 
 

@@ -19,7 +19,8 @@ from gefp_lab.params import VertexWeights, delta_t_from_trig
 from jets_reference import (exact_contraction, exact_pair_block, full_box_contraction,
                             mpf_pair_block)
 from residue_reference import (_w_series, _z_series, all_pairs_prefactor, alternant_minors,
-                               dense_alternant, mul_pair, offsets_to_degree, rows_on_box)
+                               dense_alternant, mul_pair, offsets_to_degree, product_coeff,
+                               rows_on_box)
 
 D0, T0 = Fraction(1, 2), Fraction(1)
 
@@ -232,6 +233,58 @@ def test_coefficient_equals_brute_force_convolution():
                                     * B ** (s * (s - 1) // 2), B ** sum(target) * D)
 
 
+with mp.workprec(128):
+    FLOAT_POINTS = [(to_float(Fraction(1, 3)), to_float(Fraction(3, 4))),
+                    (to_float(Fraction(-5, 7)), to_float(Fraction(2, 9)))]
+
+
+@pytest.mark.parametrize("delta, t", FLOAT_POINTS, ids=["1/3,3/4@128", "-5/7,2/9@128"])
+def test_float_coefficient_equals_the_route_through_h(delta, t):
+    # the signed lines of G per exponent set, at a 128-bit dyadic point and
+    # a negative Delta, against the brute-force convolution of the route
+    # through h in w at the dyadic rationals, and against the rows laid out
+    # on the box times G; every profile in table order, blocked ones too
+    point = to_exact(delta), to_exact(t)
+    for n in range(1, 6):
+        for s in range(1, n + 1):
+            with mp.workprec(128):
+                ws = residue_workspace(n, s, delta, t, "float")
+            route = _w_series(n, s, *point)
+            alternant = rows_on_box(ws.rows, ws.caps)
+            B, D = ws.scale
+            for prof in all_profiles(n, s):
+                m = [rj - 1 for rj in prof.r]
+                value = ws.coefficient(prof)
+                assert value == route.coefficient(prof), (n, prof.r)
+                assert value == Fraction((-1) ** s * product_coeff(alternant, ws.quotient, m)
+                                         * B ** (s * (s - 1) // 2), B ** sum(m) * D)
+
+
+def test_blocked_profile_past_the_box_is_zero_before_any_read():
+    # the box of (1, 2, 3) is (0, 1, 2); blocked profiles past it, on the
+    # head's axes or the last one, are 0 with G's entries taken away, and
+    # fill nothing
+    with mp.workprec(128):
+        delta, t = FLOAT_POINTS[0]
+        gefp._workspace_cache.clear()
+        first = YoungProfile(5, (1, 2, 3))
+        ws = residue_workspace(5, 3, delta, t, "float", profile=first)
+        value, data = ws.coefficient(first), ws.quotient.data
+        assert ws.caps == (0, 1, 2)
+        ws.quotient.data = None
+        try:
+            for r in ((1, 1, 5), (2, 2, 2), (1, 1, 1), (1, 2, 2), (1, 1, 3)):
+                prof = YoungProfile(5, r)
+                assert prof.blocked and ws.coefficient(prof) == 0, r
+                zero = gefp_residue(5, prof, delta, t, "float").value
+                assert zero == 0 and not zero._mpf_[1], r
+            assert ws.caps == (0, 1, 2)
+        finally:
+            ws.quotient.data = data
+        assert ws.coefficient(first) == value
+        gefp._workspace_cache.clear()
+
+
 def prime_factors(n):
     out, p = set(), 2
     while p * p <= n:
@@ -286,7 +339,7 @@ def test_exact_workspace_holds_only_ints(delta, t):
         data = [x for row in ws.rows.values() for x in row] + ws.quotient.data + list(ws.scale)
         assert all(type(x) is int for x in data)
         assert_least_residue_scale(ws, delta, t)
-        assert all(row[e] == 0 for (used, _), row in ws.rows.items()
+        assert all(row[e] == 0 for used, row in ws.rows.items()
                    for e in range(5) if used >> e & 1)
         alternant, top = rows_on_box(ws.rows, ws.caps), s * 4 - s * (s - 1) // 2
         for idx in product(range(5), repeat=s):

@@ -486,6 +486,44 @@ def test_block_distributions_equal_the_block_as_its_own_grid(kind):
                 assert bits(dist) == bits(grid_distribution(block(grid, n))), (big, n)
 
 
+def chained_levels(grid):
+    """The turned levels by a plain chained ``_row`` sweep, nothing shifted."""
+    n = grid.N
+    a, b, c2, _ = grid._transfer_weights
+    levels = [{(1 << n) - 1: 1}]
+    for j in reversed(range(n)):
+        levels.append(oracle._row(a[j][::-1], b[j][::-1], c2, levels[-1], n))
+    return levels
+
+
+def test_turned_levels_shed_their_common_power_of_two_exactly(cold_oracle):
+    # every level shifted back by its power of two is the chained sweep, and
+    # every level with a nonzero weight keeps an odd one; the grid at the
+    # dyadic rationals of 128-bit (1/3, 3/4), as the residue engine builds
+    # it, and a spectral float grid leave powers of two to shed, exact
+    # (1/3, 3/4) none, and there the parity test stops at the first weight
+    # of each level
+    with mp.workprec(128):
+        point = (to_exact(to_float(Fraction(1, 3))), to_exact(to_float(Fraction(3, 4))))
+        spectral = random_spectral_grid(random.Random(19), 6)
+    dyadic = WeightGrid.from_weights(7, VertexWeights.from_delta_t(*point))
+    exact = WeightGrid.from_weights(7, VertexWeights.from_delta_t(Fraction(1, 3),
+                                                                  Fraction(3, 4)))
+    for grid in (dyadic, spectral, exact):
+        levels = oracle._levels(grid, grid.N)
+        assert [{v: w << e for v, w in states.items()} for states, e in levels] == \
+            chained_levels(grid)
+        assert all(any(w & 1 for w in states.values()) for states, _ in levels
+                   if any(states.values()))
+        shifts = [e for _, e in levels]
+        if grid is exact:
+            assert not any(shifts)
+            assert all(next(iter(states.values())) & 1 for states, _ in levels)
+        else:
+            assert any(shifts)
+    assert oracle._levels(dyadic, 7)[6][1] == 1152
+
+
 def clear_memos():
     oracle._sweeps.clear()
     oracle._prefixes.clear()
